@@ -1,7 +1,7 @@
 """Sequence-classification laboratory for diagonal state-space blocks
 under depth-recurrent parameter sharing.
 
-The package provides: a parallel linear scan with exact adjoints, a
+The package provides: a linear-recurrence scan with exact adjoints, a
 small reverse-mode tape over float64 arrays, four recurrent block
 architectures behind one interface, depth-stacked models whose blocks
 can be shared in repeating patterns, sequence reshaping by a

@@ -10,9 +10,9 @@ trailing axis of length 2, so complex arithmetic decomposes into real
 primitives and every adjoint is derived exactly once, for the real case.
 
 The only primitive with a hand-derived adjoint of any substance is
-`scan_linear`; its reverse recurrence reuses the forward sweep (see
-scan.scan_backward).  Every adjoint here is checked against central
-finite differences in the test suite.
+`scan_linear`; its reverse recurrence is the forward kernel run backwards
+in time (see scan.scan_backward).  Every adjoint here is checked against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def plane(x, index: int) -> Tensor:
 
 
 def scan_linear(a, b, kind: str = "diag") -> Tensor:
-    """States of x_t = a_t * x_{t-1} + b_t (x_0 = 0) via the parallel sweep.
+    """States of x_t = a_t * x_{t-1} + b_t (x_0 = 0) via the scan kernel.
 
     `a` may omit batch/time axes; it is broadcast against `b` and the
     adjoint is summed back down to `a`'s declared shape.

@@ -5,7 +5,7 @@ Every block maps [..., T, H] -> [..., T, H] as
     h_out = h_in + glu(recurrence(layer_norm(h_in)))
 
 with a pre-norm, a state-space recurrence over P channels evaluated by
-the parallel scan, a GLU mixer (linear value gated by a sigmoid-linear
+the scan kernel, a GLU mixer (linear value gated by a sigmoid-linear
 gate) on the recurrence's real output, and a residual add.  No dropout
 anywhere.  The four recurrences:
 

@@ -4,19 +4,17 @@ A length-T linear recurrence
 
     x_t = a_t * x_{t-1} + b_t,    x_0 = 0,
 
-is evaluated either step by step (`scan_sequential`, the reference route)
-or with a work-efficient Blelloch up/down-sweep over the associative
-combine rule
+is evaluated by one time-major loop over t, vectorised over every batch
+and channel axis (`scan_linear`).  Its adjoint is the same loop run in
+reverse on the adjoint factor (`scan_backward`).  `scan_sequential` is
+the independent, pair-based oracle the kernel is audited against.
 
-    (a2, b2) o (a1, b1) = (a2 * a1, a2 * b1 + b2),
+On a CPU-only NumPy substrate the plain loop beats a parallel-prefix
+(Blelloch) formulation by an order of magnitude: the prefix tree needs
+about 2 log2 T strided passes, power-of-two padding and a factor
+materialised over time, while the loop touches each element once.
 
-where index 1 is the earlier element.  Both routes are kept alive on
-purpose: the sequential one is the oracle the parallel one is audited
-against.  The sweep uses a fixed reduction tree (pad to the next power
-of two, identical slice schedule every call), so results are
-reproducible bit for bit on one machine.
-
-Three element kinds share the code path:
+Three element kinds share the kernel:
 
     "diag"   a, b: [..., T, n]          real diagonal transition
     "cdiag"  a, b: [..., T, n, 2]       complex diagonal, (re, im) pairs
@@ -24,12 +22,17 @@ Three element kinds share the code path:
              b: [..., T, n, 2]
 
 Complex values everywhere in this package are (re, im) pairs in a
-trailing axis of length 2 over a float64 substrate; the combine rule
-for "cdiag" is complex multiplication written out on the pairs.
+trailing axis of length 2 over a float64 substrate; inside the kernel a
+"cdiag" pair array is viewed in place as complex128, without a copy.
+
+`a` is broadcast against `b` by the usual right-aligned rules.  An `a`
+with no time axis, or a time axis of length 1, is time-invariant: the
+kernel applies the one factor at every step and never expands it over T.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,70 +53,18 @@ def pair_mul(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.stack([zr * wr - zi * wi, zr * wi + zi * wr], axis=-1)
 
 
-def pair_conj(z: np.ndarray) -> np.ndarray:
-    out = z.copy()
-    out[..., 1] = -out[..., 1]
-    return out
-
-
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ShapeError(f"unknown scan element kind {kind!r}; expected one of {KINDS}")
 
 
-def _combine(kind: str, a1, b1, a2, b2):
-    """Combine earlier (a1, b1) with later (a2, b2)."""
-    if kind == "diag":
-        return a2 * a1, a2 * b1 + b2
-    if kind == "cdiag":
-        return pair_mul(a2, a1), pair_mul(a2, b1) + b2
-    # mat2
-    a = np.einsum("...ij,...jk->...ik", a2, a1)
-    b = np.einsum("...ij,...j->...i", a2, b1) + b2
-    return a, b
-
-
 def _apply(kind: str, a, x):
-    """Apply one transition factor to a state."""
+    """Apply one transition factor to a state (oracle arithmetic)."""
     if kind == "diag":
         return a * x
     if kind == "cdiag":
         return pair_mul(a, x)
     return np.einsum("...ij,...j->...i", a, x)
-
-
-def _identity_a(kind: str, tail_shape: tuple[int, ...]) -> np.ndarray:
-    if kind == "diag":
-        return np.ones(tail_shape)
-    if kind == "cdiag":
-        out = np.zeros(tail_shape)
-        out[..., 0] = 1.0
-        return out
-    out = np.zeros(tail_shape)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    return out
-
-
-def _adjoint_a(kind: str, a: np.ndarray) -> np.ndarray:
-    """Transpose of the transition factor, as used by the reverse recurrence."""
-    if kind == "diag":
-        return a
-    if kind == "cdiag":
-        return pair_conj(a)
-    return np.swapaxes(a, -1, -2)
-
-
-def _grad_a(kind: str, lam: np.ndarray, x_prev: np.ndarray) -> np.ndarray:
-    """Per-step gradient of the loss w.r.t. a_t given the state adjoint lam_t."""
-    if kind == "diag":
-        return lam * x_prev
-    if kind == "cdiag":
-        # d/d(lambda) of lambda*w against adjoint g is conj(w)*g, on pairs
-        wr, wi = x_prev[..., 0], x_prev[..., 1]
-        gr, gi = lam[..., 0], lam[..., 1]
-        return np.stack([wr * gr + wi * gi, wr * gi - wi * gr], axis=-1)
-    return np.einsum("...i,...j->...ij", lam, x_prev)
 
 
 @dataclass
@@ -132,16 +83,12 @@ class ScanElement:
         _check_kind(self.kind)
 
 
-def combine(early: ScanElement, late: ScanElement) -> ScanElement:
-    """Compose two elements: the result acts like `early` then `late`."""
-    if early.kind != late.kind:
-        raise ShapeError(f"cannot combine kinds {early.kind!r} and {late.kind!r}")
-    a, b = _combine(early.kind, early.a, early.b, late.a, late.b)
-    return ScanElement(a, b, early.kind)
+def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
+    """Validate trailing dims and broadcastability of a against b's batch/time shape.
 
-
-def _broadcast_elements(kind: str, a: np.ndarray, b: np.ndarray):
-    """Validate trailing dims and broadcast a against b's batch/time shape."""
+    Returns (a, b, full_a_shape) with a right-aligned to b's rank by
+    prepending unit axes; nothing is broadcast or copied.
+    """
     _check_kind(kind)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -166,76 +113,66 @@ def _broadcast_elements(kind: str, a: np.ndarray, b: np.ndarray):
             f"a has trailing shape {a.shape[-at:] if a.ndim >= at else a.shape}, "
             f"expected {a_tail} to match b channels (kind {kind!r})"
         )
-    lead = b.shape[: -(bt + 1)]
-    try:
-        full_a = np.broadcast_to(a, lead + (T,) + a_tail)
-    except ValueError as exc:
-        raise ShapeError(f"a shape {a.shape} does not broadcast against b shape {b.shape}") from exc
-    return np.ascontiguousarray(full_a), b, T
+    full = b.shape[: -(bt + 1)] + (T,) + a_tail
+    if a.ndim > len(full) or any(d not in (1, f) for d, f in zip(a.shape[::-1], full[::-1])):
+        raise ShapeError(f"a shape {a.shape} does not broadcast against b shape {b.shape}")
+    return a.reshape((1,) * (len(full) - a.ndim) + a.shape), b, full
+
+
+def _time_major(kind: str, z: np.ndarray, t_axis: int) -> np.ndarray:
+    """View z [*lead, T, ...] as [T, *lead, ...]; "cdiag" pairs become complex128."""
+    if kind == "cdiag":
+        if z.strides[-1] != z.itemsize:
+            z = np.ascontiguousarray(z)
+        z = z.view(np.complex128)[..., 0]
+    return np.moveaxis(z, t_axis, 0)
+
+
+def _recur(kind: str, steps: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
+    """The production kernel: out_0 = src_0, out_s = steps_s . out_{s-1} + src_s.
+
+    All operands are time-major.  `steps` holds one factor per step
+    s = 1..T-1, or a single factor applied at every step (never copied).
+    """
+    if steps.shape[0] == 1:
+        steps = itertools.repeat(steps[0])
+    tmp = np.empty_like(out[0]) if kind == "mat2" else None
+    out[0] = src[0]
+    prev = out[0]
+    for f, cur, b in zip(steps, out[1:], src[1:]):
+        if kind != "mat2":
+            np.multiply(f, prev, out=cur)
+        else:  # x'_i = a_i0 x_0 + a_i1 x_1, one matrix column at a time
+            np.multiply(f[..., 0], prev[..., :1], out=cur)
+            np.multiply(f[..., 1], prev[..., 1:], out=tmp)
+            cur += tmp
+        cur += b
+        prev = cur
 
 
 def scan_sequential(elem: ScanElement) -> np.ndarray:
-    """Step-by-step evaluation of the recurrence; the reference route."""
-    a, b, T = _broadcast_elements(elem.kind, elem.a, elem.b)
-    ta = np.moveaxis(a, -(1 + _A_TRAIL[elem.kind]), 0)
+    """Step-by-step evaluation of the recurrence on pairs; the reference route."""
+    a, b, full = _check_elements(elem.kind, elem.a, elem.b)
+    ta = np.moveaxis(np.broadcast_to(a, full), -(1 + _A_TRAIL[elem.kind]), 0)
     tb = np.moveaxis(b, -(1 + _B_TRAIL[elem.kind]), 0)
     out = np.empty_like(tb)
     x = np.zeros_like(tb[0])
-    for t in range(T):
+    for t in range(tb.shape[0]):
         x = _apply(elem.kind, ta[t], x) + tb[t]
         out[t] = x
     return np.moveaxis(out, 0, -(1 + _B_TRAIL[elem.kind]))
 
 
 def scan_linear(elem: ScanElement) -> np.ndarray:
-    """Inclusive states of the recurrence via a Blelloch up/down-sweep.
-
-    The sweep pads to the next power of two with identity elements and
-    walks a fixed slice schedule, so the floating-point reduction tree
-    (and therefore the output bits) never depends on anything but T.
-    """
+    """Inclusive states x_1..x_T, in b's shape and layout."""
     kind = elem.kind
-    a, b, T = _broadcast_elements(kind, elem.a, elem.b)
-    at_ax = -(1 + _A_TRAIL[kind])
-    bt_ax = -(1 + _B_TRAIL[kind])
-    wa = np.moveaxis(a, at_ax, 0)
-    wb = np.moveaxis(b, bt_ax, 0)
-
-    Tp = 1 << (T - 1).bit_length() if T > 1 else 1
-    pa = np.empty((Tp,) + wa.shape[1:])
-    pb = np.zeros((Tp,) + wb.shape[1:])
-    pa[:T] = wa
-    pb[:T] = wb
-    if Tp > T:
-        pa[T:] = _identity_a(kind, wa.shape[1:])
-    oa = pa.copy()
-    ob = pb.copy()
-
-    # up-sweep: reduce pairs at stride 2d
-    d = 1
-    while d < Tp:
-        hi = slice(2 * d - 1, Tp, 2 * d)
-        lo = slice(d - 1, Tp - d, 2 * d)
-        pa[hi], pb[hi] = _combine(kind, pa[lo], pb[lo], pa[hi], pb[hi])
-        d *= 2
-
-    # down-sweep: root becomes identity, children swap/compose
-    pa[Tp - 1] = _identity_a(kind, wa.shape[1:])
-    pb[Tp - 1] = 0.0
-    d = Tp // 2
-    while d >= 1:
-        hi = slice(2 * d - 1, Tp, 2 * d)
-        lo = slice(d - 1, Tp - d, 2 * d)
-        ta_ = pa[lo].copy()
-        tb_ = pb[lo].copy()
-        pa[lo] = pa[hi]
-        pb[lo] = pb[hi]
-        pa[hi], pb[hi] = _combine(kind, pa[hi], pb[hi], ta_, tb_)
-        d //= 2
-
-    # exclusive prefix -> inclusive states; x_0 = 0 makes x_t = prefix_t.b
-    _, ib = _combine(kind, pa[:T], pb[:T], oa[:T], ob[:T])
-    return np.moveaxis(ib, 0, bt_ax)
+    a, b, _ = _check_elements(kind, elem.a, elem.b)
+    t_axis = b.ndim - 1 - _B_TRAIL[kind]
+    wa = _time_major(kind, a, t_axis)
+    out = np.empty(b.shape)
+    steps = wa if wa.shape[0] == 1 else wa[1:]
+    _recur(kind, steps, _time_major(kind, b, t_axis), _time_major(kind, out, t_axis))
+    return out
 
 
 def scan_backward(
@@ -243,36 +180,38 @@ def scan_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoints (da, db) of the recurrence given output cotangents g.
 
-    The state adjoint lam_t = g_t + a_{t+1}^T lam_{t+1} is itself a linear
-    recurrence run in reverse, so it reuses the same Blelloch kernel on
-    the time-reversed, transposed elements.  Then db_t = lam_t and
-    da_t = lam_t (x_{t-1})^T (with the kind-appropriate product).
+    The state adjoint lam_t = g_t + a_{t+1}^T lam_{t+1} (conjugate for
+    "cdiag") is the forward kernel run in reverse time on the adjoint
+    factor, shifted one step.  Then db_t = lam_t and da_t = lam_t (x) x_{t-1}
+    (with the kind-appropriate product), over a's full broadcast shape.
     """
     kind = elem.kind
-    a, b, T = _broadcast_elements(kind, elem.a, elem.b)
-    at_ax = -(1 + _A_TRAIL[kind])
-    bt_ax = -(1 + _B_TRAIL[kind])
+    a, b, full = _check_elements(kind, elem.a, elem.b)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != b.shape:
+        raise ShapeError(f"cotangent shape {g.shape} does not match b shape {b.shape}")
+    t_axis = b.ndim - 1 - _B_TRAIL[kind]
 
-    wa = np.moveaxis(a, at_ax, 0)
-    adj = _adjoint_a(kind, wa)
-    # reverse-time factors, shifted by one: position s multiplies by a_{T+2-s}^T
-    ra = np.empty_like(adj)
-    ra[0] = _identity_a(kind, adj.shape[1:])
-    if T > 1:
-        ra[1:] = adj[::-1][: T - 1]
-    rg = np.moveaxis(g, bt_ax, 0)[::-1]
-    lam_rev = scan_linear(
-        ScanElement(np.moveaxis(ra, 0, at_ax), np.moveaxis(np.ascontiguousarray(rg), 0, bt_ax), kind)
-    )
-    lam = np.flip(np.moveaxis(lam_rev, bt_ax, 0), axis=0)
+    wa = _time_major(kind, a, t_axis)
+    if kind == "cdiag":
+        wa = np.conj(wa)
+    elif kind == "mat2":
+        wa = np.swapaxes(wa, -1, -2)
+    db = np.empty(b.shape)
+    lam = _time_major(kind, db, t_axis)
+    # reversed time: step s multiplies by the adjoint of a_{T-s}
+    steps = wa if wa.shape[0] == 1 else wa[:0:-1]
+    _recur(kind, steps, _time_major(kind, g, t_axis)[::-1], lam[::-1])
 
-    ws = np.moveaxis(states, bt_ax, 0)
-    x_prev = np.empty_like(ws)
-    x_prev[0] = 0.0
-    if T > 1:
-        x_prev[1:] = ws[: T - 1]
-
-    da_full = _grad_a(kind, lam, x_prev)
-    da = np.moveaxis(da_full, 0, at_ax)
-    db = np.moveaxis(lam, 0, bt_ax)
+    da = np.empty(full)
+    wda = _time_major(kind, da, t_axis)
+    x_prev = _time_major(kind, np.asarray(states, dtype=np.float64), t_axis)[:-1]
+    wda[0] = 0.0
+    if kind == "diag":
+        np.multiply(lam[1:], x_prev, out=wda[1:])
+    elif kind == "cdiag":
+        np.conjugate(x_prev, out=wda[1:])
+        wda[1:] *= lam[1:]
+    else:
+        np.multiply(lam[1:, ..., :, None], x_prev[..., None, :], out=wda[1:])
     return da, db

@@ -126,7 +126,7 @@ def test_criterion_4_scan_equivalence():
                 assert err < 1e-8, f"{kind} T={T}: {err:.2e} >= 1e-8"
         return f"diag/cdiag/mat2 at T in (400, 1751, 17984), max abs err {worst:.2e} < 1e-8"
 
-    _criterion(4, "parallel scan equals sequential recurrence", 60, run)
+    _criterion(4, "scan kernel equals sequential oracle", 60, run)
 
 
 def test_criterion_5_reshape_laws():

@@ -1,4 +1,6 @@
-"""Scan kernel tests: the parallel sweep is audited against the sequential route."""
+"""Scan kernel tests: the time-major kernel is audited against the sequential oracle."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from loopseq.errors import EmptySequenceError, ShapeError
 from loopseq.scan import (
     ScanElement,
-    combine,
     pair_mul,
     scan_backward,
     scan_linear,
@@ -89,19 +90,20 @@ def test_single_step_is_b():
     np.testing.assert_array_equal(scan_linear(elem), elem.b)
 
 
-# --- parallel vs sequential -------------------------------------------------
+# --- kernel vs sequential oracle ---------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
 @pytest.mark.parametrize("T", [1, 2, 3, 7, 64, 1024])
 def test_parallel_matches_sequential(kind, T):
+    """The kernel against the oracle; the name predates the removal of the parallel sweep."""
     rng = np.random.default_rng(42)
     elem = _random_elem(kind, T, 8, rng, lead=(2,))
-    par = scan_linear(elem)
+    got = scan_linear(elem)
     seq = scan_sequential(elem)
     ref = _loop_reference(elem)
     scale = np.abs(ref).max() + 1e-12
-    assert np.abs(par - seq).max() / scale < 1e-10
+    assert np.abs(got - seq).max() / scale < 1e-10
     assert np.abs(seq - ref).max() / scale < 1e-12
 
 
@@ -109,10 +111,10 @@ def test_parallel_matches_sequential(kind, T):
 def test_long_sequence_equivalence(kind):
     rng = np.random.default_rng(7)
     elem = _random_elem(kind, 1751, 16, rng)
-    par = scan_linear(elem)
+    got = scan_linear(elem)
     seq = scan_sequential(elem)
     scale = np.abs(seq).max() + 1e-12
-    assert np.abs(par - seq).max() / scale < 1e-9
+    assert np.abs(got - seq).max() / scale < 1e-9
 
 
 def test_time_invariant_a_broadcasts():
@@ -132,29 +134,95 @@ def test_determinism_bitwise():
     assert (x1 == x2).all()
 
 
-# --- combine rule ------------------------------------------------------------
+_A_TAIL = {"diag": (), "cdiag": (2,), "mat2": (2, 2)}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["diag", "cdiag", "mat2"]))
-def test_combine_associative(seed, kind):
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+@pytest.mark.parametrize("a_lead", [(), (3,)], ids=["shared", "per-batch"])
+def test_time_invariant_a_bit_identical_to_materialised(kind, a_lead):
+    """A factor without a time extent takes the same arithmetic as one expanded over T."""
+    rng = np.random.default_rng(31)
+    B, T, n = 3, 17, 5
+    elem = _random_elem(kind, T, n, rng, lead=(B,))
+    a = _random_elem(kind, 1, n, rng, lead=a_lead).a  # (*a_lead, 1, n, ...)
+    if not a_lead:
+        a = a[0]  # no time axis at all
+    full = np.ascontiguousarray(np.broadcast_to(a, (B, T, n) + _A_TAIL[kind]))
+    inv = ScanElement(a, elem.b, kind)
+    mat = ScanElement(full, elem.b, kind)
+    x_inv, x_mat = scan_linear(inv), scan_linear(mat)
+    np.testing.assert_array_equal(x_inv, x_mat)
+    g = rng.standard_normal(elem.b.shape)
+    da_inv, db_inv = scan_backward(inv, x_inv, g)
+    da_mat, db_mat = scan_backward(mat, x_mat, g)
+    np.testing.assert_array_equal(db_inv, db_mat)
+    np.testing.assert_array_equal(da_inv, da_mat)
+    np.testing.assert_array_equal(da_inv.sum(axis=(0, 1)), da_mat.sum(axis=(0, 1)))
+
+
+_BROADCASTS = ("full", "no-lead", "invariant", "unit-lead", "unit-time")
+
+
+def _broadcast_a(a, pattern, n_lead):
+    """Cut a [*lead, T, n, ...] factor down to one of the broadcastable shapes."""
+    if pattern == "no-lead":
+        return a[(0,) * n_lead]
+    if pattern == "invariant":
+        return a[(0,) * (n_lead + 1)]
+    if pattern == "unit-lead":
+        return a[(slice(0, 1),) * n_lead]
+    if pattern == "unit-time":
+        return a[(slice(None),) * n_lead + (slice(0, 1),)]
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["diag", "cdiag", "mat2"]),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(1, 9),
+    st.sampled_from(_BROADCASTS),
+)
+def test_kernel_matches_loop_reference_property(seed, kind, lead, T, pattern):
     rng = np.random.default_rng(seed)
-    e1, e2, e3 = (_random_elem(kind, 1, 5, rng) for _ in range(3))
-    left = combine(combine(e1, e2), e3)
-    right = combine(e1, combine(e2, e3))
-    np.testing.assert_allclose(left.a, right.a, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(left.b, right.b, rtol=1e-12, atol=1e-12)
+    lead = tuple(lead)
+    elem = _random_elem(kind, T, 3, rng, lead=lead)
+    a = _broadcast_a(elem.a, pattern, len(lead))
+    got = scan_linear(ScanElement(a, elem.b, kind))
+    full = np.broadcast_to(a, elem.a.shape)
+    ref = _loop_reference(ScanElement(full, elem.b, kind))
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    # db applies the transpose of the linear map b -> x: <g, x(probe)> = <db, probe>
+    g = rng.standard_normal(elem.b.shape)
+    probe = rng.standard_normal(elem.b.shape)
+    _, db = scan_backward(ScanElement(a, elem.b, kind), got, g)
+    lhs = float((g * scan_linear(ScanElement(a, probe, kind))).sum())
+    assert abs(lhs - float((db * probe).sum())) <= 1e-10 * (abs(lhs) + 1.0)
 
 
-def test_combine_matches_two_step_recurrence():
-    rng = np.random.default_rng(11)
-    elem = _random_elem("diag", 2, 4, rng)
-    e1 = ScanElement(elem.a[0], elem.b[0], "diag")
-    e2 = ScanElement(elem.a[1], elem.b[1], "diag")
-    fused = combine(e1, e2)
-    x = scan_sequential(elem)
-    np.testing.assert_allclose(fused.b, x[1], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(fused.a, elem.a[0] * elem.a[1], rtol=0, atol=0)
+def test_worms_scale_memory_is_bounded():
+    """No padding and no time-expanded factor: peaks stay a small multiple of b."""
+    rng = np.random.default_rng(37)
+    a = np.stack([rng.uniform(0.5, 0.99, 64), rng.uniform(-0.1, 0.1, 64)], axis=-1)
+    b = rng.standard_normal((1, 17984, 64, 2))
+    elem = ScanElement(a, b, "cdiag")
+    tracemalloc.start()
+    try:
+        states = scan_linear(elem)
+        fwd_peak = tracemalloc.get_traced_memory()[1]
+        g = rng.standard_normal(b.shape)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        scan_backward(elem, states, g)
+        bwd_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fwd_peak <= 2 * b.nbytes, f"forward peak {fwd_peak / b.nbytes:.2f}x b"
+    assert bwd_peak <= 6 * b.nbytes, f"backward peak {bwd_peak / b.nbytes:.2f}x b"
+
+
+# --- oracle arithmetic --------------------------------------------------------
 
 
 def test_pair_mul_matches_complex():
@@ -170,20 +238,15 @@ def test_pair_mul_matches_complex():
 # --- adjoints ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
-def test_scan_backward_matches_finite_differences(kind):
-    rng = np.random.default_rng(21)
-    elem = _random_elem(kind, 9, 3, rng)
-    w = rng.standard_normal(elem.b.shape)  # fixed cotangent via L = sum(w * x)
-
-    states = scan_linear(elem)
-    da, db = scan_backward(elem, states, w)
-
+def _assert_backward_matches_fd(elem, rng, samples=40):
+    """Check scan_backward against central differences of L = sum(w * x)."""
+    w = rng.standard_normal(elem.b.shape)
+    da, db = scan_backward(elem, scan_linear(elem), w)
     h = 1e-6
     for arr, grad in ((elem.a, da), (elem.b, db)):
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
-        idx = rng.choice(flat.size, size=min(40, flat.size), replace=False)
+        idx = rng.choice(flat.size, size=min(samples, flat.size), replace=False)
         for i in idx:
             orig = flat[i]
             flat[i] = orig + h
@@ -193,6 +256,22 @@ def test_scan_backward_matches_finite_differences(kind):
             flat[i] = orig
             fd = (up - dn) / (2 * h)
             assert abs(fd - gflat[i]) / (abs(gflat[i]) + 1e-8) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+def test_scan_backward_matches_finite_differences(kind):
+    rng = np.random.default_rng(21)
+    _assert_backward_matches_fd(_random_elem(kind, 9, 3, rng), rng)
+
+
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+@pytest.mark.parametrize("T", [1, 2])
+def test_short_sequences_match_reference_and_fd(kind, T):
+    rng = np.random.default_rng(29 + T)
+    elem = _random_elem(kind, T, 3, rng, lead=(2,))
+    ref = _loop_reference(elem)
+    np.testing.assert_allclose(scan_linear(elem), ref, rtol=1e-14, atol=1e-14)
+    _assert_backward_matches_fd(elem, rng, samples=100)
 
 
 def test_scan_backward_time_invariant_a_reduces():
@@ -230,3 +309,17 @@ def test_unknown_kind_rejected():
 def test_missing_pair_axis_rejected():
     with pytest.raises(ShapeError):
         scan_linear(ScanElement(np.ones((4, 3, 2)), np.ones((4, 3)), "cdiag"))
+
+
+@pytest.mark.parametrize(
+    "a_shape", [(4, 3), (4, 2, 5, 3), (3, 1, 3)], ids=["time", "extra-lead", "batch"]
+)
+def test_unbroadcastable_a_rejected(a_shape):
+    with pytest.raises(ShapeError):
+        scan_linear(ScanElement(np.ones(a_shape), np.ones((2, 5, 3)), "diag"))
+
+
+def test_mismatched_cotangent_rejected():
+    elem = ScanElement(np.ones(3), np.ones((5, 3)), "diag")
+    with pytest.raises(ShapeError):
+        scan_backward(elem, scan_linear(elem), np.ones((4, 3)))
