@@ -9,10 +9,17 @@ Everything is real float64.  Complex quantities are (re, im) pairs in a
 trailing axis of length 2, so complex arithmetic decomposes into real
 primitives and every adjoint is derived exactly once, for the real case.
 
-The only primitive with a hand-derived adjoint of any substance is
-`scan_linear`; its reverse recurrence is the forward kernel run backwards
-in time (see scan.scan_backward).  Every adjoint here is checked against
-central finite differences in the test suite.
+A few fused primitives carry hand-derived adjoints so a block records a
+handful of nodes instead of dozens: `scan_linear` (its reverse recurrence
+is the forward kernel run backwards in time, see scan.scan_backward),
+`affine` (x @ w + b), `layer_norm` (which saves only the normalised input
+and 1/std) and `reshape`.  Every adjoint here is checked against central
+finite differences in the test suite.
+
+`backward` releases the tape as it goes: once a node's vjp has run (or
+no cotangent reached it) the node drops its output, parents and vjp, so
+forward intermediates are freed during the reverse sweep and a finished
+tape holds no reference cycle; reference counting alone frees it.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import scan as _scan
-from .errors import DtypeError, NumericError, ShapeError
+from .errors import ContractError, DtypeError, NumericError, ShapeError
 
 
 class Tensor:
@@ -257,13 +264,12 @@ def tanh(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _lift(x)
-    # piecewise form keeps exp() off large positive arguments
+    # exp(-|d|) never overflows; for d >= 0 this is 1 / (1 + exp(-d)) and
+    # for d < 0 it is exp(d) / (1 + exp(d)), bit for bit
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0, e)
+    out /= 1.0 + e
     return _record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -285,23 +291,67 @@ def cos(x) -> Tensor:
 # --- linear algebra -----------------------------------------------------------
 
 
+def _check_matmul(x: Tensor, w: Tensor, op: str) -> None:
+    if w.ndim != 2:
+        raise ShapeError(f"{op} weight must be 2-D, got shape {w.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"{op} input must have at least 2 dims, got shape {x.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op} inner dims disagree: {x.shape} @ {w.shape}")
+
+
+def _matmul_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    gx = g @ w.T
+    gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
+    return gx, gw
+
+
 def matmul(x, w) -> Tensor:
     """x @ w with w strictly 2-D; leading axes of x are batch axes."""
     x, w = _lift(x), _lift(w)
-    if w.ndim != 2:
-        raise ShapeError(f"matmul weight must be 2-D, got shape {w.shape}")
-    if x.ndim < 2:
-        raise ShapeError(f"matmul input must have at least 2 dims, got shape {x.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {x.shape} @ {w.shape}")
+    _check_matmul(x, w, "matmul")
+    return _record(x.data @ w.data, (x, w), lambda g: _matmul_vjp(x.data, w.data, g))
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b as one node; `b` broadcasts into the product's shape."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    _check_matmul(x, w, "affine")
     out = x.data @ w.data
+    if b.ndim > out.ndim or any(s not in (1, o) for s, o in zip(b.shape[::-1], out.shape[::-1])):
+        raise ShapeError(f"affine bias {b.shape} does not broadcast into {out.shape}")
+    out += b.data
 
     def vjp(g):
-        gx = g @ w.data.T
-        gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
-        return gx, gw
+        gx, gw = _matmul_vjp(x.data, w.data, g)
+        return gx, gw, _unbroadcast(g, b.data.shape)
 
-    return _record(out, (x, w), vjp)
+    return _record(out, (x, w, b), vjp)
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis.
+
+    One node that saves only the normalised input and 1/std.  With
+    xhat the normalised input and gy = g * gain, the input adjoint is
+    (gy - mean(gy) - xhat * mean(gy * xhat)) / std.
+    """
+    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    inv_n = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = np.divide(centered, std, out=centered)
+    rstd = 1.0 / std
+    out = xhat * gain.data + bias.data
+
+    def vjp(g):
+        gy = g * gain.data
+        gx = gy - gy.sum(axis=-1, keepdims=True) * inv_n
+        gx -= xhat * ((gy * xhat).sum(axis=-1, keepdims=True) * inv_n)
+        gx *= rstd
+        return gx, _unbroadcast(g * xhat, gain.data.shape), _unbroadcast(g, bias.data.shape)
+
+    return _record(out, (x, gain, bias), vjp)
 
 
 # --- reductions and structure --------------------------------------------------
@@ -340,6 +390,12 @@ def stack(xs: Sequence, axis: int = -1) -> Tensor:
         return tuple(np.take(g, i, axis=axis) for i in range(len(xs)))
 
     return _record(out, xs, vjp)
+
+
+def reshape(x, shape) -> Tensor:
+    """A view of x with a new shape (a copy only where numpy needs one)."""
+    x = _lift(x)
+    return _record(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 def plane(x, index: int) -> Tensor:
@@ -419,15 +475,6 @@ def cmul(z, w) -> Tensor:
     return cpair(zr * wr - zi * wi, zr * wi + zi * wr)
 
 
-def conj(z) -> Tensor:
-    return cpair(plane(z, 0), -plane(z, 1))
-
-
-def cabs2(z) -> Tensor:
-    zr, zi = plane(z, 0), plane(z, 1)
-    return zr * zr + zi * zi
-
-
 def cdiv(z, w) -> Tensor:
     zr, zi = plane(z, 0), plane(z, 1)
     wr, wi = plane(w, 0), plane(w, 1)
@@ -457,19 +504,26 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
             result[p] = p.grad
         return result
 
-    need: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if tape.nodes[loss._node_id].vjp is None:
+        raise ContractError("this tape has already been swept by backward and released")
+
+    # cotangents of tape outputs, keyed by node index; each node is
+    # released as the sweep passes it, whether or not a cotangent reached it
+    need: dict[int, np.ndarray] = {loss._node_id: np.ones_like(loss.data)}
     leaf_grads: dict[int, np.ndarray] = {}
     leaf_by_id: dict[int, Tensor] = {}
-    for node in reversed(tape.nodes):
-        g = need.pop(id(node.out), None)
+    for i in range(len(tape.nodes) - 1, -1, -1):
+        node = tape.nodes[i]
+        parents, vjp = node.parents, node.vjp
+        node.out = node.parents = node.vjp = None
+        g = need.pop(i, None)
         if g is None:
             continue
-        pgrads = node.vjp(g)
-        for p, pg in zip(node.parents, pgrads):
+        for p, pg in zip(parents, vjp(g)):
             if pg is None or not p.requires_grad:
                 continue
             if p._tape is tape:
-                key = id(p)
+                key = p._node_id
                 acc = need.get(key)
                 need[key] = pg if acc is None else acc + pg
             else:

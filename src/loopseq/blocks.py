@@ -242,25 +242,42 @@ def init_head(hidden: int, n_classes: int, rng: np.random.Generator) -> HeadPara
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = ad.mean_(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ad.mean_(centered * centered, axis=-1, keepdims=True)
-    return centered / ad.sqrt(var + _NORM_EPS) * gain + bias
+    return ad.layer_norm(x, gain, bias, _NORM_EPS)
 
 
 def _glu(p: _CommonBlock, r: Tensor) -> Tensor:
-    value = r @ p.glu_value_w + p.glu_value_b
-    gate = ad.sigmoid(r @ p.glu_gate_w + p.glu_gate_b)
+    value = ad.affine(r, p.glu_value_w, p.glu_value_b)
+    gate = ad.sigmoid(ad.affine(r, p.glu_gate_w, p.glu_gate_b))
     return value * gate
+
+
+# The complex projections run as one real matmul each over interleaved
+# (re, im) columns: the input side maps [..., H] to [..., P, 2] through an
+# [H, 2P] weight with the per-channel input coefficient folded in, and the
+# output side takes Re(C x) = x_re @ c_re - x_im @ c_im as [..., 2P] @ [2P, H].
+
+
+def _project_in(u: Tensor, w_pairs: Tensor) -> Tensor:
+    """u [..., H] @ w_pairs [H, P, 2] -> forcing [..., P, 2]."""
+    hidden, state, _ = w_pairs.shape
+    flat = u @ ad.reshape(w_pairs, (hidden, 2 * state))
+    return ad.reshape(flat, flat.shape[:-1] + (state, 2))
+
+
+def _project_out(x: Tensor, c_pairs: Tensor) -> Tensor:
+    """x [..., P, 2] @ c_pairs [P, 2, H] -> [..., H]."""
+    state, _, hidden = c_pairs.shape
+    flat = ad.reshape(x, x.shape[:-2] + (2 * state,))
+    return flat @ ad.reshape(c_pairs, (2 * state, hidden))
 
 
 def _recur_lru(p: LRUParams, u: Tensor) -> Tensor:
     mag = ad.exp(-ad.exp(p.nu_log))
     lam = ad.cpair(mag * ad.cos(p.theta), mag * ad.sin(p.theta))
     gamma = ad.sqrt(1.0 - mag * mag)
-    forcing = ad.cpair(gamma * (u @ p.b_re), gamma * (u @ p.b_im))
+    forcing = _project_in(u, ad.cpair(gamma * p.b_re, gamma * p.b_im))
     x = ad.scan_linear(lam, forcing, "cdiag")
-    return ad.plane(x, 0) @ p.c_re - ad.plane(x, 1) @ p.c_im + p.feedthrough * u
+    return _project_out(x, ad.stack([p.c_re, -p.c_im], axis=1)) + p.feedthrough * u
 
 
 def _recur_s5(p: S5Params, u: Tensor) -> Tensor:
@@ -269,9 +286,9 @@ def _recur_s5(p: S5Params, u: Tensor) -> Tensor:
     zr, zi = dt * lam_re, dt * p.im
     abar = ad.cpair(ad.exp(zr) * ad.cos(zi), ad.exp(zr) * ad.sin(zi))
     bcoef = ad.cdiv(abar - np.array([1.0, 0.0]), ad.cpair(lam_re, p.im))
-    bu = ad.cpair(u @ p.b_re, u @ p.b_im)
-    x = ad.scan_linear(abar, ad.cmul(bcoef, bu), "cdiag")
-    return ad.plane(x, 0) @ p.c_re - ad.plane(x, 1) @ p.c_im + p.feedthrough * u
+    forcing = _project_in(u, ad.cmul(bcoef, ad.cpair(p.b_re, p.b_im)))
+    x = ad.scan_linear(abar, forcing, "cdiag")
+    return _project_out(x, ad.stack([p.c_re, -p.c_im], axis=1)) + p.feedthrough * u
 
 
 def _recur_linoss(p: LinOSSParams, u: Tensor) -> Tensor:
@@ -281,15 +298,16 @@ def _recur_linoss(p: LinOSSParams, u: Tensor) -> Tensor:
     row_z = ad.stack([s, -(dt * freq * s)], axis=-1)
     row_y = ad.stack([dt * s, 1.0 - dt * dt * freq * s], axis=-1)
     m = ad.stack([row_z, row_y], axis=-2)
-    bu = u @ p.b_w
-    forcing = ad.cpair(dt * s * bu, dt * dt * s * bu)
+    forcing = _project_in(u, ad.cpair(dt * s * p.b_w, dt * dt * s * p.b_w))
     x = ad.scan_linear(m, forcing, "mat2")
-    return ad.plane(x, 1) @ p.c_w + p.feedthrough * u
+    # only the y component of each (z, y) state is read out
+    c_pairs = ad.stack([Tensor(np.zeros(p.c_w.shape)), p.c_w], axis=1)
+    return _project_out(x, c_pairs) + p.feedthrough * u
 
 
 def _recur_lrcssm(p: LrcSSMParams, u: Tensor) -> Tensor:
-    gate = ad.sigmoid(u @ p.gate_w + p.gate_b)
-    drive = (1.0 - gate) * ad.tanh(u @ p.drive_w + p.drive_b)
+    gate = ad.sigmoid(ad.affine(u, p.gate_w, p.gate_b))
+    drive = (1.0 - gate) * ad.tanh(ad.affine(u, p.drive_w, p.drive_b))
     x = ad.scan_linear(gate, drive, "diag")
     return x @ p.c_w + p.feedthrough * u
 
@@ -310,7 +328,7 @@ def block_forward(p: BlockParams, h: Tensor) -> Tensor:
 
 
 def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:
-    return x @ p.weight + p.bias
+    return ad.affine(x, p.weight, p.bias)
 
 
 def head_forward(p: HeadParams, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -321,4 +339,4 @@ def head_forward(p: HeadParams, h: Tensor, mask: np.ndarray | None = None) -> Te
         m = np.asarray(mask, dtype=np.float64)
         weighted = ad.sum_(h * Tensor(m[..., None]), axis=-2)
         pooled = weighted * Tensor(1.0 / np.maximum(m.sum(axis=-1), 1.0)[..., None])
-    return pooled @ p.weight + p.bias
+    return ad.affine(pooled, p.weight, p.bias)

@@ -1,11 +1,14 @@
 """Tape autodiff tests: every primitive's adjoint against central differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import loopseq.autodiff as ad
 from loopseq.autodiff import Tape, Tensor, backward, finite_difference_check, param
-from loopseq.errors import DtypeError, NumericError, ShapeError
+from loopseq.errors import ContractError, DtypeError, NumericError, ShapeError
 
 
 def _fd(f, params, **kw):
@@ -85,6 +88,87 @@ def test_stack_plane_match_fd():
     assert _fd(f, [a, b]) < 1e-6
 
 
+@pytest.mark.parametrize("x_shape", [(5, 3), (2, 5, 3)])
+def test_affine_matches_fd(x_shape):
+    rng = np.random.default_rng(13)
+    x = param(rng.standard_normal(x_shape))
+    w = param(rng.standard_normal((3, 4)))
+    b = param(rng.standard_normal(4))  # broadcast over every leading axis
+    err = _fd(lambda: (ad.affine(x, w, b) ** 2.0).sum(), [x, w, b])
+    assert err < 1e-5
+
+
+def test_affine_equals_matmul_plus_bias():
+    rng = np.random.default_rng(14)
+    x, w, b = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
+    got = ad.affine(Tensor(x), Tensor(w), Tensor(b)).data
+    np.testing.assert_array_equal(got, (Tensor(x) @ Tensor(w) + Tensor(b)).data)
+
+
+@pytest.mark.parametrize(
+    "x_shape,w_shape,b_shape",
+    [
+        ((5, 3), (4, 2), (2,)),  # inner dims disagree
+        ((5, 3), (3, 2, 1), (2,)),  # weight not 2-D
+        ((3,), (3, 2), (2,)),  # input not at least 2-D
+        ((5, 3), (3, 2), (5, 1, 2)),  # bias would grow the output
+        ((5, 3), (3, 2), (3,)),  # bias does not broadcast
+    ],
+)
+def test_affine_rejects_mismatched_shapes(x_shape, w_shape, b_shape):
+    with pytest.raises(ShapeError):
+        ad.affine(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+
+def test_layer_norm_matches_fd():
+    rng = np.random.default_rng(15)
+    x = param(rng.standard_normal((2, 4, 6)))
+    gain = param(rng.uniform(0.5, 1.5, 6))
+    bias = param(rng.standard_normal(6))
+    w = Tensor(rng.standard_normal((2, 4, 6)))
+    err = _fd(lambda: (ad.layer_norm(x, gain, bias, 1e-6) * w).sum(), [x, gain, bias])
+    assert err < 1e-5
+
+
+def test_layer_norm_normalises_last_axis():
+    x = np.random.default_rng(16).standard_normal((3, 7)) * 5.0 + 2.0
+    out = ad.layer_norm(Tensor(x), Tensor(np.ones(7)), Tensor(np.zeros(7)), 0.0).data
+    np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-14)
+    np.testing.assert_allclose(out.std(axis=-1), 1.0, rtol=1e-12)
+
+
+def test_reshape_matches_fd():
+    rng = np.random.default_rng(17)
+    x = param(rng.standard_normal((2, 3, 4)))
+    w = Tensor(rng.standard_normal((2, 6, 2)))
+    err = _fd(lambda: (ad.reshape(x * x, (2, 6, 2)) * w).sum(), [x])
+    assert err < 1e-6
+
+
+def _sigmoid_piecewise(d):
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_piecewise_form():
+    tiny = np.finfo(np.float64).tiny
+    extremes = [0.0, -0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    subnormals = [tiny / 2, -tiny / 2, 5e-324, -5e-324]
+    d = np.concatenate(
+        [np.random.default_rng(18).standard_normal(10**6) * 30.0, extremes, subnormals]
+    )
+    with np.errstate(over="ignore"):
+        got = ad.sigmoid(Tensor(d)).data
+        ref = _sigmoid_piecewise(d)
+    assert np.array_equal(got, ref, equal_nan=True)
+    keep = ~np.isnan(d)  # NaN payloads may differ; every other value matches bit for bit
+    np.testing.assert_array_equal(got[keep].view(np.uint64), ref[keep].view(np.uint64))
+
+
 def test_scan_linear_op_matches_fd():
     rng = np.random.default_rng(7)
     a = param(rng.uniform(-0.9, 0.9, (8, 3)))
@@ -120,12 +204,38 @@ def test_complex_helpers_match_numpy():
     np.testing.assert_allclose(got[:, 0] + 1j * got[:, 1], zc * wc, rtol=1e-14)
     got = ad.cdiv(Tensor(z), Tensor(w)).data
     np.testing.assert_allclose(got[:, 0] + 1j * got[:, 1], zc / wc, rtol=1e-12)
-    np.testing.assert_allclose(ad.cabs2(Tensor(z)).data, np.abs(zc) ** 2, rtol=1e-14)
-    got = ad.conj(Tensor(z)).data
-    np.testing.assert_allclose(got[:, 0] + 1j * got[:, 1], np.conj(zc), rtol=1e-14)
 
 
 # --- tape semantics --------------------------------------------------------------
+
+
+def test_backward_releases_tape_and_breaks_cycle():
+    """With the cyclic collector off, reference counting alone frees a swept tape."""
+    p = param(np.random.default_rng(19).standard_normal((4, 3)))
+    w = param(np.ones((3, 2)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = (ad.sigmoid(ad.affine(p, w, np.zeros(2))) * p.sum()).sum()
+            backward(loss, [p, w])
+        assert len(tape) == 5  # the node list keeps its length
+        assert all(n.out is None and n.parents is None and n.vjp is None for n in tape.nodes)
+        ref = weakref.ref(tape)
+        del tape, loss
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_second_backward_on_released_tape_rejected():
+    p = param(np.ones(3))
+    with Tape():
+        loss = (p * p).sum()
+        backward(loss, [p])
+        with pytest.raises(ContractError):
+            backward(loss, [p])
 
 
 def test_sum_of_params_gives_ones():

@@ -1,5 +1,7 @@
 """Block tests: each architecture against a straight-line sequential oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit as _expit
@@ -150,6 +152,30 @@ def test_block_gradients_match_finite_differences(arch):
         lambda: (block_forward(p, h) * Tensor(w)).sum(), params, h=1e-5
     )
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_block_tape_memory_bounded(arch):
+    """One block's forward+backward at B=1, T=2000, H=P=64 peaks at <= 24 B*T*H floats.
+
+    The tape holds a few fused nodes per block and backward frees each node
+    as it passes, so the peak is about 17-20 such arrays; recording every
+    elementwise step and keeping the tape until the sweep ends read 28-44.
+    """
+    B, T, H = 1, 2000, 64
+    rng = np.random.default_rng(24)
+    p = init_block(arch, hidden=H, state=H, rng=rng)
+    h = Tensor(rng.standard_normal((B, T, H)))
+    params = [t for _, t in named_tensors(p)]
+    tracemalloc.start()
+    try:
+        with Tape():
+            backward(block_forward(p, h).sum(), params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unit = B * T * H * 8
+    assert peak <= 24 * unit, f"{arch} fwd+bwd peak {peak / unit:.1f} x B*T*H floats"
 
 
 @pytest.mark.parametrize("arch", ARCHS)
