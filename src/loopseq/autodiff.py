@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -245,11 +242,6 @@ def exp(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * out,))
 
 
-def log(x) -> Tensor:
-    x = _lift(x)
-    return _record(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
 def sqrt(x) -> Tensor:
     x = _lift(x)
     out = np.sqrt(x.data)
@@ -398,19 +390,6 @@ def reshape(x, shape) -> Tensor:
     return _record(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
-def plane(x, index: int) -> Tensor:
-    """Select one component along the last axis (e.g. re/im of a pair)."""
-    x = _lift(x)
-    out = np.ascontiguousarray(x.data[..., index])
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full[..., index] = g
-        return (full,)
-
-    return _record(out, (x,), vjp)
-
-
 # --- fused / structured primitives ---------------------------------------------
 
 
@@ -462,24 +441,11 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     return _record(loss, (logits,), vjp)
 
 
-# --- complex pair helpers (compositions, no new adjoints) -----------------------
+# --- complex pairs (a composition, no new adjoint) ------------------------------
 
 
 def cpair(re, im) -> Tensor:
     return stack([re, im], axis=-1)
-
-
-def cmul(z, w) -> Tensor:
-    zr, zi = plane(z, 0), plane(z, 1)
-    wr, wi = plane(w, 0), plane(w, 1)
-    return cpair(zr * wr - zi * wi, zr * wi + zi * wr)
-
-
-def cdiv(z, w) -> Tensor:
-    zr, zi = plane(z, 0), plane(z, 1)
-    wr, wi = plane(w, 0), plane(w, 1)
-    d = wr * wr + wi * wi
-    return cpair((zr * wr + zi * wi) / d, (zi * wr - zr * wi) / d)
 
 
 # --- backward pass --------------------------------------------------------------

@@ -145,15 +145,6 @@ def count_params(*objs) -> int:
     return sum(t.size for obj in objs for _, t in named_tensors(obj))
 
 
-def param_breakdown(*objs) -> dict[str, int]:
-    """Per-tensor parameter counts keyed by field name (duplicates summed)."""
-    out: dict[str, int] = {}
-    for obj in objs:
-        for name, t in named_tensors(obj):
-            out[name] = out.get(name, 0) + t.size
-    return out
-
-
 def clone_params(obj):
     """Deep copy with bit-identical values; copies stay independent leaves."""
     kw = {f.name: param(getattr(obj, f.name).data.copy()) for f in dataclasses.fields(obj)}
@@ -283,11 +274,16 @@ def _recur_lru(p: LRUParams, u: Tensor) -> Tensor:
 def _recur_s5(p: S5Params, u: Tensor) -> Tensor:
     lam_re = -ad.exp(p.re_log)
     dt = ad.exp(p.log_dt)
-    zr, zi = dt * lam_re, dt * p.im
-    abar = ad.cpair(ad.exp(zr) * ad.cos(zi), ad.exp(zr) * ad.sin(zi))
-    bcoef = ad.cdiv(abar - np.array([1.0, 0.0]), ad.cpair(lam_re, p.im))
-    forcing = _project_in(u, ad.cmul(bcoef, ad.cpair(p.b_re, p.b_im)))
-    x = ad.scan_linear(abar, forcing, "cdiag")
+    zi = dt * p.im
+    decay = ad.exp(dt * lam_re)
+    abar_re, abar_im = decay * ad.cos(zi), decay * ad.sin(zi)
+    # bcoef = (abar - 1) / Lambda, then bcoef * B, in real arithmetic
+    num_re = abar_re - 1.0
+    d = lam_re * lam_re + p.im * p.im
+    bc_re = (num_re * lam_re + abar_im * p.im) / d
+    bc_im = (abar_im * lam_re - num_re * p.im) / d
+    w = ad.cpair(bc_re * p.b_re - bc_im * p.b_im, bc_re * p.b_im + bc_im * p.b_re)
+    x = ad.scan_linear(ad.cpair(abar_re, abar_im), _project_in(u, w), "cdiag")
     return _project_out(x, ad.stack([p.c_re, -p.c_im], axis=1)) + p.feedthrough * u
 
 

@@ -16,14 +16,13 @@ Results are CSV/JSON/markdown files; logs go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
 from .data import CANONICAL, load_named, synth_sine_task
-from .errors import LoopseqError
+from .errors import ConfigError, LoopseqError
 from .report import load_plan, render_report, run_plan
 from .reshape import make_spec
 from .train import TrainConfig, grid_and_seeds, train_one
@@ -95,12 +94,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+def _parse_list(flag: str, text: str, kind: type) -> list:
+    """A non-empty comma-separated list of `kind` values from one flag."""
+    try:
+        values = [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated {kind.__name__} values, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
 
 
 def _cmd_grid(args) -> int:
@@ -109,10 +111,11 @@ def _cmd_grid(args) -> int:
         csv_path = run_plan(plan, workers=args.workers)
         print(f"wrote {csv_path} and {csv_path.with_name('results.md')}")
         return 0
+    lrs = _parse_list("--lrs", args.lrs, float)
+    seeds = _parse_list("--seeds", args.seeds, int)
     dataset = _resolve_dataset(args)
-    base = _config_from(args, lr=_parse_floats(args.lrs)[0], seed=0)
     grid = grid_and_seeds(
-        dataset, base, lrs=_parse_floats(args.lrs), seeds=_parse_ints(args.seeds), workers=args.workers
+        dataset, _config_from(args, lr=lrs[0], seed=0), lrs=lrs, seeds=seeds, workers=args.workers
     )
     if args.out:
         out_dir = Path(args.out)
@@ -141,10 +144,11 @@ def _cmd_reshape_stats(args) -> int:
     for name in names:
         if name not in CANONICAL:
             raise LoopseqError(f"unknown dataset {name!r}; expected 'all' or one of {sorted(CANONICAL)}")
+    factors = _parse_list("--concentration", args.concentration, int)
     rows = []
     for name in names:
         meta = CANONICAL[name]
-        for c in _parse_ints(args.concentration):
+        for c in factors:
             spec = make_spec(meta["steps"], meta["width"], c, dim_tag=meta["tag"])
             rows.append(
                 {

@@ -1,4 +1,4 @@
-"""Datasets: .ts parsing, deterministic splits, the synthetic task, caching.
+"""Datasets: .ts parsing, deterministic splits, the synthetic task.
 
 The on-disk format is the classification `.ts` layout: `@key value`
 header lines, then `@data`, then one example per line with dimensions
@@ -19,8 +19,6 @@ portion only (sigma floored at 1e-8), computed over valid steps.
 from __future__ import annotations
 
 import dataclasses
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -294,12 +292,6 @@ def normalize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, np.ndarray, 
     return ds.replace(series=out), mean, std
 
 
-def denormalize(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    """Inverse of `normalize` on valid steps; padding stays zero."""
-    out = (ds.series * std + mean) * ds.mask[..., None]
-    return ds.replace(series=out)
-
-
 # --- synthetic task -----------------------------------------------------------------
 
 
@@ -352,44 +344,3 @@ def apply_reshape(ds: Dataset, spec: ReshapeSpec) -> Dataset:
     series = reshape_forward(ds.series, spec)
     lengths = -(-(ds.lengths * ds.width) // spec.concentration)
     return ds.replace(series=series, lengths=lengths)
-
-
-# --- columnar cache --------------------------------------------------------------------
-
-_MAGIC = b"LSQC"
-_CACHE_VERSION = 1
-
-
-def write_cache(path, ds: Dataset) -> None:
-    """Compact binary cache: magic, version, dims, then raw columns."""
-    header = json.dumps(
-        {"name": ds.name, "dim_tag": ds.dim_tag, "class_names": ds.class_names}
-    ).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIII", _CACHE_VERSION, ds.n, ds.steps, ds.width, len(header)))
-        fh.write(header)
-        fh.write(ds.labels.astype("<i8").tobytes())
-        fh.write(ds.lengths.astype("<i8").tobytes())
-        fh.write(np.ascontiguousarray(ds.series, dtype="<f8").tobytes())
-
-
-def read_cache(path) -> Dataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DataError(f"{path}: not a dataset cache (bad magic)")
-        version, n, steps, width, hlen = struct.unpack("<IIIII", fh.read(20))
-        if version != _CACHE_VERSION:
-            raise DataError(f"{path}: unsupported cache version {version}")
-        meta = json.loads(fh.read(hlen).decode())
-        labels = np.frombuffer(fh.read(8 * n), dtype="<i8").astype(np.int64)
-        lengths = np.frombuffer(fh.read(8 * n), dtype="<i8").astype(np.int64)
-        series = np.frombuffer(fh.read(8 * n * steps * width), dtype="<f8").reshape(n, steps, width)
-    return Dataset(
-        name=meta["name"],
-        series=series.copy(),
-        labels=labels,
-        lengths=lengths,
-        class_names=list(meta["class_names"]),
-        dim_tag=meta["dim_tag"],
-    )

@@ -52,7 +52,3 @@ class NumericError(LoopseqError):
 
 class AggregationError(LoopseqError):
     """A multi-run aggregate could not be formed (e.g. all runs diverged)."""
-
-
-class VerificationError(LoopseqError):
-    """An executable audit failed."""

@@ -132,8 +132,13 @@ class ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read plan {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"plan {path} must be a JSON object, got {type(raw).__name__}")
     known = {f.name for f in dataclasses.fields(ExperimentPlan)}
     extra = set(raw) - known
     if extra:

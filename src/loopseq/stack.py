@@ -20,7 +20,6 @@ participate in tying.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass, field
 
@@ -58,22 +57,20 @@ def parse_pattern(value) -> tuple[int, int]:
     Only canonical periodic strings are accepted; 'AABBCC' has no
     periodic reading and is rejected.
     """
-    if isinstance(value, (tuple, list)):
-        depth, n_unique = int(value[0]), int(value[1])
+    s = str(value).strip().upper()
+    if isinstance(value, (tuple, list)) or "," in s:
+        parts = list(value) if isinstance(value, (tuple, list)) else s.split(",")
+        try:
+            depth, n_unique = (int(v) for v in parts)
+        except (TypeError, ValueError):
+            raise ConfigError(f"pattern pair must be two integers 'L,m', got {value!r}") from None
     else:
-        s = str(value).strip().upper()
-        if "," in s:
-            parts = s.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"pattern pair must be 'L,m', got {value!r}")
-            depth, n_unique = int(parts[0]), int(parts[1])
-        else:
-            depth, n_unique = len(s), len(set(s))
-            if s != pattern_string(depth, n_unique):
-                raise ConfigError(
-                    f"pattern {value!r} is not periodic; expected e.g. "
-                    f"{pattern_string(depth, max(1, n_unique))!r}"
-                )
+        depth, n_unique = len(s), len(set(s))
+        if s != pattern_string(depth, n_unique):
+            raise ConfigError(
+                f"pattern {value!r} is not periodic; expected e.g. "
+                f"{pattern_string(depth, max(1, n_unique))!r}"
+            )
     if depth < 1 or n_unique < 1 or depth % n_unique != 0:
         raise ConfigError(
             f"pattern needs 1 <= m <= L with m dividing L, got L={depth}, m={n_unique}"
@@ -103,10 +100,6 @@ class StackConfig:
     @property
     def pattern(self) -> str:
         return pattern_string(self.depth, self.n_unique)
-
-    @property
-    def n_repeats(self) -> int:
-        return self.depth // self.n_unique
 
 
 @dataclass
@@ -185,10 +178,6 @@ def stack_forward(model: StackModel, x, supervision_period: int | None = None) -
     return trace
 
 
-def trace_logits(model: StackModel, trace: ForwardTrace, mask: np.ndarray | None = None) -> Tensor:
-    return head_forward(model.head, trace.final, mask=mask)
-
-
 def loss_final(
     model: StackModel, trace: ForwardTrace, labels: np.ndarray, mask: np.ndarray | None = None
 ) -> Tensor:
@@ -225,7 +214,7 @@ def stack_loss(
 def predict_logits(model: StackModel, x, mask: np.ndarray | None = None) -> np.ndarray:
     """Final logits without recording a tape (evaluation path)."""
     trace = stack_forward(model, x)
-    return trace_logits(model, trace, mask=mask).data
+    return head_forward(model.head, trace.final, mask=mask).data
 
 
 # --- periodic embedding ------------------------------------------------------------
@@ -338,49 +327,3 @@ def verify_gradient_aggregation(
         loss_untied=loss_u.item(),
         all_zero=tied_scale == 0.0,
     )
-
-
-# --- checkpointing -------------------------------------------------------------------
-
-
-_CKPT_FORMAT = 1
-
-
-def save_checkpoint(path, model: StackModel) -> None:
-    """Write parameter arrays plus metadata; round-trips bit-exactly."""
-    meta = {
-        "format": _CKPT_FORMAT,
-        "arch": model.arch,
-        "depth": model.config.depth,
-        "n_unique": model.config.n_unique,
-        "supervision": model.config.supervision,
-        "width": model.width,
-        "n_classes": model.n_classes,
-        "hidden": model.hidden,
-        "state": model.state,
-    }
-    arrays = {name: t.data for name, t in model.parameters()}
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-
-def load_checkpoint(path) -> StackModel:
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["__meta__"].tobytes()).decode())
-        if meta.get("format") != _CKPT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {meta.get('format')!r}")
-        arrays = {k: z[k] for k in z.files if k != "__meta__"}
-    cfg = StackConfig(meta["depth"], meta["n_unique"], meta["supervision"])
-    model = build_stack(
-        meta["arch"], cfg, meta["width"], meta["n_classes"], meta["hidden"], meta["state"], rng=0
-    )
-    for name, t in model.parameters():
-        if name not in arrays:
-            raise ConfigError(f"checkpoint is missing parameter {name!r}")
-        if arrays[name].shape != t.data.shape:
-            raise ConfigError(
-                f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
-                f"expected {t.data.shape}"
-            )
-        t.data = arrays[name].astype(np.float64)
-    return model

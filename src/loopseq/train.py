@@ -82,7 +82,7 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: list, grads: dict) -> None:
-    """One in-place update; `params` is [(name, tensor)], grads keyed by tensor.
+    """One in-place update; `params` is [(name, tensor)], grads maps tensor -> Tensor.
 
     With bias correction the first step reduces to
     theta -= lr * g / (|g| + eps), which the tests pin down exactly.
@@ -93,7 +93,7 @@ def adam_step(state: AdamState, params: list, grads: dict) -> None:
     # bias-corrected step size, folding the corrections into the scalars
     correction = np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
     for name, p in params:
-        g = grads[p].data if hasattr(grads[p], "data") else grads[p]
+        g = grads[p].data
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
         m *= b1
@@ -104,9 +104,9 @@ def adam_step(state: AdamState, params: list, grads: dict) -> None:
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most `max_norm`."""
+    """Scale the `Tensor` gradients in place so their joint L2 norm is at most `max_norm`."""
     total = 0.0
-    arrays = [g.data if hasattr(g, "data") else g for g in grads.values()]
+    arrays = [g.data for g in grads.values()]
     for g in arrays:
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))

@@ -33,7 +33,6 @@ from .data import CANONICAL
 from .errors import ConfigError
 from .stack import (
     StackConfig,
-    StackModel,
     build_stack,
     embed_periodic,
     predict_logits,

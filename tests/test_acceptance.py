@@ -61,11 +61,15 @@ def test_criterion_1_containment_bit_identity():
 
 def test_criterion_2_gradient_finite_differences():
     def run():
-        results = [r for r in audit_gradients() if r.name.startswith("gradients/fd/")]
-        assert len(results) == 16
+        results = audit_gradients()
+        assert len(results) == 4 * 2 * 3 + 1
         bad = [r for r in results if not r.passed]
         assert not bad, "; ".join(r.line() for r in bad)
-        worst = max(r.max_error for r in results)
+        detector = [r for r in results if r.name == "gradients/detector"][0]
+        assert detector.max_error > 1.0  # it measured the planted sign flip
+        fd = [r for r in results if r.name.startswith("gradients/fd/")]
+        assert len(fd) == 16
+        worst = max(r.max_error for r in fd)
         return f"16 arch x supervision x pattern configs, full coordinate sweeps, max rel err {worst:.2e} < 1e-4"
 
     _criterion(2, "gradient correctness vs central differences", 180, run)

@@ -38,7 +38,7 @@ def test_binary_ops_match_fd(op, shapes):
 
 @pytest.mark.parametrize(
     "op",
-    [ad.neg, ad.exp, ad.sqrt, ad.tanh, ad.sigmoid, ad.sin, ad.cos, ad.log],
+    [ad.neg, ad.exp, ad.sqrt, ad.tanh, ad.sigmoid, ad.sin, ad.cos],
 )
 def test_unary_ops_match_fd(op):
     rng = np.random.default_rng(1)
@@ -80,10 +80,10 @@ def test_stack_plane_match_fd():
     rng = np.random.default_rng(6)
     a = param(rng.standard_normal((4, 3)))
     b = param(rng.standard_normal((4, 3)))
+    w = Tensor(rng.standard_normal((4, 3, 2)))
 
     def f():
-        z = ad.stack([a, b], axis=-1)
-        return (ad.plane(z, 0) * ad.plane(z, 1)).sum()
+        return (ad.stack([a, b], axis=-1) * w).sum()
 
     assert _fd(f, [a, b]) < 1e-6
 
@@ -193,17 +193,6 @@ def test_softmax_cross_entropy_matches_fd():
     labels = rng.integers(0, 4, 6)
     err = _fd(lambda: ad.softmax_cross_entropy(logits, labels).mean(), [logits])
     assert err < 1e-5
-
-
-def test_complex_helpers_match_numpy():
-    rng = np.random.default_rng(10)
-    z = rng.standard_normal((5, 2))
-    w = rng.standard_normal((5, 2))
-    zc, wc = z[:, 0] + 1j * z[:, 1], w[:, 0] + 1j * w[:, 1]
-    got = ad.cmul(Tensor(z), Tensor(w)).data
-    np.testing.assert_allclose(got[:, 0] + 1j * got[:, 1], zc * wc, rtol=1e-14)
-    got = ad.cdiv(Tensor(z), Tensor(w)).data
-    np.testing.assert_allclose(got[:, 0] + 1j * got[:, 1], zc / wc, rtol=1e-12)
 
 
 # --- tape semantics --------------------------------------------------------------

@@ -18,7 +18,6 @@ from loopseq.blocks import (
     init_encoder,
     init_head,
     named_tensors,
-    param_breakdown,
 )
 from loopseq.errors import ConfigError
 
@@ -260,7 +259,6 @@ def test_count_params_matches_shape_enumeration(arch):
     p = init_block(arch, hidden=64, state=64, rng=rng)
     golden = sum(int(np.prod(s)) for s in _EXPECTED_SHAPES[arch])
     assert count_params(p) == golden
-    assert sum(param_breakdown(p).values()) == golden
 
 
 def test_golden_per_block_counts():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from loopseq import cli
 from loopseq.cli import build_parser, main
+from loopseq.verify import AuditReport, CheckResult
 
 
 def test_parser_lists_all_subcommands():
@@ -152,10 +154,61 @@ def test_missing_dataset_is_actionable(tmp_path, capsys):
     assert "Heartbeat.zip" in err and "timeseriesclassification.com" in err
 
 
-def test_verify_fast_passes(tmp_path, capsys):
+def _stub_run_all(monkeypatch, results):
+    """Replace the audit suite with a canned report; returns the recorded `fast` flags."""
+    calls = []
+
+    def run_all(fast=False):
+        calls.append(fast)
+        return AuditReport(results)
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    return calls
+
+
+def test_verify_fast_passes(tmp_path, capsys, monkeypatch):
+    # the suite itself runs once, in tests/test_verify.py; this checks the wiring
+    calls = _stub_run_all(monkeypatch, [CheckResult("unit/ok", True, 0.0, 0.01, {})])
     out = tmp_path / "audit.json"
     code = main(["verify", "--fast", "--out", str(out)])
     assert code == 0
+    assert calls == [True]
     assert json.loads(out.read_text())["passed"] is True
     text = capsys.readouterr().out
-    assert "checks passed" in text and "[PASS]" in text
+    assert "1/1 checks passed" in text and "[PASS] unit/ok" in text
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    ok = CheckResult("unit/ok", True, 0.0, 0.01, {})
+    bad = CheckResult("unit/bad", False, 2.0, 0.01, {})
+    calls = _stub_run_all(monkeypatch, [ok, bad])
+    assert main(["verify"]) == 1
+    assert calls == [False]
+    text = capsys.readouterr().out
+    assert "[FAIL] unit/bad" in text and "(1 FAILED)" in text
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["train", "--pattern", "6,x", "--max-epochs", "1"], "pattern pair"),
+        (["grid", "--lrs", ""], "--lrs"),
+        (["grid", "--seeds", ""], "--seeds"),
+        (["grid", "--seeds", "0,x"], "--seeds"),
+        (["reshape-stats", "--concentration", ""], "--concentration"),
+        (["reshape-stats", "--concentration", "1.5"], "--concentration"),
+    ],
+    ids=["pattern-not-int", "empty-lrs", "empty-seeds", "seed-not-int", "empty-factors", "factor-not-int"],
+)
+def test_bad_input_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["not-json", "not-object"])
+def test_bad_plan_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "plan.json"
+    path.write_text(content)
+    assert main(["grid", "--plan", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

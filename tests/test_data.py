@@ -1,21 +1,18 @@
-"""Dataset layer: parsing, splits, normalization, the synthetic task, caching."""
+"""Dataset layer: parsing, splits, normalization, the synthetic task."""
 
 import numpy as np
 import pytest
 
 from loopseq.data import (
-    denormalize,
     CANONICAL,
     Dataset,
     apply_reshape,
     load_named,
     load_ts,
     normalize,
-    read_cache,
     split_dataset,
     split_sizes,
     synth_sine_task,
-    write_cache,
     write_ts,
 )
 from loopseq.errors import ConfigError, DataError, ParseError
@@ -232,14 +229,6 @@ def test_normalize_ignores_padding_and_keeps_it_zero():
     assert np.all(mean > 90.0)
 
 
-def test_denormalize_round_trip():
-    ds = _toy(n=24, steps=12, width=3, seed=9, ragged=True)
-    ds = ds.replace(series=(ds.series * 5.0 - 2.0) * ds.mask[..., None])
-    out, mean, std = normalize(ds, np.arange(16))
-    back = denormalize(out, mean, std)
-    np.testing.assert_allclose(back.series, ds.series, atol=1e-10)
-
-
 def test_normalize_constant_channel_does_not_blow_up():
     ds = _toy(n=10, steps=8, width=2)
     ds = ds.replace(series=np.concatenate([ds.series[..., :1], np.full((10, 8, 1), 4.25)], axis=-1))
@@ -311,28 +300,6 @@ def test_apply_reshape_shape_mismatch():
     ds = _toy(steps=7, width=3)
     with pytest.raises(ConfigError, match="reshape spec"):
         apply_reshape(ds, make_spec(8, 3, 6, dim_tag="medium"))
-
-
-# --- cache ------------------------------------------------------------------------------
-
-
-def test_cache_round_trip_bit_exact(tmp_path):
-    ds = _toy(n=14, steps=13, width=5, n_classes=3, seed=8, ragged=True)
-    path = tmp_path / "toy.lsqc"
-    write_cache(path, ds)
-    back = read_cache(path)
-    np.testing.assert_array_equal(back.series, ds.series)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    np.testing.assert_array_equal(back.lengths, ds.lengths)
-    assert back.class_names == ds.class_names
-    assert (back.name, back.dim_tag) == (ds.name, ds.dim_tag)
-
-
-def test_cache_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.lsqc"
-    path.write_bytes(b"PK\x03\x04 not a cache")
-    with pytest.raises(DataError, match="magic"):
-        read_cache(path)
 
 
 # --- container validation ------------------------------------------------------------------
