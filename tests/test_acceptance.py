@@ -59,9 +59,10 @@ def test_criterion_1_containment_bit_identity():
     _criterion(1, "containment bit-identity", 120, run)
 
 
-def test_criterion_2_gradient_finite_differences():
+def test_criterion_2_gradient_finite_differences(audit_results):
     def run():
         results = audit_gradients()
+        audit_results["gradients"] = results
         assert len(results) == 4 * 2 * 3 + 1
         bad = [r for r in results if not r.passed]
         assert not bad, "; ".join(r.line() for r in bad)

@@ -10,6 +10,7 @@ from loopseq.verify import (
     CheckResult,
     _timed,
     audit_containment,
+    audit_gradients,
     audit_param_linear,
     run_all,
 )
@@ -51,6 +52,15 @@ def test_param_audit_exact_affine_and_band():
     heartbeat = by_name["params/LRU"].detail["Heartbeat"]
     assert heartbeat["counts"] == {1: 29122, 2: 54146, 3: 79170, 6: 154242}
     assert heartbeat["ratio"] == pytest.approx(154242 / 29122, abs=1e-4)
+
+
+def test_gradient_audits_pass(audit_results):
+    results = audit_results.get("gradients") or audit_gradients()
+    assert len(results) == 4 * 2 * 3 + 1
+    for r in results:
+        assert r.passed, r.line()
+    detector = [r for r in results if r.name == "gradients/detector"][0]
+    assert detector.max_error > 1.0  # it measured the planted sign flip
 
 
 def test_crashing_check_reports_failure():
