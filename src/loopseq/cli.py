@@ -37,7 +37,6 @@ def _add_cell_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pattern", default="AAAAAA", help="block-sharing pattern, e.g. ABCABC or '6,3'")
     p.add_argument("--supervision", choices=("final", "block"), default="final")
     p.add_argument("--concentration", type=int, default=1)
-    p.add_argument("--regime", choices=("auto", "identity", "low_dim_concat", "high_dim_flatten"), default="auto")
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=20)
@@ -60,7 +59,6 @@ def _config_from(args, lr: float, seed: int) -> TrainConfig:
         pattern=args.pattern,
         supervision=args.supervision,
         concentration=args.concentration,
-        regime=args.regime,
         lr=lr,
         seed=seed,
         batch_size=args.batch_size,
@@ -149,13 +147,12 @@ def _cmd_reshape_stats(args) -> int:
     for name in names:
         meta = CANONICAL[name]
         for c in factors:
-            spec = make_spec(meta["steps"], meta["width"], c, dim_tag=meta["tag"])
+            spec = make_spec(meta["steps"], meta["width"], c)
             rows.append(
                 {
                     "dataset": name,
                     "steps": meta["steps"],
                     "width": meta["width"],
-                    "dim_tag": meta["tag"],
                     "concentration": c,
                     "regime": spec.regime,
                     "rows": spec.rows,

@@ -25,17 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .reshape import ReshapeSpec, dim_tag_for_width, reshape_forward
+from .reshape import ReshapeSpec, reshape_forward
 
-# canonical corpus metadata: steps, width, classes, dimensionality tag,
-# and the archive name the distribution files use
+# canonical corpus metadata: steps, width, classes, and the archive name
+# the distribution files use
 CANONICAL = {
-    "Ethanol": dict(steps=1751, width=2, classes=4, tag="low", archive="EthanolConcentration"),
-    "Worms": dict(steps=17984, width=6, classes=5, tag="medium", archive="EigenWorms"),
-    "SCP1": dict(steps=896, width=6, classes=2, tag="medium", archive="SelfRegulationSCP1"),
-    "SCP2": dict(steps=1152, width=7, classes=2, tag="medium", archive="SelfRegulationSCP2"),
-    "Heartbeat": dict(steps=405, width=61, classes=2, tag="high", archive="Heartbeat"),
-    "Motor": dict(steps=3000, width=63, classes=2, tag="high", archive="MotorImagery"),
+    "Ethanol": dict(steps=1751, width=2, classes=4, archive="EthanolConcentration"),
+    "Worms": dict(steps=17984, width=6, classes=5, archive="EigenWorms"),
+    "SCP1": dict(steps=896, width=6, classes=2, archive="SelfRegulationSCP1"),
+    "SCP2": dict(steps=1152, width=7, classes=2, archive="SelfRegulationSCP2"),
+    "Heartbeat": dict(steps=405, width=61, classes=2, archive="Heartbeat"),
+    "Motor": dict(steps=3000, width=63, classes=2, archive="MotorImagery"),
 }
 
 _ARCHIVE_URL = "https://www.timeseriesclassification.com/aeon-toolkit/{archive}.zip"
@@ -50,7 +50,6 @@ class Dataset:
     labels: np.ndarray  # [N] int64
     lengths: np.ndarray  # [N] true step counts
     class_names: list[str]
-    dim_tag: str
 
     def __post_init__(self):
         self.series = np.asarray(self.series, dtype=np.float64)
@@ -183,7 +182,6 @@ def load_ts(path, pad_ragged: bool = False) -> Dataset:
         labels=labels,
         lengths=lengths,
         class_names=list(names),
-        dim_tag=dim_tag_for_width(width),
     )
 
 
@@ -243,7 +241,6 @@ def load_named(name: str, data_dir, pad_ragged: bool = False) -> Dataset:
         labels=np.concatenate([a.labels, b.labels]),
         lengths=np.concatenate([a.lengths, b.lengths]),
         class_names=a.class_names,
-        dim_tag=meta["tag"],
     )
 
 
@@ -258,9 +255,12 @@ class Split:
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
-    """70/15/15 with the rounding remainder going to train."""
-    if n < 3:
-        raise DataError(f"need at least 3 examples to split, got {n}")
+    """70/15/15 with the rounding remainder going to train.
+
+    Below 4 examples the validation and test portions would be empty.
+    """
+    if n < 4:
+        raise DataError(f"need at least 4 examples to split, got {n}")
     n_val = (3 * n + 10) // 20  # round-half-up of 0.15 n
     n_test = n_val
     return n - n_val - n_test, n_val, n_test
@@ -325,7 +325,6 @@ def synth_sine_task(
         labels=labels,
         lengths=np.full(n, steps, dtype=np.int64),
         class_names=[str(k) for k in range(n_classes)],
-        dim_tag=dim_tag_for_width(width),
     )
 
 
@@ -339,7 +338,7 @@ def apply_reshape(ds: Dataset, spec: ReshapeSpec) -> Dataset:
         raise ConfigError(
             f"reshape spec is for shape {spec.original_shape}, dataset is {(ds.steps, ds.width)}"
         )
-    if spec.regime == "identity":
+    if spec.concentration == 1:
         return ds
     series = reshape_forward(ds.series, spec)
     lengths = -(-(ds.lengths * ds.width) // spec.concentration)

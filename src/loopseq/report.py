@@ -65,6 +65,18 @@ class PlanCell:
     concentration: int
 
 
+# list-valued plan fields: the type of their elements, and its name in errors
+_LIST_FIELDS = {
+    "datasets": (str, "string"),
+    "archs": (str, "string"),
+    "patterns": (str, "string"),
+    "supervisions": (str, "string"),
+    "concentrations": (int, "integer"),
+    "lrs": ((int, float), "number"),
+    "seeds": (int, "integer"),
+}
+
+
 @dataclass
 class ExperimentPlan:
     datasets: list[str]
@@ -75,7 +87,6 @@ class ExperimentPlan:
     lrs: list[float]
     seeds: list[int]
     out_dir: str
-    regime: str = "auto"
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 20
@@ -85,15 +96,12 @@ class ExperimentPlan:
     synth: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, values in (
-            ("datasets", self.datasets),
-            ("archs", self.archs),
-            ("patterns", self.patterns),
-            ("supervisions", self.supervisions),
-            ("concentrations", self.concentrations),
-            ("lrs", self.lrs),
-            ("seeds", self.seeds),
-        ):
+        for name, (kind, label) in _LIST_FIELDS.items():
+            values = getattr(self, name)
+            if not isinstance(values, list) or any(
+                isinstance(v, bool) or not isinstance(v, kind) for v in values
+            ):
+                raise ConfigError(f"plan field {name!r} must be a list of {label}s, got {values!r}")
             if not values:
                 raise ConfigError(f"plan field {name!r} must be non-empty")
         for ds in self.datasets:
@@ -110,7 +118,7 @@ class ExperimentPlan:
             if sup not in SUPERVISIONS:
                 raise ConfigError(f"unknown supervision {sup!r}; expected one of {SUPERVISIONS}")
         for c in self.concentrations:
-            if not isinstance(c, int) or c < 1:
+            if c < 1:
                 raise ConfigError(f"concentrations must be positive integers, got {c!r}")
         if any(lr <= 0 for lr in self.lrs):
             raise ConfigError("lrs must be positive")
@@ -166,7 +174,6 @@ def cell_hash(cell: PlanCell, plan: ExperimentPlan) -> str:
         **dataclasses.asdict(cell),
         "lrs": plan.lrs,
         "seeds": plan.seeds,
-        "regime": plan.regime,
         "batch_size": plan.batch_size,
         "max_epochs": plan.max_epochs,
         "patience": plan.patience,
@@ -185,7 +192,6 @@ def _run_cell(args) -> dict:
         pattern=cell.pattern,
         supervision=cell.supervision,
         concentration=cell.concentration,
-        regime=plan.regime,
         batch_size=plan.batch_size,
         max_epochs=plan.max_epochs,
         patience=plan.patience,

@@ -6,41 +6,22 @@ re-chunked into rows of width c:
 
     rows = ceil(T * w / c),    pad_count = rows * c - T * w  in [0, c).
 
-Two regimes share that arithmetic.  `low_dim_concat` additionally
-requires c to be a multiple of w, in which case each row is exactly
-c/w consecutive time steps concatenated; `high_dim_flatten` accepts
-any c.  c = 1 short-circuits to `identity` and returns the input
-unchanged.  The inverse drops the pad after checking it is still zero,
-so a round trip is exact and tampering is detected.
+c alone decides the computation: c = 1 returns the input unchanged,
+every other c runs the arithmetic above.  The `regime` label only names
+the case: `identity` for c = 1, `low_dim_concat` when c is a multiple
+of w (each row is then exactly c/w consecutive time steps), and
+`high_dim_flatten` otherwise (rows may end inside a time step).  The
+inverse drops the pad after checking it is still zero, so a round trip
+is exact and tampering is detected.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-
-log = logging.getLogger(__name__)
-
-REGIMES = ("identity", "low_dim_concat", "high_dim_flatten")
-
-# width bands relative to the 64-wide architecture; the six canonical
-# corpora carry explicit tags, this rule covers everything else
-_LOW_MAX = 3
-_MEDIUM_MAX = 16
-
-DIM_TAGS = ("low", "medium", "high")
-
-
-def dim_tag_for_width(width: int) -> str:
-    if width <= _LOW_MAX:
-        return "low"
-    if width <= _MEDIUM_MAX:
-        return "medium"
-    return "high"
 
 
 @dataclass(frozen=True)
@@ -48,24 +29,21 @@ class ReshapeSpec:
     """Frozen description of one reshape; enough to invert it exactly."""
 
     concentration: int
-    regime: str
     original_shape: tuple[int, int]  # (T, w)
 
     def __post_init__(self):
         T, w = self.original_shape
-        c = self.concentration
-        if c < 1:
-            raise ConfigError(f"concentration must be >= 1, got {c}")
+        if self.concentration < 1:
+            raise ConfigError(f"concentration must be >= 1, got {self.concentration}")
         if T < 1 or w < 1:
             raise ConfigError(f"original shape must be positive, got {self.original_shape}")
-        if self.regime not in REGIMES:
-            raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.regime == "identity" and c != 1:
-            raise ConfigError(f"identity regime requires c = 1, got c = {c}")
-        if self.regime == "low_dim_concat" and c % w != 0:
-            raise ConfigError(
-                f"low_dim_concat requires c to be a multiple of the width, got c={c}, w={w}"
-            )
+
+    @property
+    def regime(self) -> str:
+        c, w = self.concentration, self.original_shape[1]
+        if c == 1:
+            return "identity"
+        return "low_dim_concat" if c % w == 0 else "high_dim_flatten"
 
     @property
     def rows(self) -> int:
@@ -79,40 +57,11 @@ class ReshapeSpec:
 
     @property
     def out_shape(self) -> tuple[int, int]:
-        return (self.rows, self.concentration) if self.regime != "identity" else self.original_shape
+        return (self.rows, self.concentration) if self.concentration != 1 else self.original_shape
 
 
-def choose_regime(width: int, concentration: int, dim_tag: str | None = None) -> str:
-    """Pick a regime from the dataset's dimensionality tag.
-
-    Low/medium-width data concatenates whole time steps when c allows
-    it; otherwise it falls back to the flatten regime with a logged
-    note.  High-width data always flattens.  c = 1 is the identity.
-    """
-    if concentration == 1:
-        return "identity"
-    tag = dim_tag or dim_tag_for_width(width)
-    if tag not in DIM_TAGS:
-        raise ConfigError(f"dim_tag must be one of {DIM_TAGS}, got {tag!r}")
-    if tag in ("low", "medium"):
-        if concentration % width == 0:
-            return "low_dim_concat"
-        log.warning(
-            "concentration %d is not a multiple of width %d; falling back to high_dim_flatten",
-            concentration,
-            width,
-        )
-    return "high_dim_flatten"
-
-
-def make_spec(
-    T: int, width: int, concentration: int, dim_tag: str | None = None, regime: str = "auto"
-) -> ReshapeSpec:
-    if regime == "auto":
-        regime = choose_regime(width, concentration, dim_tag)
-    elif regime == "identity" and concentration != 1:
-        raise ConfigError(f"identity regime requires c = 1, got c = {concentration}")
-    return ReshapeSpec(concentration, regime, (T, width))
+def make_spec(T: int, width: int, concentration: int) -> ReshapeSpec:
+    return ReshapeSpec(concentration, (T, width))
 
 
 def reshape_forward(x: np.ndarray, spec: ReshapeSpec) -> np.ndarray:
@@ -120,7 +69,7 @@ def reshape_forward(x: np.ndarray, spec: ReshapeSpec) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[-2:] != spec.original_shape:
         raise ShapeError(f"input trailing shape {x.shape[-2:]} != spec {spec.original_shape}")
-    if spec.regime == "identity":
+    if spec.concentration == 1:
         return x
     lead = x.shape[:-2]
     T, w = spec.original_shape
@@ -134,7 +83,7 @@ def reshape_forward(x: np.ndarray, spec: ReshapeSpec) -> np.ndarray:
 def reshape_inverse(y: np.ndarray, spec: ReshapeSpec) -> np.ndarray:
     """Exact inverse of reshape_forward; rejects modified padding."""
     y = np.asarray(y)
-    if spec.regime == "identity":
+    if spec.concentration == 1:
         if y.shape[-2:] != spec.original_shape:
             raise ShapeError(f"input trailing shape {y.shape[-2:]} != spec {spec.original_shape}")
         return y

@@ -10,23 +10,25 @@ source bit for bit because it runs the same arithmetic on the same
 values.  m = 2 and m = 3 do not divide one another, so neither embeds
 in the other.
 
-Supervision taps the hidden state after every full pass through the
-unique sequence: r = L / m taps h^(1)..h^(r).  `loss_final` reads only
-h^(r); `loss_block` averages the shared head's loss over all r taps
-with uniform 1/r weights and no stop-gradients.  The encoder and head
-are never shared across patterns being compared; only block parameters
-participate in tying.
+Supervision is a tap period: the forward pass taps the hidden state
+after every `period` block applications, and the loss averages the
+shared head's loss over the taps with uniform weights and no
+stop-gradients.  `final` supervision taps once (period L), `block`
+after every full pass through the unique sequence (period m, giving
+r = L / m taps h^(1)..h^(r)).  The encoder and head are never shared
+across patterns being compared; only block parameters participate in
+tying.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward, param
+from .autodiff import Tape, Tensor, backward
 from .blocks import (
     BlockParams,
     EncoderParams,
@@ -101,6 +103,11 @@ class StackConfig:
     def pattern(self) -> str:
         return pattern_string(self.depth, self.n_unique)
 
+    @property
+    def tap_period(self) -> int:
+        """Block applications between supervised taps: L for `final`, m for `block`."""
+        return self.depth if self.supervision == "final" else self.n_unique
+
 
 @dataclass
 class StackModel:
@@ -128,17 +135,6 @@ class StackModel:
         return count_params(self.encoder, *self.blocks, self.head)
 
 
-@dataclass
-class ForwardTrace:
-    """Hidden states tapped after each full pass through the unique blocks."""
-
-    h_reps: list[Tensor] = field(default_factory=list)
-
-    @property
-    def final(self) -> Tensor:
-        return self.h_reps[-1]
-
-
 def build_stack(
     arch: str,
     config: StackConfig,
@@ -159,62 +155,50 @@ def build_stack(
     return StackModel(arch, config, width, n_classes, hidden, state, encoder, blocks, head)
 
 
-def stack_forward(model: StackModel, x, supervision_period: int | None = None) -> ForwardTrace:
-    """Encoder then L periodic block applications, tapping every `period` blocks.
+def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
+    """Encoder then L periodic block applications; the hidden state after every `period`.
 
-    The period defaults to the model's own n_unique.  Verification passes
-    a source model's n_unique so an embedded (untied) model can be
-    supervised at the source's repetition boundaries.
+    Verification passes a source model's period to an embedded (untied)
+    model, so both are supervised at the source's repetition boundaries.
     """
-    period = model.config.n_unique if supervision_period is None else supervision_period
     if period < 1 or model.config.depth % period != 0:
-        raise ConfigError(f"supervision period {period} must divide depth {model.config.depth}")
+        raise ConfigError(f"tap period {period} must divide depth {model.config.depth}")
     h = encoder_forward(model.encoder, x if isinstance(x, Tensor) else Tensor(x))
-    trace = ForwardTrace()
+    taps = []
     for j in range(model.config.depth):
         h = block_forward(model.blocks[j % model.config.n_unique], h)
         if (j + 1) % period == 0:
-            trace.h_reps.append(h)
-    return trace
+            taps.append(h)
+    return taps
 
 
-def loss_final(
-    model: StackModel, trace: ForwardTrace, labels: np.ndarray, mask: np.ndarray | None = None
+def tap_loss(
+    model: StackModel, taps: list[Tensor], labels: np.ndarray, mask: np.ndarray | None = None
 ) -> Tensor:
-    """Cross entropy of the last tap's logits, averaged over the batch."""
-    logits = head_forward(model.head, trace.final, mask=mask)
-    return ad.softmax_cross_entropy(logits, labels).mean()
-
-
-def loss_block(
-    model: StackModel, trace: ForwardTrace, labels: np.ndarray, mask: np.ndarray | None = None
-) -> Tensor:
-    """Uniform average of the shared head's loss over every tap h^(1)..h^(r).
+    """Uniform average of the shared head's cross entropy over the taps.
 
     No stop-gradients: every tap backpropagates into every earlier
-    block application.
+    block application.  One tap is returned unscaled: a factor of 1.0
+    would change no bit and only add a tape node.
     """
-    r = len(trace.h_reps)
     total = None
-    for h in trace.h_reps:
+    for h in taps:
         logits = head_forward(model.head, h, mask=mask)
         term = ad.softmax_cross_entropy(logits, labels).mean()
         total = term if total is None else total + term
-    return total * (1.0 / r)
+    return total if len(taps) == 1 else total * (1.0 / len(taps))
 
 
 def stack_loss(
     model: StackModel, x, labels: np.ndarray, mask: np.ndarray | None = None
 ) -> Tensor:
-    trace = stack_forward(model, x)
-    fn = loss_final if model.config.supervision == "final" else loss_block
-    return fn(model, trace, labels, mask=mask)
+    return tap_loss(model, stack_forward(model, x, model.config.tap_period), labels, mask=mask)
 
 
 def predict_logits(model: StackModel, x, mask: np.ndarray | None = None) -> np.ndarray:
     """Final logits without recording a tape (evaluation path)."""
-    trace = stack_forward(model, x)
-    return head_forward(model.head, trace.final, mask=mask).data
+    (h,) = stack_forward(model, x, model.config.depth)
+    return head_forward(model.head, h, mask=mask).data
 
 
 # --- periodic embedding ------------------------------------------------------------
@@ -244,9 +228,9 @@ def embed_periodic(model: StackModel, n_unique_target: int) -> StackModel:
         model.n_classes,
         model.hidden,
         model.state,
-        EncoderParams(param(model.encoder.weight.data.copy()), param(model.encoder.bias.data.copy())),
+        clone_params(model.encoder),
         blocks,
-        HeadParams(param(model.head.weight.data.copy()), param(model.head.bias.data.copy())),
+        clone_params(model.head),
     )
 
 
@@ -269,7 +253,6 @@ def verify_gradient_aggregation(
     model: StackModel,
     x: np.ndarray,
     labels: np.ndarray,
-    supervision: str | None = None,
     mask: np.ndarray | None = None,
 ) -> AggregationReport:
     """Check d(tied loss)/d(theta) equals the sum over untied copies' gradients.
@@ -278,24 +261,19 @@ def verify_gradient_aggregation(
     supervised at the source's own repetition boundaries so both sides
     compute the same loss.
     """
-    sup = supervision or model.config.supervision
-    if sup not in SUPERVISIONS:
-        raise ConfigError(f"supervision must be one of {SUPERVISIONS}, got {sup!r}")
-    loss_of = loss_final if sup == "final" else loss_block
     m = model.config.n_unique
     L = model.config.depth
+    period = model.config.tap_period
 
     tied_params = model.param_tensors()
     with Tape():
-        trace = stack_forward(model, x)
-        loss_t = loss_of(model, trace, labels, mask=mask)
+        loss_t = tap_loss(model, stack_forward(model, x, period), labels, mask=mask)
         grads_t = backward(loss_t, tied_params)
 
     untied = embed_periodic(model, L)
     untied_params = untied.param_tensors()
     with Tape():
-        trace_u = stack_forward(untied, x, supervision_period=m)
-        loss_u = loss_of(untied, trace_u, labels, mask=mask)
+        loss_u = tap_loss(untied, stack_forward(untied, x, period), labels, mask=mask)
         grads_u = backward(loss_u, untied_params)
 
     worst = 0.0
@@ -321,7 +299,7 @@ def verify_gradient_aggregation(
         worst = max(worst, float(np.abs(ga - gb).max() / denom))
 
     return AggregationReport(
-        supervision=sup,
+        supervision=model.config.supervision,
         max_rel_error=worst,
         loss_tied=loss_t.item(),
         loss_untied=loss_u.item(),

@@ -44,7 +44,6 @@ class TrainConfig:
     pattern: str = "AAAAAA"
     supervision: str = "final"
     concentration: int = 1
-    regime: str = "auto"
     lr: float = 1e-3
     seed: int = 0
     batch_size: int = 32
@@ -70,12 +69,12 @@ class TrainConfig:
 # --- optimizer --------------------------------------------------------------------
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -89,7 +88,7 @@ def adam_step(state: AdamState, params: list, grads: dict) -> None:
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     # bias-corrected step size, folding the corrections into the scalars
     correction = np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
     for name, p in params:
@@ -100,7 +99,7 @@ def adam_step(state: AdamState, params: list, grads: dict) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= state.lr * correction * m / (np.sqrt(v) + state.eps * np.sqrt(1.0 - b2**t))
+        p.data -= state.lr * correction * m / (np.sqrt(v) + _EPS * np.sqrt(1.0 - b2**t))
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
@@ -153,9 +152,7 @@ def prepare_splits(ds: Dataset, config: TrainConfig) -> PreparedData:
     """Seeded split, train-statistics normalization, then reshaping."""
     sp = split_dataset(ds, config.seed)
     norm, _, _ = normalize(ds, sp.train)
-    spec = make_spec(
-        ds.steps, ds.width, config.concentration, dim_tag=ds.dim_tag, regime=config.regime
-    )
+    spec = make_spec(ds.steps, ds.width, config.concentration)
     parts = [apply_reshape(norm.subset(idx), spec) for idx in (sp.train, sp.val, sp.test)]
     return PreparedData(*parts, width=parts[0].width)
 

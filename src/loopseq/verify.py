@@ -41,6 +41,8 @@ from .stack import (
 )
 
 _RATIO_BAND = (4.5, 6.0)
+_TOL_FD = 1e-4  # relative error of analytic vs central-difference gradients
+_TOL_AGG = 1e-10  # relative error of tied vs summed untied gradients
 
 
 @dataclass
@@ -109,10 +111,9 @@ def _timed(name: str, fn) -> CheckResult:
 # --- containment ---------------------------------------------------------------------
 
 
-def _containment_one(
-    arch: str, seeds: int, n_inputs: int, steps: int, width: int, hidden: int, state: int
-):
+def _containment_one(arch: str, seeds: int, n_inputs: int, steps: int, hidden: int, state: int):
     def check():
+        width = 3
         worst = 0.0
         cases = 0
         for seed in range(seeds):
@@ -176,13 +177,10 @@ def audit_containment(
     seeds: int = 5,
     n_inputs: int = 100,
     steps: int = 24,
-    width: int = 3,
     hidden: int = 16,
     state: int = 16,
 ) -> list[CheckResult]:
-    results = [
-        _containment_one(arch, seeds, n_inputs, steps, width, hidden, state) for arch in ARCHS
-    ]
+    results = [_containment_one(arch, seeds, n_inputs, steps, hidden, state) for arch in ARCHS]
     results.append(_containment_guards(hidden, state))
     return results
 
@@ -190,20 +188,15 @@ def audit_containment(
 # --- parameter accounting ---------------------------------------------------------------
 
 
-def _count(arch: str, m: int, width: int, n_classes: int, hidden: int, state: int) -> int:
+def _count(arch: str, m: int, width: int, n_classes: int) -> int:
+    # at the default hidden = state = 64, the size the ratio band is for
     model = build_stack(
-        arch,
-        StackConfig(depth=6, n_unique=m),
-        width=width,
-        n_classes=n_classes,
-        hidden=hidden,
-        state=state,
-        rng=0,
+        arch, StackConfig(depth=6, n_unique=m), width, n_classes, hidden=64, state=64, rng=0
     )
     return model.n_params()
 
 
-def audit_param_linear(hidden: int = 64, state: int = 64) -> list[CheckResult]:
+def audit_param_linear() -> list[CheckResult]:
     results = []
     for arch in ARCHS:
 
@@ -212,7 +205,7 @@ def audit_param_linear(hidden: int = 64, state: int = 64) -> list[CheckResult]:
             rows = {}
             for name, meta in CANONICAL.items():
                 counts = {
-                    m: _count(arch, m, meta["width"], meta["classes"], hidden, state)
+                    m: _count(arch, m, meta["width"], meta["classes"])
                     for m in (1, 2, 3, 6)
                 }
                 per_block = counts[2] - counts[1]
@@ -232,7 +225,7 @@ def audit_param_linear(hidden: int = 64, state: int = 64) -> list[CheckResult]:
 # --- gradients ----------------------------------------------------------------------------
 
 
-def _grad_one(arch: str, supervision: str, n_unique: int, tol: float, sample: int | None):
+def _grad_one(arch: str, supervision: str, n_unique: int, sample: int | None):
     def check():
         width, n_classes, steps = 3, 3, 16
         model = build_stack(
@@ -261,12 +254,12 @@ def _grad_one(arch: str, supervision: str, n_unique: int, tol: float, sample: in
             rng=np.random.default_rng(11),
         )
         coords = "all" if sample is None else f"{sample}/param"
-        return err, err < tol, {"tol": tol, "pattern_uniques": n_unique, "coords": coords}
+        return err, err < _TOL_FD, {"tol": _TOL_FD, "pattern_uniques": n_unique, "coords": coords}
 
     return _timed(f"gradients/fd/{arch}/{supervision}/m{n_unique}", check)
 
 
-def _aggregation_one(arch: str, supervision: str, tol: float):
+def _aggregation_one(arch: str, supervision: str):
     def check():
         model = build_stack(
             arch,
@@ -281,17 +274,17 @@ def _aggregation_one(arch: str, supervision: str, tol: float):
         x = rng.standard_normal((4, 12, 3))
         labels = rng.integers(0, 3, 4)
         report = verify_gradient_aggregation(model, x, labels)
-        ok = bool(report.loss_match) and not report.all_zero and report.max_rel_error < tol
+        ok = bool(report.loss_match) and not report.all_zero and report.max_rel_error < _TOL_AGG
         return report.max_rel_error, ok, {
             "loss_match": bool(report.loss_match),
             "all_zero": bool(report.all_zero),
-            "tol": tol,
+            "tol": _TOL_AGG,
         }
 
     return _timed(f"gradients/aggregation/{arch}/{supervision}", check)
 
 
-def _gradient_detector(tol: float):
+def _gradient_detector():
     """The FD harness itself must flag a wrong gradient (sign flip)."""
 
     def check():
@@ -309,16 +302,14 @@ def _gradient_detector(tol: float):
     return _timed("gradients/detector", check)
 
 
-def audit_gradients(
-    tol_fd: float = 1e-4, tol_agg: float = 1e-10, sample: int | None = None
-) -> list[CheckResult]:
+def audit_gradients(sample: int | None = None) -> list[CheckResult]:
     results = []
     for arch in ARCHS:
         for supervision in ("final", "block"):
             for n_unique in (1, 6):
-                results.append(_grad_one(arch, supervision, n_unique, tol_fd, sample))
-            results.append(_aggregation_one(arch, supervision, tol_agg))
-    results.append(_gradient_detector(tol_fd))
+                results.append(_grad_one(arch, supervision, n_unique, sample))
+            results.append(_aggregation_one(arch, supervision))
+    results.append(_gradient_detector())
     return results
 
 

@@ -140,7 +140,7 @@ def test_criterion_5_reshape_laws():
         for meta in CANONICAL.values():
             T, w = meta["steps"], meta["width"]
             for c in (1, 8, 16):
-                spec = make_spec(T, w, c, dim_tag=meta["tag"])
+                spec = make_spec(T, w, c)
                 x = rng.standard_normal((T, w))
                 y = reshape_forward(x, spec)
                 if c == 1:
@@ -154,9 +154,9 @@ def test_criterion_5_reshape_laws():
                     assert 0 <= spec.pad_count < c
                 back = reshape_inverse(y, spec)
                 assert np.array_equal(back, x), f"round-trip broken at {(T, w, c)}"
-        e = make_spec(1751, 2, 8, dim_tag="low")
+        e = make_spec(1751, 2, 8)
         assert (e.rows, e.concentration) == (438, 8)
-        h = make_spec(405, 61, 8, dim_tag="high")
+        h = make_spec(405, 61, 8)
         assert (h.rows, h.concentration) == (3089, 8)
         return "shape/pad laws for 6 corpus shapes x c in (1,8,16); (1751,2,8)->(438,8); (405,61,8)->(3089,8)"
 

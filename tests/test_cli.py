@@ -1,12 +1,19 @@
 """CLI: subcommand wiring, artifacts on disk, exit codes."""
 
+import argparse
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from loopseq import cli
 from loopseq.cli import build_parser, main
+from loopseq.report import ExperimentPlan
 from loopseq.verify import AuditReport, CheckResult
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parser_lists_all_subcommands():
@@ -206,9 +213,67 @@ def test_bad_input_exits_2(argv, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["not-json", "not-object"])
-def test_bad_plan_file_exits_2(tmp_path, capsys, content):
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("{not json", "cannot read plan"),
+        ("[1, 2]", "JSON object"),
+        (dict(seeds=3), "'seeds' must be a list"),
+        (dict(concentrations=2), "'concentrations' must be a list"),
+        (dict(lrs="0.1"), "'lrs' must be a list"),
+        (dict(archs="LRU"), "'archs' must be a list"),
+        (dict(seeds=[0, "1"]), "'seeds' must be a list of integers"),
+        (dict(regime="auto"), "unknown plan fields: ['regime']"),
+    ],
+    ids=[
+        "not-json",
+        "not-object",
+        "seeds-int",
+        "concentrations-int",
+        "lrs-string",
+        "archs-string",
+        "seeds-string-element",
+        "regime-field",
+    ],
+)
+def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):
+    if isinstance(content, dict):
+        plan = {
+            "datasets": ["synth"],
+            "archs": ["LRU"],
+            "patterns": ["AAAAAA"],
+            "supervisions": ["final"],
+            "lrs": [0.01],
+            "seeds": [0],
+            "out_dir": str(tmp_path / "res"),
+            "max_epochs": 1,
+            **content,
+        }
+        content = json.dumps(plan)
     path = tmp_path / "plan.json"
     path.write_text(content)
     assert main(["grid", "--plan", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+# --- the README documents exactly what the code accepts ------------------------------
+
+
+def test_readme_lists_the_cell_flags():
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"share the cell flags `([^`]*)`", text).group(1)
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_cell_flags(parser)
+    registered = {o for a in parser._actions for o in a.option_strings}
+    assert sorted(sentence.split()) == sorted(registered)
+
+
+def test_readme_lists_the_plan_fields():
+    text = README.read_text()
+    block = re.search(r"Required fields:\s*```jsonc\n(.*?)```", text, re.S).group(1)
+    required = set(re.findall(r'^\s*"(\w+)":', block, re.M))
+    paragraph = re.search(r"Optional fields with defaults:(.*?)Unknown fields", text, re.S).group(1)
+    optional = set(re.findall(r"`([a-z_]+)`", paragraph))
+    assert not required & optional
+    assert required | optional == {f.name for f in dataclasses.fields(ExperimentPlan)}

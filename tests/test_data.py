@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loopseq.data import (
-    CANONICAL,
     Dataset,
     apply_reshape,
     load_named,
@@ -33,7 +32,6 @@ def _toy(n=10, steps=7, width=3, n_classes=2, seed=0, ragged=False):
         labels=np.arange(n) % n_classes,
         lengths=lengths,
         class_names=[f"c{k}" for k in range(n_classes)],
-        dim_tag="low",
     )
 
 
@@ -42,14 +40,25 @@ def _toy(n=10, steps=7, width=3, n_classes=2, seed=0, ragged=False):
 
 @pytest.mark.parametrize(
     "n,expected",
-    [(100, (70, 15, 15)), (204, (142, 31, 31)), (20, (14, 3, 3)), (10, (6, 2, 2)), (3, (3, 0, 0))],
+    [
+        (100, (70, 15, 15)),
+        (204, (142, 31, 31)),
+        (20, (14, 3, 3)),
+        (10, (6, 2, 2)),
+        (3, DataError("at least 4")),  # (3, 0, 0) would leave validation and test empty
+        (4, (2, 1, 1)),
+    ],
 )
 def test_split_sizes_rounds_half_up(n, expected):
-    assert split_sizes(n) == expected
+    if isinstance(expected, DataError):
+        with pytest.raises(DataError, match=str(expected)):
+            split_sizes(n)
+    else:
+        assert split_sizes(n) == expected
 
 
 def test_split_sizes_sum_to_n():
-    for n in range(3, 400):
+    for n in range(4, 400):
         assert sum(split_sizes(n)) == n
 
 
@@ -194,16 +203,8 @@ def test_load_named_pools_both_halves(tmp_path):
     pooled = load_named("Ethanol", tmp_path)
     assert pooled.n == 10
     assert pooled.name == "Ethanol"
-    assert pooled.dim_tag == CANONICAL["Ethanol"]["tag"]
     np.testing.assert_array_equal(pooled.series[:6], a.series)
     np.testing.assert_array_equal(pooled.series[6:], b.series)
-
-
-def test_canonical_table_matches_tags():
-    from loopseq.reshape import dim_tag_for_width
-
-    for meta in CANONICAL.values():
-        assert dim_tag_for_width(meta["width"]) == meta["tag"]
 
 
 # --- normalization ---------------------------------------------------------------------
@@ -282,7 +283,7 @@ def test_synth_deterministic():
 
 def test_apply_reshape_updates_lengths():
     ds = _toy(n=9, steps=10, width=3, seed=6, ragged=True)
-    spec = make_spec(10, 3, 6, dim_tag="medium")
+    spec = make_spec(10, 3, 6)
     out = apply_reshape(ds, spec)
     assert out.series.shape == (9, spec.rows, 6)
     np.testing.assert_array_equal(out.lengths, -(-(ds.lengths * 3) // 6))
@@ -299,7 +300,7 @@ def test_apply_reshape_identity_returns_same_object():
 def test_apply_reshape_shape_mismatch():
     ds = _toy(steps=7, width=3)
     with pytest.raises(ConfigError, match="reshape spec"):
-        apply_reshape(ds, make_spec(8, 3, 6, dim_tag="medium"))
+        apply_reshape(ds, make_spec(8, 3, 6))
 
 
 # --- container validation ------------------------------------------------------------------
@@ -308,7 +309,7 @@ def test_apply_reshape_shape_mismatch():
 def test_dataset_validation_errors():
     good = _toy()
     with pytest.raises(DataError):
-        Dataset("x", good.series[0], good.labels, good.lengths, good.class_names, "low")
+        Dataset("x", good.series[0], good.labels, good.lengths, good.class_names)
     with pytest.raises(DataError):
         good.replace(labels=np.full(good.n, 5))
     with pytest.raises(DataError):

@@ -1,6 +1,4 @@
-"""Reshape tests: shape laws, index arithmetic, round trips, regime choice."""
-
-import logging
+"""Reshape tests: shape laws, index arithmetic, round trips, regime labels."""
 
 import numpy as np
 import pytest
@@ -10,31 +8,29 @@ from hypothesis import strategies as st
 from loopseq.errors import ConfigError, ContractError, ShapeError
 from loopseq.reshape import (
     ReshapeSpec,
-    choose_regime,
-    dim_tag_for_width,
     make_spec,
     reshape_forward,
     reshape_inverse,
 )
 
-# (T, w, dim_tag) of the six canonical corpus shapes
+# (T, w) of the six canonical corpus shapes
 CORPUS_SHAPES = {
-    "Ethanol": (1751, 2, "low"),
-    "Worms": (17984, 6, "medium"),
-    "SCP1": (896, 6, "medium"),
-    "SCP2": (1152, 7, "medium"),
-    "Heartbeat": (405, 61, "high"),
-    "Motor": (3000, 63, "high"),
+    "Ethanol": (1751, 2),
+    "Worms": (17984, 6),
+    "SCP1": (896, 6),
+    "SCP2": (1152, 7),
+    "Heartbeat": (405, 61),
+    "Motor": (3000, 63),
 }
 
 
 def test_known_instances():
-    spec = make_spec(1751, 2, 8, dim_tag="low")
+    spec = make_spec(1751, 2, 8)
     assert spec.regime == "low_dim_concat"
     assert (spec.rows, spec.concentration) == (438, 8)
     assert spec.pad_count == 2
 
-    spec = make_spec(405, 61, 8, dim_tag="high")
+    spec = make_spec(405, 61, 8)
     assert spec.regime == "high_dim_flatten"
     assert (spec.rows, spec.concentration) == (3089, 8)
     assert spec.pad_count == 7
@@ -43,8 +39,8 @@ def test_known_instances():
 @pytest.mark.parametrize("name,shape", list(CORPUS_SHAPES.items()))
 @pytest.mark.parametrize("c", [1, 8, 16])
 def test_shape_law_on_corpus_shapes(name, shape, c):
-    T, w, tag = shape
-    spec = make_spec(T, w, c, dim_tag=tag)
+    T, w = shape
+    spec = make_spec(T, w, c)
     rows, width = spec.out_shape
     assert rows * width == T * w + spec.pad_count
     assert 0 <= spec.pad_count < max(c, 2)  # pad < c; identity pads zero
@@ -67,7 +63,7 @@ def test_low_dim_concat_is_timestep_concatenation():
     rng = np.random.default_rng(1)
     T, w, c = 13, 3, 6
     x = rng.standard_normal((T, w))
-    spec = make_spec(T, w, c, dim_tag="low")
+    spec = make_spec(T, w, c)
     assert spec.regime == "low_dim_concat"
     y = reshape_forward(x, spec)
     for i in range(spec.rows):
@@ -77,14 +73,6 @@ def test_low_dim_concat_is_timestep_concatenation():
                 assert y[i, j] == x[k // w, k % w]
             else:
                 assert y[i, j] == 0.0
-
-
-def test_low_dim_concat_special_case_of_flatten():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((9, 2))
-    lo = reshape_forward(x, make_spec(9, 2, 4, regime="low_dim_concat"))
-    hi = reshape_forward(x, make_spec(9, 2, 4, regime="high_dim_flatten"))
-    np.testing.assert_array_equal(lo, hi)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,39 +124,32 @@ def test_wrong_shape_rejected():
         reshape_inverse(np.zeros((3, 4)), spec)
 
 
-# --- regime selection ------------------------------------------------------------
+# --- regime labels ---------------------------------------------------------------
 
 
-def test_dim_tags():
-    assert dim_tag_for_width(2) == "low"
-    assert dim_tag_for_width(6) == "medium"
-    assert dim_tag_for_width(7) == "medium"
-    assert dim_tag_for_width(61) == "high"
-    assert dim_tag_for_width(63) == "high"
-
-
-def test_choose_regime_by_tag():
-    assert choose_regime(2, 8, "low") == "low_dim_concat"
-    assert choose_regime(6, 12, "medium") == "low_dim_concat"
-    assert choose_regime(61, 8, "high") == "high_dim_flatten"
-    assert choose_regime(2, 1, "low") == "identity"
-
-
-def test_choose_regime_fallback_logs(caplog):
-    with caplog.at_level(logging.WARNING, logger="loopseq.reshape"):
-        got = choose_regime(6, 8, "medium")  # 8 not a multiple of 6
-    assert got == "high_dim_flatten"
-    assert any("falling back" in r.message for r in caplog.records)
-
-
-def test_explicit_low_regime_validates_multiple():
-    with pytest.raises(ConfigError):
-        make_spec(10, 3, 8, regime="low_dim_concat")
-
-
-def test_identity_regime_requires_c1():
-    with pytest.raises(ConfigError):
-        make_spec(10, 3, 8, regime="identity")
+@pytest.mark.parametrize(
+    "T,w,c,regime",
+    [
+        (10, 3, 1, "identity"),
+        (405, 61, 1, "identity"),
+        (1751, 2, 8, "low_dim_concat"),
+        (17984, 6, 12, "low_dim_concat"),
+        (405, 61, 61, "low_dim_concat"),
+        (17984, 6, 8, "high_dim_flatten"),
+        (405, 61, 8, "high_dim_flatten"),
+        (10, 3, 2, "high_dim_flatten"),
+    ],
+)
+def test_regime_label_follows_concentration(T, w, c, regime):
+    """The label follows from c and w; every c > 1 runs the same flatten-pad-chunk."""
+    spec = make_spec(T, w, c)
+    assert spec.regime == regime
+    x = np.random.default_rng(5).standard_normal((T, w))
+    y = reshape_forward(x, spec)
+    if c == 1:
+        assert y is x
+    else:
+        np.testing.assert_array_equal(y, np.pad(x.ravel(), (0, spec.pad_count)).reshape(-1, c))
 
 
 def test_bad_concentration_rejected():

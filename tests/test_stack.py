@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from loopseq import autodiff as ad
 from loopseq.autodiff import Tape, backward, Tensor
-from loopseq.blocks import ARCHS, block_forward, encoder_forward, named_tensors
+from loopseq.blocks import ARCHS, block_forward, encoder_forward, head_forward, named_tensors
 from loopseq.errors import ConfigError
 from loopseq.stack import (
     AggregationReport,
@@ -12,13 +13,12 @@ from loopseq.stack import (
     StackModel,
     build_stack,
     embed_periodic,
-    loss_block,
-    loss_final,
     parse_pattern,
     pattern_string,
     predict_logits,
     stack_forward,
     stack_loss,
+    tap_loss,
     verify_gradient_aggregation,
 )
 
@@ -26,6 +26,15 @@ from loopseq.stack import (
 def _tiny(arch="LRU", m=2, supervision="final", seed=0, width=3, classes=3):
     cfg = StackConfig(depth=6, n_unique=m, supervision=supervision)
     return build_stack(arch, cfg, width=width, n_classes=classes, hidden=6, state=4, rng=seed)
+
+
+def _with_supervision(model, supervision):
+    """The same parameters under another supervision mode."""
+    cfg = StackConfig(model.config.depth, model.config.n_unique, supervision)
+    return StackModel(
+        model.arch, cfg, model.width, model.n_classes,
+        model.hidden, model.state, model.encoder, model.blocks, model.head,
+    )
 
 
 # --- patterns ---------------------------------------------------------------------
@@ -62,6 +71,8 @@ def test_config_rejects_non_divisor():
 def test_config_derived_fields():
     cfg = StackConfig(depth=6, n_unique=3, supervision="block")
     assert cfg.pattern == "ABCABC"
+    assert cfg.tap_period == 3
+    assert StackConfig(depth=6, n_unique=3, supervision="final").tap_period == 6
 
 
 # --- forward composition -----------------------------------------------------------
@@ -71,27 +82,27 @@ def test_forward_matches_manual_unrolled_composition():
     rng = np.random.default_rng(1)
     model = _tiny("S5", m=2)
     x = rng.standard_normal((2, 7, 3))
-    trace = stack_forward(model, x)
+    (final,) = stack_forward(model, x, 6)
     h = encoder_forward(model.encoder, Tensor(x))
     for j in range(6):
         h = block_forward(model.blocks[j % 2], h)
-    np.testing.assert_array_equal(trace.final.data, h.data)
+    np.testing.assert_array_equal(final.data, h.data)
 
 
 def test_trace_has_one_rep_per_pass():
     x = np.random.default_rng(2).standard_normal((1, 5, 3))
     for m, r in [(1, 6), (2, 3), (3, 2), (6, 1)]:
-        model = _tiny(m=m)
-        trace = stack_forward(model, x)
-        assert len(trace.h_reps) == r
+        model = _tiny(m=m, supervision="block")
+        assert len(stack_forward(model, x, model.config.tap_period)) == r
+        assert len(stack_forward(model, x, 6)) == 1
 
 
-def test_supervision_period_override_controls_taps():
+def test_tap_period_controls_taps():
     model = _tiny(m=1)
     x = np.random.default_rng(3).standard_normal((1, 4, 3))
-    assert len(stack_forward(model, x, supervision_period=2).h_reps) == 3
+    assert len(stack_forward(model, x, 2)) == 3
     with pytest.raises(ConfigError):
-        stack_forward(model, x, supervision_period=4)
+        stack_forward(model, x, 4)
 
 
 def test_residual_chain_with_zero_mixers_is_identity_plus_encoder():
@@ -100,9 +111,9 @@ def test_residual_chain_with_zero_mixers_is_identity_plus_encoder():
         blk.glu_value_w.data[:] = 0.0
         blk.glu_value_b.data[:] = 0.0
     x = np.random.default_rng(4).standard_normal((2, 5, 3))
-    trace = stack_forward(model, x)
+    (final,) = stack_forward(model, x, 6)
     enc = encoder_forward(model.encoder, Tensor(x)).data
-    np.testing.assert_array_equal(trace.final.data, enc)
+    np.testing.assert_array_equal(final.data, enc)
 
 
 # --- losses -------------------------------------------------------------------------
@@ -114,30 +125,28 @@ def test_zero_head_gives_uniform_loss():
     model.head.bias.data[:] = 0.0
     x = np.random.default_rng(5).standard_normal((4, 6, 3))
     y = np.array([0, 1, 2, 3])
-    trace = stack_forward(model, x)
-    assert abs(loss_final(model, trace, y).item() - np.log(5.0)) < 1e-12
-    assert abs(loss_block(model, trace, y).item() - np.log(5.0)) < 1e-12
+    for period in (6, 2):
+        taps = stack_forward(model, x, period)
+        assert abs(tap_loss(model, taps, y).item() - np.log(5.0)) < 1e-12
 
 
 def test_block_loss_is_mean_of_per_tap_losses():
     model = _tiny(m=2, supervision="block")
     x = np.random.default_rng(6).standard_normal((3, 5, 3))
     y = np.array([0, 1, 2])
-    trace = stack_forward(model, x)
-    per_tap = []
-    for h in trace.h_reps:
-        sub = type(trace)(h_reps=[h])
-        per_tap.append(loss_final(model, sub, y).item())
-    got = loss_block(model, trace, y).item()
+    taps = stack_forward(model, x, model.config.tap_period)
+    assert len(taps) == 3
+    per_tap = [tap_loss(model, [h], y).item() for h in taps]
+    got = tap_loss(model, taps, y).item()
     assert abs(got - np.mean(per_tap)) < 1e-12
 
 
 def test_single_repeat_block_equals_final():
-    model = _tiny(m=6)
+    final = _tiny(m=6)
+    block = _with_supervision(final, "block")
     x = np.random.default_rng(7).standard_normal((2, 5, 3))
     y = np.array([0, 1])
-    trace = stack_forward(model, x)
-    assert loss_block(model, trace, y).item() == loss_final(model, trace, y).item()
+    assert stack_loss(block, x, y).item() == stack_loss(final, x, y).item()
 
 
 def test_identical_taps_give_identical_head_gradients():
@@ -150,12 +159,10 @@ def test_identical_taps_give_identical_head_gradients():
     y = np.array([0, 1, 2])
     head_params = [model.head.weight, model.head.bias]
     with Tape():
-        trace = stack_forward(model, x)
-        g_block = backward(loss_block(model, trace, y), head_params)
+        g_block = backward(tap_loss(model, stack_forward(model, x, 2), y), head_params)
         g_block = {k: v.data.copy() for k, v in g_block.items()}
     with Tape():
-        trace = stack_forward(model, x)
-        g_final = backward(loss_final(model, trace, y), head_params)
+        g_final = backward(tap_loss(model, stack_forward(model, x, 6), y), head_params)
     for p in head_params:
         a, b = g_block[p], g_final[p].data
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-30)
@@ -241,16 +248,20 @@ def test_aggregation_flags_all_zero_when_loss_ignores_blocks():
 
 
 def test_stack_loss_dispatches_on_supervision():
+    # bitwise against the loss written out by hand: final is the last tap's
+    # mean cross entropy unscaled, block the 1/r-scaled sum over taps 2, 4, 6
     x = np.random.default_rng(15).standard_normal((2, 5, 3))
     y = np.array([0, 1])
     final = _tiny(m=2, supervision="final")
-    block = StackModel(
-        final.arch, StackConfig(6, 2, "block"), final.width, final.n_classes,
-        final.hidden, final.state, final.encoder, final.blocks, final.head,
-    )
-    trace = stack_forward(final, x)
-    assert stack_loss(final, x, y).item() == loss_final(final, trace, y).item()
-    assert stack_loss(block, x, y).item() == loss_block(block, trace, y).item()
+    block = _with_supervision(final, "block")
+    h = encoder_forward(final.encoder, Tensor(x))
+    terms = []
+    for j in range(6):
+        h = block_forward(final.blocks[j % 2], h)
+        if j % 2 == 1:
+            terms.append(ad.softmax_cross_entropy(head_forward(final.head, h), y).mean())
+    assert stack_loss(final, x, y).item() == terms[-1].item()
+    assert stack_loss(block, x, y).item() == ((terms[0] + terms[1] + terms[2]) * (1.0 / 3)).item()
 
 
 def test_n_params_counts_all_containers():

@@ -8,7 +8,7 @@ import pytest
 from loopseq import autodiff as ad
 from loopseq.autodiff import Tensor
 from loopseq.data import synth_sine_task
-from loopseq.errors import AggregationError, ConfigError
+from loopseq.errors import AggregationError, ConfigError, DataError
 from loopseq.stack import StackConfig, build_stack, embed_periodic
 from loopseq.train import (
     AdamState,
@@ -211,12 +211,18 @@ def test_run_log_is_json_lines(tmp_path):
 
 
 def test_prepare_splits_applies_concentration():
-    data = _tiny_data(n=40, steps=16)  # width 2, low-dimensional tag
+    data = _tiny_data(n=40, steps=16)  # width 2
     prep = prepare_splits(data, _tiny_config(concentration=4))
     assert prep.width == 4
     assert prep.train.steps == 8  # ceil(16 * 2 / 4)
     sizes = (prep.train.n, prep.val.n, prep.test.n)
     assert sum(sizes) == 40 and sizes[1] == sizes[2] == 6
+
+
+def test_train_one_rejects_corpus_too_small_to_split():
+    # three examples would split (3, 0, 0): no validation or test accuracy to take
+    with pytest.raises(DataError, match="at least 4"):
+        train_one(_tiny_config(), _tiny_data(n=3))
 
 
 @pytest.mark.parametrize(
