@@ -16,6 +16,7 @@ Results are CSV/JSON/markdown files; logs go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -23,12 +24,10 @@ from pathlib import Path
 
 from .data import CANONICAL, load_named, synth_sine_task
 from .errors import ConfigError, LoopseqError
-from .report import load_plan, render_report, run_plan
+from .report import load_plan, read_results, render_report, run_plan
 from .reshape import make_spec
-from .train import TrainConfig, grid_and_seeds, train_one
+from .train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from .verify import run_all
-
-log = logging.getLogger(__name__)
 
 
 def _add_cell_flags(p: argparse.ArgumentParser) -> None:
@@ -80,7 +79,7 @@ def _cmd_train(args) -> int:
     result = train_one(_config_from(args, args.lr, args.seed), dataset, log_path=log_path)
     if out_dir:
         with open(out_dir / "run.json", "w") as fh:
-            json.dump(result.to_json(), fh, indent=2)
+            json.dump(dataclasses.asdict(result), fh, indent=2)
             fh.write("\n")
     status = "diverged" if result.diverged else "ok"
     print(
@@ -93,33 +92,43 @@ def _cmd_train(args) -> int:
 
 
 def _parse_list(flag: str, text: str, kind: type) -> list:
-    """A non-empty comma-separated list of `kind` values from one flag."""
+    """A non-empty comma-separated list of distinct `kind` values from one flag."""
     try:
         values = [kind(v) for v in text.split(",") if v]
     except ValueError:
         raise ConfigError(f"{flag} needs comma-separated {kind.__name__} values, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} needs at least one value")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{flag} repeats a value: {text!r}")
     return values
 
 
 def _cmd_grid(args) -> int:
     if args.plan:
-        plan = load_plan(args.plan)
-        csv_path = run_plan(plan, workers=args.workers)
+        csv_path = run_plan(load_plan(args.plan), workers=args.workers)
         print(f"wrote {csv_path} and {csv_path.with_name('results.md')}")
-        return 0
+        failed = [r for r in read_results(csv_path.parent) if r["error"]]
+        for r in failed:
+            cell = f"{r['dataset']}/{r['arch']}/{r['pattern']}/{r['supervision']}/c{r['concentration']}"
+            print(f"failed: {cell}: {r['error']}", file=sys.stderr)
+        return 1 if failed else 0
     lrs = _parse_list("--lrs", args.lrs, float)
     seeds = _parse_list("--seeds", args.seeds, int)
     dataset = _resolve_dataset(args)
-    grid = grid_and_seeds(
-        dataset, _config_from(args, lr=lrs[0], seed=0), lrs=lrs, seeds=seeds, workers=args.workers
-    )
+    jobs = [(_config_from(args, lr, seed), dataset) for lr in lrs for seed in seeds]
+    runs = run_jobs(jobs, workers=args.workers)
+    failed = [(config, r) for (config, _), r in zip(jobs, runs) if isinstance(r, str)]
+    for config, error in failed:
+        print(f"failed: lr={config.lr} seed={config.seed}: {error}", file=sys.stderr)
+    if failed:
+        return 1
+    grid = grid_and_seeds(runs)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "grid.json", "w") as fh:
-            json.dump(grid.to_json(), fh, indent=2)
+            json.dump(dataclasses.asdict(grid), fh, indent=2)
             fh.write("\n")
     print(
         f"chosen lr={grid.chosen_lr}: test acc {grid.mean_test_acc:.4f} ± {grid.std_test_acc:.4f} "
@@ -195,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--lrs", default="0.001,0.003", help="comma-separated learning rates")
     p_grid.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     p_grid.add_argument("--plan", default=None, help="JSON plan file; overrides the cell flags")
-    p_grid.add_argument("--workers", type=int, default=None, help="worker processes for cells")
+    p_grid.add_argument("--workers", type=int, default=None, help="worker processes; parallelises across every lr x seed run of every cell")
     p_grid.add_argument("--out", default=None, help="directory for grid.json")
     p_grid.set_defaults(fn=_cmd_grid)
 

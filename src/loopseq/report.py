@@ -8,32 +8,33 @@ final-step supervision, so a plan over all four patterns and both
 supervisions yields 7 cells per dataset/arch/concentration, baseline
 included.
 
+Every lr x seed run of every cell is one job on one runner
+(`train.run_jobs`), so a run that fails costs only its own cell.
 Results are written as one CSV row per cell (including the per-seed
-test accuracies and a short config hash for reruns) plus a markdown
-table with the baseline column first.  In the markdown, a cell is
-**bold** when its mean beats the baseline mean at the reported
-precision (2 decimals) and <u>underlined</u> when equal at that
-precision.  Rendering is a pure function of the CSV, so re-running the
-report on unchanged results is idempotent.
+test accuracies) plus a markdown table with the baseline column first.
+A cell whose run raised, whose worker died, or whose every lr diverged
+gets a row with its `error` filled and no results, and renders as `failed`.  In
+the markdown, a cell is **bold** when its mean beats the baseline mean
+at the reported precision (2 decimals) and <u>underlined</u> when equal
+at that precision.  Rendering is a pure function of the CSV, so
+re-running the report on unchanged results is idempotent.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
+import inspect
 import json
 import logging
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .blocks import ARCHS
 from .data import CANONICAL, Dataset, load_named, synth_sine_task
-from .errors import ConfigError
+from .errors import AggregationError, ConfigError
 from .stack import SUPERVISIONS, parse_pattern, pattern_string
-from .train import TrainConfig, grid_and_seeds
+from .train import TrainConfig, grid_and_seeds, run_jobs
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +53,7 @@ CSV_COLUMNS = [
     "lr",
     "seed_accs",
     "diverged_seeds",
-    "config_hash",
+    "error",
 ]
 
 
@@ -75,6 +76,16 @@ _LIST_FIELDS = {
     "lrs": ((int, float), "number"),
     "seeds": (int, "integer"),
 }
+# list fields whose values come from a closed set
+_CHOICES = {"datasets": ["synth", *sorted(CANONICAL)], "archs": list(ARCHS), "supervisions": list(SUPERVISIONS)}
+# scalar plan fields: their type, and its name in errors
+_SCALAR_FIELDS = {
+    "out_dir": (str, "a string"),
+    "data_dir": (str, "a string"),
+    "synth": (dict, "an object"),
+    **{name: (int, "an integer") for name in ("batch_size", "max_epochs", "patience", "hidden", "state")},
+}
+_SYNTH_KEYS = sorted(inspect.signature(synth_sine_task).parameters)
 
 
 @dataclass
@@ -102,26 +113,24 @@ class ExperimentPlan:
                 isinstance(v, bool) or not isinstance(v, kind) for v in values
             ):
                 raise ConfigError(f"plan field {name!r} must be a list of {label}s, got {values!r}")
-            if not values:
-                raise ConfigError(f"plan field {name!r} must be non-empty")
-        for ds in self.datasets:
-            if ds != "synth" and ds not in CANONICAL:
-                raise ConfigError(
-                    f"unknown dataset {ds!r}; expected 'synth' or one of {sorted(CANONICAL)}"
-                )
-        for arch in self.archs:
-            if arch not in ARCHS:
-                raise ConfigError(f"unknown arch {arch!r}; expected one of {ARCHS}")
-        for pattern in self.patterns:
-            parse_pattern(pattern)
-        for sup in self.supervisions:
-            if sup not in SUPERVISIONS:
-                raise ConfigError(f"unknown supervision {sup!r}; expected one of {SUPERVISIONS}")
-        for c in self.concentrations:
-            if c < 1:
-                raise ConfigError(f"concentrations must be positive integers, got {c!r}")
-        if any(lr <= 0 for lr in self.lrs):
-            raise ConfigError("lrs must be positive")
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"plan field {name!r} must be non-empty without repeats, got {values!r}")
+            unknown = [v for v in values if v not in _CHOICES.get(name, values)]
+            if unknown:
+                raise ConfigError(f"unknown {name} {unknown}; expected some of {_CHOICES[name]}")
+        for name, (kind, label) in _SCALAR_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"plan field {name!r} must be {label}, got {value!r}")
+        unknown = sorted(set(self.synth) - set(_SYNTH_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown synth keys {unknown}; expected some of {_SYNTH_KEYS}")
+        if len({parse_pattern(p) for p in self.patterns}) < len(self.patterns):
+            raise ConfigError(f"plan field 'patterns' names one pattern twice: {self.patterns!r}")
+        if min(self.concentrations) < 1:
+            raise ConfigError(f"concentrations must be positive integers, got {self.concentrations!r}")
+        if not all(0 < lr < float("inf") for lr in self.lrs):
+            raise ConfigError(f"lrs must be positive and finite, got {self.lrs!r}")
 
     def cells(self) -> list[PlanCell]:
         """Cross product, except the all-unique baseline runs final-only."""
@@ -169,24 +178,8 @@ def resolve_dataset(name: str, plan: ExperimentPlan) -> Dataset:
     return load_named(name, plan.data_dir)
 
 
-def cell_hash(cell: PlanCell, plan: ExperimentPlan) -> str:
-    payload = {
-        **dataclasses.asdict(cell),
-        "lrs": plan.lrs,
-        "seeds": plan.seeds,
-        "batch_size": plan.batch_size,
-        "max_epochs": plan.max_epochs,
-        "patience": plan.patience,
-        "hidden": plan.hidden,
-        "state": plan.state,
-        "synth": plan.synth,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:8]
-
-
-def _run_cell(args) -> dict:
-    cell, plan, dataset = args
+def _configs(cell: PlanCell, plan: ExperimentPlan) -> list[TrainConfig]:
+    """The cell's runs, lr-major."""
     base = TrainConfig(
         arch=cell.arch,
         pattern=cell.pattern,
@@ -198,41 +191,44 @@ def _run_cell(args) -> dict:
         hidden=plan.hidden,
         state=plan.state,
     )
-    t0 = time.perf_counter()
-    grid = grid_and_seeds(dataset, base, lrs=plan.lrs, seeds=plan.seeds)
-    n_params = next(r.n_params for runs in grid.runs.values() for r in runs)
+    return [base.replace(lr=lr, seed=seed) for lr in plan.lrs for seed in plan.seeds]
+
+
+def _cell_row(cell: PlanCell, outcomes: list) -> dict:
+    row = dataclasses.asdict(cell)
+    errors = [o for o in outcomes if isinstance(o, str)]
+    if errors:
+        return {**row, "error": errors[0]}
+    try:
+        grid = grid_and_seeds(outcomes)
+    except AggregationError as exc:
+        return {**row, "error": f"AggregationError: {exc}"}
     return {
-        "dataset": cell.dataset,
-        "arch": cell.arch,
-        "pattern": cell.pattern,
-        "supervision": cell.supervision,
-        "concentration": cell.concentration,
+        **row,
         "mean_acc": f"{grid.mean_test_acc:.6f}",
         "std_acc": f"{grid.std_test_acc:.6f}",
-        "n_params": n_params,
-        "seconds": f"{time.perf_counter() - t0:.2f}",
+        "n_params": outcomes[0].n_params,
+        "seconds": f"{sum(r.elapsed_seconds for r in outcomes):.2f}",
         "lr": grid.chosen_lr,
         "seed_accs": ";".join(f"{a:.6f}" for a in grid.seed_test_accs),
         "diverged_seeds": ";".join(str(s) for s in grid.diverged_seeds),
-        "config_hash": cell_hash(cell, plan),
+        "error": "",
     }
 
 
 def run_plan(plan: ExperimentPlan, workers: int | None = None) -> Path:
-    """Execute every cell and write results.csv + results.md in out_dir."""
+    """Run every cell's lr x seed runs as one job list, and write
+    results.csv + results.md in out_dir, failed cells included."""
     cells = plan.cells()
     if not cells:
         raise ConfigError("plan resolves to zero cells; nothing to run")
     # resolve every dataset before any training starts, so a missing
     # file aborts the whole plan up front
     datasets = {name: resolve_dataset(name, plan) for name in plan.datasets}
-
-    jobs = [(cell, plan, datasets[cell.dataset]) for cell in cells]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, jobs))
-    else:
-        rows = [_run_cell(j) for j in jobs]
+    jobs = [(config, datasets[cell.dataset]) for cell in cells for config in _configs(cell, plan)]
+    outcomes = run_jobs(jobs, workers)
+    n = len(plan.lrs) * len(plan.seeds)
+    rows = [_cell_row(cell, outcomes[i * n : (i + 1) * n]) for i, cell in enumerate(cells)]
 
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -280,8 +276,10 @@ def render_markdown(rows: list[dict], stderr_aware: bool = False) -> str:
     """Markdown table per concentration: baseline column first, then variants.
 
     Bold marks a mean strictly above the baseline at 2 decimals,
-    underline marks equality at 2 decimals; without a baseline row the
-    group renders unmarked with a warning.
+    underline marks equality at 2 decimals.  A row with an `error`
+    renders as `failed`; without a finished baseline the group renders
+    unmarked with a warning.  Rows from before the `error` column
+    render as finished.
     """
     if not rows:
         raise ConfigError("no result rows to render")
@@ -309,24 +307,25 @@ def render_markdown(rows: list[dict], stderr_aware: bool = False) -> str:
             groups.setdefault((row["dataset"], row["arch"]), {})[_variant_key(row)] = row
         for (dataset, arch), cells in sorted(groups.items()):
             base_row = cells.get((_BASELINE_PATTERN, "final"))
+            base_mean, base_text = None, "—"
+            if base_row is not None and base_row.get("error"):
+                base_row, base_text = None, "failed"
             if base_row is None:
                 log.warning(
-                    "no baseline (%s/final) row for %s/%s at c=%d; cells rendered unmarked",
+                    "no baseline (%s/final) result for %s/%s at c=%d; cells rendered unmarked",
                     _BASELINE_PATTERN,
                     dataset,
                     arch,
                     conc,
                 )
-                base_text = "—"
-                base_mean = None
             else:
                 base_mean, base_text = _fmt_percent(base_row)
             cols = [dataset, arch, base_text]
             pvals = []
             for key in variants:
                 row = cells.get(key)
-                if row is None:
-                    cols.append("—")
+                if row is None or row.get("error"):
+                    cols.append("—" if row is None else "failed")
                     pvals.append("—")
                     continue
                 mean, text = _fmt_percent(row)
@@ -335,7 +334,7 @@ def render_markdown(rows: list[dict], stderr_aware: bool = False) -> str:
                 elif base_mean is not None and mean == base_mean:
                     text = f"<u>{text}</u>"
                 cols.append(text)
-                pvals.append(_welch_p(row, base_row) if base_row is not None else "—")
+                pvals.append(_welch_p(row, base_row) if stderr_aware and base_row is not None else "—")
             if stderr_aware:
                 cols += pvals
             lines.append("| " + " | ".join(cols) + " |")

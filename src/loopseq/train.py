@@ -1,4 +1,4 @@
-"""Training harness: Adam, gradient clipping, early stopping, seeded grids.
+"""Training harness: Adam, gradient clipping, early stopping, lr selection.
 
 Everything is deterministic given the config: the split, the parameter
 init, and the per-epoch shuffles each draw from independent child
@@ -8,16 +8,22 @@ bit-identical curves.
 Per run we record the pre-update loss over the full train portion
 (`initial_loss`), per-epoch mean minibatch loss, validation/test
 accuracy per epoch, and the test accuracy at the best-validation epoch.
-Non-finite losses or gradients mark the run diverged and end it; grid
-selection skips diverged runs and reports them.
+Non-finite losses or gradients mark the run diverged and end it.
+
+A run, one (config, dataset) job, is the unit of work: `run_jobs` trains
+a list of them in-process or on one process pool, and `grid_and_seeds`
+selects the learning rate from one cell's finished lr x seed runs,
+skipping diverged runs and reporting them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +42,8 @@ from .stack import (
 )
 
 _EVAL_BATCH = 256
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,8 @@ class TrainConfig:
         parse_pattern(self.pattern)  # raises ConfigError on malformed patterns
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
             raise ConfigError("batch_size must be >= 1; max_epochs and patience >= 0")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive or None")
 
@@ -133,11 +141,6 @@ class RunResult:
     diverged: bool
     epochs_run: int
     elapsed_seconds: float
-
-    def to_json(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["config"] = dataclasses.asdict(self.config)
-        return d
 
 
 @dataclass
@@ -286,27 +289,44 @@ def train_one(
         elapsed_seconds=elapsed,
     )
     if log_path is not None:
+        final = ("best_epoch", "best_val_acc", "test_acc_at_best", "diverged")
         with open(log_path, "w") as fh:
-            fh.write(json.dumps({"config": result.to_json()["config"]}) + "\n")
+            fh.write(json.dumps({"config": dataclasses.asdict(config)}) + "\n")
             for record in log_records:
                 fh.write(json.dumps(record) + "\n")
-            fh.write(
-                json.dumps(
-                    {
-                        "final": {
-                            "best_epoch": result.best_epoch,
-                            "best_val_acc": result.best_val_acc,
-                            "test_acc_at_best": result.test_acc_at_best,
-                            "diverged": result.diverged,
-                        }
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"final": {k: getattr(result, k) for k in final}}) + "\n")
     return result
 
 
-# --- grids ------------------------------------------------------------------------
+# --- runs and grids -----------------------------------------------------------------
+
+
+def _attempt(job: tuple[TrainConfig, Dataset]) -> RunResult | str:
+    """`train_one(*job)`, or the text of the exception it raised, logged with its traceback."""
+    try:
+        return train_one(*job)
+    except Exception as exc:
+        log.exception("run %s failed", job[0])
+        return f"{type(exc).__name__}: {exc}"
+
+
+def run_jobs(jobs: list[tuple[TrainConfig, Dataset]], workers: int | None = None) -> list:
+    """Train every (config, dataset) job, in-process or on `workers` processes.
+
+    Each job gives its `RunResult` or the text of the exception it raised,
+    so a failed run costs only itself. A worker process that dies breaks
+    the pool: every run not yet finished then reports `BrokenProcessPool`.
+    """
+    if not workers or workers <= 1:
+        return [_attempt(job) for job in jobs]
+    outcomes = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(_attempt, job) for job in jobs]:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool as exc:
+                outcomes.append(f"BrokenProcessPool: {exc}")
+    return outcomes
 
 
 @dataclass
@@ -318,64 +338,35 @@ class GridResult:
     diverged_seeds: list[int]  # at the chosen lr
     mean_test_acc: float
     std_test_acc: float  # population std (ddof=0)
-    runs: dict[float, list[RunResult]]
-
-    def to_json(self) -> dict:
-        return {
-            "chosen_lr": self.chosen_lr,
-            "lr_val_means": {str(k): v for k, v in self.lr_val_means.items()},
-            "seed_test_accs": self.seed_test_accs,
-            "seeds": self.seeds,
-            "diverged_seeds": self.diverged_seeds,
-            "mean_test_acc": self.mean_test_acc,
-            "std_test_acc": self.std_test_acc,
-        }
 
 
-def _grid_cell(args) -> RunResult:
-    config, dataset = args
-    return train_one(config, dataset)
+def grid_and_seeds(runs: list[RunResult]) -> GridResult:
+    """Pick the lr with the best mean validation accuracy over its
+    non-diverged runs, and report the per-seed test accuracies at that lr.
 
-
-def grid_and_seeds(
-    dataset: Dataset,
-    base: TrainConfig,
-    lrs: list[float],
-    seeds: list[int],
-    workers: int | None = None,
-) -> GridResult:
-    """Train every lr x seed cell, pick the lr with the best mean
-    validation accuracy over its non-diverged seeds, and report the
-    per-seed test accuracies at that lr."""
-    if not lrs or not seeds:
-        raise ConfigError("grid needs at least one lr and one seed")
-    cells = [(base.replace(lr=lr, seed=seed), dataset) for lr in lrs for seed in seeds]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_grid_cell, cells))
-    else:
-        flat = [_grid_cell(c) for c in cells]
-    runs = {lr: flat[i * len(seeds) : (i + 1) * len(seeds)] for i, lr in enumerate(lrs)}
-
+    `runs` are one cell's finished lr x seed runs; each run's lr and seed
+    are read from its config, and lrs and seeds keep the order of `runs`.
+    """
+    by_lr: dict[float, list[RunResult]] = {}
+    for run in runs:
+        by_lr.setdefault(run.config.lr, []).append(run)
     lr_val_means: dict[float, float] = {}
-    for lr in lrs:
-        valid = [r.best_val_acc for r in runs[lr] if not r.diverged]
+    for lr, lr_runs in by_lr.items():
+        valid = [r.best_val_acc for r in lr_runs if not r.diverged]
         lr_val_means[lr] = float(np.mean(valid)) if valid else float("nan")
-    usable = [lr for lr in lrs if np.isfinite(lr_val_means[lr])]
+    usable = [lr for lr in by_lr if np.isfinite(lr_val_means[lr])]
     if not usable:
         raise AggregationError("every run in the grid diverged; nothing to select")
     chosen = max(usable, key=lambda lr: lr_val_means[lr])
 
-    chosen_runs = runs[chosen]
+    chosen_runs = by_lr[chosen]
     test_accs = [r.test_acc_at_best for r in chosen_runs if not r.diverged]
-    diverged_seeds = [s for s, r in zip(seeds, chosen_runs) if r.diverged]
     return GridResult(
         chosen_lr=chosen,
         lr_val_means=lr_val_means,
         seed_test_accs=test_accs,
-        seeds=list(seeds),
-        diverged_seeds=diverged_seeds,
+        seeds=[r.config.seed for r in chosen_runs],
+        diverged_seeds=[r.config.seed for r in chosen_runs if r.diverged],
         mean_test_acc=float(np.mean(test_accs)),
         std_test_acc=float(np.std(test_accs, ddof=0)),
-        runs=runs,
     )

@@ -23,7 +23,7 @@ from loopseq.stack import (
     embed_periodic,
     verify_gradient_aggregation,
 )
-from loopseq.train import TrainConfig, grid_and_seeds, train_one
+from loopseq.train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from loopseq.verify import audit_containment, audit_gradients, audit_param_linear
 
 SYNTH = synth_sine_task(n=512, steps=100, width=2, n_classes=2, noise=0.1, seed=0)
@@ -268,7 +268,8 @@ def test_criterion_9_real_data_spot_check():
                 hidden=16,
                 state=16,
             )
-            grid = grid_and_seeds(dataset, base, lrs=[1e-3, 3e-3], seeds=[0, 1, 2])
+            jobs = [(base.replace(lr=lr, seed=seed), dataset) for lr in (1e-3, 3e-3) for seed in (0, 1, 2)]
+            grid = grid_and_seeds(run_jobs(jobs))
             means[pattern] = 100.0 * grid.mean_test_acc
         gap = means["AAAAAA"] - means["ABCDEF"]
         verdict = "within" if abs(gap) <= 5.0 else "outside"

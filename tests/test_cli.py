@@ -10,7 +10,7 @@ import pytest
 
 from loopseq import cli
 from loopseq.cli import build_parser, main
-from loopseq.report import ExperimentPlan
+from loopseq.report import ExperimentPlan, read_results
 from loopseq.verify import AuditReport, CheckResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,6 +83,17 @@ def test_grid_single_cell(tmp_path, capsys):
     assert "chosen lr=0.01" in capsys.readouterr().out
 
 
+def test_grid_single_cell_failed_run_exits_1(tmp_path, capsys, monkeypatch):
+    # a corpus too small to split makes every run raise DataError
+    tiny = cli.synth_sine_task(n=3, steps=8)
+    monkeypatch.setattr(cli, "synth_sine_task", lambda: tiny)
+    out = tmp_path / "grid"
+    assert main(["grid", "--lrs", "0.01", "--seeds", "0,1", "--max-epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "failed: lr=0.01 seed=0: DataError" in err and "failed: lr=0.01 seed=1: DataError" in err
+    assert not out.exists()
+
+
 def test_grid_plan_file(tmp_path, capsys):
     plan = {
         "datasets": ["synth"],
@@ -141,7 +152,7 @@ def test_report_roundtrip(tmp_path, capsys):
         "lr": "0.001",
         "seed_accs": "0.74;0.75;0.76",
         "diverged_seeds": "",
-        "config_hash": "abcd1234",
+        "error": "",
     }
     with open(res / "results.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -150,6 +161,54 @@ def test_report_roundtrip(tmp_path, capsys):
     assert main(["report", "--results", str(res)]) == 0
     assert "75.00" in (res / "results.md").read_text()
     assert main(["report", "--results", str(tmp_path / "nowhere")]) == 2
+
+
+def test_report_renders_old_format_csv(tmp_path):
+    # a results.csv written before the `error` column replaced the config hash
+    res = tmp_path / "res"
+    res.mkdir()
+    (res / "results.csv").write_text(
+        "dataset,arch,pattern,supervision,concentration,mean_acc,std_acc,n_params,seconds,lr,"
+        "seed_accs,diverged_seeds,config_hash\n"
+        "synth,LRU,ABCDEF,final,1,0.700000,0.010000,100,1.00,0.001,0.69;0.71,,abcd1234\n"
+        "synth,LRU,AAAAAA,final,1,0.750000,0.010000,100,1.00,0.001,0.74;0.76,,0123abcd\n"
+    )
+    assert main(["report", "--results", str(res)]) == 0
+    assert "| synth | LRU | 70.00 ± 1.00 | **75.00 ± 1.00** |" in (res / "results.md").read_text()
+
+
+def test_grid_plan_with_failed_cells_exits_1(tmp_path, capsys):
+    # at lr = 100 every LRU run diverges while LinOSS trains on
+    plan = {
+        "datasets": ["synth"],
+        "archs": ["LRU", "LinOSS"],
+        "patterns": ["AAAAAA", "ABCDEF"],
+        "supervisions": ["final"],
+        "lrs": [100.0],
+        "seeds": [0, 1],
+        "out_dir": str(tmp_path / "res"),
+        "max_epochs": 2,
+        "batch_size": 16,
+        "hidden": 6,
+        "state": 4,
+        "synth": {"n": 60, "steps": 12, "width": 2, "n_classes": 2, "noise": 0.1, "seed": 0},
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    assert main(["grid", "--plan", str(plan_path)]) == 1
+    rows = read_results(tmp_path / "res")
+    assert [(r["arch"], r["pattern"]) for r in rows] == [
+        ("LRU", "AAAAAA"), ("LRU", "ABCDEF"), ("LinOSS", "AAAAAA"), ("LinOSS", "ABCDEF")
+    ]
+    for row in rows[:2]:
+        assert row["error"].startswith("AggregationError: every run in the grid diverged")
+        assert row["mean_acc"] == ""
+    for row in rows[2:]:
+        assert row["error"] == "" and 0.0 <= float(row["mean_acc"]) <= 1.0
+    assert "| synth | LRU | failed | failed |" in (tmp_path / "res" / "results.md").read_text()
+    err = capsys.readouterr().err
+    assert "failed: synth/LRU/AAAAAA/final/c1: AggregationError" in err
+    assert "failed: synth/LRU/ABCDEF/final/c1" in err and "LinOSS" not in err
 
 
 def test_missing_dataset_is_actionable(tmp_path, capsys):
@@ -202,10 +261,21 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         (["grid", "--lrs", ""], "--lrs"),
         (["grid", "--seeds", ""], "--seeds"),
         (["grid", "--seeds", "0,x"], "--seeds"),
+        (["grid", "--seeds", "0,1,0"], "--seeds repeats a value"),
+        (["grid", "--lrs", "0.01,1e-2"], "--lrs repeats a value"),
         (["reshape-stats", "--concentration", ""], "--concentration"),
         (["reshape-stats", "--concentration", "1.5"], "--concentration"),
     ],
-    ids=["pattern-not-int", "empty-lrs", "empty-seeds", "seed-not-int", "empty-factors", "factor-not-int"],
+    ids=[
+        "pattern-not-int",
+        "empty-lrs",
+        "empty-seeds",
+        "seed-not-int",
+        "repeated-seeds",
+        "repeated-lrs",
+        "empty-factors",
+        "factor-not-int",
+    ],
 )
 def test_bad_input_exits_2(argv, message, capsys):
     assert main(argv) == 2
@@ -224,6 +294,13 @@ def test_bad_input_exits_2(argv, message, capsys):
         (dict(archs="LRU"), "'archs' must be a list"),
         (dict(seeds=[0, "1"]), "'seeds' must be a list of integers"),
         (dict(regime="auto"), "unknown plan fields: ['regime']"),
+        (dict(batch_size="32"), "plan field 'batch_size' must be an integer, got '32'"),
+        (dict(patience=False), "plan field 'patience' must be an integer, got False"),
+        (dict(out_dir=3), "plan field 'out_dir' must be a string, got 3"),
+        (dict(synth=[1]), "plan field 'synth' must be an object, got [1]"),
+        (dict(synth={"bogus": 1}), "unknown synth keys ['bogus']"),
+        (dict(seeds=[0, 0]), "plan field 'seeds' must be non-empty without repeats, got [0, 0]"),
+        (dict(patterns=["AAAAAA", "6,1"]), "plan field 'patterns' names one pattern twice"),
     ],
     ids=[
         "not-json",
@@ -234,6 +311,13 @@ def test_bad_input_exits_2(argv, message, capsys):
         "archs-string",
         "seeds-string-element",
         "regime-field",
+        "batch-size-string",
+        "patience-bool",
+        "out-dir-int",
+        "synth-list",
+        "synth-unknown-key",
+        "seeds-repeated",
+        "patterns-same-pattern",
     ],
 )
 def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):

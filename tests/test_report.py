@@ -1,5 +1,6 @@
 """Plans, result tables, and markdown rendering marks."""
 
+import csv
 import json
 import logging
 
@@ -11,8 +12,6 @@ from loopseq.errors import ConfigError
 from loopseq.report import (
     CSV_COLUMNS,
     ExperimentPlan,
-    PlanCell,
-    cell_hash,
     load_plan,
     read_results,
     render_markdown,
@@ -51,7 +50,7 @@ def _row(pattern, supervision, mean, std=0.03, dataset="synth", arch="LRU", conc
         "lr": "0.001",
         "seed_accs": ";".join(f"{a:.6f}" for a in accs),
         "diverged_seeds": "",
-        "config_hash": "deadbeef",
+        "error": "",
     }
 
 
@@ -86,6 +85,17 @@ def test_plan_concentration_sweep_multiplies_cells():
         dict(supervisions=["middle"]),
         dict(concentrations=[0]),
         dict(lrs=[-1e-3]),
+        dict(seeds=[0, 0]),
+        dict(archs=["LRU", "LRU"]),
+        dict(lrs=[1e-3, 0.001]),
+        dict(patterns=["AAAAAA", "6,1"]),
+        dict(lrs=[float("nan")]),
+        dict(batch_size="32"),
+        dict(max_epochs=True),
+        dict(out_dir=None),
+        dict(data_dir=1),
+        dict(synth=[]),
+        dict(synth={"bogus": 1}),
     ],
 )
 def test_plan_validation_rejects(kw):
@@ -116,41 +126,48 @@ def test_load_plan_rejects_unknown_and_missing_fields(tmp_path):
         load_plan(path)
 
 
-def test_cell_hash_is_stable_and_distinguishes():
-    plan = _plan()
-    a = cell_hash(PlanCell("synth", "LRU", "AAAAAA", "final", 1), plan)
-    b = cell_hash(PlanCell("synth", "LRU", "AAAAAA", "final", 1), plan)
-    c = cell_hash(PlanCell("synth", "LRU", "AAAAAA", "block", 1), plan)
-    assert a == b and a != c
-    assert len(a) == 8 and int(a, 16) >= 0
-
-
 # --- running a tiny plan -----------------------------------------------------------------
 
 
-def test_run_plan_writes_csv_and_markdown(tmp_path):
-    plan = _plan(
+def _tiny_plan(out_dir, **kw) -> ExperimentPlan:
+    base = dict(
         patterns=["AAAAAA", "ABCDEF"],
         supervisions=["final"],
         lrs=[1e-2],
         seeds=[0],
-        out_dir=str(tmp_path / "res"),
+        out_dir=str(out_dir),
         max_epochs=1,
         batch_size=128,
         hidden=6,
         state=4,
         synth={"n": 60, "steps": 12, "width": 2, "n_classes": 2, "noise": 0.1, "seed": 0},
     )
-    csv_path = run_plan(plan)
+    base.update(kw)
+    return _plan(**base)
+
+
+def test_run_plan_writes_csv_and_markdown(tmp_path):
+    csv_path = run_plan(_tiny_plan(tmp_path / "res"))
     rows = read_results(csv_path.parent)
     assert len(rows) == 2
     assert list(rows[0]) == CSV_COLUMNS
     for row in rows:
-        assert len(row["config_hash"]) == 8
+        assert row["error"] == ""
         assert row["seed_accs"].count(";") == 0  # one seed
         assert 0.0 <= float(row["mean_acc"]) <= 1.0
     md = (csv_path.parent / "results.md").read_text()
     assert "baseline ABCDEF" in md and "AAAAAA·final" in md
+
+
+def test_plan_parallel_matches_serial(tmp_path):
+    kw = dict(archs=["LRU", "S5"], supervisions=["final", "block"], lrs=[1e-2, 3e-3], seeds=[0, 1])
+    serial = run_plan(_tiny_plan(tmp_path / "serial", **kw))
+    parallel = run_plan(_tiny_plan(tmp_path / "parallel", **kw), workers=2)
+    rows = [read_results(path.parent) for path in (serial, parallel)]
+    for row in rows[0] + rows[1]:
+        del row["seconds"]
+    assert len(rows[0]) == 6 and rows[0] == rows[1]
+    assert all(row["error"] == "" for row in rows[0])
 
 
 # --- rendering marks ---------------------------------------------------------------------
@@ -192,14 +209,26 @@ def test_missing_baseline_warns_and_renders_unmarked(caplog):
     assert "90.00" in md and "**90.00" not in md
 
 
-def test_render_is_idempotent(tmp_path):
-    import csv as _csv
+def test_failed_cell_renders_failed():
+    failed = {**_row("AAAAAA", "block", 0.0), "mean_acc": "", "std_acc": "", "error": "AggregationError: x"}
+    md = render_markdown([_row("ABCDEF", "final", 0.70), _row("AAAAAA", "final", 0.75), failed])
+    assert "| synth | LRU | 70.00 ± 3.00 | failed | **75.00 ± 3.00** |" in md
 
+
+def test_failed_baseline_renders_row_unmarked(caplog):
+    failed = {**_row("ABCDEF", "final", 0.0), "mean_acc": "", "std_acc": "", "error": "BrokenProcessPool: x"}
+    with caplog.at_level(logging.WARNING):
+        md = render_markdown([failed, _row("AAAAAA", "final", 0.9)], stderr_aware=True)
+    assert "no baseline" in caplog.text
+    assert "| synth | LRU | failed | 90.00 ± 3.00 | — |" in md
+
+
+def test_render_is_idempotent(tmp_path):
     rows = [_row("ABCDEF", "final", 0.74), _row("AAAAAA", "final", 0.76)]
     res = tmp_path / "res"
     res.mkdir()
     with open(res / "results.csv", "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     first = render_report(res).read_text()

@@ -1,6 +1,7 @@
-"""Training harness: optimizer math, determinism, early stop, divergence, grids."""
+"""Training harness: optimizer math, determinism, early stop, divergence, runs, grids."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from loopseq.stack import StackConfig, build_stack, embed_periodic
 from loopseq.train import (
     AdamState,
     GridResult,
+    RunResult,
     TrainConfig,
     adam_step,
     clip_global_norm,
     full_loss,
     grid_and_seeds,
     prepare_splits,
+    run_jobs,
     train_one,
 )
 
@@ -234,6 +237,8 @@ def test_train_one_rejects_corpus_too_small_to_split():
         dict(patience=-1),
         dict(clip_norm=0.0),
         dict(batch_size=0),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
     ],
 )
 def test_config_validation(kw):
@@ -241,14 +246,76 @@ def test_config_validation(kw):
         _tiny_config(**kw)
 
 
-# --- grids -------------------------------------------------------------------------
+# --- runs and grids ---------------------------------------------------------------
+
+
+class _KillsWorker:
+    """Unpickling this ends the process that unpickles it."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
+
+
+def test_run_jobs_returns_the_text_of_a_failed_run():
+    data = _tiny_data()
+    config = _tiny_config(max_epochs=1)
+    outcomes = run_jobs([(config, data), (config, _tiny_data(n=3))])
+    assert isinstance(outcomes[0], RunResult)
+    assert outcomes[1].startswith("DataError: ")
+
+
+def test_run_jobs_survives_a_killed_worker():
+    data = _tiny_data(n=32, steps=12)
+    config = _tiny_config(max_epochs=1)
+    serial = train_one(config, data)
+    outcomes = run_jobs([(config, data), (config, _KillsWorker())], workers=2)
+    assert len(outcomes) == 2
+    assert outcomes[1].startswith("BrokenProcessPool")
+    # a run that finished before the worker died keeps its result
+    if isinstance(outcomes[0], RunResult):
+        assert outcomes[0].train_losses == serial.train_losses
+    else:
+        assert outcomes[0].startswith("BrokenProcessPool")
+
+
+def _run(lr, seed, val, test, diverged=False) -> RunResult:
+    return RunResult(
+        config=_tiny_config(lr=lr, seed=seed),
+        n_params=1,
+        initial_loss=1.0,
+        train_losses=[],
+        val_accs=[val],
+        test_accs=[test],
+        best_epoch=-1 if diverged else 0,
+        best_val_acc=float("nan") if diverged else val,
+        test_acc_at_best=float("nan") if diverged else test,
+        diverged=diverged,
+        epochs_run=0 if diverged else 1,
+        elapsed_seconds=0.0,
+    )
+
+
+def test_grid_selects_from_the_runs_it_is_given():
+    runs = [
+        _run(1e-3, 3, 0.6, 0.5),
+        _run(1e-3, 7, 0.8, 0.7),
+        _run(1e-2, 3, 0.9, 0.9),
+        _run(1e-2, 7, 0.0, 0.0, diverged=True),
+    ]
+    grid = grid_and_seeds(runs)
+    assert isinstance(grid, GridResult)
+    assert grid.chosen_lr == 1e-2  # 0.9 over its one valid seed beats 0.7
+    assert grid.lr_val_means == {1e-3: pytest.approx(0.7), 1e-2: 0.9}
+    assert grid.seeds == [3, 7] and grid.diverged_seeds == [7]
+    assert grid.seed_test_accs == [0.9]
+    assert grid.mean_test_acc == 0.9 and grid.std_test_acc == 0.0
 
 
 def test_grid_selects_best_lr_and_skips_divergent():
     data = _tiny_data()
     base = _tiny_config(max_epochs=1, clip_norm=None)
-    grid = grid_and_seeds(data, base, lrs=[1e-3, 1e5], seeds=[0, 1])
-    assert isinstance(grid, GridResult)
+    runs = [train_one(base.replace(lr=lr, seed=seed), data) for lr in (1e-3, 1e5) for seed in (0, 1)]
+    grid = grid_and_seeds(runs)
     assert grid.chosen_lr == 1e-3
     assert np.isnan(grid.lr_val_means[1e5])
     assert len(grid.seed_test_accs) == 2
@@ -260,19 +327,6 @@ def test_grid_selects_best_lr_and_skips_divergent():
 def test_grid_all_divergent_raises():
     data = _tiny_data()
     base = _tiny_config(max_epochs=1, clip_norm=None)
+    runs = [train_one(base.replace(lr=lr, seed=0), data) for lr in (1e5, 1e6)]
     with pytest.raises(AggregationError, match="diverged"):
-        grid_and_seeds(data, base, lrs=[1e5, 1e6], seeds=[0])
-
-
-def test_grid_rejects_empty_axes():
-    with pytest.raises(ConfigError):
-        grid_and_seeds(_tiny_data(), _tiny_config(), lrs=[], seeds=[0])
-
-
-def test_grid_parallel_matches_serial():
-    data = _tiny_data(n=32, steps=12)
-    base = _tiny_config(max_epochs=1, batch_size=16)
-    serial = grid_and_seeds(data, base, lrs=[1e-2], seeds=[0, 1], workers=None)
-    parallel = grid_and_seeds(data, base, lrs=[1e-2], seeds=[0, 1], workers=2)
-    assert serial.seed_test_accs == parallel.seed_test_accs
-    assert serial.lr_val_means == parallel.lr_val_means
+        grid_and_seeds(runs)
