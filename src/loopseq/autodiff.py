@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on a recorded tape.
 
 A `Tensor` wraps one float64 numpy array.  While a `Tape` is active,
-every primitive appends a node (output, parents, vjp closure) to it;
+every primitive appends a node (parent references, vjp closure) to it;
 `backward` replays the node list once in reverse, which is a reverse
 topological order because nodes are appended in construction order.
 
@@ -16,10 +16,17 @@ is the forward kernel run backwards in time, see scan.scan_backward),
 and 1/std) and `reshape`.  Every adjoint here is checked against central
 finite differences in the test suite.
 
+The tape keeps only the arrays some adjoint reads.  A node holds no
+output and refers to a parent recorded on the same tape by its index,
+and each vjp closure binds the shapes, operands or outputs it reads,
+never a whole Tensor.  An intermediate no adjoint reads (an `add` fed
+only to a `sum_`, say) is freed during the forward, as soon as the code
+that built it drops it.
+
 `backward` releases the tape as it goes: once a node's vjp has run (or
-no cotangent reached it) the node drops its output, parents and vjp, so
-forward intermediates are freed during the reverse sweep and a finished
-tape holds no reference cycle; reference counting alone frees it.
+no cotangent reached it) the node drops its parents and vjp, so the
+saved arrays are freed during the reverse sweep and a finished tape
+holds no reference cycle; reference counting alone frees it.
 """
 
 from __future__ import annotations
@@ -115,10 +122,16 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "parents", "vjp")
+    """One primitive application.
 
-    def __init__(self, out, parents, vjp):
-        self.out = out
+    `parents` has one reference per input: its node index when it was
+    recorded on the same tape, the Tensor itself when it is a leaf that
+    requires a gradient, and None otherwise.
+    """
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents, vjp):
         self.parents = parents
         self.vjp = vjp
 
@@ -158,11 +171,17 @@ def _lift(x) -> Tensor:
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
     tape = _ACTIVE[-1] if _ACTIVE else None
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._tape = tape
-        out._node_id = len(tape.nodes)
-        tape.nodes.append(_Node(out, parents, vjp))
+    if tape is None:
+        return out
+    refs = tuple(
+        [None if not p.requires_grad else p._node_id if p._tape is tape else p for p in parents]
+    )
+    if refs.count(None) == len(refs):  # no input needs a gradient
+        return out
+    out.requires_grad = True
+    out._tape = tape
+    out._node_id = len(tape.nodes)
+    tape.nodes.append(_Node(refs, vjp))
     return out
 
 
@@ -182,46 +201,44 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # --- elementwise primitives ---------------------------------------------------
 
 
+# A vjp closure binds only what its adjoint reads: naming `x.data` inside
+# a lambda would keep the whole Tensor `x`, and with it its array, alive.
+
+
 def add(x, y) -> Tensor:
     x, y = _lift(x), _lift(y)
+    xs, ys = x.data.shape, y.data.shape
     return _record(
-        x.data + y.data,
-        (x, y),
-        lambda g: (_unbroadcast(g, x.data.shape), _unbroadcast(g, y.data.shape)),
+        x.data + y.data, (x, y), lambda g: (_unbroadcast(g, xs), _unbroadcast(g, ys))
     )
 
 
 def sub(x, y) -> Tensor:
     x, y = _lift(x), _lift(y)
+    xs, ys = x.data.shape, y.data.shape
     return _record(
-        x.data - y.data,
-        (x, y),
-        lambda g: (_unbroadcast(g, x.data.shape), _unbroadcast(-g, y.data.shape)),
+        x.data - y.data, (x, y), lambda g: (_unbroadcast(g, xs), _unbroadcast(-g, ys))
     )
 
 
 def mul(x, y) -> Tensor:
     x, y = _lift(x), _lift(y)
+    xd, yd = x.data, y.data
     return _record(
-        x.data * y.data,
+        xd * yd,
         (x, y),
-        lambda g: (
-            _unbroadcast(g * y.data, x.data.shape),
-            _unbroadcast(g * x.data, y.data.shape),
-        ),
+        lambda g: (_unbroadcast(g * yd, xd.shape), _unbroadcast(g * xd, yd.shape)),
     )
 
 
 def div(x, y) -> Tensor:
     x, y = _lift(x), _lift(y)
-    out = x.data / y.data
+    xs, yd = x.data.shape, y.data
+    out = x.data / yd
     return _record(
         out,
         (x, y),
-        lambda g: (
-            _unbroadcast(g / y.data, x.data.shape),
-            _unbroadcast(-g * out / y.data, y.data.shape),
-        ),
+        lambda g: (_unbroadcast(g / yd, xs), _unbroadcast(-g * out / yd, yd.shape)),
     )
 
 
@@ -233,7 +250,8 @@ def neg(x) -> Tensor:
 def pow_scalar(x, k: float) -> Tensor:
     x = _lift(x)
     k = float(k)
-    return _record(x.data**k, (x,), lambda g: (g * k * x.data ** (k - 1),))
+    xd = x.data
+    return _record(xd**k, (x,), lambda g: (g * k * xd ** (k - 1),))
 
 
 def exp(x) -> Tensor:
@@ -267,17 +285,20 @@ def sigmoid(x) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _lift(x)
-    return _record(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0),))
+    xd = x.data
+    return _record(np.maximum(xd, 0.0), (x,), lambda g: (g * (xd > 0),))
 
 
 def sin(x) -> Tensor:
     x = _lift(x)
-    return _record(np.sin(x.data), (x,), lambda g: (g * np.cos(x.data),))
+    xd = x.data
+    return _record(np.sin(xd), (x,), lambda g: (g * np.cos(xd),))
 
 
 def cos(x) -> Tensor:
     x = _lift(x)
-    return _record(np.cos(x.data), (x,), lambda g: (-g * np.sin(x.data),))
+    xd = x.data
+    return _record(np.cos(xd), (x,), lambda g: (-g * np.sin(xd),))
 
 
 # --- linear algebra -----------------------------------------------------------
@@ -302,21 +323,23 @@ def matmul(x, w) -> Tensor:
     """x @ w with w strictly 2-D; leading axes of x are batch axes."""
     x, w = _lift(x), _lift(w)
     _check_matmul(x, w, "matmul")
-    return _record(x.data @ w.data, (x, w), lambda g: _matmul_vjp(x.data, w.data, g))
+    xd, wd = x.data, w.data
+    return _record(xd @ wd, (x, w), lambda g: _matmul_vjp(xd, wd, g))
 
 
 def affine(x, w, b) -> Tensor:
     """x @ w + b as one node; `b` broadcasts into the product's shape."""
     x, w, b = _lift(x), _lift(w), _lift(b)
     _check_matmul(x, w, "affine")
-    out = x.data @ w.data
-    if b.ndim > out.ndim or any(s not in (1, o) for s, o in zip(b.shape[::-1], out.shape[::-1])):
-        raise ShapeError(f"affine bias {b.shape} does not broadcast into {out.shape}")
+    xd, wd, bs = x.data, w.data, b.data.shape
+    out = xd @ wd
+    if b.ndim > out.ndim or any(s not in (1, o) for s, o in zip(bs[::-1], out.shape[::-1])):
+        raise ShapeError(f"affine bias {bs} does not broadcast into {out.shape}")
     out += b.data
 
     def vjp(g):
-        gx, gw = _matmul_vjp(x.data, w.data, g)
-        return gx, gw, _unbroadcast(g, b.data.shape)
+        gx, gw = _matmul_vjp(xd, wd, g)
+        return gx, gw, _unbroadcast(g, bs)
 
     return _record(out, (x, w, b), vjp)
 
@@ -334,14 +357,15 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
     xhat = np.divide(centered, std, out=centered)
     rstd = 1.0 / std
-    out = xhat * gain.data + bias.data
+    gd, bs = gain.data, bias.data.shape
+    out = xhat * gd + bias.data
 
     def vjp(g):
-        gy = g * gain.data
+        gy = g * gd
         gx = gy - gy.sum(axis=-1, keepdims=True) * inv_n
         gx -= xhat * ((gy * xhat).sum(axis=-1, keepdims=True) * inv_n)
         gx *= rstd
-        return gx, _unbroadcast(g * xhat, gain.data.shape), _unbroadcast(g, bias.data.shape)
+        return gx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, bs)
 
     return _record(out, (x, gain, bias), vjp)
 
@@ -351,14 +375,15 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
 
 def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _lift(x)
+    xs = x.data.shape
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
+            return (np.broadcast_to(g, xs).copy(),)
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, xs).copy(),)
 
     return _record(out, (x,), vjp)
 
@@ -377,9 +402,10 @@ def mean_(x, axis=None, keepdims: bool = False) -> Tensor:
 def stack(xs: Sequence, axis: int = -1) -> Tensor:
     xs = tuple(_lift(x) for x in xs)
     out = np.stack([x.data for x in xs], axis=axis)
+    n = len(xs)
 
     def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(xs)))
+        return tuple(np.take(g, i, axis=axis) for i in range(n))
 
     return _record(out, xs, vjp)
 
@@ -387,7 +413,8 @@ def stack(xs: Sequence, axis: int = -1) -> Tensor:
 def reshape(x, shape) -> Tensor:
     """A view of x with a new shape (a copy only where numpy needs one)."""
     x = _lift(x)
-    return _record(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
+    xs = x.data.shape
+    return _record(x.data.reshape(shape), (x,), lambda g: (g.reshape(xs),))
 
 
 # --- fused / structured primitives ---------------------------------------------
@@ -400,12 +427,14 @@ def scan_linear(a, b, kind: str = "diag") -> Tensor:
     adjoint is summed back down to `a`'s declared shape.
     """
     a, b = _lift(a), _lift(b)
-    elem = _scan.ScanElement(a.data, b.data, kind)
-    states = _scan.scan_linear(elem)
+    a_data, b_shape = a.data, b.data.shape
+    states = _scan.scan_linear(_scan.ScanElement(a_data, b.data, kind))
 
     def vjp(g):
+        # the adjoint reads only b's shape, so a zero-stride stand-in replaces b
+        elem = _scan.ScanElement(a_data, np.broadcast_to(0.0, b_shape), kind)
         da, db = _scan.scan_backward(elem, states, g)
-        return _unbroadcast(da, a.data.shape), _unbroadcast(db, b.data.shape)
+        return _unbroadcast(da, a_data.shape), _unbroadcast(db, b_shape)
 
     return _record(states, (a, b), vjp)
 
@@ -481,17 +510,16 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
     for i in range(len(tape.nodes) - 1, -1, -1):
         node = tape.nodes[i]
         parents, vjp = node.parents, node.vjp
-        node.out = node.parents = node.vjp = None
+        node.parents = node.vjp = None
         g = need.pop(i, None)
         if g is None:
             continue
         for p, pg in zip(parents, vjp(g)):
-            if pg is None or not p.requires_grad:
+            if pg is None or p is None:
                 continue
-            if p._tape is tape:
-                key = p._node_id
-                acc = need.get(key)
-                need[key] = pg if acc is None else acc + pg
+            if isinstance(p, int):
+                acc = need.get(p)
+                need[p] = pg if acc is None else acc + pg
             else:
                 key = id(p)
                 acc = leaf_grads.get(key)

@@ -63,7 +63,7 @@ def _config_from(args, lr: float, seed: int) -> TrainConfig:
         batch_size=args.batch_size,
         max_epochs=args.max_epochs,
         patience=args.patience,
-        clip_norm=args.clip_norm if args.clip_norm > 0 else None,
+        clip_norm=None if args.clip_norm == 0 else args.clip_norm,
         hidden=args.hidden,
         state=args.state,
     )

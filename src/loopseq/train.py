@@ -67,8 +67,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1; max_epochs and patience >= 0")
         if not 0 < self.lr < float("inf"):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive or None")
+        if self.clip_norm is not None and not 0 < self.clip_norm < float("inf"):
+            raise ConfigError(f"clip_norm must be positive and finite or None, got {self.clip_norm}")
 
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)

@@ -209,13 +209,41 @@ def test_backward_releases_tape_and_breaks_cycle():
             loss = (ad.sigmoid(ad.affine(p, w, np.zeros(2))) * p.sum()).sum()
             backward(loss, [p, w])
         assert len(tape) == 5  # the node list keeps its length
-        assert all(n.out is None and n.parents is None and n.vjp is None for n in tape.nodes)
+        assert all(n.parents is None and n.vjp is None for n in tape.nodes)
         ref = weakref.ref(tape)
         del tape, loss
         assert ref() is None
     finally:
         if enabled:
             gc.enable()
+
+
+def test_nodes_refer_to_tape_parents_by_index():
+    p = param(np.ones((2, 3)))
+    with Tape() as tape:
+        h = ad.tanh(p)
+        (h * 2.0).sum()
+    assert tape.nodes[0].parents == (p,)  # a leaf that requires a gradient
+    assert tape.nodes[1].parents == (h._node_id, None)  # recorded here; a constant
+    assert tape.nodes[2].parents == (1,)
+
+
+@pytest.mark.parametrize("adjoint_reads_it", [False, True], ids=["sum", "mul"])
+def test_intermediate_no_adjoint_reads_is_freed_during_forward(adjoint_reads_it):
+    """The tape keeps an intermediate's array only while some adjoint reads it."""
+    rng = np.random.default_rng(20)
+    p = param(rng.standard_normal((4, 3)))
+    q = param(rng.standard_normal((4, 3)))
+    with Tape():
+        s = ad.add(p, q)
+        ref = weakref.ref(s.data)
+        loss = (s * s).sum() if adjoint_reads_it else ad.sum_(s)
+        del s
+        assert (ref() is not None) == adjoint_reads_it
+        grads = backward(loss, [p, q])
+    expected = 2.0 * (p.data + q.data) if adjoint_reads_it else np.ones((4, 3))
+    np.testing.assert_array_equal(grads[p].data, expected)
+    np.testing.assert_array_equal(grads[q].data, expected)
 
 
 def test_second_backward_on_released_tape_rejected():

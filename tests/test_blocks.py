@@ -157,9 +157,11 @@ def test_block_gradients_match_finite_differences(arch):
 def test_block_tape_memory_bounded(arch):
     """One block's forward+backward at B=1, T=2000, H=P=64 peaks at <= 24 B*T*H floats.
 
-    The tape holds a few fused nodes per block and backward frees each node
-    as it passes, so the peak is about 17-20 such arrays; recording every
-    elementwise step and keeping the tape until the sweep ends read 28-44.
+    The tape holds a few fused nodes per block, keeps only the arrays their
+    adjoints read, and backward frees each node as it passes, so the peak
+    is about 11-13 such arrays.  Keeping every node's output read 16-19;
+    recording every elementwise step as well, with the tape kept until the
+    sweep ends, read 28-44.
     """
     B, T, H = 1, 2000, 64
     rng = np.random.default_rng(24)

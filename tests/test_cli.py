@@ -265,6 +265,9 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         (["grid", "--lrs", "0.01,1e-2"], "--lrs repeats a value"),
         (["reshape-stats", "--concentration", ""], "--concentration"),
         (["reshape-stats", "--concentration", "1.5"], "--concentration"),
+        (["train", "--clip-norm", "-1", "--max-epochs", "1"], "clip_norm"),
+        (["train", "--clip-norm", "nan", "--max-epochs", "1"], "clip_norm"),
+        (["grid", "--clip-norm", "inf", "--max-epochs", "1"], "clip_norm"),
     ],
     ids=[
         "pattern-not-int",
@@ -275,6 +278,9 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         "repeated-lrs",
         "empty-factors",
         "factor-not-int",
+        "negative-clip-norm",
+        "nan-clip-norm",
+        "inf-clip-norm",
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys):

@@ -1,5 +1,7 @@
 """Depth-stack tests: patterns, supervision, containment, gradient aggregation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,37 @@ def test_aggregation_flags_all_zero_when_loss_ignores_blocks():
     report = verify_gradient_aggregation(model, x, y)
     assert report.all_zero
     assert report.max_rel_error == 0.0
+
+
+# --- memory ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("supervision", ["final", "block"])
+def test_train_step_memory_bounded(arch, supervision):
+    """One stack_loss + backward at depth 6, B=1, T=2000, H=P=64 peaks at <= 70 B*T*H floats.
+
+    The tape keeps only the arrays its adjoints read, so the step peaks at
+    48-62 such arrays; a tape that kept every node's output, and every
+    input Tensor its closures named, read 90-110.
+    """
+    B, T, H = 1, 2000, 64
+    model = build_stack(
+        arch, StackConfig(6, 1, supervision), width=6, n_classes=5, hidden=H, state=H, rng=0
+    )
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((B, T, 6))
+    y = rng.integers(0, 5, B)
+    params = model.param_tensors()
+    tracemalloc.start()
+    try:
+        with Tape():
+            backward(stack_loss(model, x, y), params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unit = B * T * H * 8
+    assert peak <= 70 * unit, f"{arch}/{supervision} step peak {peak / unit:.1f} x B*T*H floats"
 
 
 # --- misc -----------------------------------------------------------------------------

@@ -239,6 +239,9 @@ def test_train_one_rejects_corpus_too_small_to_split():
         dict(batch_size=0),
         dict(lr=float("nan")),
         dict(lr=float("inf")),
+        dict(clip_norm=-1.0),
+        dict(clip_norm=float("nan")),
+        dict(clip_norm=float("inf")),
     ],
 )
 def test_config_validation(kw):
