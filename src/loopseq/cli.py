@@ -105,6 +105,8 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
 
 
 def _cmd_grid(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.plan:
         csv_path = run_plan(load_plan(args.plan), workers=args.workers)
         print(f"wrote {csv_path} and {csv_path.with_name('results.md')}")
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(fn=_cmd_grid)
 
     p_verify = sub.add_parser("verify", help="run the audit suite")
-    p_verify.add_argument("--fast", action="store_true", help="smaller containment batches")
+    p_verify.add_argument("--fast", action="store_true", help="smaller containment batches, and each gradient tensor checked along one random direction instead of every coordinate")
     p_verify.add_argument("--out", default=None, help="write the JSON audit report here")
     p_verify.set_defaults(fn=_cmd_verify)
 

@@ -65,6 +65,8 @@ class TrainConfig:
         parse_pattern(self.pattern)  # raises ConfigError on malformed patterns
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
             raise ConfigError("batch_size must be >= 1; max_epochs and patience >= 0")
+        if self.hidden < 1 or self.state < 1:
+            raise ConfigError(f"hidden and state must be >= 1, got {self.hidden} and {self.state}")
         if not 0 < self.lr < float("inf"):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.clip_norm is not None and not 0 < self.clip_norm < float("inf"):

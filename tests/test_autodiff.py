@@ -345,11 +345,73 @@ def test_negated_adjoint_sentinel_detected():
     assert worst > 1.9
 
 
+def test_fd_check_perturbs_non_contiguous_parameters():
+    # a transposed array has no flat view; both estimators must perturb it in place
+    p = param(np.random.default_rng(0).uniform(0.5, 1.5, (4, 3)).T)
+    assert not p.data.flags["C_CONTIGUOUS"]
+    assert _fd(lambda: (p * p).sum(), [p]) < 1e-6
+    assert _fd(lambda: (p * p).sum(), [p], rng=np.random.default_rng(0)) < 1e-6
+
+
 def test_fd_check_reports_nonfinite():
     p = param(np.array([700.0]))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError):
             finite_difference_check(lambda: ad.exp(p * p).sum(), [p])
+
+
+# --- directional finite differences (one random direction per tensor) ------------
+
+
+def _affine_tanh_loss(seed=0):
+    rng = np.random.default_rng(seed)
+    w = param(rng.standard_normal((3, 4)))
+    b = param(rng.standard_normal(4))
+    x = Tensor(rng.standard_normal((5, 3)))
+    return (lambda: ad.tanh(ad.affine(x, w, b)).sum()), [w, b]
+
+
+def test_directional_fd_accepts_correct_gradient():
+    f, ps = _affine_tanh_loss()
+    for seed in range(3):
+        assert _fd(f, ps, rng=np.random.default_rng(seed)) < 1e-6
+
+
+def test_directional_fd_rejects_sign_flip():
+    p = param(np.array([0.7, -0.3]))
+    err = _fd(lambda: (p.detach() * 2.0 - p).sum(), [p], rng=np.random.default_rng(11))
+    assert err > 1.0
+
+
+def test_directional_fd_detects_one_wrong_coordinate():
+    p = param(np.array([0.4, -0.7, 1.1, 0.25]))
+    first = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def loss():
+        # the analytic gradient of coordinate 0's linear term has the wrong sign
+        return (p * p).sum() + (p.detach() * first * 2.0 - p * first).sum()
+
+    for seed in range(10):
+        assert _fd(loss, [p], rng=np.random.default_rng(seed)) > 1e-4, seed
+
+
+def test_directional_fd_restores_parameters_bit_exactly():
+    f, ps = _affine_tanh_loss(seed=3)
+    arrays = [p.data for p in ps]
+    before = [a.copy() for a in arrays]
+    _fd(f, ps, rng=np.random.default_rng(0))
+    for p, a, want in zip(ps, arrays, before):
+        assert p.data is a  # restored in place, not rebound
+        np.testing.assert_array_equal(p.data, want)
+
+
+def test_directional_fd_reports_nonfinite_perturbed_loss():
+    # exp(26^2) is finite; a step of 1 in either direction of the one
+    # coordinate reaches exp(25^2) and the overflowing exp(27^2)
+    p = param(np.array([26.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="random direction"):
+            _fd(lambda: ad.exp(p * p).sum(), [p], h=1.0, rng=np.random.default_rng(0))
 
 
 def test_softmax_ce_uniform_is_log_c():

@@ -268,6 +268,10 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         (["train", "--clip-norm", "-1", "--max-epochs", "1"], "clip_norm"),
         (["train", "--clip-norm", "nan", "--max-epochs", "1"], "clip_norm"),
         (["grid", "--clip-norm", "inf", "--max-epochs", "1"], "clip_norm"),
+        (["train", "--hidden", "0", "--max-epochs", "1"], "hidden and state must be >= 1"),
+        (["train", "--state", "-1", "--max-epochs", "1"], "hidden and state must be >= 1"),
+        (["grid", "--workers", "0", "--max-epochs", "1"], "--workers must be >= 1"),
+        (["grid", "--workers", "-1", "--max-epochs", "1"], "--workers must be >= 1"),
     ],
     ids=[
         "pattern-not-int",
@@ -281,6 +285,10 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         "negative-clip-norm",
         "nan-clip-norm",
         "inf-clip-norm",
+        "zero-hidden",
+        "negative-state",
+        "zero-workers",
+        "negative-workers",
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys):
@@ -307,6 +315,8 @@ def test_bad_input_exits_2(argv, message, capsys):
         (dict(synth={"bogus": 1}), "unknown synth keys ['bogus']"),
         (dict(seeds=[0, 0]), "plan field 'seeds' must be non-empty without repeats, got [0, 0]"),
         (dict(patterns=["AAAAAA", "6,1"]), "plan field 'patterns' names one pattern twice"),
+        (dict(hidden=0), "hidden and state must be >= 1, got 0 and 64"),
+        (dict(state=-1), "hidden and state must be >= 1, got 64 and -1"),
     ],
     ids=[
         "not-json",
@@ -324,6 +334,8 @@ def test_bad_input_exits_2(argv, message, capsys):
         "synth-unknown-key",
         "seeds-repeated",
         "patterns-same-pattern",
+        "hidden-zero",
+        "state-negative",
     ],
 )
 def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):

@@ -242,6 +242,8 @@ def test_train_one_rejects_corpus_too_small_to_split():
         dict(clip_norm=-1.0),
         dict(clip_norm=float("nan")),
         dict(clip_norm=float("inf")),
+        dict(hidden=0),
+        dict(state=-1),
     ],
 )
 def test_config_validation(kw):

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import loopseq.autodiff as ad
+from loopseq import verify
+from loopseq.stack import stack_loss
 from loopseq.verify import (
     AuditReport,
     CheckResult,
@@ -61,6 +64,29 @@ def test_gradient_audits_pass(audit_results):
         assert r.passed, r.line()
     detector = [r for r in results if r.name == "gradients/detector"][0]
     assert detector.max_error > 1.0  # it measured the planted sign flip
+
+
+def test_fast_gradient_audit_has_teeth(monkeypatch):
+    # scan `da` off by 0.1%: every arch's recurrence factor gets a wrong gradient
+    true_backward = ad._scan.scan_backward
+
+    def skewed_backward(elem, states, g):
+        da, db = true_backward(elem, states, g)
+        return da * 1.001, db
+
+    monkeypatch.setattr(ad._scan, "scan_backward", skewed_backward)
+    calls = []
+    monkeypatch.setattr(verify, "stack_loss", lambda *a: calls.append(1) or stack_loss(*a))
+    results = audit_gradients(fast=True)
+    fd = [r for r in results if r.name.startswith("gradients/fd/")]
+    assert len(fd) == 16
+    # one taped loss plus two per parameter tensor in each check: the
+    # directional estimator, not a coordinate sweep, ran
+    assert len(calls) == 1544
+    assert any(not r.passed for r in fd)
+    assert all(r.detail["coords"] == "1 direction/tensor" for r in fd)
+    detector = [r for r in results if r.name == "gradients/detector"][0]
+    assert detector.max_error > 1.0
 
 
 def test_crashing_check_reports_failure():
