@@ -43,7 +43,7 @@ from .errors import ContractError, DtypeError, NumericError, ShapeError
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "_node_id")
+    __slots__ = ("data", "requires_grad", "_tape", "_node_id")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -54,7 +54,6 @@ class Tensor:
         if arr.dtype != np.float64:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad: Tensor | None = None
         self.requires_grad = requires_grad
         self._tape: "Tape | None" = None
         self._node_id: int | None = None
@@ -491,13 +490,9 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     params = list(params) if params is not None else []
     tape = loss._tape
-    result: dict[Tensor, Tensor] = {}
     if tape is None:
         warnings.warn("loss is detached from any tape; gradients are zero", RuntimeWarning)
-        for p in params:
-            p.grad = Tensor(np.zeros_like(p.data))
-            result[p] = p.grad
-        return result
+        return {p: Tensor(np.zeros_like(p.data)) for p in params}
 
     if tape.nodes[loss._node_id].vjp is None:
         raise ContractError("this tape has already been swept by backward and released")
@@ -505,8 +500,7 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
     # cotangents of tape outputs, keyed by node index; each node is
     # released as the sweep passes it, whether or not a cotangent reached it
     need: dict[int, np.ndarray] = {loss._node_id: np.ones_like(loss.data)}
-    leaf_grads: dict[int, np.ndarray] = {}
-    leaf_by_id: dict[int, Tensor] = {}
+    leaf_grads: dict[Tensor, np.ndarray] = {}
     for i in range(len(tape.nodes) - 1, -1, -1):
         node = tape.nodes[i]
         parents, vjp = node.parents, node.vjp
@@ -521,19 +515,13 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
                 acc = need.get(p)
                 need[p] = pg if acc is None else acc + pg
             else:
-                key = id(p)
-                acc = leaf_grads.get(key)
-                leaf_grads[key] = pg if acc is None else acc + pg
-                leaf_by_id[key] = p
+                acc = leaf_grads.get(p)
+                leaf_grads[p] = pg if acc is None else acc + pg
 
-    for key, g in leaf_grads.items():
-        p = leaf_by_id[key]
-        p.grad = Tensor(g)
-        result[p] = p.grad
+    result = {p: Tensor(g) for p, g in leaf_grads.items()}
     for p in params:
         if p not in result:
-            p.grad = Tensor(np.zeros_like(p.data))
-            result[p] = p.grad
+            result[p] = Tensor(np.zeros_like(p.data))
     return result
 
 

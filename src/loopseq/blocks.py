@@ -327,12 +327,6 @@ def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:
     return ad.affine(x, p.weight, p.bias)
 
 
-def head_forward(p: HeadParams, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Logits from mean-pooled features; mask marks valid time steps."""
-    if mask is None:
-        pooled = ad.mean_(h, axis=-2)
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        weighted = ad.sum_(h * Tensor(m[..., None]), axis=-2)
-        pooled = weighted * Tensor(1.0 / np.maximum(m.sum(axis=-1), 1.0)[..., None])
-    return ad.affine(pooled, p.weight, p.bias)
+def head_forward(p: HeadParams, h: Tensor) -> Tensor:
+    """Logits from features mean-pooled over time."""
+    return ad.affine(ad.mean_(h, axis=-2), p.weight, p.bias)

@@ -43,13 +43,12 @@ def _add_cell_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--state", type=int, default=64)
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--pad-ragged", action="store_true", help="zero pad ragged series instead of rejecting")
 
 
 def _resolve_dataset(args):
     if args.dataset == "synth":
         return synth_sine_task()
-    return load_named(args.dataset, args.data_dir, pad_ragged=args.pad_ragged)
+    return load_named(args.dataset, args.data_dir)
 
 
 def _config_from(args, lr: float, seed: int) -> TrainConfig:
@@ -70,13 +69,14 @@ def _config_from(args, lr: float, seed: int) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
+    config = _config_from(args, args.lr, args.seed)
     dataset = _resolve_dataset(args)
     out_dir = Path(args.out) if args.out else None
     log_path = None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         log_path = out_dir / "run.log.jsonl"
-    result = train_one(_config_from(args, args.lr, args.seed), dataset, log_path=log_path)
+    result = train_one(config, dataset, log_path=log_path)
     if out_dir:
         with open(out_dir / "run.json", "w") as fh:
             json.dump(dataclasses.asdict(result), fh, indent=2)
@@ -117,10 +117,10 @@ def _cmd_grid(args) -> int:
         return 1 if failed else 0
     lrs = _parse_list("--lrs", args.lrs, float)
     seeds = _parse_list("--seeds", args.seeds, int)
+    configs = [_config_from(args, lr, seed) for lr in lrs for seed in seeds]
     dataset = _resolve_dataset(args)
-    jobs = [(_config_from(args, lr, seed), dataset) for lr in lrs for seed in seeds]
-    runs = run_jobs(jobs, workers=args.workers)
-    failed = [(config, r) for (config, _), r in zip(jobs, runs) if isinstance(r, str)]
+    runs = run_jobs([(config, dataset) for config in configs], workers=args.workers)
+    failed = [(config, r) for config, r in zip(configs, runs) if isinstance(r, str)]
     for config, error in failed:
         print(f"failed: lr={config.lr} seed={config.seed}: {error}", file=sys.stderr)
     if failed:

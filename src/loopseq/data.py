@@ -2,10 +2,10 @@
 
 The on-disk format is the classification `.ts` layout: `@key value`
 header lines, then `@data`, then one example per line with dimensions
-separated by ':' and comma-separated values, class label last.  Series
-may be ragged across examples (opt-in, zero padded with true lengths
-kept); timestamped and missing-value files are rejected with a parse
-error naming the line.
+separated by ':' and comma-separated values, class label last.  Every
+series in a corpus has one length: ragged files, and TRAIN/TEST halves
+of different lengths, are rejected naming the file; timestamped and
+missing-value files are rejected with a parse error naming the line.
 
 Splits are 70/15/15 with the remainder rounded toward train:
 n_val = n_test = round_half_up(0.15 N) = (3N + 10) // 20, n_train the
@@ -13,7 +13,7 @@ rest, over a seeded permutation.  N=100 gives 70/15/15; N=204 gives
 142/31/31.
 
 Normalization is a per-channel z-score with statistics from the train
-portion only (sigma floored at 1e-8), computed over valid steps.
+portion only (sigma floored at 1e-8).
 """
 
 from __future__ import annotations
@@ -43,27 +43,24 @@ _ARCHIVE_URL = "https://www.timeseriesclassification.com/aeon-toolkit/{archive}.
 
 @dataclass
 class Dataset:
-    """A fixed-width batch of labelled series, zero padded beyond `lengths`."""
+    """A batch of labelled series, all of one length T and width w."""
 
     name: str
     series: np.ndarray  # [N, T, w] float64
     labels: np.ndarray  # [N] int64
-    lengths: np.ndarray  # [N] true step counts
     class_names: list[str]
 
     def __post_init__(self):
         self.series = np.asarray(self.series, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.lengths = np.asarray(self.lengths, dtype=np.int64)
         if self.series.ndim != 3:
             raise DataError(f"series must be [N, T, w], got shape {self.series.shape}")
-        n = self.series.shape[0]
-        if self.labels.shape != (n,) or self.lengths.shape != (n,):
-            raise DataError("labels/lengths do not match the number of examples")
+        if self.series.shape[1] < 1:
+            raise DataError("series must have at least one time step")
+        if self.labels.shape != self.series.shape[:1]:
+            raise DataError("labels do not match the number of examples")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= len(self.class_names)):
             raise DataError("labels out of range for the declared classes")
-        if np.any(self.lengths < 1) or np.any(self.lengths > self.series.shape[1]):
-            raise DataError("lengths must lie in [1, T]")
 
     @property
     def n(self) -> int:
@@ -81,27 +78,19 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def mask(self) -> np.ndarray:
-        return np.arange(self.steps)[None, :] < self.lengths[:, None]
-
     def replace(self, **kw) -> "Dataset":
         return dataclasses.replace(self, **kw)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return self.replace(series=self.series[idx], labels=self.labels[idx], lengths=self.lengths[idx])
+        return self.replace(series=self.series[idx], labels=self.labels[idx])
 
 
 # --- .ts parsing -----------------------------------------------------------------
 
 
-def load_ts(path, pad_ragged: bool = False) -> Dataset:
-    """Parse a `.ts` classification file.
-
-    Ragged files (unequal lengths across examples) are rejected unless
-    `pad_ragged` is set, in which case short series are zero padded and
-    their true lengths kept for masking.
-    """
+def load_ts(path) -> Dataset:
+    """Parse a `.ts` classification file; ragged files (unequal lengths
+    across examples) are rejected."""
     path = Path(path)
     headers: dict[str, str] = {}
     rows: list[list[np.ndarray]] = []
@@ -152,18 +141,13 @@ def load_ts(path, pad_ragged: bool = False) -> Dataset:
     if not rows:
         raise DataError(f"{path.name}: no examples after @data")
 
-    lengths = np.array([len(r[0]) for r in rows], dtype=np.int64)
-    if len(set(lengths.tolist())) > 1 and not pad_ragged:
-        raise DataError(
-            f"{path.name}: series lengths vary ({lengths.min()}..{lengths.max()}); "
-            "pass pad_ragged to zero pad"
-        )
-    T = int(lengths.max())
-    width = len(rows[0])
-    series = np.zeros((len(rows), T, width))
+    lengths = {len(r[0]) for r in rows}
+    if len(lengths) > 1:
+        raise DataError(f"{path.name}: series lengths vary ({min(lengths)}..{max(lengths)})")
+    series = np.empty((len(rows), lengths.pop(), len(rows[0])))
     for i, dims in enumerate(rows):
         for d, vals in enumerate(dims):
-            series[i, : len(vals), d] = vals
+            series[i, :, d] = vals
 
     declared = headers.get("classlabel", "")
     names = declared.split()[1:] if declared.lower().startswith("true") else []
@@ -180,32 +164,28 @@ def load_ts(path, pad_ragged: bool = False) -> Dataset:
         name=name,
         series=series,
         labels=labels,
-        lengths=lengths,
         class_names=list(names),
     )
 
 
 def write_ts(path, ds: Dataset, problem_name: str | None = None) -> None:
-    """Emit the dataset in `.ts` layout (true lengths only, so ragged survives)."""
+    """Emit the dataset in `.ts` layout."""
     path = Path(path)
-    equal = bool((ds.lengths == ds.lengths[0]).all())
     with open(path, "w") as fh:
         fh.write(f"@problemName {problem_name or ds.name}\n")
         fh.write("@timeStamps false\n")
         fh.write(f"@univariate {'true' if ds.width == 1 else 'false'}\n")
         fh.write(f"@dimensions {ds.width}\n")
-        fh.write(f"@equalLength {'true' if equal else 'false'}\n")
-        if equal:
-            fh.write(f"@seriesLength {int(ds.lengths[0])}\n")
+        fh.write("@equalLength true\n")
+        fh.write(f"@seriesLength {ds.steps}\n")
         fh.write(f"@classLabel true {' '.join(ds.class_names)}\n")
         fh.write("@data\n")
         for i in range(ds.n):
-            L = int(ds.lengths[i])
-            dims = [",".join(repr(float(v)) for v in ds.series[i, :L, d]) for d in range(ds.width)]
+            dims = [",".join(repr(float(v)) for v in ds.series[i, :, d]) for d in range(ds.width)]
             fh.write(":".join(dims) + f":{ds.class_names[ds.labels[i]]}\n")
 
 
-def load_named(name: str, data_dir, pad_ragged: bool = False) -> Dataset:
+def load_named(name: str, data_dir) -> Dataset:
     """Load a canonical corpus from `<data_dir>/<Archive>/<Archive>_{TRAIN,TEST}.ts`.
 
     The distribution's train/test halves are pooled; splits here are
@@ -222,24 +202,16 @@ def load_named(name: str, data_dir, pad_ragged: bool = False) -> Dataset:
             f"dataset files not found under {base}; fetch and unzip "
             f"{_ARCHIVE_URL.format(archive=archive)} into {Path(data_dir)}"
         )
-    parts = [load_ts(train, pad_ragged=pad_ragged), load_ts(test, pad_ragged=pad_ragged)]
-    a, b = parts
-    if a.width != b.width or a.class_names != b.class_names:
-        raise DataError(f"{archive}: TRAIN and TEST halves disagree on width or classes")
-    T = max(a.steps, b.steps)
-
-    def grow(d: Dataset) -> np.ndarray:
-        if d.steps == T:
-            return d.series
-        out = np.zeros((d.n, T, d.width))
-        out[:, : d.steps] = d.series
-        return out
-
+    a, b = load_ts(train), load_ts(test)
+    if a.series.shape[1:] != b.series.shape[1:] or a.class_names != b.class_names:
+        raise DataError(
+            f"{archive}: TRAIN and TEST halves disagree on length, width or classes "
+            f"([T, w] {list(a.series.shape[1:])} vs {list(b.series.shape[1:])})"
+        )
     return Dataset(
         name=name,
-        series=np.concatenate([grow(a), grow(b)], axis=0),
+        series=np.concatenate([a.series, b.series], axis=0),
         labels=np.concatenate([a.labels, b.labels]),
-        lengths=np.concatenate([a.lengths, b.lengths]),
         class_names=a.class_names,
     )
 
@@ -280,16 +252,12 @@ def split_dataset(ds: Dataset, seed: int) -> Split:
 
 
 def normalize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Per-channel z-score from train-split statistics over valid steps."""
+    """Per-channel z-score from train-split statistics."""
     tr = ds.series[train_idx]
-    valid = ds.mask[train_idx][..., None]
-    count = valid.sum(axis=(0, 1))
-    mean = (tr * valid).sum(axis=(0, 1)) / np.maximum(count, 1)
-    var = (((tr - mean) * valid) ** 2).sum(axis=(0, 1)) / np.maximum(count, 1)
-    std = np.maximum(np.sqrt(var), 1e-8)
-    out = (ds.series - mean) / std
-    out *= ds.mask[..., None]  # padding stays exactly zero
-    return ds.replace(series=out), mean, std
+    count = tr.shape[0] * tr.shape[1]
+    mean = tr.sum(axis=(0, 1)) / count
+    std = np.maximum(np.sqrt(((tr - mean) ** 2).sum(axis=(0, 1)) / count), 1e-8)
+    return ds.replace(series=(ds.series - mean) / std), mean, std
 
 
 # --- synthetic task -----------------------------------------------------------------
@@ -323,7 +291,6 @@ def synth_sine_task(
         name=f"synth{n_classes}",
         series=series,
         labels=labels,
-        lengths=np.full(n, steps, dtype=np.int64),
         class_names=[str(k) for k in range(n_classes)],
     )
 
@@ -332,14 +299,11 @@ def synth_sine_task(
 
 
 def apply_reshape(ds: Dataset, spec: ReshapeSpec) -> Dataset:
-    """Reshape every series; valid rows stay a prefix because the
-    flattening is time-major, so lengths map to ceil(len * w / c)."""
+    """Reshape every series to the spec's [rows, c] layout."""
     if (ds.steps, ds.width) != spec.original_shape:
         raise ConfigError(
             f"reshape spec is for shape {spec.original_shape}, dataset is {(ds.steps, ds.width)}"
         )
     if spec.concentration == 1:
         return ds
-    series = reshape_forward(ds.series, spec)
-    lengths = -(-(ds.lengths * ds.width) // spec.concentration)
-    return ds.replace(series=series, lengths=lengths)
+    return ds.replace(series=reshape_forward(ds.series, spec))

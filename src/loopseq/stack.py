@@ -53,18 +53,17 @@ def pattern_string(depth: int, n_unique: int) -> str:
     return "".join(string.ascii_uppercase[j % n_unique] for j in range(depth))
 
 
-def parse_pattern(value) -> tuple[int, int]:
-    """(depth, n_unique) from 'ABABAB'-style strings or (L, m) pairs.
+def parse_pattern(value: str) -> tuple[int, int]:
+    """(depth, n_unique) from 'ABABAB'-style strings or 'L,m' pairs.
 
     Only canonical periodic strings are accepted; 'AABBCC' has no
     periodic reading and is rejected.
     """
     s = str(value).strip().upper()
-    if isinstance(value, (tuple, list)) or "," in s:
-        parts = list(value) if isinstance(value, (tuple, list)) else s.split(",")
+    if "," in s:
         try:
-            depth, n_unique = (int(v) for v in parts)
-        except (TypeError, ValueError):
+            depth, n_unique = (int(v) for v in s.split(","))
+        except ValueError:
             raise ConfigError(f"pattern pair must be two integers 'L,m', got {value!r}") from None
     else:
         depth, n_unique = len(s), len(set(s))
@@ -172,9 +171,7 @@ def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
     return taps
 
 
-def tap_loss(
-    model: StackModel, taps: list[Tensor], labels: np.ndarray, mask: np.ndarray | None = None
-) -> Tensor:
+def tap_loss(model: StackModel, taps: list[Tensor], labels: np.ndarray) -> Tensor:
     """Uniform average of the shared head's cross entropy over the taps.
 
     No stop-gradients: every tap backpropagates into every earlier
@@ -183,22 +180,20 @@ def tap_loss(
     """
     total = None
     for h in taps:
-        logits = head_forward(model.head, h, mask=mask)
+        logits = head_forward(model.head, h)
         term = ad.softmax_cross_entropy(logits, labels).mean()
         total = term if total is None else total + term
     return total if len(taps) == 1 else total * (1.0 / len(taps))
 
 
-def stack_loss(
-    model: StackModel, x, labels: np.ndarray, mask: np.ndarray | None = None
-) -> Tensor:
-    return tap_loss(model, stack_forward(model, x, model.config.tap_period), labels, mask=mask)
+def stack_loss(model: StackModel, x, labels: np.ndarray) -> Tensor:
+    return tap_loss(model, stack_forward(model, x, model.config.tap_period), labels)
 
 
-def predict_logits(model: StackModel, x, mask: np.ndarray | None = None) -> np.ndarray:
+def predict_logits(model: StackModel, x) -> np.ndarray:
     """Final logits without recording a tape (evaluation path)."""
     (h,) = stack_forward(model, x, model.config.depth)
-    return head_forward(model.head, h, mask=mask).data
+    return head_forward(model.head, h).data
 
 
 # --- periodic embedding ------------------------------------------------------------
@@ -249,12 +244,7 @@ class AggregationReport:
         return self.loss_tied == self.loss_untied
 
 
-def verify_gradient_aggregation(
-    model: StackModel,
-    x: np.ndarray,
-    labels: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> AggregationReport:
+def verify_gradient_aggregation(model: StackModel, x: np.ndarray, labels: np.ndarray) -> AggregationReport:
     """Check d(tied loss)/d(theta) equals the sum over untied copies' gradients.
 
     The untied model is the full embedding (m' = L) of the source,
@@ -267,13 +257,13 @@ def verify_gradient_aggregation(
 
     tied_params = model.param_tensors()
     with Tape():
-        loss_t = tap_loss(model, stack_forward(model, x, period), labels, mask=mask)
+        loss_t = tap_loss(model, stack_forward(model, x, period), labels)
         grads_t = backward(loss_t, tied_params)
 
     untied = embed_periodic(model, L)
     untied_params = untied.param_tensors()
     with Tape():
-        loss_u = tap_loss(untied, stack_forward(untied, x, period), labels, mask=mask)
+        loss_u = tap_loss(untied, stack_forward(untied, x, period), labels)
         grads_u = backward(loss_u, untied_params)
 
     worst = 0.0

@@ -29,10 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .blocks import ARCHS
 from .data import Dataset, apply_reshape, normalize, split_dataset
 from .errors import AggregationError, ConfigError
 from .reshape import make_spec
 from .stack import (
+    SUPERVISIONS,
     StackConfig,
     StackModel,
     build_stack,
@@ -63,6 +65,14 @@ class TrainConfig:
 
     def __post_init__(self):
         parse_pattern(self.pattern)  # raises ConfigError on malformed patterns
+        if self.arch not in ARCHS:
+            raise ConfigError(f"unknown arch {self.arch!r}; expected one of {list(ARCHS)}")
+        if self.supervision not in SUPERVISIONS:
+            raise ConfigError(f"unknown supervision {self.supervision!r}; expected {list(SUPERVISIONS)}")
+        if self.concentration < 1 or self.seed < 0:
+            raise ConfigError(
+                f"concentration must be >= 1 and seed >= 0, got {self.concentration} and {self.seed}"
+            )
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
             raise ConfigError("batch_size must be >= 1; max_epochs and patience >= 0")
         if self.hidden < 1 or self.state < 1:
@@ -162,18 +172,12 @@ def prepare_splits(ds: Dataset, config: TrainConfig) -> PreparedData:
     return PreparedData(*parts, width=parts[0].width)
 
 
-def _batch_mask(ds: Dataset, idx: np.ndarray) -> np.ndarray | None:
-    if np.all(ds.lengths == ds.steps):
-        return None
-    return ds.mask[idx]
-
-
 def full_loss(model: StackModel, ds: Dataset) -> float:
     """Mean loss over a whole dataset without recording gradients."""
     total, n = 0.0, ds.n
     for lo in range(0, n, _EVAL_BATCH):
         idx = np.arange(lo, min(lo + _EVAL_BATCH, n))
-        loss = stack_loss(model, ds.series[idx], ds.labels[idx], mask=_batch_mask(ds, idx))
+        loss = stack_loss(model, ds.series[idx], ds.labels[idx])
         total += float(loss.data) * len(idx)
     return total / n
 
@@ -182,7 +186,7 @@ def accuracy(model: StackModel, ds: Dataset) -> float:
     hits, n = 0, ds.n
     for lo in range(0, n, _EVAL_BATCH):
         idx = np.arange(lo, min(lo + _EVAL_BATCH, n))
-        logits = predict_logits(model, ds.series[idx], mask=_batch_mask(ds, idx))
+        logits = predict_logits(model, ds.series[idx])
         hits += int((logits.argmax(axis=-1) == ds.labels[idx]).sum())
     return hits / n
 
@@ -225,7 +229,6 @@ def train_one(
     best_val, best_epoch, best_test = -1.0, -1, float("nan")
     diverged = not np.isfinite(initial_loss)
     bad = 0
-    log_records = []
 
     for epoch in range(config.max_epochs):
         if diverged:
@@ -237,12 +240,7 @@ def train_one(
             # divergence is detected by the finite checks below, so the
             # intermediate overflow warnings on the way there are noise
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"), ad.Tape():
-                loss = stack_loss(
-                    model,
-                    prep.train.series[idx],
-                    prep.train.labels[idx],
-                    mask=_batch_mask(prep.train, idx),
-                )
+                loss = stack_loss(model, prep.train.series[idx], prep.train.labels[idx])
                 grads = ad.backward(loss, [p for _, p in params])
             value = float(loss.data)
             if not np.isfinite(value) or any(
@@ -260,13 +258,6 @@ def train_one(
         train_losses.append(epoch_loss / seen)
         val_accs.append(accuracy(model, prep.val))
         test_accs.append(accuracy(model, prep.test))
-        record = {
-            "epoch": epoch,
-            "train_loss": train_losses[-1],
-            "val_acc": val_accs[-1],
-            "test_acc": test_accs[-1],
-        }
-        log_records.append(record)
         if val_accs[-1] > best_val:
             best_val, best_epoch, best_test = val_accs[-1], epoch, test_accs[-1]
             bad = 0
@@ -294,7 +285,8 @@ def train_one(
         final = ("best_epoch", "best_val_acc", "test_acc_at_best", "diverged")
         with open(log_path, "w") as fh:
             fh.write(json.dumps({"config": dataclasses.asdict(config)}) + "\n")
-            for record in log_records:
+            for epoch, (loss, val, test) in enumerate(zip(train_losses, val_accs, test_accs)):
+                record = {"epoch": epoch, "train_loss": loss, "val_acc": val, "test_acc": test}
                 fh.write(json.dumps(record) + "\n")
             fh.write(json.dumps({"final": {k: getattr(result, k) for k in final}}) + "\n")
     return result

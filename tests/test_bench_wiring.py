@@ -27,3 +27,31 @@ def test_install_and_restore_every_patched_name():
         assert not patches._saved
         for module, attr, orig in saved:
             assert getattr(module, attr) is orig, f"{module.__name__}.{attr} not restored"
+
+
+def test_traced_tiny_train_counts():
+    """Run two tiny trainings under the tracer so a patched function whose
+    call shape changes fails here, not only in the benchmark."""
+    from time import perf_counter
+
+    from loopseq import train
+    from loopseq.data import synth_sine_task
+
+    ds = synth_sine_task(n=8, steps=10)
+    base = train.TrainConfig(concentration=2, batch_size=4, max_epochs=1, hidden=4, state=4)
+    patches = tracer.Tracer()
+    patches.install()
+    try:
+        t0 = perf_counter()
+        with patches.root("train"):
+            for arch in ("LRU", "LinOSS"):
+                train.train_one(base.replace(arch=arch), ds)
+        metrics = patches.metrics(perf_counter() - t0)
+    finally:
+        patches.restore()
+    # 8 examples split 6/1/1: per run one full-loss pass, two steps and two accuracy passes,
+    # and every depth-6 forward or backward runs one scan per block
+    assert metrics["train.steps"] == 4
+    assert metrics["stack.loss_calls"] == 6
+    assert metrics["stack.predict_calls"] == 4
+    assert metrics["scan.calls.cdiag"] == metrics["scan.calls.mat2"] == 42

@@ -221,19 +221,6 @@ def test_head_mean_pools_then_projects():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
-def test_head_mask_excludes_padded_steps():
-    rng = np.random.default_rng(27)
-    head = init_head(5, 3, rng)
-    h = rng.standard_normal((2, 8, 5))
-    mask = np.zeros((2, 8), dtype=bool)
-    mask[0, :5] = True
-    mask[1, :8] = True
-    got = head_forward(head, Tensor(h), mask=mask).data
-    want0 = h[0, :5].mean(axis=0) @ head.weight.data + head.bias.data
-    want1 = h[1].mean(axis=0) @ head.weight.data + head.bias.data
-    np.testing.assert_allclose(got, np.stack([want0, want1]), rtol=1e-12, atol=1e-14)
-
-
 def test_zero_head_weight_gives_bias():
     rng = np.random.default_rng(28)
     head = init_head(5, 3, rng)

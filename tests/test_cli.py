@@ -272,6 +272,10 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         (["train", "--state", "-1", "--max-epochs", "1"], "hidden and state must be >= 1"),
         (["grid", "--workers", "0", "--max-epochs", "1"], "--workers must be >= 1"),
         (["grid", "--workers", "-1", "--max-epochs", "1"], "--workers must be >= 1"),
+        (["grid", "--arch", "Foo", "--max-epochs", "1"], "unknown arch 'Foo'"),
+        (["grid", "--concentration", "0", "--max-epochs", "1"], "concentration must be >= 1"),
+        (["grid", "--seeds=-1", "--max-epochs", "1"], "seed >= 0"),
+        (["train", "--seed=-1", "--max-epochs", "1"], "seed >= 0"),
     ],
     ids=[
         "pattern-not-int",
@@ -289,6 +293,10 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         "negative-state",
         "zero-workers",
         "negative-workers",
+        "unknown-arch",
+        "zero-concentration",
+        "negative-grid-seed",
+        "negative-train-seed",
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys):
@@ -317,6 +325,7 @@ def test_bad_input_exits_2(argv, message, capsys):
         (dict(patterns=["AAAAAA", "6,1"]), "plan field 'patterns' names one pattern twice"),
         (dict(hidden=0), "hidden and state must be >= 1, got 0 and 64"),
         (dict(state=-1), "hidden and state must be >= 1, got 64 and -1"),
+        (dict(seeds=[-1]), "seed >= 0, got 1 and -1"),
     ],
     ids=[
         "not-json",
@@ -336,6 +345,7 @@ def test_bad_input_exits_2(argv, message, capsys):
         "patterns-same-pattern",
         "hidden-zero",
         "state-negative",
+        "seeds-negative",
     ],
 )
 def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):

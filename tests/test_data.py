@@ -18,19 +18,12 @@ from loopseq.errors import ConfigError, DataError, ParseError
 from loopseq.reshape import make_spec
 
 
-def _toy(n=10, steps=7, width=3, n_classes=2, seed=0, ragged=False):
+def _toy(n=10, steps=7, width=3, n_classes=2, seed=0):
     rng = np.random.default_rng(seed)
-    series = rng.standard_normal((n, steps, width))
-    lengths = np.full(n, steps, dtype=np.int64)
-    if ragged:
-        lengths = rng.integers(2, steps + 1, n)
-        for i in range(n):
-            series[i, lengths[i] :] = 0.0
     return Dataset(
         name="toy",
-        series=series,
+        series=rng.standard_normal((n, steps, width)),
         labels=np.arange(n) % n_classes,
-        lengths=lengths,
         class_names=[f"c{k}" for k in range(n_classes)],
     )
 
@@ -93,23 +86,20 @@ def test_ts_round_trip_equal_length(tmp_path):
     back = load_ts(path)
     np.testing.assert_array_equal(back.series, ds.series)
     np.testing.assert_array_equal(back.labels, ds.labels)
-    np.testing.assert_array_equal(back.lengths, ds.lengths)
+    assert back.series.flags.c_contiguous
     assert back.class_names == ds.class_names
     assert back.name == "toy"
 
 
-def test_ts_ragged_rejected_then_padded(tmp_path):
-    ds = _toy(n=8, steps=11, ragged=True, seed=3)
+def test_ts_ragged_rejected(tmp_path):
     path = tmp_path / "ragged.ts"
-    write_ts(path, ds)
-    with pytest.raises(DataError, match="lengths vary"):
+    write_ts(path, _toy(n=8, steps=11, seed=3))
+    # cut the last example to 10 steps in every dimension
+    head, last = path.read_text().rstrip("\n").rsplit("\n", 1)
+    *dims, label = last.split(":")
+    path.write_text(head + "\n" + ":".join([d.split(",", 1)[1] for d in dims] + [label]) + "\n")
+    with pytest.raises(DataError, match=r"ragged\.ts: series lengths vary \(10\.\.11\)"):
         load_ts(path)
-    back = load_ts(path, pad_ragged=True)
-    assert back.steps == ds.lengths.max()
-    np.testing.assert_array_equal(back.lengths, ds.lengths)
-    np.testing.assert_allclose(back.series, ds.series[:, : back.steps], atol=0)
-    # padding beyond the true length is exactly zero
-    assert np.all(back.series[~back.mask] == 0.0)
 
 
 def test_ts_univariate_header(tmp_path):
@@ -194,6 +184,15 @@ def test_load_named_unknown_dataset(tmp_path):
         load_named("NotACorpus", tmp_path)
 
 
+def test_load_named_rejects_halves_of_different_lengths(tmp_path):
+    base = tmp_path / "SelfRegulationSCP1"
+    base.mkdir()
+    write_ts(base / "SelfRegulationSCP1_TRAIN.ts", _toy(n=4, steps=100, width=6))
+    write_ts(base / "SelfRegulationSCP1_TEST.ts", _toy(n=4, steps=120, width=6))
+    with pytest.raises(DataError, match="SelfRegulationSCP1: TRAIN and TEST halves disagree on length"):
+        load_named("SCP1", tmp_path)
+
+
 def test_load_named_pools_both_halves(tmp_path):
     a, b = _toy(n=6, seed=1), _toy(n=4, seed=2)
     base = tmp_path / "EthanolConcentration"
@@ -219,15 +218,6 @@ def test_normalize_train_statistics_are_standard():
     np.testing.assert_allclose(tr.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(tr.std(axis=0), 1.0, atol=1e-12)
     assert mean.shape == std.shape == (5,)
-
-
-def test_normalize_ignores_padding_and_keeps_it_zero():
-    ds = _toy(n=30, steps=16, width=2, seed=5, ragged=True)
-    shifted = ds.replace(series=(ds.series + 100.0) * ds.mask[..., None])
-    out, mean, _ = normalize(shifted, np.arange(20))
-    assert np.all(out.series[~out.mask] == 0.0)
-    # the mean reflects only valid steps, so it is near 100, not diluted by padding
-    assert np.all(mean > 90.0)
 
 
 def test_normalize_constant_channel_does_not_blow_up():
@@ -256,7 +246,6 @@ def test_synth_balanced_and_shaped():
     assert ds.series.shape == (128, 100, 2)
     counts = np.bincount(ds.labels, minlength=4)
     assert np.all(counts == 32)
-    assert np.all(ds.lengths == 100)
 
 
 def test_synth_classes_are_spectrally_separable():
@@ -281,16 +270,6 @@ def test_synth_deterministic():
 # --- reshape application -------------------------------------------------------------------
 
 
-def test_apply_reshape_updates_lengths():
-    ds = _toy(n=9, steps=10, width=3, seed=6, ragged=True)
-    spec = make_spec(10, 3, 6)
-    out = apply_reshape(ds, spec)
-    assert out.series.shape == (9, spec.rows, 6)
-    np.testing.assert_array_equal(out.lengths, -(-(ds.lengths * 3) // 6))
-    # rows past the new length contain only original padding, i.e. zeros
-    assert np.all(out.series[~out.mask] == 0.0)
-
-
 def test_apply_reshape_identity_returns_same_object():
     ds = _toy()
     spec = make_spec(ds.steps, ds.width, 1)
@@ -309,11 +288,13 @@ def test_apply_reshape_shape_mismatch():
 def test_dataset_validation_errors():
     good = _toy()
     with pytest.raises(DataError):
-        Dataset("x", good.series[0], good.labels, good.lengths, good.class_names)
+        Dataset("x", good.series[0], good.labels, good.class_names)
     with pytest.raises(DataError):
         good.replace(labels=np.full(good.n, 5))
-    with pytest.raises(DataError):
-        good.replace(lengths=np.zeros(good.n, dtype=np.int64))
+    with pytest.raises(DataError, match="labels do not match"):
+        good.replace(labels=good.labels[:-1])
+    with pytest.raises(DataError, match="at least one time step"):
+        good.replace(series=good.series[:, :0])
 
 
 def test_subset_selects_rows():

@@ -244,6 +244,10 @@ def test_train_one_rejects_corpus_too_small_to_split():
         dict(clip_norm=float("inf")),
         dict(hidden=0),
         dict(state=-1),
+        dict(arch="Foo"),
+        dict(supervision="none"),
+        dict(concentration=0),
+        dict(seed=-1),
     ],
 )
 def test_config_validation(kw):
