@@ -107,9 +107,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, k):
-        return pow_scalar(self, k)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -244,13 +241,6 @@ def div(x, y) -> Tensor:
 def neg(x) -> Tensor:
     x = _lift(x)
     return _record(-x.data, (x,), lambda g: (-g,))
-
-
-def pow_scalar(x, k: float) -> Tensor:
-    x = _lift(x)
-    k = float(k)
-    xd = x.data
-    return _record(xd**k, (x,), lambda g: (g * k * xd ** (k - 1),))
 
 
 def exp(x) -> Tensor:
@@ -422,8 +412,9 @@ def reshape(x, shape) -> Tensor:
 def scan_linear(a, b, kind: str = "diag") -> Tensor:
     """States of x_t = a_t * x_{t-1} + b_t (x_0 = 0) via the scan kernel.
 
-    `a` may omit batch/time axes; it is broadcast against `b` and the
-    adjoint is summed back down to `a`'s declared shape.
+    `a` is shared (its channel tail alone, applied at every step) or
+    per-step (b's shape, plus the 2x2 for "mat2"); see `scan`.  The kernel
+    returns each adjoint in its input's shape.
     """
     a, b = _lift(a), _lift(b)
     a_data, b_shape = a.data, b.data.shape
@@ -432,8 +423,7 @@ def scan_linear(a, b, kind: str = "diag") -> Tensor:
     def vjp(g):
         # the adjoint reads only b's shape, so a zero-stride stand-in replaces b
         elem = _scan.ScanElement(a_data, np.broadcast_to(0.0, b_shape), kind)
-        da, db = _scan.scan_backward(elem, states, g)
-        return _unbroadcast(da, a_data.shape), _unbroadcast(db, b_shape)
+        return _scan.scan_backward(elem, states, g)
 
     return _record(states, (a, b), vjp)
 

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import inspect
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .blocks import ARCHS
-from .data import CANONICAL, Dataset, load_named, synth_sine_task
-from .errors import AggregationError, ConfigError
+from .data import CANONICAL, Dataset, load_named, split_sizes, synth_sine_task
+from .errors import AggregationError, ConfigError, DataError
 from .stack import SUPERVISIONS, parse_pattern, pattern_string
 from .train import TrainConfig, grid_and_seeds, run_jobs
 
@@ -85,7 +84,8 @@ _SCALAR_FIELDS = {
     "synth": (dict, "an object"),
     **{name: (int, "an integer") for name in ("batch_size", "max_epochs", "patience", "hidden", "state")},
 }
-_SYNTH_KEYS = sorted(inspect.signature(synth_sine_task).parameters)
+# synth keys: the least value each takes ("noise" is any finite number, the rest integers)
+_SYNTH_MIN = {"n": 1, "steps": 1, "width": 1, "n_classes": 2, "noise": 0.0, "seed": 0}
 
 
 @dataclass
@@ -122,9 +122,14 @@ class ExperimentPlan:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"plan field {name!r} must be {label}, got {value!r}")
-        unknown = sorted(set(self.synth) - set(_SYNTH_KEYS))
+        unknown = sorted(set(self.synth) - set(_SYNTH_MIN))
         if unknown:
-            raise ConfigError(f"unknown synth keys {unknown}; expected some of {_SYNTH_KEYS}")
+            raise ConfigError(f"unknown synth keys {unknown}; expected some of {sorted(_SYNTH_MIN)}")
+        for key, value in self.synth.items():
+            kind, label = ((int, float), "a number") if key == "noise" else (int, "an integer")
+            low = _SYNTH_MIN[key]
+            if isinstance(value, bool) or not isinstance(value, kind) or not low <= value < float("inf"):
+                raise ConfigError(f"synth {key!r} must be {label} >= {low}, got {value!r}")
         if len({parse_pattern(p) for p in self.patterns}) < len(self.patterns):
             raise ConfigError(f"plan field 'patterns' names one pattern twice: {self.patterns!r}")
         if min(self.concentrations) < 1:
@@ -173,9 +178,17 @@ def load_plan(path) -> ExperimentPlan:
 
 
 def resolve_dataset(name: str, plan: ExperimentPlan) -> Dataset:
+    """The named dataset, refused when it has too few examples to split."""
     if name == "synth":
-        return synth_sine_task(**plan.synth)
-    return load_named(name, plan.data_dir)
+        ds = synth_sine_task(**plan.synth)
+    else:
+        ds = load_named(name, plan.data_dir)
+    try:
+        split_sizes(ds.n)
+    except DataError as exc:
+        where = "synth 'n'" if name == "synth" else f"dataset {name!r}"
+        raise DataError(f"{where}: {exc}") from None
+    return ds
 
 
 def _configs(cell: PlanCell, plan: ExperimentPlan) -> list[TrainConfig]:

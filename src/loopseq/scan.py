@@ -25,9 +25,15 @@ Complex values everywhere in this package are (re, im) pairs in a
 trailing axis of length 2 over a float64 substrate; inside the kernel a
 "cdiag" pair array is viewed in place as complex128, without a copy.
 
-`a` is broadcast against `b` by the usual right-aligned rules.  An `a`
-with no time axis, or a time axis of length 1, is time-invariant: the
-kernel applies the one factor at every step and never expands it over T.
+`a` comes in one of two layouts, and any other raises `ShapeError`:
+
+    shared    its channel tail alone, (n,), (n, 2) or (n, 2, 2): one
+              time-invariant factor per channel, applied at every step
+              and never expanded over batch or time (LRU, S5, LinOSS);
+    per-step  b's own shape, plus the 2x2 for "mat2" (LrcSSM's gate).
+
+`scan_backward` returns each adjoint in its input's shape: a shared
+factor's `da` is summed over the batch and time axes.
 """
 
 from __future__ import annotations
@@ -41,8 +47,7 @@ from .errors import EmptySequenceError, ShapeError
 
 KINDS = ("diag", "cdiag", "mat2")
 
-# trailing dims after the time axis, per kind
-_A_TRAIL = {"diag": 1, "cdiag": 2, "mat2": 3}
+# trailing dims of b after the time axis, per kind
 _B_TRAIL = {"diag": 1, "cdiag": 2, "mat2": 2}
 
 
@@ -51,11 +56,6 @@ def pair_mul(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     zr, zi = z[..., 0], z[..., 1]
     wr, wi = w[..., 0], w[..., 1]
     return np.stack([zr * wr - zi * wi, zr * wi + zi * wr], axis=-1)
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ShapeError(f"unknown scan element kind {kind!r}; expected one of {KINDS}")
 
 
 def _apply(kind: str, a, x):
@@ -80,43 +80,34 @@ class ScanElement:
     kind: str = "diag"
 
     def __post_init__(self):
-        _check_kind(self.kind)
+        if self.kind not in KINDS:
+            raise ShapeError(f"unknown scan element kind {self.kind!r}; expected one of {KINDS}")
 
 
 def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
-    """Validate trailing dims and broadcastability of a against b's batch/time shape.
+    """Validate b's trailing dims and a's layout against b.
 
-    Returns (a, b, full_a_shape) with a right-aligned to b's rank by
-    prepending unit axes; nothing is broadcast or copied.
+    Returns (a, b, full, shared): `full` is a per-step factor's shape, and
+    a shared factor comes back as a view with unit batch and time axes in
+    front, so both layouts go time-major the same way; nothing is copied.
     """
-    _check_kind(kind)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     bt = _B_TRAIL[kind]
-    at = _A_TRAIL[kind]
     if b.ndim < bt + 1:
         raise ShapeError(f"b must have at least {bt + 1} dims for kind {kind!r}, got shape {b.shape}")
     if kind != "diag" and b.shape[-1] != 2:
         raise ShapeError(f"kind {kind!r} expects b with trailing pair axis of 2, got shape {b.shape}")
-    n = b.shape[-bt]
-    T = b.shape[-(bt + 1)]
-    if T == 0:
+    if b.shape[-(bt + 1)] == 0:
         raise EmptySequenceError("scan over zero time steps")
-    if kind == "diag":
-        a_tail = (n,)
-    elif kind == "cdiag":
-        a_tail = (n, 2)
-    else:
-        a_tail = (n, 2, 2)
-    if a.ndim < at or a.shape[-at:] != a_tail:
+    full = b.shape + (2,) * (kind == "mat2")
+    tail = full[b.ndim - bt :]
+    if a.shape not in (tail, full):
         raise ShapeError(
-            f"a has trailing shape {a.shape[-at:] if a.ndim >= at else a.shape}, "
-            f"expected {a_tail} to match b channels (kind {kind!r})"
+            f"a shape {a.shape} is neither shared {tail} nor per-step {full} "
+            f"(kind {kind!r}, b shape {b.shape})"
         )
-    full = b.shape[: -(bt + 1)] + (T,) + a_tail
-    if a.ndim > len(full) or any(d not in (1, f) for d, f in zip(a.shape[::-1], full[::-1])):
-        raise ShapeError(f"a shape {a.shape} does not broadcast against b shape {b.shape}")
-    return a.reshape((1,) * (len(full) - a.ndim) + a.shape), b, full
+    return a.reshape((1,) * (len(full) - a.ndim) + a.shape), b, full, a.shape == tail
 
 
 def _time_major(kind: str, z: np.ndarray, t_axis: int) -> np.ndarray:
@@ -128,14 +119,13 @@ def _time_major(kind: str, z: np.ndarray, t_axis: int) -> np.ndarray:
     return np.moveaxis(z, t_axis, 0)
 
 
-def _recur(kind: str, steps: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
+def _recur(kind: str, steps, src: np.ndarray, out: np.ndarray) -> None:
     """The production kernel: out_0 = src_0, out_s = steps_s . out_{s-1} + src_s.
 
-    All operands are time-major.  `steps` holds one factor per step
-    s = 1..T-1, or a single factor applied at every step (never copied).
+    `src` and `out` are time-major.  `steps` yields the factor of each
+    step s = 1..T-1: slices of a time-major array, or one shared factor
+    repeated (never copied), which broadcasts against each state.
     """
-    if steps.shape[0] == 1:
-        steps = itertools.repeat(steps[0])
     tmp = np.empty_like(out[0]) if kind == "mat2" else None
     out[0] = src[0]
     prev = out[0]
@@ -152,25 +142,26 @@ def _recur(kind: str, steps: np.ndarray, src: np.ndarray, out: np.ndarray) -> No
 
 def scan_sequential(elem: ScanElement) -> np.ndarray:
     """Step-by-step evaluation of the recurrence on pairs; the reference route."""
-    a, b, full = _check_elements(elem.kind, elem.a, elem.b)
-    ta = np.moveaxis(np.broadcast_to(a, full), -(1 + _A_TRAIL[elem.kind]), 0)
-    tb = np.moveaxis(b, -(1 + _B_TRAIL[elem.kind]), 0)
+    a, b, full, _ = _check_elements(elem.kind, elem.a, elem.b)
+    t_axis = b.ndim - 1 - _B_TRAIL[elem.kind]
+    ta = np.moveaxis(np.broadcast_to(a, full), t_axis, 0)
+    tb = np.moveaxis(b, t_axis, 0)
     out = np.empty_like(tb)
     x = np.zeros_like(tb[0])
     for t in range(tb.shape[0]):
         x = _apply(elem.kind, ta[t], x) + tb[t]
         out[t] = x
-    return np.moveaxis(out, 0, -(1 + _B_TRAIL[elem.kind]))
+    return np.moveaxis(out, 0, t_axis)
 
 
 def scan_linear(elem: ScanElement) -> np.ndarray:
     """Inclusive states x_1..x_T, in b's shape and layout."""
     kind = elem.kind
-    a, b, _ = _check_elements(kind, elem.a, elem.b)
+    a, b, _, shared = _check_elements(kind, elem.a, elem.b)
     t_axis = b.ndim - 1 - _B_TRAIL[kind]
     wa = _time_major(kind, a, t_axis)
     out = np.empty(b.shape)
-    steps = wa if wa.shape[0] == 1 else wa[1:]
+    steps = itertools.repeat(wa[0]) if shared else wa[1:]
     _recur(kind, steps, _time_major(kind, b, t_axis), _time_major(kind, out, t_axis))
     return out
 
@@ -178,15 +169,16 @@ def scan_linear(elem: ScanElement) -> np.ndarray:
 def scan_backward(
     elem: ScanElement, states: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoints (da, db) of the recurrence given output cotangents g.
+    """Adjoints (da, db) of the recurrence given output cotangents g, in a's and b's shapes.
 
     The state adjoint lam_t = g_t + a_{t+1}^T lam_{t+1} (conjugate for
     "cdiag") is the forward kernel run in reverse time on the adjoint
     factor, shifted one step.  Then db_t = lam_t and da_t = lam_t (x) x_{t-1}
-    (with the kind-appropriate product), over a's full broadcast shape.
+    (with the kind-appropriate product); a shared factor's da is that
+    product summed over the batch and time axes.
     """
     kind = elem.kind
-    a, b, full = _check_elements(kind, elem.a, elem.b)
+    a, b, full, shared = _check_elements(kind, elem.a, elem.b)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != b.shape:
         raise ShapeError(f"cotangent shape {g.shape} does not match b shape {b.shape}")
@@ -200,7 +192,7 @@ def scan_backward(
     db = np.empty(b.shape)
     lam = _time_major(kind, db, t_axis)
     # reversed time: step s multiplies by the adjoint of a_{T-s}
-    steps = wa if wa.shape[0] == 1 else wa[:0:-1]
+    steps = itertools.repeat(wa[0]) if shared else wa[:0:-1]
     _recur(kind, steps, _time_major(kind, g, t_axis)[::-1], lam[::-1])
 
     da = np.empty(full)
@@ -214,4 +206,6 @@ def scan_backward(
         wda[1:] *= lam[1:]
     else:
         np.multiply(lam[1:, ..., :, None], x_prev[..., None, :], out=wda[1:])
+    if shared:
+        da = da.sum(axis=tuple(range(t_axis + 1)))
     return da, db

@@ -99,10 +99,6 @@ class StackConfig:
             raise ConfigError(f"supervision must be one of {SUPERVISIONS}, got {self.supervision!r}")
 
     @property
-    def pattern(self) -> str:
-        return pattern_string(self.depth, self.n_unique)
-
-    @property
     def tap_period(self) -> int:
         """Block applications between supervised taps: L for `final`, m for `block`."""
         return self.depth if self.supervision == "final" else self.n_unique
@@ -110,12 +106,7 @@ class StackConfig:
 
 @dataclass
 class StackModel:
-    arch: str
     config: StackConfig
-    width: int
-    n_classes: int
-    hidden: int
-    state: int
     encoder: EncoderParams
     blocks: list[BlockParams]
     head: HeadParams
@@ -151,7 +142,7 @@ def build_stack(
     encoder = init_encoder(width, hidden, rng)
     blocks = [init_block(arch, hidden, state, rng) for _ in range(config.n_unique)]
     head = init_head(hidden, n_classes, rng)
-    return StackModel(arch, config, width, n_classes, hidden, state, encoder, blocks, head)
+    return StackModel(config, encoder, blocks, head)
 
 
 def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
@@ -216,17 +207,7 @@ def embed_periodic(model: StackModel, n_unique_target: int) -> StackModel:
         )
     cfg = StackConfig(L, n_unique_target, model.config.supervision)
     blocks = [clone_params(model.blocks[j % m]) for j in range(n_unique_target)]
-    return StackModel(
-        model.arch,
-        cfg,
-        model.width,
-        model.n_classes,
-        model.hidden,
-        model.state,
-        clone_params(model.encoder),
-        blocks,
-        clone_params(model.head),
-    )
+    return StackModel(cfg, clone_params(model.encoder), blocks, clone_params(model.head))
 
 
 @dataclass

@@ -326,6 +326,12 @@ def test_bad_input_exits_2(argv, message, capsys):
         (dict(hidden=0), "hidden and state must be >= 1, got 0 and 64"),
         (dict(state=-1), "hidden and state must be >= 1, got 64 and -1"),
         (dict(seeds=[-1]), "seed >= 0, got 1 and -1"),
+        (dict(synth={"n": "46"}), "synth 'n' must be an integer >= 1, got '46'"),
+        (dict(synth={"noise": "x"}), "synth 'noise' must be a number >= 0.0, got 'x'"),
+        (dict(synth={"n": 2}), "synth 'n': need at least 4 examples to split, got 2"),
+        (dict(synth={"n_classes": 1}), "synth 'n_classes' must be an integer >= 2, got 1"),
+        (dict(synth={"width": 0}), "synth 'width' must be an integer >= 1, got 0"),
+        (dict(synth={"steps": 0}), "synth 'steps' must be an integer >= 1, got 0"),
     ],
     ids=[
         "not-json",
@@ -346,6 +352,12 @@ def test_bad_input_exits_2(argv, message, capsys):
         "hidden-zero",
         "state-negative",
         "seeds-negative",
+        "synth-n-string",
+        "synth-noise-string",
+        "synth-n-too-small",
+        "synth-one-class",
+        "synth-zero-width",
+        "synth-zero-steps",
     ],
 )
 def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):

@@ -138,15 +138,16 @@ _A_TAIL = {"diag": (), "cdiag": (2,), "mat2": (2, 2)}
 
 
 @pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
-@pytest.mark.parametrize("a_lead", [(), (3,)], ids=["shared", "per-batch"])
+@pytest.mark.parametrize("a_lead", [()], ids=["shared"])
 def test_time_invariant_a_bit_identical_to_materialised(kind, a_lead):
-    """A factor without a time extent takes the same arithmetic as one expanded over T."""
+    """A shared factor takes the same arithmetic as one expanded over batch and time.
+
+    Its da is the materialised factor's da summed over (batch, time), bit for bit.
+    """
     rng = np.random.default_rng(31)
     B, T, n = 3, 17, 5
     elem = _random_elem(kind, T, n, rng, lead=(B,))
-    a = _random_elem(kind, 1, n, rng, lead=a_lead).a  # (*a_lead, 1, n, ...)
-    if not a_lead:
-        a = a[0]  # no time axis at all
+    a = _random_elem(kind, 1, n, rng, lead=a_lead).a[0]  # (n, ...): no time axis
     full = np.ascontiguousarray(np.broadcast_to(a, (B, T, n) + _A_TAIL[kind]))
     inv = ScanElement(a, elem.b, kind)
     mat = ScanElement(full, elem.b, kind)
@@ -156,23 +157,29 @@ def test_time_invariant_a_bit_identical_to_materialised(kind, a_lead):
     da_inv, db_inv = scan_backward(inv, x_inv, g)
     da_mat, db_mat = scan_backward(mat, x_mat, g)
     np.testing.assert_array_equal(db_inv, db_mat)
-    np.testing.assert_array_equal(da_inv, da_mat)
-    np.testing.assert_array_equal(da_inv.sum(axis=(0, 1)), da_mat.sum(axis=(0, 1)))
+    assert da_inv.shape == a.shape
+    np.testing.assert_array_equal(da_inv, da_mat.sum(axis=(0, 1)))
 
 
-_BROADCASTS = ("full", "no-lead", "invariant", "unit-lead", "unit-time")
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+@pytest.mark.parametrize("layout", ["shared", "per-step"])
+def test_adjoints_come_in_input_shapes(kind, layout):
+    rng = np.random.default_rng(33)
+    elem = _random_elem(kind, 6, 4, rng, lead=(2,))
+    if layout == "shared":
+        elem = ScanElement(elem.a[0, 0], elem.b, kind)
+    da, db = scan_backward(elem, scan_linear(elem), rng.standard_normal(elem.b.shape))
+    assert da.shape == elem.a.shape
+    assert db.shape == elem.b.shape
+
+
+_BROADCASTS = ("per-step", "shared")
 
 
 def _broadcast_a(a, pattern, n_lead):
-    """Cut a [*lead, T, n, ...] factor down to one of the broadcastable shapes."""
-    if pattern == "no-lead":
-        return a[(0,) * n_lead]
-    if pattern == "invariant":
+    """Cut a [*lead, T, n, ...] factor down to one of the accepted layouts."""
+    if pattern == "shared":
         return a[(0,) * (n_lead + 1)]
-    if pattern == "unit-lead":
-        return a[(slice(0, 1),) * n_lead]
-    if pattern == "unit-time":
-        return a[(slice(None),) * n_lead + (slice(0, 1),)]
     return a
 
 
@@ -281,11 +288,11 @@ def test_scan_backward_time_invariant_a_reduces():
     elem = ScanElement(a, b, "diag")
     states = scan_linear(elem)
     w = rng.standard_normal(b.shape)
-    da_full, _ = scan_backward(elem, states, w)
-    # the caller reduces the broadcast axis; check against full-materialized grads
+    da, _ = scan_backward(elem, states, w)
+    # the kernel reduces over time; check against full-materialized grads
     full = ScanElement(np.broadcast_to(a, (12, 5)).copy(), b, "diag")
     da_ref, _ = scan_backward(full, scan_linear(full), w)
-    np.testing.assert_allclose(da_full.sum(axis=0), da_ref.sum(axis=0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(da, da_ref.sum(axis=0))
 
 
 # --- contracts ----------------------------------------------------------------
@@ -312,9 +319,13 @@ def test_missing_pair_axis_rejected():
 
 
 @pytest.mark.parametrize(
-    "a_shape", [(4, 3), (4, 2, 5, 3), (3, 1, 3)], ids=["time", "extra-lead", "batch"]
+    "a_shape",
+    [(4, 3), (4, 2, 5, 3), (3, 1, 3), (2, 1, 3), (1, 1, 3), (1, 3), (5, 3), (1, 5, 3)],
+    ids=["time", "extra-lead", "batch", "per-batch", "unit-time-under-lead", "unit-time",
+         "per-step-no-lead", "unit-lead"],
 )
 def test_unbroadcastable_a_rejected(a_shape):
+    """`a` is shared (n,) or per-step b.shape; every other layout is refused."""
     with pytest.raises(ShapeError):
         scan_linear(ScanElement(np.ones(a_shape), np.ones((2, 5, 3)), "diag"))
 

@@ -33,10 +33,7 @@ def _tiny(arch="LRU", m=2, supervision="final", seed=0, width=3, classes=3):
 def _with_supervision(model, supervision):
     """The same parameters under another supervision mode."""
     cfg = StackConfig(model.config.depth, model.config.n_unique, supervision)
-    return StackModel(
-        model.arch, cfg, model.width, model.n_classes,
-        model.hidden, model.state, model.encoder, model.blocks, model.head,
-    )
+    return StackModel(cfg, model.encoder, model.blocks, model.head)
 
 
 # --- patterns ---------------------------------------------------------------------
@@ -73,7 +70,6 @@ def test_config_rejects_non_divisor():
 
 def test_config_derived_fields():
     cfg = StackConfig(depth=6, n_unique=3, supervision="block")
-    assert cfg.pattern == "ABCABC"
     assert cfg.tap_period == 3
     assert StackConfig(depth=6, n_unique=3, supervision="final").tap_period == 6
 
