@@ -35,9 +35,12 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from . import scan as _scan
 from .errors import ContractError, DtypeError, NumericError, ShapeError
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class Tensor:
@@ -46,14 +49,16 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tape", "_node_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if np.iscomplexobj(arr):
-            raise DtypeError(
-                "complex arrays are not stored directly; use (re, im) pairs in a trailing axis"
-            )
-        if arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
-        self.data = arr
+        # a float64 ndarray, which every primitive makes, is stored as it is
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data)
+            if np.iscomplexobj(data):
+                raise DtypeError(
+                    "complex arrays are not stored directly; use (re, im) pairs in a trailing axis"
+                )
+            if data.dtype != np.float64:
+                data = data.astype(np.float64)
+        self.data = data
         self.requires_grad = requires_grad
         self._tape: "Tape | None" = None
         self._node_id: int | None = None
@@ -159,7 +164,7 @@ def param(data) -> Tensor:
 
 
 def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
+    if type(x) is Tensor:
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
 
@@ -390,8 +395,13 @@ def mean_(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def stack(xs: Sequence, axis: int = -1) -> Tensor:
     xs = tuple(_lift(x) for x in xs)
-    out = np.stack([x.data for x in xs], axis=axis)
-    n = len(xs)
+    shape, n = xs[0].shape, len(xs)
+    if any(x.shape != shape for x in xs):
+        raise ShapeError(f"stack needs tensors of one shape, got {[x.shape for x in xs]}")
+    axis = normalize_axis_index(axis, len(shape) + 1)
+    out = np.empty(shape[:axis] + (n,) + shape[axis:])
+    for i, x in enumerate(xs):
+        out[(slice(None),) * axis + (i,)] = x.data
 
     def vjp(g):
         return tuple(np.take(g, i, axis=axis) for i in range(n))

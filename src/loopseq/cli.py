@@ -20,11 +20,10 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
 from .data import CANONICAL, load_named, synth_sine_task
 from .errors import ConfigError, LoopseqError
-from .report import load_plan, read_results, render_report, run_plan
+from .report import check_out_dir, load_plan, read_results, render_report, run_plan
 from .reshape import make_spec
 from .train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from .verify import run_all
@@ -71,7 +70,7 @@ def _config_from(args, lr: float, seed: int) -> TrainConfig:
 def _cmd_train(args) -> int:
     config = _config_from(args, args.lr, args.seed)
     dataset = _resolve_dataset(args)
-    out_dir = Path(args.out) if args.out else None
+    out_dir = check_out_dir(args.out) if args.out else None
     log_path = None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,10 +114,16 @@ def _cmd_grid(args) -> int:
             cell = f"{r['dataset']}/{r['arch']}/{r['pattern']}/{r['supervision']}/c{r['concentration']}"
             print(f"failed: {cell}: {r['error']}", file=sys.stderr)
         return 1 if failed else 0
+    if args.max_epochs < 1:
+        raise ConfigError(
+            f"--max-epochs must be >= 1 for a grid, got {args.max_epochs}: "
+            "a run with no epoch has no validation accuracy to select an lr on"
+        )
     lrs = _parse_list("--lrs", args.lrs, float)
     seeds = _parse_list("--seeds", args.seeds, int)
     configs = [_config_from(args, lr, seed) for lr in lrs for seed in seeds]
     dataset = _resolve_dataset(args)
+    out_dir = check_out_dir(args.out) if args.out else None
     runs = run_jobs([(config, dataset) for config in configs], workers=args.workers)
     failed = [(config, r) for config, r in zip(configs, runs) if isinstance(r, str)]
     for config, error in failed:
@@ -126,8 +131,7 @@ def _cmd_grid(args) -> int:
     if failed:
         return 1
     grid = grid_and_seeds(runs)
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "grid.json", "w") as fh:
             json.dump(dataclasses.asdict(grid), fh, indent=2)

@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,6 +137,11 @@ class ExperimentPlan:
             raise ConfigError(f"concentrations must be positive integers, got {self.concentrations!r}")
         if not all(0 < lr < float("inf") for lr in self.lrs):
             raise ConfigError(f"lrs must be positive and finite, got {self.lrs!r}")
+        if self.max_epochs < 1:
+            raise ConfigError(
+                f"plan field 'max_epochs' must be >= 1, got {self.max_epochs}: "
+                "a run with no epoch has no validation accuracy to select an lr on"
+            )
 
     def cells(self) -> list[PlanCell]:
         """Cross product, except the all-unique baseline runs final-only."""
@@ -175,6 +181,18 @@ def load_plan(path) -> ExperimentPlan:
 
 
 # --- running -----------------------------------------------------------------------
+
+
+def check_out_dir(path) -> Path:
+    """`path`, refused before any run unless it is a writable directory or can be made one."""
+    out_dir = probe = Path(path)
+    while not probe.exists():  # its nearest existing ancestor must take the new directory
+        probe = probe.parent
+    if not probe.is_dir() or not os.access(probe, os.W_OK | os.X_OK):
+        raise ConfigError(
+            f"cannot use {str(path)!r} as an output directory: {str(probe)!r} is not a writable directory"
+        )
+    return out_dir
 
 
 def resolve_dataset(name: str, plan: ExperimentPlan) -> Dataset:
@@ -238,12 +256,12 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> Path:
     # resolve every dataset before any training starts, so a missing
     # file aborts the whole plan up front
     datasets = {name: resolve_dataset(name, plan) for name in plan.datasets}
+    out_dir = check_out_dir(plan.out_dir)
     jobs = [(config, datasets[cell.dataset]) for cell in cells for config in _configs(cell, plan)]
     outcomes = run_jobs(jobs, workers)
     n = len(plan.lrs) * len(plan.seeds)
     rows = [_cell_row(cell, outcomes[i * n : (i + 1) * n]) for i, cell in enumerate(cells)]
 
-    out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:

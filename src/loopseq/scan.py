@@ -34,6 +34,13 @@ trailing axis of length 2 over a float64 substrate; inside the kernel a
 
 `scan_backward` returns each adjoint in its input's shape: a shared
 factor's `da` is summed over the batch and time axes.
+
+Each step's product goes to a contiguous temporary.  A ufunc over a short
+strided row costs several times one over a contiguous row, so rows of at
+most `_ROW_COPY_MAX` bytes run in a C-contiguous time-major buffer, with
+`b` copied in and the states copied back in one transposing pass each.
+At B = 1 `b` is read in place, and longer rows are written in b's layout.
+Every bit is the same on each path.
 """
 
 from __future__ import annotations
@@ -87,9 +94,8 @@ class ScanElement:
 def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
     """Validate b's trailing dims and a's layout against b.
 
-    Returns (a, b, full, shared): `full` is a per-step factor's shape, and
-    a shared factor comes back as a view with unit batch and time axes in
-    front, so both layouts go time-major the same way; nothing is copied.
+    Returns (a, b, full, shared): `full` is a per-step factor's shape;
+    nothing is copied.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -107,7 +113,7 @@ def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
             f"a shape {a.shape} is neither shared {tail} nor per-step {full} "
             f"(kind {kind!r}, b shape {b.shape})"
         )
-    return a.reshape((1,) * (len(full) - a.ndim) + a.shape), b, full, a.shape == tail
+    return a, b, full, a.shape == tail
 
 
 def _time_major(kind: str, z: np.ndarray, t_axis: int) -> np.ndarray:
@@ -116,27 +122,60 @@ def _time_major(kind: str, z: np.ndarray, t_axis: int) -> np.ndarray:
         if z.strides[-1] != z.itemsize:
             z = np.ascontiguousarray(z)
         z = z.view(np.complex128)[..., 0]
-    return np.moveaxis(z, t_axis, 0)
+    return z.transpose(t_axis, *range(t_axis), *range(t_axis + 1, z.ndim))
 
 
-def _recur(kind: str, steps, src: np.ndarray, out: np.ndarray) -> None:
-    """The production kernel: out_0 = src_0, out_s = steps_s . out_{s-1} + src_s.
+_ROW_COPY_MAX = 4096  # bytes; the measured break-even of the copies against strided rows
 
-    `src` and `out` are time-major.  `steps` yields the factor of each
-    step s = 1..T-1: slices of a time-major array, or one shared factor
-    repeated (never copied), which broadcasts against each state.
+
+def _buffers(kind: str, z: np.ndarray, t_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Time-major (src, out) for z [*lead, T, ...]: z and a fresh array in z's
+    layout, or for short strided rows one C-contiguous buffer holding z."""
+    src = _time_major(kind, z, t_axis)
+    if src[0].flags.c_contiguous or src[0].nbytes > _ROW_COPY_MAX:
+        return src, _time_major(kind, np.empty(z.shape), t_axis)
+    out = np.empty(src.shape, src.dtype)
+    np.copyto(out, src)
+    return out, out
+
+
+def _lead_major(buf: np.ndarray, t_axis: int, shape: tuple) -> np.ndarray:
+    """buf [T, *lead, ...] as a float array of `shape`: a copy only for a time-major buffer."""
+    order = (*range(1, t_axis + 1), 0, *range(t_axis + 1, buf.ndim))
+    return np.ascontiguousarray(buf.transpose(order)).view(np.float64).reshape(shape)
+
+
+def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndarray) -> None:
+    """The production kernel: out_0 = src_0, out_s = f_s . out_{s-1} + src_s.
+
+    `src` (possibly `out`) and `out` are time-major, time possibly reversed.
+    `f` holds the factor of each step s = 1..T-1, or with `shared` one
+    channel-tail factor, copied to one contiguous row when rows are contiguous.
     """
-    tmp = np.empty_like(out[0]) if kind == "mat2" else None
+    row = out.shape[1:]
+
+    def per_step(c):
+        if shared and out[0].flags.c_contiguous:
+            c = np.positive(c, out=np.empty(row, c.dtype))  # a broadcasting copy
+        return itertools.repeat(c) if shared else c
+
+    tmp = np.empty(row, out.dtype)
+    mul, add = np.multiply, np.add  # positional `out`: the cheapest ufunc call
     out[0] = src[0]
     prev = out[0]
-    for f, cur, b in zip(steps, out[1:], src[1:]):
-        if kind != "mat2":
-            np.multiply(f, prev, out=cur)
-        else:  # x'_i = a_i0 x_0 + a_i1 x_1, one matrix column at a time
-            np.multiply(f[..., 0], prev[..., :1], out=cur)
-            np.multiply(f[..., 1], prev[..., 1:], out=tmp)
-            cur += tmp
-        cur += b
+    if kind != "mat2":
+        for fs, b, cur in zip(per_step(f), src[1:], out[1:]):
+            mul(fs, prev, tmp)
+            add(tmp, b, cur)
+            prev = cur
+        return
+    # x'_i = a_i0 x_0 + a_i1 x_1, one matrix column at a time
+    tmp1 = np.empty_like(tmp)
+    for f0, f1, b, cur in zip(per_step(f[..., 0]), per_step(f[..., 1]), src[1:], out[1:]):
+        mul(f0, prev[..., :1], tmp)
+        mul(f1, prev[..., 1:], tmp1)
+        add(tmp, tmp1, tmp)
+        add(tmp, b, cur)
         prev = cur
 
 
@@ -159,11 +198,11 @@ def scan_linear(elem: ScanElement) -> np.ndarray:
     kind = elem.kind
     a, b, _, shared = _check_elements(kind, elem.a, elem.b)
     t_axis = b.ndim - 1 - _B_TRAIL[kind]
-    wa = _time_major(kind, a, t_axis)
-    out = np.empty(b.shape)
-    steps = itertools.repeat(wa[0]) if shared else wa[1:]
-    _recur(kind, steps, _time_major(kind, b, t_axis), _time_major(kind, out, t_axis))
-    return out
+    # a shared factor has no time axis, and "moving" its axis 0 leaves it as it is
+    f = _time_major(kind, a, 0 if shared else t_axis)
+    src, out = _buffers(kind, b, t_axis)
+    _recur(kind, f if shared else f[1:], shared, src, out)
+    return _lead_major(out, t_axis, b.shape)
 
 
 def scan_backward(
@@ -184,17 +223,16 @@ def scan_backward(
         raise ShapeError(f"cotangent shape {g.shape} does not match b shape {b.shape}")
     t_axis = b.ndim - 1 - _B_TRAIL[kind]
 
-    wa = _time_major(kind, a, t_axis)
+    f = _time_major(kind, a, 0 if shared else t_axis)
     if kind == "cdiag":
-        wa = np.conj(wa)
+        f = np.conj(f)
     elif kind == "mat2":
-        wa = np.swapaxes(wa, -1, -2)
-    db = np.empty(b.shape)
-    lam = _time_major(kind, db, t_axis)
+        f = np.swapaxes(f, -1, -2)
+    src, lam = _buffers(kind, g, t_axis)
     # reversed time: step s multiplies by the adjoint of a_{T-s}
-    steps = itertools.repeat(wa[0]) if shared else wa[:0:-1]
-    _recur(kind, steps, _time_major(kind, g, t_axis)[::-1], lam[::-1])
+    _recur(kind, f if shared else f[:0:-1], shared, src[::-1], lam[::-1])
 
+    # filled and summed in b's layout, so a shared da keeps its summation order
     da = np.empty(full)
     wda = _time_major(kind, da, t_axis)
     x_prev = _time_major(kind, np.asarray(states, dtype=np.float64), t_axis)[:-1]
@@ -208,4 +246,4 @@ def scan_backward(
         np.multiply(lam[1:, ..., :, None], x_prev[..., None, :], out=wda[1:])
     if shared:
         da = da.sum(axis=tuple(range(t_axis + 1)))
-    return da, db
+    return da, _lead_major(lam, t_axis, b.shape)

@@ -8,7 +8,8 @@ bit-identical curves.
 Per run we record the pre-update loss over the full train portion
 (`initial_loss`), per-epoch mean minibatch loss, validation/test
 accuracy per epoch, and the test accuracy at the best-validation epoch.
-Non-finite losses or gradients mark the run diverged and end it.
+Non-finite losses, gradients, parameters or evaluation logits mark the
+run diverged and end it; the epoch in which that happens is not scored.
 
 A run, one (config, dataset) job, is the unit of work: `run_jobs` trains
 a list of them in-process or on one process pool, and `grid_and_seeds`
@@ -183,10 +184,14 @@ def full_loss(model: StackModel, ds: Dataset) -> float:
 
 
 def accuracy(model: StackModel, ds: Dataset) -> float:
+    """Fraction of examples whose argmax logit is the label; NaN when any logit is non-finite."""
     hits, n = 0, ds.n
     for lo in range(0, n, _EVAL_BATCH):
         idx = np.arange(lo, min(lo + _EVAL_BATCH, n))
-        logits = predict_logits(model, ds.series[idx])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logits = predict_logits(model, ds.series[idx])
+        if not np.isfinite(logits).all():
+            return float("nan")
         hits += int((logits.argmax(axis=-1) == ds.labels[idx]).sum())
     return hits / n
 
@@ -251,13 +256,21 @@ def train_one(
             if config.clip_norm is not None:
                 clip_global_norm(grads, config.clip_norm)
             adam_step(opt, params, grads)
+            if any(not np.isfinite(p.data).all() for _, p in params):
+                diverged = True
+                break
             epoch_loss += value * len(idx)
             seen += len(idx)
         if diverged:
             break
+        # finite parameters can still overflow to non-finite logits
+        val_acc, test_acc = accuracy(model, prep.val), accuracy(model, prep.test)
+        if not np.isfinite(val_acc + test_acc):
+            diverged = True
+            break
         train_losses.append(epoch_loss / seen)
-        val_accs.append(accuracy(model, prep.val))
-        test_accs.append(accuracy(model, prep.test))
+        val_accs.append(val_acc)
+        test_accs.append(test_acc)
         if val_accs[-1] > best_val:
             best_val, best_epoch, best_test = val_accs[-1], epoch, test_accs[-1]
             bad = 0

@@ -328,6 +328,56 @@ def test_complex_dtype_rejected():
         Tensor(np.ones(3, dtype=np.complex128))
 
 
+@pytest.mark.parametrize(
+    "data", [np.complex128(1j), 1j, [1 + 0j], np.ones((2, 2), dtype=np.complex64)],
+    ids=["numpy-scalar", "python-scalar", "list", "complex64"],
+)
+def test_complex_scalars_and_lists_rejected(data):
+    with pytest.raises(DtypeError):
+        Tensor(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [np.arange(3), [1, 2, 3], 2, np.float32([1.5, 2.5, 3.5]), np.ones(3, dtype=">f8"), np.float64(2.0)],
+    ids=["int-array", "int-list", "int-scalar", "float32", "big-endian", "numpy-scalar"],
+)
+def test_non_float64_input_converts(data):
+    t = Tensor(data)
+    assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+    np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+    assert ad.add(data, 1).data.dtype == np.float64
+
+
+def _every_primitive(x, y, m, w, v, a, b):
+    """One output of each public primitive, 0-d results included."""
+    return [
+        ad.add(x, y), ad.sub(x, y), ad.mul(x, 2), ad.div(x, y), ad.neg(x), ad.exp(x),
+        ad.sqrt(ad.exp(x)), ad.tanh(x), ad.sigmoid(x), ad.relu(x), ad.sin(x), ad.cos(x),
+        ad.matmul(m, w), ad.affine(m, w, v), ad.layer_norm(m, v, v, 1e-5),
+        ad.sum_(x), ad.sum_(x, axis=0), ad.mean_(x), ad.mean_(m, axis=-1, keepdims=True),
+        ad.stack([x, y], axis=0), ad.cpair(x, y), ad.reshape(m, (-1,)),
+        ad.scan_linear(a, b, "cdiag"), ad.softmax_cross_entropy(m, np.array([0, 2])),
+        ad.sum_(x) * ad.sum_(y),
+    ]
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_every_primitive_stores_a_float64_ndarray(taped):
+    rng = np.random.default_rng(5)
+    x, y = param(rng.standard_normal(4)), param(rng.uniform(1, 2, 4))
+    m, w, v = (param(rng.standard_normal(s)) for s in ((2, 3), (3, 3), (3,)))
+    a, b = param(rng.uniform(-0.5, 0.5, (3, 2))), param(rng.standard_normal((2, 5, 3, 2)))
+    if taped:
+        with Tape():
+            outs = _every_primitive(x, y, m, w, v, a, b)
+    else:
+        outs = _every_primitive(x, y, m, w, v, a, b)
+    for out in outs:
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64, out
+    assert outs[15].data.shape == () and outs[-1].data.shape == ()
+
+
 def test_negated_adjoint_sentinel_detected():
     """A wrong (negated) gradient must produce a relative error near 2."""
     rng = np.random.default_rng(12)

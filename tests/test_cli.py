@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from loopseq import cli
+from loopseq import train as train_mod
 from loopseq.cli import build_parser, main
 from loopseq.report import ExperimentPlan, read_results
 from loopseq.verify import AuditReport, CheckResult
@@ -276,6 +277,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         (["grid", "--concentration", "0", "--max-epochs", "1"], "concentration must be >= 1"),
         (["grid", "--seeds=-1", "--max-epochs", "1"], "seed >= 0"),
         (["train", "--seed=-1", "--max-epochs", "1"], "seed >= 0"),
+        (["grid", "--max-epochs", "0"], "--max-epochs must be >= 1 for a grid, got 0"),
     ],
     ids=[
         "pattern-not-int",
@@ -297,6 +299,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         "zero-concentration",
         "negative-grid-seed",
         "negative-train-seed",
+        "zero-grid-epochs",
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys):
@@ -332,6 +335,7 @@ def test_bad_input_exits_2(argv, message, capsys):
         (dict(synth={"n_classes": 1}), "synth 'n_classes' must be an integer >= 2, got 1"),
         (dict(synth={"width": 0}), "synth 'width' must be an integer >= 1, got 0"),
         (dict(synth={"steps": 0}), "synth 'steps' must be an integer >= 1, got 0"),
+        (dict(max_epochs=0), "plan field 'max_epochs' must be >= 1, got 0"),
     ],
     ids=[
         "not-json",
@@ -358,6 +362,7 @@ def test_bad_input_exits_2(argv, message, capsys):
         "synth-one-class",
         "synth-zero-width",
         "synth-zero-steps",
+        "zero-epochs",
     ],
 )
 def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):
@@ -379,6 +384,35 @@ def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):
     assert main(["grid", "--plan", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("command", ["plan", "grid", "train"])
+def test_unusable_out_dir_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker if where == "file" else blocker / "res"
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "train_one", no_training)
+    monkeypatch.setattr(train_mod, "train_one", no_training)
+    tiny = ["--max-epochs", "1", "--hidden", "4", "--state", "4", "--pattern", "2,1"]
+    if command == "plan":
+        plan = {
+            "datasets": ["synth"], "archs": ["LRU"], "patterns": ["AA"], "supervisions": ["final"],
+            "lrs": [0.01], "seeds": [0], "out_dir": str(out), "max_epochs": 1, "hidden": 4, "state": 4,
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        argv = ["grid", "--plan", str(path)]
+    else:
+        argv = [command, *tiny, "--out", str(out)] + (["--lrs", "0.01", "--seeds", "0"] if command == "grid" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "as an output directory" in err
+    assert blocker.read_text() == "not a directory"
 
 
 # --- the README documents exactly what the code accepts ------------------------------

@@ -229,6 +229,75 @@ def test_worms_scale_memory_is_bounded():
     assert bwd_peak <= 6 * b.nbytes, f"backward peak {bwd_peak / b.nbytes:.2f}x b"
 
 
+def _pinned_reference(a, b, g, kind, shared):
+    """States and adjoints by a plain loop in the kernel's exact association.
+
+    x_0 = b_0 and x_t = f_t . x_{t-1} + b_t, with f . x one complex multiply
+    ("cdiag") or (a_i0 x_0 + a_i1 x_1) ("mat2"); the adjoint runs the same
+    loop backwards on the transposed (conjugate) factor, and a shared da
+    is the full-shape da summed in b's layout over (lead..., T).
+    """
+    t_axis = b.ndim - 1 - (1 if kind == "diag" else 2)
+    if kind == "cdiag":  # exact complex views of the pairs
+        a, b, g = (np.ascontiguousarray(z).view(np.complex128)[..., 0] for z in (a, b, g))
+    full = a if not shared else np.broadcast_to(a, b.shape + (2,) * (kind == "mat2"))
+    at = np.moveaxis(full, t_axis, 0)
+    bt, gt = np.moveaxis(b, t_axis, 0), np.moveaxis(g, t_axis, 0)
+    T = bt.shape[0]
+
+    def apply(f, x):
+        if kind == "mat2":
+            return f[..., :, 0] * x[..., :1] + f[..., :, 1] * x[..., 1:]
+        return f * x
+
+    adj = np.conj(at) if kind == "cdiag" else np.swapaxes(at, -1, -2) if kind == "mat2" else at
+    xs, lams = [bt[0]], [gt[T - 1]]
+    for t in range(1, T):
+        xs.append(apply(at[t], xs[-1]) + bt[t])
+        lams.append(apply(adj[T - t], lams[-1]) + gt[T - 1 - t])
+    x, lam = np.stack(xs), np.stack(lams[::-1])
+    da = np.zeros(at.shape, at.dtype)
+    if kind == "mat2":
+        da[1:] = lam[1:, ..., :, None] * x[:-1, ..., None, :]
+    else:
+        da[1:] = (np.conj(x[:-1]) if kind == "cdiag" else x[:-1]) * lam[1:]
+    da = np.ascontiguousarray(np.moveaxis(da, 0, t_axis))
+    if shared:
+        da = da.sum(axis=tuple(range(t_axis + 1)))
+    out = [np.moveaxis(x, 0, t_axis), da, np.moveaxis(lam, 0, t_axis)]
+    if kind == "cdiag":
+        out = [np.stack([z.real, z.imag], axis=-1) for z in out]
+    return out
+
+
+@pytest.mark.parametrize("T", [1, 2, 17])
+@pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3), (200,)], ids=["none", "1", "4", "2x3", "200"])
+@pytest.mark.parametrize("layout", ["shared", "per-step"])
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+def test_kernel_bits_and_inputs_are_pinned(kind, layout, lead, T):
+    """The kernel equals the pinned loop bit for bit and leaves its inputs untouched.
+
+    With one lead element the kernel reads b's and g's rows in place, so
+    an in-place slip would write through to them; 200 lead elements give
+    rows longer than the kernel copies through its time-major buffer.
+    """
+    rng = np.random.default_rng(41)
+    elem = _random_elem(kind, T, 3, rng, lead=lead)
+    a = elem.a[(0,) * (len(lead) + 1)] if layout == "shared" else elem.a
+    elem = ScanElement(a, elem.b, kind)
+    g = rng.standard_normal(elem.b.shape)
+    before = [z.copy() for z in (a, elem.b, g)]
+    x = scan_linear(elem)
+    states = x.copy()
+    da, db = scan_backward(elem, x, g)
+    for z, z0 in zip((a, elem.b, g, x), before + [states]):
+        assert z.tobytes() == z0.tobytes()
+    assert not any(np.shares_memory(out, z) for out in (x, da, db) for z in (a, elem.b, g))
+    for got, want in zip((x, da, db), _pinned_reference(a, elem.b, g, kind, layout == "shared")):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 # --- oracle arithmetic --------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from loopseq import autodiff as ad
+from loopseq import train as train_mod
 from loopseq.autodiff import Tensor
 from loopseq.data import synth_sine_task
 from loopseq.errors import AggregationError, ConfigError, DataError
@@ -156,6 +157,30 @@ def test_divergent_lr_flags_and_aborts():
     assert res.diverged
     assert res.epochs_run == 0 and res.train_losses == []
     assert np.isfinite(res.initial_loss)
+
+
+def test_overflowing_update_is_diverged_and_unscored():
+    """lr = 1e308 leaves every parameter finite but the logits NaN; an
+    all-NaN row's argmax is 0, which must not score as an accuracy."""
+    res = train_one(TrainConfig(lr=1e308, max_epochs=1, hidden=4, state=4), synth_sine_task(n=8, steps=10))
+    assert res.diverged
+    assert res.epochs_run == 0 and res.val_accs == [] and res.test_accs == []
+    assert np.isnan(res.best_val_acc)
+
+
+def test_update_to_a_non_finite_parameter_is_diverged(monkeypatch):
+    """A step that leaves a parameter infinite ends the run at that step,
+    even where the logits stay finite (LRU's exp(-exp(inf)) is 0)."""
+    real = train_mod.adam_step
+
+    def step(state, params, grads):
+        real(state, params, grads)
+        dict(params)["blocks.0.nu_log"].data[0] = np.inf
+
+    monkeypatch.setattr(train_mod, "adam_step", step)
+    res = train_one(_tiny_config(max_epochs=1, batch_size=64), _tiny_data())
+    assert res.diverged
+    assert res.epochs_run == 0 and res.val_accs == []
 
 
 def test_training_improves_on_separable_task():
