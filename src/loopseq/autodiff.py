@@ -35,7 +35,6 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_index
 
 from . import scan as _scan
 from .errors import ContractError, DtypeError, NumericError, ShapeError
@@ -398,7 +397,7 @@ def stack(xs: Sequence, axis: int = -1) -> Tensor:
     shape, n = xs[0].shape, len(xs)
     if any(x.shape != shape for x in xs):
         raise ShapeError(f"stack needs tensors of one shape, got {[x.shape for x in xs]}")
-    axis = normalize_axis_index(axis, len(shape) + 1)
+    axis = range(len(shape) + 1)[axis]  # normalised; IndexError when out of range
     out = np.empty(shape[:axis] + (n,) + shape[axis:])
     for i, x in enumerate(xs):
         out[(slice(None),) * axis + (i,)] = x.data

@@ -125,7 +125,10 @@ def _time_major(kind: str, z: np.ndarray, t_axis: int) -> np.ndarray:
     return z.transpose(t_axis, *range(t_axis), *range(t_axis + 1, z.ndim))
 
 
-_ROW_COPY_MAX = 4096  # bytes; the measured break-even of the copies against strided rows
+# bytes: a scan loop with rows of up to 8 KB (synth-grid's) ran faster through
+# the buffer for every kind, and Heartbeat-shape training steps (16-32 KB rows)
+# ran their scans faster in place
+_ROW_COPY_MAX = 8192
 
 
 def _buffers(kind: str, z: np.ndarray, t_axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +137,7 @@ def _buffers(kind: str, z: np.ndarray, t_axis: int) -> tuple[np.ndarray, np.ndar
     src = _time_major(kind, z, t_axis)
     if src[0].flags.c_contiguous or src[0].nbytes > _ROW_COPY_MAX:
         return src, _time_major(kind, np.empty(z.shape), t_axis)
-    out = np.empty(src.shape, src.dtype)
-    np.copyto(out, src)
+    out = src.copy()  # C order
     return out, out
 
 
@@ -156,7 +158,7 @@ def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndar
 
     def per_step(c):
         if shared and out[0].flags.c_contiguous:
-            c = np.positive(c, out=np.empty(row, c.dtype))  # a broadcasting copy
+            c = np.broadcast_to(c, row).copy()
         return itertools.repeat(c) if shared else c
 
     tmp = np.empty(row, out.dtype)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loopseq.errors import EmptySequenceError, ShapeError
 from loopseq.scan import (
+    _ROW_COPY_MAX,
     ScanElement,
     pair_mul,
     scan_backward,
@@ -270,16 +271,20 @@ def _pinned_reference(a, b, g, kind, shared):
     return out
 
 
+# at n = 3 a "diag" row of L lead elements takes 24 L bytes, "cdiag" and "mat2" 48 L
+_LONG = (_ROW_COPY_MAX // 24 + 1,)
+
+
 @pytest.mark.parametrize("T", [1, 2, 17])
-@pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3), (200,)], ids=["none", "1", "4", "2x3", "200"])
+@pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3), _LONG], ids=["none", "1", "4", "2x3", "long"])
 @pytest.mark.parametrize("layout", ["shared", "per-step"])
 @pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
 def test_kernel_bits_and_inputs_are_pinned(kind, layout, lead, T):
     """The kernel equals the pinned loop bit for bit and leaves its inputs untouched.
 
     With one lead element the kernel reads b's and g's rows in place, so
-    an in-place slip would write through to them; 200 lead elements give
-    rows longer than the kernel copies through its time-major buffer.
+    an in-place slip would write through to them; `_LONG` gives rows
+    longer than the kernel copies through its time-major buffer.
     """
     rng = np.random.default_rng(41)
     elem = _random_elem(kind, T, 3, rng, lead=lead)
