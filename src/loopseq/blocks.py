@@ -1,22 +1,24 @@
-"""Sequence blocks: four diagonal state-space recurrences behind one shape.
+"""Sequence blocks: each arch is a scan factor; one apply runs the tail.
 
 Every block maps [..., T, H] -> [..., T, H] as
 
-    h_out = h_in + glu(recurrence(layer_norm(h_in)))
+    u = layer_norm(h_in)
+    (kind, a, b, c) = factor(params, u)
+    h_out = h_in + glu(readout(scan(a, b, kind), c) + d * u)
 
-with a pre-norm, a state-space recurrence over P channels evaluated by
-the scan kernel, a GLU mixer (linear value gated by a sigmoid-linear
-gate) on the recurrence's real output, and a residual add.  No dropout
-anywhere.  The four recurrences:
+The four archs differ only in their factor: the scan kind, the transition
+factor a, the forcing b and the readout weights c.  `block_forward` runs
+the scan, the readout, the feedthrough d * u, the GLU mixer (linear value
+gated by a sigmoid-linear gate) and the residual add once for all of them.
+No dropout anywhere.  The factors:
 
     lru     complex diagonal x_t = lambda * x_{t-1} + gamma * (B u_t),
             |lambda| = exp(-exp(nu_log)) initialized in the ring
-            [0.9, 0.999], gamma = sqrt(1 - |lambda|^2),
-            y = Re(C x) + d * u
+            [0.9, 0.999], gamma = sqrt(1 - |lambda|^2), y = Re(C x)
 
     s5      complex diagonal MIMO discretized by zero-order hold with a
             learnable per-channel timescale: abar = exp(dt * Lambda),
-            bbar u = ((abar - 1) / Lambda) * (B u), y = Re(C x) + d * u
+            bbar u = ((abar - 1) / Lambda) * (B u), y = Re(C x)
 
     linoss  forced harmonic oscillator y'' = -A y + B u discretized
             implicitly; the per-channel state (z, y) evolves under the
@@ -42,8 +44,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, param
 from .errors import ConfigError
-
-ARCHS = ("LRU", "S5", "LinOSS", "LrcSSM")
 
 _NORM_EPS = 1e-6
 
@@ -126,13 +126,6 @@ class LrcSSMParams(_CommonBlock):
 
 BlockParams = LRUParams | S5Params | LinOSSParams | LrcSSMParams
 
-_PARAM_TYPES = {
-    "LRU": LRUParams,
-    "S5": S5Params,
-    "LinOSS": LinOSSParams,
-    "LrcSSM": LrcSSMParams,
-}
-
 
 def named_tensors(obj) -> Iterator[tuple[str, Tensor]]:
     """Declared parameter tensors of a params dataclass, in field order."""
@@ -168,7 +161,7 @@ def _common_init(hidden: int, rng: np.random.Generator) -> dict:
 
 def init_block(arch: str, hidden: int, state: int, rng: np.random.Generator) -> BlockParams:
     """Fresh block parameters; draws happen in a fixed order per arch."""
-    if arch not in _PARAM_TYPES:
+    if arch not in ARCHS:
         raise ConfigError(f"unknown arch {arch!r}; expected one of {ARCHS}")
     common = _common_init(hidden, rng)
     cplx_in = lambda: param(rng.standard_normal((hidden, state)) / np.sqrt(2.0 * hidden))
@@ -230,22 +223,11 @@ def init_head(hidden: int, n_classes: int, rng: np.random.Generator) -> HeadPara
 
 
 # --- forward passes ---------------------------------------------------------------
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return ad.layer_norm(x, gain, bias, _NORM_EPS)
-
-
-def _glu(p: _CommonBlock, r: Tensor) -> Tensor:
-    value = ad.affine(r, p.glu_value_w, p.glu_value_b)
-    gate = ad.sigmoid(ad.affine(r, p.glu_gate_w, p.glu_gate_b))
-    return value * gate
-
-
-# The complex projections run as one real matmul each over interleaved
-# (re, im) columns: the input side maps [..., H] to [..., P, 2] through an
-# [H, 2P] weight with the per-channel input coefficient folded in, and the
-# output side takes Re(C x) = x_re @ c_re - x_im @ c_im as [..., 2P] @ [2P, H].
+#
+# The complex and oscillator factors carry a trailing pair axis, (re, im) or
+# (z, y), in their forcing and readout: the forcing is one real matmul over
+# interleaved columns, [..., H] @ [H, 2P], and the readout takes
+# Re(C x) = x_re @ c_re - x_im @ c_im as [..., 2P] @ [2P, H].
 
 
 def _project_in(u: Tensor, w_pairs: Tensor) -> Tensor:
@@ -255,23 +237,15 @@ def _project_in(u: Tensor, w_pairs: Tensor) -> Tensor:
     return ad.reshape(flat, flat.shape[:-1] + (state, 2))
 
 
-def _project_out(x: Tensor, c_pairs: Tensor) -> Tensor:
-    """x [..., P, 2] @ c_pairs [P, 2, H] -> [..., H]."""
-    state, _, hidden = c_pairs.shape
-    flat = ad.reshape(x, x.shape[:-2] + (2 * state,))
-    return flat @ ad.reshape(c_pairs, (2 * state, hidden))
-
-
-def _recur_lru(p: LRUParams, u: Tensor) -> Tensor:
+def _lru_factor(p: LRUParams, u: Tensor):
     mag = ad.exp(-ad.exp(p.nu_log))
     lam = ad.cpair(mag * ad.cos(p.theta), mag * ad.sin(p.theta))
     gamma = ad.sqrt(1.0 - mag * mag)
     forcing = _project_in(u, ad.cpair(gamma * p.b_re, gamma * p.b_im))
-    x = ad.scan_linear(lam, forcing, "cdiag")
-    return _project_out(x, ad.stack([p.c_re, -p.c_im], axis=1)) + p.feedthrough * u
+    return "cdiag", lam, forcing, ad.stack([p.c_re, -p.c_im], axis=1)
 
 
-def _recur_s5(p: S5Params, u: Tensor) -> Tensor:
+def _s5_factor(p: S5Params, u: Tensor):
     lam_re = -ad.exp(p.re_log)
     dt = ad.exp(p.log_dt)
     zi = dt * p.im
@@ -283,11 +257,10 @@ def _recur_s5(p: S5Params, u: Tensor) -> Tensor:
     bc_re = (num_re * lam_re + abar_im * p.im) / d
     bc_im = (abar_im * lam_re - num_re * p.im) / d
     w = ad.cpair(bc_re * p.b_re - bc_im * p.b_im, bc_re * p.b_im + bc_im * p.b_re)
-    x = ad.scan_linear(ad.cpair(abar_re, abar_im), _project_in(u, w), "cdiag")
-    return _project_out(x, ad.stack([p.c_re, -p.c_im], axis=1)) + p.feedthrough * u
+    return "cdiag", ad.cpair(abar_re, abar_im), _project_in(u, w), ad.stack([p.c_re, -p.c_im], axis=1)
 
 
-def _recur_linoss(p: LinOSSParams, u: Tensor) -> Tensor:
+def _linoss_factor(p: LinOSSParams, u: Tensor):
     freq = ad.relu(p.a_hat)
     dt = ad.sigmoid(p.dt_hat)
     s = 1.0 / (1.0 + dt * dt * freq)
@@ -295,32 +268,40 @@ def _recur_linoss(p: LinOSSParams, u: Tensor) -> Tensor:
     row_y = ad.stack([dt * s, 1.0 - dt * dt * freq * s], axis=-1)
     m = ad.stack([row_z, row_y], axis=-2)
     forcing = _project_in(u, ad.cpair(dt * s * p.b_w, dt * dt * s * p.b_w))
-    x = ad.scan_linear(m, forcing, "mat2")
     # only the y component of each (z, y) state is read out
-    c_pairs = ad.stack([Tensor(np.zeros(p.c_w.shape)), p.c_w], axis=1)
-    return _project_out(x, c_pairs) + p.feedthrough * u
+    return "mat2", m, forcing, ad.stack([Tensor(np.zeros(p.c_w.shape)), p.c_w], axis=1)
 
 
-def _recur_lrcssm(p: LrcSSMParams, u: Tensor) -> Tensor:
+def _lrcssm_factor(p: LrcSSMParams, u: Tensor):
     gate = ad.sigmoid(ad.affine(u, p.gate_w, p.gate_b))
     drive = (1.0 - gate) * ad.tanh(ad.affine(u, p.drive_w, p.drive_b))
-    x = ad.scan_linear(gate, drive, "diag")
-    return x @ p.c_w + p.feedthrough * u
+    return "diag", gate, drive, p.c_w
 
 
-_RECURRENCES = {
-    LRUParams: _recur_lru,
-    S5Params: _recur_s5,
-    LinOSSParams: _recur_linoss,
-    LrcSSMParams: _recur_lrcssm,
+_FACTORS = {
+    LRUParams: _lru_factor,
+    S5Params: _s5_factor,
+    LinOSSParams: _linoss_factor,
+    LrcSSMParams: _lrcssm_factor,
 }
+ARCHS = tuple(cls.arch for cls in _FACTORS)
 
 
 def block_forward(p: BlockParams, h: Tensor) -> Tensor:
-    """Pre-norm -> recurrence -> GLU mixer -> residual; preserves [..., T, H]."""
-    u = layer_norm(h, p.norm_gain, p.norm_bias)
-    r = _RECURRENCES[type(p)](p, u)
-    return h + _glu(p, r)
+    """Pre-norm, the arch's factor, then the shared tail; preserves [..., T, H]."""
+    u = ad.layer_norm(h, p.norm_gain, p.norm_bias, _NORM_EPS)
+    kind, a, b, c = _FACTORS[type(p)](p, u)
+    x = ad.scan_linear(a, b, kind)
+    del a, b  # the tape keeps what the scan's adjoint reads; the forcing is freed here
+    if kind != "diag":  # x [..., P, 2] @ c [P, 2, H], as [..., 2P] @ [2P, H]
+        state, _, hidden = c.shape
+        x = ad.reshape(x, x.shape[:-2] + (2 * state,))
+        c = ad.reshape(c, (2 * state, hidden))
+    r = x @ c + p.feedthrough * u
+    del x  # without a tape the states are freed here too, before the GLU
+    value = ad.affine(r, p.glu_value_w, p.glu_value_b)
+    gate = ad.sigmoid(ad.affine(r, p.glu_gate_w, p.glu_gate_b))
+    return h + value * gate
 
 
 def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:

@@ -21,9 +21,10 @@ import json
 import logging
 import sys
 
-from .data import CANONICAL, load_named, synth_sine_task
+from .blocks import ARCHS
+from .data import CANONICAL
 from .errors import ConfigError, LoopseqError
-from .report import check_out_dir, load_plan, read_results, render_report, run_plan
+from .report import check_out_dir, load_plan, read_results, render_report, resolve_dataset, run_plan
 from .reshape import make_spec
 from .train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from .verify import run_all
@@ -31,7 +32,7 @@ from .verify import run_all
 
 def _add_cell_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", default="synth", help="'synth' or a canonical corpus name")
-    p.add_argument("--arch", default="LRU", help="LRU, S5, LinOSS, or LrcSSM")
+    p.add_argument("--arch", default="LRU", help="one of " + ", ".join(ARCHS))
     p.add_argument("--pattern", default="AAAAAA", help="block-sharing pattern, e.g. ABCABC or '6,3'")
     p.add_argument("--supervision", choices=("final", "block"), default="final")
     p.add_argument("--concentration", type=int, default=1)
@@ -42,12 +43,6 @@ def _add_cell_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--state", type=int, default=64)
     p.add_argument("--data-dir", default="data")
-
-
-def _resolve_dataset(args):
-    if args.dataset == "synth":
-        return synth_sine_task()
-    return load_named(args.dataset, args.data_dir)
 
 
 def _config_from(args, lr: float, seed: int) -> TrainConfig:
@@ -69,7 +64,7 @@ def _config_from(args, lr: float, seed: int) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     config = _config_from(args, args.lr, args.seed)
-    dataset = _resolve_dataset(args)
+    dataset = resolve_dataset(args.dataset, args.data_dir, {})
     out_dir = check_out_dir(args.out) if args.out else None
     log_path = None
     if out_dir:
@@ -122,7 +117,7 @@ def _cmd_grid(args) -> int:
     lrs = _parse_list("--lrs", args.lrs, float)
     seeds = _parse_list("--seeds", args.seeds, int)
     configs = [_config_from(args, lr, seed) for lr in lrs for seed in seeds]
-    dataset = _resolve_dataset(args)
+    dataset = resolve_dataset(args.dataset, args.data_dir, {})
     out_dir = check_out_dir(args.out) if args.out else None
     runs = run_jobs([(config, dataset) for config in configs], workers=args.workers)
     failed = [(config, r) for config, r in zip(configs, runs) if isinstance(r, str)]

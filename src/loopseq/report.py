@@ -30,7 +30,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blocks import ARCHS
 from .data import CANONICAL, Dataset, load_named, split_sizes, synth_sine_task
 from .errors import AggregationError, ConfigError, DataError
 from .stack import SUPERVISIONS, parse_pattern, pattern_string
@@ -76,8 +75,9 @@ _LIST_FIELDS = {
     "lrs": ((int, float), "number"),
     "seeds": (int, "integer"),
 }
-# list fields whose values come from a closed set
-_CHOICES = {"datasets": ["synth", *sorted(CANONICAL)], "archs": list(ARCHS), "supervisions": list(SUPERVISIONS)}
+# list fields whose values come from a closed set that no TrainConfig checks
+# (a supervision paired only with the all-unique pattern builds no run)
+_CHOICES = {"datasets": ["synth", *sorted(CANONICAL)], "supervisions": list(SUPERVISIONS)}
 # scalar plan fields: their type, and its name in errors
 _SCALAR_FIELDS = {
     "out_dir": (str, "a string"),
@@ -133,15 +133,16 @@ class ExperimentPlan:
                 raise ConfigError(f"synth {key!r} must be {label} >= {low}, got {value!r}")
         if len({parse_pattern(p) for p in self.patterns}) < len(self.patterns):
             raise ConfigError(f"plan field 'patterns' names one pattern twice: {self.patterns!r}")
-        if min(self.concentrations) < 1:
-            raise ConfigError(f"concentrations must be positive integers, got {self.concentrations!r}")
-        if not all(0 < lr < float("inf") for lr in self.lrs):
-            raise ConfigError(f"lrs must be positive and finite, got {self.lrs!r}")
         if self.max_epochs < 1:
             raise ConfigError(
                 f"plan field 'max_epochs' must be >= 1, got {self.max_epochs}: "
                 "a run with no epoch has no validation accuracy to select an lr on"
             )
+        cells = self.cells()
+        if not cells:
+            raise ConfigError("plan resolves to zero cells; nothing to run")
+        for cell in cells:  # TrainConfig checks the values of every run
+            _configs(cell, self)
 
     def cells(self) -> list[PlanCell]:
         """Cross product, except the all-unique baseline runs final-only."""
@@ -195,12 +196,12 @@ def check_out_dir(path) -> Path:
     return out_dir
 
 
-def resolve_dataset(name: str, plan: ExperimentPlan) -> Dataset:
-    """The named dataset, refused when it has too few examples to split."""
-    if name == "synth":
-        ds = synth_sine_task(**plan.synth)
-    else:
-        ds = load_named(name, plan.data_dir)
+def resolve_dataset(name: str, data_dir: str, synth: dict) -> Dataset:
+    """The named dataset, refused when it has too few examples to split.
+
+    `synth` holds the keyword arguments of `synth_sine_task`.
+    """
+    ds = synth_sine_task(**synth) if name == "synth" else load_named(name, data_dir)
     try:
         split_sizes(ds.n)
     except DataError as exc:
@@ -251,11 +252,9 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> Path:
     """Run every cell's lr x seed runs as one job list, and write
     results.csv + results.md in out_dir, failed cells included."""
     cells = plan.cells()
-    if not cells:
-        raise ConfigError("plan resolves to zero cells; nothing to run")
     # resolve every dataset before any training starts, so a missing
     # file aborts the whole plan up front
-    datasets = {name: resolve_dataset(name, plan) for name in plan.datasets}
+    datasets = {name: resolve_dataset(name, plan.data_dir, plan.synth) for name in plan.datasets}
     out_dir = check_out_dir(plan.out_dir)
     jobs = [(config, datasets[cell.dataset]) for cell in cells for config in _configs(cell, plan)]
     outcomes = run_jobs(jobs, workers)

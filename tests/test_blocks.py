@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit as _expit
 
+from loopseq import autodiff as ad
 from loopseq.autodiff import Tape, Tensor, backward, finite_difference_check
 from loopseq.blocks import (
     ARCHS,
@@ -177,6 +178,25 @@ def test_block_tape_memory_bounded(arch):
         tracemalloc.stop()
     unit = B * T * H * 8
     assert peak <= 24 * unit, f"{arch} fwd+bwd peak {peak / unit:.1f} x B*T*H floats"
+
+
+# per block application: the tape nodes recorded and the one scan kind sent
+_TAPE_NODES = {"LRU": 31, "S5": 47, "LinOSS": 39, "LrcSSM": 16}
+_SCAN_KIND = {"LRU": "cdiag", "S5": "cdiag", "LinOSS": "mat2", "LrcSSM": "diag"}
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (2, 7, 5)])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_block_application_tape_nodes_and_scan_kind(arch, shape, monkeypatch):
+    kinds = []
+    scan_linear = ad.scan_linear
+    monkeypatch.setattr(ad, "scan_linear", lambda a, b, kind: kinds.append(kind) or scan_linear(a, b, kind))
+    rng = np.random.default_rng(32)
+    p = init_block(arch, hidden=5, state=4, rng=rng)
+    with Tape() as tape:
+        block_forward(p, Tensor(rng.standard_normal(shape), requires_grad=True))
+    assert len(tape.nodes) == _TAPE_NODES[arch]
+    assert kinds == [_SCAN_KIND[arch]]
 
 
 @pytest.mark.parametrize("arch", ARCHS)

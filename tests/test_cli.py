@@ -6,11 +6,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopseq import cli
 from loopseq import train as train_mod
 from loopseq.cli import build_parser, main
+from loopseq.data import synth_sine_task, write_ts
+from loopseq.errors import DataError
 from loopseq.report import ExperimentPlan, read_results
 from loopseq.verify import AuditReport, CheckResult
 
@@ -85,14 +88,36 @@ def test_grid_single_cell(tmp_path, capsys):
 
 
 def test_grid_single_cell_failed_run_exits_1(tmp_path, capsys, monkeypatch):
-    # a corpus too small to split makes every run raise DataError
-    tiny = cli.synth_sine_task(n=3, steps=8)
-    monkeypatch.setattr(cli, "synth_sine_task", lambda: tiny)
+    # every run raises: each failure is reported, and no grid.json is written
+    def failing_run(config, dataset, **kwargs):
+        raise DataError(f"planted failure at seed {config.seed}")
+
+    monkeypatch.setattr(train_mod, "train_one", failing_run)
     out = tmp_path / "grid"
     assert main(["grid", "--lrs", "0.01", "--seeds", "0,1", "--max-epochs", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "failed: lr=0.01 seed=0: DataError" in err and "failed: lr=0.01 seed=1: DataError" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["grid", "train"])
+def test_corpus_too_small_to_split_exits_2_before_any_run(tmp_path, capsys, caplog, monkeypatch, command):
+    tiny = synth_sine_task(n=3, steps=8)
+    base = tmp_path / "EthanolConcentration"
+    base.mkdir()
+    write_ts(base / "EthanolConcentration_TRAIN.ts", tiny.subset(np.arange(2)), "EthanolConcentration")
+    write_ts(base / "EthanolConcentration_TEST.ts", tiny.subset(np.arange(2, 3)), "EthanolConcentration")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on a corpus too small to split")
+
+    monkeypatch.setattr(cli, "train_one", no_training)
+    monkeypatch.setattr(train_mod, "train_one", no_training)
+    argv = [command, "--dataset", "Ethanol", "--data-dir", str(tmp_path), "--max-epochs", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset 'Ethanol': need at least 4 examples to split, got 3")
+    assert "Traceback" not in err and not [r for r in caplog.records if r.exc_info]
 
 
 def test_grid_plan_file(tmp_path, capsys):

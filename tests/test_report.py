@@ -96,6 +96,7 @@ def test_plan_concentration_sweep_multiplies_cells():
         dict(data_dir=1),
         dict(synth=[]),
         dict(synth={"bogus": 1}),
+        dict(patterns=["ABCDEF"], supervisions=["block"]),  # zero cells
     ],
 )
 def test_plan_validation_rejects(kw):

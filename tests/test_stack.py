@@ -167,6 +167,15 @@ def test_identical_taps_give_identical_head_gradients():
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-30)
 
 
+def test_shared_lru_stack_records_193_tape_nodes():
+    # encoder 1 + six block applications of 31 + head and loss 6
+    model = _tiny(m=1)
+    x = np.random.default_rng(9).standard_normal((2, 5, 3))
+    with Tape() as tape:
+        stack_loss(model, x, np.array([0, 1]))
+    assert len(tape.nodes) == 193
+
+
 # --- containment (periodic embedding) ------------------------------------------------
 
 
