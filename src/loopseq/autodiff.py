@@ -267,12 +267,15 @@ def tanh(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _lift(x)
-    # exp(-|d|) never overflows; for d >= 0 this is 1 / (1 + exp(-d)) and
-    # for d < 0 it is exp(d) / (1 + exp(d)), bit for bit
+    # neither exponent is positive, so nothing overflows; for d >= 0 this is
+    # 1 / (1 + exp(-d)) and for d < 0 it is exp(d) / (1 + exp(d)), bit for bit
     d = x.data
-    e = np.exp(-np.abs(d))
-    out = np.where(d >= 0, 1.0, e)
-    out /= 1.0 + e
+    out = np.exp(np.minimum(d, 0.0))
+    e = np.abs(d, out=np.empty_like(d))  # an array even for 0-d input, so it updates in place
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    out /= e
     return _record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 

@@ -24,7 +24,7 @@ import sys
 from .blocks import ARCHS
 from .data import CANONICAL
 from .errors import ConfigError, LoopseqError
-from .report import check_out_dir, load_plan, read_results, render_report, resolve_dataset, run_plan
+from .report import check_grid_epochs, check_out_dir, load_plan, read_results, render_report, resolve_dataset, run_plan
 from .reshape import make_spec
 from .train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from .verify import run_all
@@ -109,11 +109,7 @@ def _cmd_grid(args) -> int:
             cell = f"{r['dataset']}/{r['arch']}/{r['pattern']}/{r['supervision']}/c{r['concentration']}"
             print(f"failed: {cell}: {r['error']}", file=sys.stderr)
         return 1 if failed else 0
-    if args.max_epochs < 1:
-        raise ConfigError(
-            f"--max-epochs must be >= 1 for a grid, got {args.max_epochs}: "
-            "a run with no epoch has no validation accuracy to select an lr on"
-        )
+    check_grid_epochs(args.max_epochs, "--max-epochs", " for a grid")
     lrs = _parse_list("--lrs", args.lrs, float)
     seeds = _parse_list("--seeds", args.seeds, int)
     configs = [_config_from(args, lr, seed) for lr in lrs for seed in seeds]

@@ -133,11 +133,7 @@ class ExperimentPlan:
                 raise ConfigError(f"synth {key!r} must be {label} >= {low}, got {value!r}")
         if len({parse_pattern(p) for p in self.patterns}) < len(self.patterns):
             raise ConfigError(f"plan field 'patterns' names one pattern twice: {self.patterns!r}")
-        if self.max_epochs < 1:
-            raise ConfigError(
-                f"plan field 'max_epochs' must be >= 1, got {self.max_epochs}: "
-                "a run with no epoch has no validation accuracy to select an lr on"
-            )
+        check_grid_epochs(self.max_epochs, "plan field 'max_epochs'")
         cells = self.cells()
         if not cells:
             raise ConfigError("plan resolves to zero cells; nothing to run")
@@ -158,6 +154,15 @@ class ExperimentPlan:
                                 continue
                             out.append(PlanCell(ds, arch, canonical, sup, c))
         return out
+
+
+def check_grid_epochs(max_epochs: int, name: str, scope: str = "") -> None:
+    """Refuse a grid whose runs may have no epoch: it selects lrs on validation accuracy."""
+    if max_epochs < 1:
+        raise ConfigError(
+            f"{name} must be >= 1{scope}, got {max_epochs}: "
+            "a run with no epoch has no validation accuracy to select an lr on"
+        )
 
 
 def load_plan(path) -> ExperimentPlan:

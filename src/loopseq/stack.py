@@ -23,6 +23,7 @@ tying.
 from __future__ import annotations
 
 import string
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,17 +146,25 @@ def build_stack(
     return StackModel(config, encoder, blocks, head)
 
 
-def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
+def stack_forward(
+    model: StackModel, x, period: int, resume: tuple[int, Tensor] | None = None
+) -> list[Tensor]:
     """Encoder then L periodic block applications; the hidden state after every `period`.
 
     Verification passes a source model's period to an embedded (untied)
     model, so both are supervised at the source's repetition boundaries.
+    `resume = (j, h)` starts at position j from the hidden state h that
+    enters it, skipping the encoder and positions 0..j-1, and returns
+    only the taps from position j on.
     """
-    if period < 1 or model.config.depth % period != 0:
-        raise ConfigError(f"tap period {period} must divide depth {model.config.depth}")
-    h = encoder_forward(model.encoder, x if isinstance(x, Tensor) else Tensor(x))
+    depth = model.config.depth
+    if period < 1 or depth % period != 0:
+        raise ConfigError(f"tap period {period} must divide depth {depth}")
+    start, h = resume or (0, encoder_forward(model.encoder, x if isinstance(x, Tensor) else Tensor(x)))
+    if not 0 <= start <= depth:
+        raise ConfigError(f"resume position {start} must lie in [0, {depth}]")
     taps = []
-    for j in range(model.config.depth):
+    for j in range(start, depth):
         h = block_forward(model.blocks[j % model.config.n_unique], h)
         if (j + 1) % period == 0:
             taps.append(h)
@@ -179,6 +188,48 @@ def tap_loss(model: StackModel, taps: list[Tensor], labels: np.ndarray) -> Tenso
 
 def stack_loss(model: StackModel, x, labels: np.ndarray) -> Tensor:
     return tap_loss(model, stack_forward(model, x, model.config.tap_period), labels)
+
+
+def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], Tensor]:
+    """`stack_loss(model, x, labels)` as a zero-argument callable, bit for bit,
+    that re-runs only the block applications whose inputs have moved.
+
+    The first call runs everything and keeps the encoder output, each
+    position's output and the bytes of the encoder's and each unique
+    block's tensors (the tensor objects the model holds when this is
+    called, like the parameter list of `finite_difference_check`).  A
+    later call restarts at the first position whose inputs differ from
+    those bytes: position 0 with the encoder if the encoder moved, else
+    position k, the first application of the first unique block k that
+    moved, from its kept input; if only the head moved, only the head
+    runs, on the kept taps.  Reuse rests on byte equality alone, so any
+    sequence of changes gives `stack_loss`'s bits.  Kept positions enter
+    a later call as constants, so only the first call's tape reaches
+    every parameter: finite differences call it first at the unperturbed
+    point, under a tape, and then only perturbed.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    depth, period = model.config.depth, model.config.tap_period
+    # stage s = 0 is the encoder and s = k + 1 unique block k, whose first
+    # application is position k: kept[:s] still holds for the first moved s
+    stages = [[t for _, t in named_tensors(p)] for p in (model.encoder, *model.blocks)]
+    kept: list[np.ndarray] = []  # encoder output, then each position's output
+    seen: list[list[bytes]] = []  # each stage's tensor bytes at the first call
+
+    def loss() -> Tensor:
+        s = next((i for i, ts in enumerate(stages) if _tensor_bytes(ts) != seen[i]), depth + 1) if kept else 0
+        outs = [Tensor(a) for a in kept[:s]] if s else [encoder_forward(model.encoder, x)]
+        outs += stack_forward(model, x, 1, resume=(len(outs) - 1, outs[-1]))
+        if not kept:
+            kept.extend(h.data for h in outs)
+            seen.extend(_tensor_bytes(ts) for ts in stages)
+        return tap_loss(model, outs[period::period], labels)
+
+    return loss
+
+
+def _tensor_bytes(tensors: list[Tensor]) -> list[bytes]:
+    return [t.data.tobytes() for t in tensors]
 
 
 def predict_logits(model: StackModel, x) -> np.ndarray:

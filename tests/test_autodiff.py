@@ -173,6 +173,29 @@ def test_sigmoid_bitwise_equals_piecewise_form():
     np.testing.assert_array_equal(got[keep].view(np.uint64), ref[keep].view(np.uint64))
 
 
+def _sigmoid_where(d):
+    """The formula ad.sigmoid used before it dropped np.where, kept to pin its bits."""
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
+
+
+def test_sigmoid_bits_equal_the_where_formula():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320, 800.0, -800.0]
+    d = np.concatenate([special, np.random.default_rng(19).standard_normal(4096) * 40.0])
+    with np.errstate(over="ignore"):
+        for x in (d, d.reshape(-1, 5).T, *(np.array(v) for v in special)):
+            before = x.copy()
+            got = ad.sigmoid(Tensor(x)).data
+            ref = _sigmoid_where(x)
+            assert type(got) is np.ndarray and got.shape == x.shape
+            assert np.array_equal(got, ref, equal_nan=True)
+            mask = ~np.isnan(x)  # NaN payloads may differ; every other value matches bit for bit
+            np.testing.assert_array_equal(got[mask].view(np.uint64), ref[mask].view(np.uint64))
+            np.testing.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+
+
 def test_scan_linear_op_matches_fd():
     rng = np.random.default_rng(7)
     a = param(rng.uniform(-0.9, 0.9, (8, 3)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loopseq import autodiff as ad
+from loopseq import stack
 from loopseq.autodiff import Tape, backward, Tensor
 from loopseq.blocks import ARCHS, block_forward, encoder_forward, head_forward, named_tensors
 from loopseq.errors import ConfigError
@@ -18,6 +19,7 @@ from loopseq.stack import (
     parse_pattern,
     pattern_string,
     predict_logits,
+    prefix_reuse_loss,
     stack_forward,
     stack_loss,
     tap_loss,
@@ -252,16 +254,96 @@ def test_aggregation_flags_all_zero_when_loss_ignores_blocks():
     assert report.max_rel_error == 0.0
 
 
+# --- prefix reuse -----------------------------------------------------------------------
+
+
+def _count_blocks(monkeypatch) -> list:
+    """Block applications made through the name `stack_forward` calls."""
+    calls = []
+    orig = stack.block_forward
+    monkeypatch.setattr(stack, "block_forward", lambda p, h: calls.append(1) or orig(p, h))
+    return calls
+
+
+def _same_bits(a, b) -> bool:
+    return a.data.tobytes() == b.data.tobytes()
+
+
+def _restart_position(name: str) -> int:
+    """Where moving the named tensor restarts a stack of depth 6: the encoder
+    at position 0, unique block k at its first application k, the head at none."""
+    stage, _, rest = name.partition(".")
+    return int(rest.split(".")[0]) if stage == "blocks" else {"encoder": 0, "head": 6}[stage]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+@pytest.mark.parametrize("supervision", ["final", "block"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_prefix_reuse_loss_is_stack_loss_through_a_sweep(arch, supervision, m, monkeypatch):
+    model = build_stack(arch, StackConfig(6, m, supervision), width=3, n_classes=3, hidden=4, state=3, rng=m)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((2, 5, 3))
+    y = rng.integers(0, 3, 2)
+    loss = prefix_reuse_loss(model, x, y)
+    calls = _count_blocks(monkeypatch)
+    with Tape():  # the first call is the unperturbed, taped one, and runs every position
+        first = loss()
+        assert backward(first, model.param_tensors())
+    assert len(calls) == 6 and _same_bits(first, stack_loss(model, x, y))
+    for name, t in model.parameters():
+        orig = t.data.copy()
+        t.data += 1e-3 * rng.standard_normal(t.shape)
+        del calls[:]
+        got = loss()
+        assert len(calls) == 6 - _restart_position(name), name
+        assert _same_bits(got, stack_loss(model, x, y)), name
+        t.data[...] = orig
+    del calls[:]
+    assert _same_bits(loss(), first) and not calls
+    # several stages moved at once, in any order
+    params = model.param_tensors()
+    for _ in range(4):
+        picked = rng.choice(len(params), size=3, replace=False)
+        saved = [params[i].data.copy() for i in picked]
+        for i in picked:
+            params[i].data += 1e-3 * rng.standard_normal(params[i].shape)
+        assert _same_bits(loss(), stack_loss(model, x, y))
+        for i, orig in zip(picked, saved):
+            params[i].data[...] = orig
+
+
+def test_stack_forward_resume_point():
+    model = _tiny(m=3, supervision="block")
+    x = np.random.default_rng(42).standard_normal((2, 5, 3))
+    outs = stack_forward(model, x, 1)
+    for j in range(7):
+        h = encoder_forward(model.encoder, Tensor(x)) if j == 0 else outs[j - 1]
+        resumed = stack_forward(model, x, 3, resume=(j, h))
+        want = [t for i, t in enumerate(outs) if i >= j and (i + 1) % 3 == 0]
+        assert len(resumed) == len(want)
+        assert all(_same_bits(a, b) for a, b in zip(resumed, want))
+    for bad in (-1, 7):
+        with pytest.raises(ConfigError, match="resume position"):
+            stack_forward(model, x, 3, resume=(bad, outs[0]))
+
+
 # --- memory ---------------------------------------------------------------------------
+
+
+# tracemalloc peak of one AAAAAA `final` step in B*T*H floats, measured
+# 48.04/48.09/50.20/58.14 and pinned 0.46 above: keeping one more such array
+# to the end of the backward (an encoder output held twice) reads 1.0 higher.
+# `block` supervision adds 4.0 (4.00 measured).
+_STEP_PEAK = {"LRU": 48.5, "S5": 48.55, "LinOSS": 50.66, "LrcSSM": 58.6}
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 @pytest.mark.parametrize("supervision", ["final", "block"])
 def test_train_step_memory_bounded(arch, supervision):
-    """One stack_loss + backward at depth 6, B=1, T=2000, H=P=64 peaks at <= 70 B*T*H floats.
+    """One stack_loss + backward at depth 6, B=1, T=2000, H=P=64 stays at its pinned peak.
 
     The tape keeps only the arrays its adjoints read, so the step peaks at
-    48-62 such arrays; a tape that kept every node's output, and every
+    48-62 B*T*H floats; a tape that kept every node's output, and every
     input Tensor its closures named, read 90-110.
     """
     B, T, H = 1, 2000, 64
@@ -280,7 +362,8 @@ def test_train_step_memory_bounded(arch, supervision):
     finally:
         tracemalloc.stop()
     unit = B * T * H * 8
-    assert peak <= 70 * unit, f"{arch}/{supervision} step peak {peak / unit:.1f} x B*T*H floats"
+    limit = _STEP_PEAK[arch] + (4.0 if supervision == "block" else 0.0)
+    assert peak <= limit * unit, f"{arch}/{supervision} step peak {peak / unit:.2f} x B*T*H floats"
 
 
 # --- misc -----------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import loopseq.autodiff as ad
-from loopseq import verify
-from loopseq.stack import stack_loss
+from loopseq import stack, verify
 from loopseq.verify import (
     AuditReport,
     CheckResult,
@@ -76,13 +75,25 @@ def test_fast_gradient_audit_has_teeth(monkeypatch):
 
     monkeypatch.setattr(ad._scan, "scan_backward", skewed_backward)
     calls = []
-    monkeypatch.setattr(verify, "stack_loss", lambda *a: calls.append(1) or stack_loss(*a))
+    make_loss = verify.prefix_reuse_loss
+
+    def counted_loss(*args):
+        loss = make_loss(*args)
+        return lambda: calls.append(1) or loss()
+
+    monkeypatch.setattr(verify, "prefix_reuse_loss", counted_loss)
+    blocks = []
+    block_forward = stack.block_forward
+    monkeypatch.setattr(stack, "block_forward", lambda p, h: blocks.append(1) or block_forward(p, h))
     results = audit_gradients(fast=True)
     fd = [r for r in results if r.name.startswith("gradients/fd/")]
     assert len(fd) == 16
     # one taped loss plus two per parameter tensor in each check: the
     # directional estimator, not a coordinate sweep, ran
     assert len(calls) == 1544
+    # each perturbed loss restarts at the first block whose tensors moved:
+    # 9360 block applications without reuse, 96 of either in the aggregation checks
+    assert len(blocks) == 5976
     assert any(not r.passed for r in fd)
     assert all(r.detail["coords"] == "1 direction/tensor" for r in fd)
     detector = [r for r in results if r.name == "gradients/detector"][0]
