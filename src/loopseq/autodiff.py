@@ -309,8 +309,14 @@ def _check_matmul(x: Tensor, w: Tensor, op: str) -> None:
         raise ShapeError(f"{op} inner dims disagree: {x.shape} @ {w.shape}")
 
 
+def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x [..., k] @ w [k, n] as one 2-D product over all leading axes; numpy
+    would run [T, 1, k] @ w as T separate products, slower and in other bits."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+
+
 def _matmul_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray):
-    gx = g @ w.T
+    gx = _dot(g, w.T)
     gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
     return gx, gw
 
@@ -320,7 +326,7 @@ def matmul(x, w) -> Tensor:
     x, w = _lift(x), _lift(w)
     _check_matmul(x, w, "matmul")
     xd, wd = x.data, w.data
-    return _record(xd @ wd, (x, w), lambda g: _matmul_vjp(xd, wd, g))
+    return _record(_dot(xd, wd), (x, w), lambda g: _matmul_vjp(xd, wd, g))
 
 
 def affine(x, w, b) -> Tensor:
@@ -328,7 +334,7 @@ def affine(x, w, b) -> Tensor:
     x, w, b = _lift(x), _lift(w), _lift(b)
     _check_matmul(x, w, "affine")
     xd, wd, bs = x.data, w.data, b.data.shape
-    out = xd @ wd
+    out = _dot(xd, wd)
     if b.ndim > out.ndim or any(s not in (1, o) for s, o in zip(bs[::-1], out.shape[::-1])):
         raise ShapeError(f"affine bias {bs} does not broadcast into {out.shape}")
     out += b.data

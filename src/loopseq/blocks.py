@@ -1,6 +1,8 @@
 """Sequence blocks: each arch is a scan factor; one apply runs the tail.
 
-Every block maps [..., T, H] -> [..., T, H] as
+Hidden states are time-major: the encoder turns a [..., T, w] batch into
+[T, ..., H], the head mean-pools over axis 0, and every block maps
+[T, ..., H] -> [T, ..., H] as
 
     u = layer_norm(h_in)
     (kind, a, b, c) = factor(params, u)
@@ -288,7 +290,7 @@ ARCHS = tuple(cls.arch for cls in _FACTORS)
 
 
 def block_forward(p: BlockParams, h: Tensor) -> Tensor:
-    """Pre-norm, the arch's factor, then the shared tail; preserves [..., T, H]."""
+    """Pre-norm, the arch's factor, then the shared tail; preserves [T, ..., H]."""
     u = ad.layer_norm(h, p.norm_gain, p.norm_bias, _NORM_EPS)
     kind, a, b, c = _FACTORS[type(p)](p, u)
     x = ad.scan_linear(a, b, kind)
@@ -305,9 +307,14 @@ def block_forward(p: BlockParams, h: Tensor) -> Tensor:
 
 
 def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:
-    return ad.affine(x, p.weight, p.bias)
+    """The input batch x [..., T, w] lifted to time-major hidden states [T, ..., H].
+
+    `affine` gets a view with time moved to axis 0, so the tape keeps no
+    copy of the input; x is data, and no gradient flows back into it.
+    """
+    return ad.affine(Tensor(np.moveaxis(x.data, -2, 0)), p.weight, p.bias)
 
 
 def head_forward(p: HeadParams, h: Tensor) -> Tensor:
-    """Logits from features mean-pooled over time."""
-    return ad.affine(ad.mean_(h, axis=-2), p.weight, p.bias)
+    """Logits [..., C] from hidden states [T, ..., H] mean-pooled over time."""
+    return ad.affine(ad.mean_(h, axis=0), p.weight, p.bias)

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import logging
 import sys
+from pathlib import Path
 
 from .blocks import ARCHS
 from .data import CANONICAL
@@ -135,7 +136,17 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _check_out_file(path) -> None:
+    """Refuse an output file before any work unless its directory passes
+    `check_out_dir`, the rule of `train --out`; that directory is made."""
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write {str(path)!r}: it is a directory")
+    check_out_dir(Path(path).parent).mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_verify(args) -> int:
+    if args.out:
+        _check_out_file(args.out)
     report = run_all(fast=args.fast)
     print(report.to_text())
     if args.out:
@@ -144,6 +155,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reshape_stats(args) -> int:
+    if args.out:
+        _check_out_file(args.out)
     names = list(CANONICAL) if args.dataset == "all" else [args.dataset]
     for name in names:
         if name not in CANONICAL:

@@ -4,8 +4,8 @@ A length-T linear recurrence
 
     x_t = a_t * x_{t-1} + b_t,    x_0 = 0,
 
-is evaluated by one time-major loop over t, vectorised over every batch
-and channel axis (`scan_linear`).  Its adjoint is the same loop run in
+is evaluated by one loop over t, vectorised over every batch and channel
+axis (`scan_linear`).  Its adjoint is the same loop run in
 reverse on the adjoint factor (`scan_backward`).  `scan_sequential` is
 the independent, pair-based oracle the kernel is audited against.
 
@@ -14,12 +14,13 @@ On a CPU-only NumPy substrate the plain loop beats a parallel-prefix
 about 2 log2 T strided passes, power-of-two padding and a factor
 materialised over time, while the loop touches each element once.
 
-Three element kinds share the kernel:
+Time is axis 0, so each step reads and writes one contiguous row of
+every lead (batch) element.  Three element kinds share the kernel:
 
-    "diag"   a, b: [..., T, n]          real diagonal transition
-    "cdiag"  a, b: [..., T, n, 2]       complex diagonal, (re, im) pairs
-    "mat2"   a: [..., T, n, 2, 2]       per-channel 2x2 transition
-             b: [..., T, n, 2]
+    "diag"   a, b: [T, ..., n]          real diagonal transition
+    "cdiag"  a, b: [T, ..., n, 2]       complex diagonal, (re, im) pairs
+    "mat2"   a: [T, ..., n, 2, 2]       per-channel 2x2 transition
+             b: [T, ..., n, 2]
 
 Complex values everywhere in this package are (re, im) pairs in a
 trailing axis of length 2 over a float64 substrate; inside the kernel a
@@ -33,14 +34,7 @@ trailing axis of length 2 over a float64 substrate; inside the kernel a
     per-step  b's own shape, plus the 2x2 for "mat2" (LrcSSM's gate).
 
 `scan_backward` returns each adjoint in its input's shape: a shared
-factor's `da` is summed over the batch and time axes.
-
-Each step's product goes to a contiguous temporary.  A ufunc over a short
-strided row costs several times one over a contiguous row, so rows of at
-most `_ROW_COPY_MAX` bytes run in a C-contiguous time-major buffer, with
-`b` copied in and the states copied back in one transposing pass each.
-At B = 1 `b` is read in place, and longer rows are written in b's layout.
-Every bit is the same on each path.
+factor's `da` is summed over the time and batch axes.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ from .errors import EmptySequenceError, ShapeError
 
 KINDS = ("diag", "cdiag", "mat2")
 
-# trailing dims of b after the time axis, per kind
+# trailing dims of b after its time and lead axes, per kind
 _B_TRAIL = {"diag": 1, "cdiag": 2, "mat2": 2}
 
 
@@ -76,7 +70,7 @@ def _apply(kind: str, a, x):
 
 @dataclass
 class ScanElement:
-    """A batch of recurrence elements (a_t, b_t), time along the standard axis.
+    """A batch of recurrence elements (a_t, b_t), time along axis 0.
 
     a is the multiplicative factor (diagonal vector, complex pair vector,
     or per-channel 2x2 matrix), b the additive term.
@@ -104,7 +98,7 @@ def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
         raise ShapeError(f"b must have at least {bt + 1} dims for kind {kind!r}, got shape {b.shape}")
     if kind != "diag" and b.shape[-1] != 2:
         raise ShapeError(f"kind {kind!r} expects b with trailing pair axis of 2, got shape {b.shape}")
-    if b.shape[-(bt + 1)] == 0:
+    if b.shape[0] == 0:
         raise EmptySequenceError("scan over zero time steps")
     full = b.shape + (2,) * (kind == "mat2")
     tail = full[b.ndim - bt :]
@@ -116,50 +110,26 @@ def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
     return a, b, full, a.shape == tail
 
 
-def _time_major(kind: str, z: np.ndarray, t_axis: int) -> np.ndarray:
-    """View z [*lead, T, ...] as [T, *lead, ...]; "cdiag" pairs become complex128."""
-    if kind == "cdiag":
-        if z.strides[-1] != z.itemsize:
-            z = np.ascontiguousarray(z)
-        z = z.view(np.complex128)[..., 0]
-    return z.transpose(t_axis, *range(t_axis), *range(t_axis + 1, z.ndim))
-
-
-# bytes: a scan loop with rows of up to 8 KB (synth-grid's) ran faster through
-# the buffer for every kind, and Heartbeat-shape training steps (16-32 KB rows)
-# ran their scans faster in place
-_ROW_COPY_MAX = 8192
-
-
-def _buffers(kind: str, z: np.ndarray, t_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Time-major (src, out) for z [*lead, T, ...]: z and a fresh array in z's
-    layout, or for short strided rows one C-contiguous buffer holding z."""
-    src = _time_major(kind, z, t_axis)
-    if src[0].flags.c_contiguous or src[0].nbytes > _ROW_COPY_MAX:
-        return src, _time_major(kind, np.empty(z.shape), t_axis)
-    out = src.copy()  # C order
-    return out, out
-
-
-def _lead_major(buf: np.ndarray, t_axis: int, shape: tuple) -> np.ndarray:
-    """buf [T, *lead, ...] as a float array of `shape`: a copy only for a time-major buffer."""
-    order = (*range(1, t_axis + 1), 0, *range(t_axis + 1, buf.ndim))
-    return np.ascontiguousarray(buf.transpose(order)).view(np.float64).reshape(shape)
+def _complex(kind: str, z: np.ndarray) -> np.ndarray:
+    """z itself, or for "cdiag" its pairs viewed as complex128."""
+    if kind != "cdiag":
+        return z
+    if z.strides[-1] != z.itemsize:
+        z = np.ascontiguousarray(z)
+    return z.view(np.complex128)[..., 0]
 
 
 def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndarray) -> None:
     """The production kernel: out_0 = src_0, out_s = f_s . out_{s-1} + src_s.
 
-    `src` (possibly `out`) and `out` are time-major, time possibly reversed.
-    `f` holds the factor of each step s = 1..T-1, or with `shared` one
-    channel-tail factor, copied to one contiguous row when rows are contiguous.
+    `src` and `out` run along axis 0, time possibly reversed.  `f` holds
+    the factor of each step s = 1..T-1, or with `shared` one channel-tail
+    factor, copied to one contiguous row.
     """
     row = out.shape[1:]
 
     def per_step(c):
-        if shared and out[0].flags.c_contiguous:
-            c = np.broadcast_to(c, row).copy()
-        return itertools.repeat(c) if shared else c
+        return itertools.repeat(np.broadcast_to(c, row).copy()) if shared else c
 
     tmp = np.empty(row, out.dtype)
     mul, add = np.multiply, np.add  # positional `out`: the cheapest ufunc call
@@ -184,27 +154,23 @@ def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndar
 def scan_sequential(elem: ScanElement) -> np.ndarray:
     """Step-by-step evaluation of the recurrence on pairs; the reference route."""
     a, b, full, _ = _check_elements(elem.kind, elem.a, elem.b)
-    t_axis = b.ndim - 1 - _B_TRAIL[elem.kind]
-    ta = np.moveaxis(np.broadcast_to(a, full), t_axis, 0)
-    tb = np.moveaxis(b, t_axis, 0)
-    out = np.empty_like(tb)
-    x = np.zeros_like(tb[0])
-    for t in range(tb.shape[0]):
-        x = _apply(elem.kind, ta[t], x) + tb[t]
+    a = np.broadcast_to(a, full)
+    out = np.empty_like(b)
+    x = np.zeros_like(b[0])
+    for t in range(b.shape[0]):
+        x = _apply(elem.kind, a[t], x) + b[t]
         out[t] = x
-    return np.moveaxis(out, 0, t_axis)
+    return out
 
 
 def scan_linear(elem: ScanElement) -> np.ndarray:
-    """Inclusive states x_1..x_T, in b's shape and layout."""
+    """Inclusive states x_1..x_T, in b's shape."""
     kind = elem.kind
     a, b, _, shared = _check_elements(kind, elem.a, elem.b)
-    t_axis = b.ndim - 1 - _B_TRAIL[kind]
-    # a shared factor has no time axis, and "moving" its axis 0 leaves it as it is
-    f = _time_major(kind, a, 0 if shared else t_axis)
-    src, out = _buffers(kind, b, t_axis)
-    _recur(kind, f if shared else f[1:], shared, src, out)
-    return _lead_major(out, t_axis, b.shape)
+    f = _complex(kind, a)
+    out = np.empty(b.shape)
+    _recur(kind, f if shared else f[1:], shared, _complex(kind, b), _complex(kind, out))
+    return out
 
 
 def scan_backward(
@@ -216,28 +182,27 @@ def scan_backward(
     "cdiag") is the forward kernel run in reverse time on the adjoint
     factor, shifted one step.  Then db_t = lam_t and da_t = lam_t (x) x_{t-1}
     (with the kind-appropriate product); a shared factor's da is that
-    product summed over the batch and time axes.
+    product summed over the time and batch axes.
     """
     kind = elem.kind
     a, b, full, shared = _check_elements(kind, elem.a, elem.b)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != b.shape:
         raise ShapeError(f"cotangent shape {g.shape} does not match b shape {b.shape}")
-    t_axis = b.ndim - 1 - _B_TRAIL[kind]
 
-    f = _time_major(kind, a, 0 if shared else t_axis)
+    f = _complex(kind, a)
     if kind == "cdiag":
         f = np.conj(f)
     elif kind == "mat2":
         f = np.swapaxes(f, -1, -2)
-    src, lam = _buffers(kind, g, t_axis)
+    db = np.empty(b.shape)
+    lam = _complex(kind, db)
     # reversed time: step s multiplies by the adjoint of a_{T-s}
-    _recur(kind, f if shared else f[:0:-1], shared, src[::-1], lam[::-1])
+    _recur(kind, f if shared else f[:0:-1], shared, _complex(kind, g)[::-1], lam[::-1])
 
-    # filled and summed in b's layout, so a shared da keeps its summation order
     da = np.empty(full)
-    wda = _time_major(kind, da, t_axis)
-    x_prev = _time_major(kind, np.asarray(states, dtype=np.float64), t_axis)[:-1]
+    wda = _complex(kind, da)
+    x_prev = _complex(kind, np.asarray(states, dtype=np.float64))[:-1]
     wda[0] = 0.0
     if kind == "diag":
         np.multiply(lam[1:], x_prev, out=wda[1:])
@@ -247,5 +212,5 @@ def scan_backward(
     else:
         np.multiply(lam[1:, ..., :, None], x_prev[..., None, :], out=wda[1:])
     if shared:
-        da = da.sum(axis=tuple(range(t_axis + 1)))
-    return da, _lead_major(lam, t_axis, b.shape)
+        da = da.sum(axis=tuple(range(b.ndim - _B_TRAIL[kind])))
+    return da, db

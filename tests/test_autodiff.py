@@ -68,6 +68,30 @@ def test_matmul_matches_fd():
     assert err < 1e-5
 
 
+@pytest.mark.parametrize("shape", [(3000, 1, 16), (300, 4, 16)], ids=["T-1-H", "T-B-H"])
+@pytest.mark.parametrize("op", ["matmul", "affine"])
+def test_products_are_one_2d_product(op, shape):
+    """Time-major [T, B, H] @ w is one [T*B, H] @ w product, outputs and gradients bit for bit.
+
+    numpy's own [T, 1, H] @ w runs T separate [1, H] @ w products, in other bits.
+    """
+    rng = np.random.default_rng(44)
+    x = param(rng.standard_normal(shape))
+    w = param(rng.standard_normal((16, 8)))
+    b = param(rng.standard_normal(8))
+    g = rng.standard_normal(shape[:-1] + (8,))
+    with Tape():
+        y = ad.matmul(x, w) if op == "matmul" else ad.affine(x, w, b)
+        grads = backward((y * Tensor(g)).sum(), [x, w, b])
+    x2, g2 = x.data.reshape(-1, 16), g.reshape(-1, 8)
+    want = x2 @ w.data
+    if op == "affine":
+        want += b.data
+    assert y.data.tobytes() == want.tobytes()
+    assert grads[x].data.tobytes() == (g2 @ w.data.T).tobytes()
+    assert grads[w].data.tobytes() == (x2.T @ g2).tobytes()
+
+
 def test_sum_mean_axes_match_fd():
     rng = np.random.default_rng(5)
     p = param(rng.standard_normal((3, 4, 2)))

@@ -121,11 +121,11 @@ def test_shape_preserved(arch, T):
 def test_batched_matches_unbatched(arch):
     rng = np.random.default_rng(20)
     p = init_block(arch, hidden=5, state=3, rng=rng)
-    h = rng.standard_normal((4, 11, 5))
+    h = rng.standard_normal((11, 4, 5))  # [T, B, H]
     full = block_forward(p, Tensor(h)).data
     for i in range(4):
-        single = block_forward(p, Tensor(h[i])).data
-        np.testing.assert_allclose(full[i], single, rtol=1e-12, atol=1e-14)
+        single = block_forward(p, Tensor(h[:, i])).data
+        np.testing.assert_allclose(full[:, i], single, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -167,7 +167,7 @@ def test_block_tape_memory_bounded(arch):
     B, T, H = 1, 2000, 64
     rng = np.random.default_rng(24)
     p = init_block(arch, hidden=H, state=H, rng=rng)
-    h = Tensor(rng.standard_normal((B, T, H)))
+    h = Tensor(rng.standard_normal((T, B, H)))
     params = [t for _, t in named_tensors(p)]
     tracemalloc.start()
     try:
@@ -230,14 +230,20 @@ def test_encoder_is_affine():
     x = rng.standard_normal((5, 3))
     out = encoder_forward(enc, Tensor(x)).data
     np.testing.assert_allclose(out, x @ enc.weight.data + enc.bias.data, rtol=1e-15)
+    # a [B, T, w] batch comes out time-major, [T, B, H]
+    xb = rng.standard_normal((2, 5, 3))
+    out = encoder_forward(enc, Tensor(xb)).data
+    assert out.shape == (5, 2, 8)
+    for i in range(2):
+        np.testing.assert_allclose(out[:, i], xb[i] @ enc.weight.data + enc.bias.data, rtol=1e-15)
 
 
 def test_head_mean_pools_then_projects():
     rng = np.random.default_rng(26)
     head = init_head(6, 4, rng)
-    h = rng.standard_normal((2, 9, 6))
+    h = rng.standard_normal((9, 2, 6))  # [T, B, H]
     got = head_forward(head, Tensor(h)).data
-    want = h.mean(axis=1) @ head.weight.data + head.bias.data
+    want = h.mean(axis=0) @ head.weight.data + head.bias.data
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
@@ -245,7 +251,7 @@ def test_zero_head_weight_gives_bias():
     rng = np.random.default_rng(28)
     head = init_head(5, 3, rng)
     head.weight.data[:] = 0.0
-    h = rng.standard_normal((4, 7, 5))
+    h = rng.standard_normal((7, 4, 5))  # [T, B, H]
     got = head_forward(head, Tensor(h)).data
     np.testing.assert_array_equal(got, np.broadcast_to(head.bias.data, (4, 3)))
 

@@ -412,17 +412,19 @@ def test_bad_plan_file_exits_2(tmp_path, capsys, content, message):
 
 
 @pytest.mark.parametrize("where", ["file", "under-file"])
-@pytest.mark.parametrize("command", ["plan", "grid", "train"])
+@pytest.mark.parametrize("command", ["plan", "grid", "train", "verify", "reshape-stats"])
 def test_unusable_out_dir_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command, where):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory")
     out = blocker if where == "file" else blocker / "res"
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started before the output directory was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
 
-    monkeypatch.setattr(cli, "train_one", no_training)
-    monkeypatch.setattr(train_mod, "train_one", no_training)
+    monkeypatch.setattr(cli, "train_one", no_work)
+    monkeypatch.setattr(train_mod, "train_one", no_work)
+    monkeypatch.setattr(cli, "run_all", no_work)
+    monkeypatch.setattr(cli, "make_spec", no_work)
     tiny = ["--max-epochs", "1", "--hidden", "4", "--state", "4", "--pattern", "2,1"]
     if command == "plan":
         plan = {
@@ -432,12 +434,32 @@ def test_unusable_out_dir_exits_2_before_any_run(tmp_path, capsys, monkeypatch, 
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan))
         argv = ["grid", "--plan", str(path)]
+    elif command in ("verify", "reshape-stats"):  # each writes one file, whose directory is `out`
+        argv = [command, "--out", str(out / "a.out")]
     else:
         argv = [command, *tiny, "--out", str(out)] + (["--lrs", "0.01", "--seeds", "0"] if command == "grid" else [])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "as an output directory" in err
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", ["verify", "reshape-stats"])
+def test_out_file_that_is_a_directory_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output file was checked")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    monkeypatch.setattr(cli, "make_spec", no_work)
+    assert main([command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "it is a directory" in err
+
+
+def test_out_file_directory_is_made(tmp_path, capsys):
+    out = tmp_path / "new" / "stats.csv"
+    assert main(["reshape-stats", "--dataset", "Heartbeat", "--concentration", "1", "--out", str(out)]) == 0
+    assert out.read_text().startswith("dataset,steps,width,concentration")
 
 
 # --- the README documents exactly what the code accepts ------------------------------

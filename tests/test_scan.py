@@ -1,4 +1,7 @@
-"""Scan kernel tests: the time-major kernel is audited against the sequential oracle."""
+"""Scan kernel tests: the kernel is audited against the sequential oracle.
+
+Every shape here is time-first: b is [T, *lead, n(, 2)].
+"""
 
 import tracemalloc
 
@@ -9,7 +12,6 @@ from hypothesis import strategies as st
 
 from loopseq.errors import EmptySequenceError, ShapeError
 from loopseq.scan import (
-    _ROW_COPY_MAX,
     ScanElement,
     pair_mul,
     scan_backward,
@@ -19,53 +21,41 @@ from loopseq.scan import (
 
 
 def _random_elem(kind, T, n, rng, lead=(), amax=0.99):
+    shape = (T, *lead, n)
     if kind == "diag":
-        a = rng.uniform(-amax, amax, lead + (T, n))
-        b = rng.standard_normal(lead + (T, n))
+        a = rng.uniform(-amax, amax, shape)
+        b = rng.standard_normal(shape)
     elif kind == "cdiag":
-        mag = rng.uniform(0.0, amax, lead + (T, n))
-        ang = rng.uniform(0.0, 2 * np.pi, lead + (T, n))
+        mag = rng.uniform(0.0, amax, shape)
+        ang = rng.uniform(0.0, 2 * np.pi, shape)
         a = np.stack([mag * np.cos(ang), mag * np.sin(ang)], axis=-1)
-        b = rng.standard_normal(lead + (T, n, 2))
+        b = rng.standard_normal(shape + (2,))
     else:
         # contractions: random 2x2 scaled under unit spectral norm
-        a = rng.standard_normal(lead + (T, n, 2, 2))
+        a = rng.standard_normal(shape + (2, 2))
         a *= amax / np.linalg.norm(a, ord=2, axis=(-2, -1), keepdims=True)
-        b = rng.standard_normal(lead + (T, n, 2))
+        b = rng.standard_normal(shape + (2,))
     return ScanElement(a, b, kind)
 
 
 def _loop_reference(elem):
     """Independent oracle: plain python loop, no shared kernel code."""
     a, b, kind = elem.a, elem.b, elem.kind
-    if kind == "diag":
-        T = b.shape[-2]
-        x = np.zeros(b.shape[:-2] + b.shape[-1:])
-        out = []
-        for t in range(T):
-            at = a[..., t, :] if a.ndim == b.ndim else a
-            x = at * x + b[..., t, :]
-            out.append(x)
-        return np.stack(out, axis=-2)
-    if kind == "cdiag":
-        T = b.shape[-3]
-        x = np.zeros(b.shape[:-3] + b.shape[-2:])
-        out = []
-        for t in range(T):
-            at = a[..., t, :, :] if a.ndim == b.ndim else a
+    per_step = a.ndim == b.ndim + (kind == "mat2")
+    x = np.zeros(b.shape[1:])
+    out = []
+    for t in range(b.shape[0]):
+        at = a[t] if per_step else a
+        if kind == "diag":
+            x = at * x + b[t]
+        elif kind == "cdiag":
             zr = at[..., 0] * x[..., 0] - at[..., 1] * x[..., 1]
             zi = at[..., 0] * x[..., 1] + at[..., 1] * x[..., 0]
-            x = np.stack([zr, zi], axis=-1) + b[..., t, :, :]
-            out.append(x)
-        return np.stack(out, axis=-3)
-    T = b.shape[-3]
-    x = np.zeros(b.shape[:-3] + b.shape[-2:])
-    out = []
-    for t in range(T):
-        at = a[..., t, :, :, :] if a.ndim == b.ndim + 1 else a
-        x = np.einsum("...ij,...j->...i", at, x) + b[..., t, :, :]
+            x = np.stack([zr, zi], axis=-1) + b[t]
+        else:
+            x = np.einsum("...ij,...j->...i", at, x) + b[t]
         out.append(x)
-    return np.stack(out, axis=-3)
+    return np.stack(out)
 
 
 # --- trivial anchors ---------------------------------------------------------
@@ -121,9 +111,9 @@ def test_long_sequence_equivalence(kind):
 def test_time_invariant_a_broadcasts():
     rng = np.random.default_rng(3)
     a = np.stack([rng.uniform(0, 0.9, 6), rng.uniform(-1, 1, 6)], axis=-1)  # [n, 2]
-    b = rng.standard_normal((3, 20, 6, 2))
+    b = rng.standard_normal((20, 3, 6, 2))
     elem = ScanElement(a, b, "cdiag")
-    full = ScanElement(np.broadcast_to(a, (3, 20, 6, 2)).copy(), b, "cdiag")
+    full = ScanElement(np.broadcast_to(a, (20, 3, 6, 2)).copy(), b, "cdiag")
     np.testing.assert_array_equal(scan_linear(elem), scan_linear(full))
 
 
@@ -143,13 +133,13 @@ _A_TAIL = {"diag": (), "cdiag": (2,), "mat2": (2, 2)}
 def test_time_invariant_a_bit_identical_to_materialised(kind, a_lead):
     """A shared factor takes the same arithmetic as one expanded over batch and time.
 
-    Its da is the materialised factor's da summed over (batch, time), bit for bit.
+    Its da is the materialised factor's da summed over (time, batch), bit for bit.
     """
     rng = np.random.default_rng(31)
     B, T, n = 3, 17, 5
     elem = _random_elem(kind, T, n, rng, lead=(B,))
     a = _random_elem(kind, 1, n, rng, lead=a_lead).a[0]  # (n, ...): no time axis
-    full = np.ascontiguousarray(np.broadcast_to(a, (B, T, n) + _A_TAIL[kind]))
+    full = np.ascontiguousarray(np.broadcast_to(a, (T, B, n) + _A_TAIL[kind]))
     inv = ScanElement(a, elem.b, kind)
     mat = ScanElement(full, elem.b, kind)
     x_inv, x_mat = scan_linear(inv), scan_linear(mat)
@@ -178,7 +168,7 @@ _BROADCASTS = ("per-step", "shared")
 
 
 def _broadcast_a(a, pattern, n_lead):
-    """Cut a [*lead, T, n, ...] factor down to one of the accepted layouts."""
+    """Cut a [T, *lead, n, ...] factor down to one of the accepted layouts."""
     if pattern == "shared":
         return a[(0,) * (n_lead + 1)]
     return a
@@ -213,7 +203,7 @@ def test_worms_scale_memory_is_bounded():
     """No padding and no time-expanded factor: peaks stay a small multiple of b."""
     rng = np.random.default_rng(37)
     a = np.stack([rng.uniform(0.5, 0.99, 64), rng.uniform(-0.1, 0.1, 64)], axis=-1)
-    b = rng.standard_normal((1, 17984, 64, 2))
+    b = rng.standard_normal((17984, 1, 64, 2))
     elem = ScanElement(a, b, "cdiag")
     tracemalloc.start()
     try:
@@ -236,15 +226,12 @@ def _pinned_reference(a, b, g, kind, shared):
     x_0 = b_0 and x_t = f_t . x_{t-1} + b_t, with f . x one complex multiply
     ("cdiag") or (a_i0 x_0 + a_i1 x_1) ("mat2"); the adjoint runs the same
     loop backwards on the transposed (conjugate) factor, and a shared da
-    is the full-shape da summed in b's layout over (lead..., T).
+    is the full-shape da summed over (T, *lead).
     """
-    t_axis = b.ndim - 1 - (1 if kind == "diag" else 2)
     if kind == "cdiag":  # exact complex views of the pairs
         a, b, g = (np.ascontiguousarray(z).view(np.complex128)[..., 0] for z in (a, b, g))
-    full = a if not shared else np.broadcast_to(a, b.shape + (2,) * (kind == "mat2"))
-    at = np.moveaxis(full, t_axis, 0)
-    bt, gt = np.moveaxis(b, t_axis, 0), np.moveaxis(g, t_axis, 0)
-    T = bt.shape[0]
+    at = a if not shared else np.broadcast_to(a, b.shape + (2,) * (kind == "mat2"))
+    T = b.shape[0]
 
     def apply(f, x):
         if kind == "mat2":
@@ -252,27 +239,27 @@ def _pinned_reference(a, b, g, kind, shared):
         return f * x
 
     adj = np.conj(at) if kind == "cdiag" else np.swapaxes(at, -1, -2) if kind == "mat2" else at
-    xs, lams = [bt[0]], [gt[T - 1]]
+    xs, lams = [b[0]], [g[T - 1]]
     for t in range(1, T):
-        xs.append(apply(at[t], xs[-1]) + bt[t])
-        lams.append(apply(adj[T - t], lams[-1]) + gt[T - 1 - t])
+        xs.append(apply(at[t], xs[-1]) + b[t])
+        lams.append(apply(adj[T - t], lams[-1]) + g[T - 1 - t])
     x, lam = np.stack(xs), np.stack(lams[::-1])
     da = np.zeros(at.shape, at.dtype)
     if kind == "mat2":
         da[1:] = lam[1:, ..., :, None] * x[:-1, ..., None, :]
     else:
         da[1:] = (np.conj(x[:-1]) if kind == "cdiag" else x[:-1]) * lam[1:]
-    da = np.ascontiguousarray(np.moveaxis(da, 0, t_axis))
     if shared:
-        da = da.sum(axis=tuple(range(t_axis + 1)))
-    out = [np.moveaxis(x, 0, t_axis), da, np.moveaxis(lam, 0, t_axis)]
+        da = da.sum(axis=tuple(range(b.ndim - 1 - (kind == "mat2"))))  # (T, *lead)
+    out = [x, da, lam]
     if kind == "cdiag":
         out = [np.stack([z.real, z.imag], axis=-1) for z in out]
     return out
 
 
-# at n = 3 a "diag" row of L lead elements takes 24 L bytes, "cdiag" and "mat2" 48 L
-_LONG = (_ROW_COPY_MAX // 24 + 1,)
+# long rows: at n = 3, 342 lead elements take 8208 bytes per step ("diag")
+# or 16416 ("cdiag", "mat2"), as a Heartbeat-shape step's rows do
+_LONG = (342,)
 
 
 @pytest.mark.parametrize("T", [1, 2, 17])
@@ -282,9 +269,8 @@ _LONG = (_ROW_COPY_MAX // 24 + 1,)
 def test_kernel_bits_and_inputs_are_pinned(kind, layout, lead, T):
     """The kernel equals the pinned loop bit for bit and leaves its inputs untouched.
 
-    With one lead element the kernel reads b's and g's rows in place, so
-    an in-place slip would write through to them; `_LONG` gives rows
-    longer than the kernel copies through its time-major buffer.
+    The kernel reads b's and g's rows in place, so an in-place slip would
+    write through to them; `_LONG` gives long rows.
     """
     rng = np.random.default_rng(41)
     elem = _random_elem(kind, T, 3, rng, lead=lead)
@@ -394,14 +380,14 @@ def test_missing_pair_axis_rejected():
 
 @pytest.mark.parametrize(
     "a_shape",
-    [(4, 3), (4, 2, 5, 3), (3, 1, 3), (2, 1, 3), (1, 1, 3), (1, 3), (5, 3), (1, 5, 3)],
+    [(4, 3), (4, 5, 2, 3), (3, 1, 3), (1, 2, 3), (1, 1, 3), (1, 3), (5, 3), (5, 1, 3)],
     ids=["time", "extra-lead", "batch", "per-batch", "unit-time-under-lead", "unit-time",
          "per-step-no-lead", "unit-lead"],
 )
 def test_unbroadcastable_a_rejected(a_shape):
     """`a` is shared (n,) or per-step b.shape; every other layout is refused."""
     with pytest.raises(ShapeError):
-        scan_linear(ScanElement(np.ones(a_shape), np.ones((2, 5, 3)), "diag"))
+        scan_linear(ScanElement(np.ones(a_shape), np.ones((5, 2, 3)), "diag"))
 
 
 def test_mismatched_cotangent_rejected():
