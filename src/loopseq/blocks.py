@@ -45,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, param
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 _NORM_EPS = 1e-6
 
@@ -307,11 +307,14 @@ def block_forward(p: BlockParams, h: Tensor) -> Tensor:
 
 
 def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:
-    """The input batch x [..., T, w] lifted to time-major hidden states [T, ..., H].
+    """The input batch x [N, T, w] lifted to time-major hidden states [T, N, H].
 
     `affine` gets a view with time moved to axis 0, so the tape keeps no
-    copy of the input; x is data, and no gradient flows back into it.
+    copy of the input; x is data, and no gradient flows back into it. Any
+    other shape is refused before any product, naming the shape passed.
     """
+    if x.ndim != 3 or x.shape[-1] != p.weight.shape[0]:
+        raise ShapeError(f"input must be an [N, T, {p.weight.shape[0]}] batch, got shape {x.shape}")
     return ad.affine(Tensor(np.moveaxis(x.data, -2, 0)), p.weight, p.bias)
 
 

@@ -24,47 +24,44 @@ from pathlib import Path
 
 from .blocks import ARCHS
 from .data import CANONICAL
-from .errors import ConfigError, LoopseqError
+from .errors import AggregationError, ConfigError, LoopseqError
 from .report import check_grid_epochs, check_out_dir, load_plan, read_results, render_report, resolve_dataset, run_plan
 from .reshape import make_spec
+from .stack import SUPERVISIONS
 from .train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from .verify import run_all
 
 
+_HELP = {
+    "arch": "one of " + ", ".join(ARCHS),
+    "pattern": "block-sharing pattern, e.g. ABCABC or '6,3'",
+    "supervision": "one of " + ", ".join(SUPERVISIONS),
+    "clip_norm": "global gradient-norm clip; 0 disables",
+}
+
+
+def _add_run_flags(p: argparse.ArgumentParser, names) -> None:
+    """One flag per named TrainConfig field, parsed as the type of its default."""
+    for f in dataclasses.fields(TrainConfig):
+        if f.name in names:
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=type(f.default), default=f.default, help=_HELP.get(f.name))
+
+
 def _add_cell_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", default="synth", help="'synth' or a canonical corpus name")
-    p.add_argument("--arch", default="LRU", help="one of " + ", ".join(ARCHS))
-    p.add_argument("--pattern", default="AAAAAA", help="block-sharing pattern, e.g. ABCABC or '6,3'")
-    p.add_argument("--supervision", choices=("final", "block"), default="final")
-    p.add_argument("--concentration", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--clip-norm", type=float, default=1.0, help="global gradient-norm clip; 0 disables")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--state", type=int, default=64)
+    _add_run_flags(p, {f.name for f in dataclasses.fields(TrainConfig)} - {"lr", "seed"})
     p.add_argument("--data-dir", default="data")
 
 
-def _config_from(args, lr: float, seed: int) -> TrainConfig:
-    return TrainConfig(
-        arch=args.arch,
-        pattern=args.pattern,
-        supervision=args.supervision,
-        concentration=args.concentration,
-        lr=lr,
-        seed=seed,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        clip_norm=None if args.clip_norm == 0 else args.clip_norm,
-        hidden=args.hidden,
-        state=args.state,
-    )
+def _config_from(args, **axes) -> TrainConfig:
+    """The run the parsed flags name; `axes` give the lr and seed of a grid's run."""
+    given = {**vars(args), **axes, "clip_norm": None if args.clip_norm == 0 else args.clip_norm}
+    return TrainConfig(**{f.name: given[f.name] for f in dataclasses.fields(TrainConfig)})
 
 
 def _cmd_train(args) -> int:
-    config = _config_from(args, args.lr, args.seed)
+    config = _config_from(args)
     dataset = resolve_dataset(args.dataset, args.data_dir, {})
     out_dir = check_out_dir(args.out) if args.out else None
     log_path = None
@@ -113,7 +110,7 @@ def _cmd_grid(args) -> int:
     check_grid_epochs(args.max_epochs, "--max-epochs", " for a grid")
     lrs = _parse_list("--lrs", args.lrs, float)
     seeds = _parse_list("--seeds", args.seeds, int)
-    configs = [_config_from(args, lr, seed) for lr in lrs for seed in seeds]
+    configs = [_config_from(args, lr=lr, seed=seed) for lr in lrs for seed in seeds]
     dataset = resolve_dataset(args.dataset, args.data_dir, {})
     out_dir = check_out_dir(args.out) if args.out else None
     runs = run_jobs([(config, dataset) for config in configs], workers=args.workers)
@@ -122,7 +119,11 @@ def _cmd_grid(args) -> int:
         print(f"failed: lr={config.lr} seed={config.seed}: {error}", file=sys.stderr)
     if failed:
         return 1
-    grid = grid_and_seeds(runs)
+    try:
+        grid = grid_and_seeds(runs)
+    except AggregationError as exc:
+        print(f"failed: AggregationError: {exc}", file=sys.stderr)
+        return 1
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "grid.json", "w") as fh:
@@ -204,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="one training run")
     _add_cell_flags(p_train)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--seed", type=int, default=0)
+    _add_run_flags(p_train, {"lr", "seed"})
     p_train.add_argument("--out", default=None, help="directory for run.json and run.log.jsonl")
     p_train.set_defaults(fn=_cmd_train)
 

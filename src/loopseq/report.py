@@ -78,13 +78,8 @@ _LIST_FIELDS = {
 # list fields whose values come from a closed set that no TrainConfig checks
 # (a supervision paired only with the all-unique pattern builds no run)
 _CHOICES = {"datasets": ["synth", *sorted(CANONICAL)], "supervisions": list(SUPERVISIONS)}
-# scalar plan fields: their type, and its name in errors
-_SCALAR_FIELDS = {
-    "out_dir": (str, "a string"),
-    "data_dir": (str, "a string"),
-    "synth": (dict, "an object"),
-    **{name: (int, "an integer") for name in ("batch_size", "max_epochs", "patience", "hidden", "state")},
-}
+# scalar plan fields that no TrainConfig checks: their type, and its name in errors
+_SCALAR_FIELDS = {"out_dir": (str, "a string"), "data_dir": (str, "a string"), "synth": (dict, "an object")}
 # synth keys: the least value each takes ("noise" is any finite number, the rest integers)
 _SYNTH_MIN = {"n": 1, "steps": 1, "width": 1, "n_classes": 2, "noise": 0.0, "seed": 0}
 
@@ -99,11 +94,11 @@ class ExperimentPlan:
     lrs: list[float]
     seeds: list[int]
     out_dir: str
-    batch_size: int = 32
-    max_epochs: int = 200
-    patience: int = 20
-    hidden: int = 64
-    state: int = 64
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    hidden: int = TrainConfig.hidden
+    state: int = TrainConfig.state
     data_dir: str = "data"
     synth: dict = field(default_factory=dict)
 
@@ -133,12 +128,12 @@ class ExperimentPlan:
                 raise ConfigError(f"synth {key!r} must be {label} >= {low}, got {value!r}")
         if len({parse_pattern(p) for p in self.patterns}) < len(self.patterns):
             raise ConfigError(f"plan field 'patterns' names one pattern twice: {self.patterns!r}")
-        check_grid_epochs(self.max_epochs, "plan field 'max_epochs'")
         cells = self.cells()
         if not cells:
             raise ConfigError("plan resolves to zero cells; nothing to run")
-        for cell in cells:  # TrainConfig checks the values of every run
+        for cell in cells:  # TrainConfig checks the types and values of every run
             _configs(cell, self)
+        check_grid_epochs(self.max_epochs, "plan field 'max_epochs'")
 
     def cells(self) -> list[PlanCell]:
         """Cross product, except the all-unique baseline runs final-only."""
@@ -216,18 +211,9 @@ def resolve_dataset(name: str, data_dir: str, synth: dict) -> Dataset:
 
 
 def _configs(cell: PlanCell, plan: ExperimentPlan) -> list[TrainConfig]:
-    """The cell's runs, lr-major."""
-    base = TrainConfig(
-        arch=cell.arch,
-        pattern=cell.pattern,
-        supervision=cell.supervision,
-        concentration=cell.concentration,
-        batch_size=plan.batch_size,
-        max_epochs=plan.max_epochs,
-        patience=plan.patience,
-        hidden=plan.hidden,
-        state=plan.state,
-    )
+    """The cell's runs, lr-major; each other run field is read by name from the cell or the plan."""
+    given = {**vars(plan), **vars(cell)}
+    base = TrainConfig(**{f.name: given[f.name] for f in dataclasses.fields(TrainConfig) if f.name in given})
     return [base.replace(lr=lr, seed=seed) for lr in plan.lrs for seed in plan.seeds]
 
 

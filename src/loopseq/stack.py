@@ -151,7 +151,7 @@ def stack_forward(
 ) -> list[Tensor]:
     """Encoder then L periodic block applications; the hidden state after every `period`.
 
-    x is a [..., T, w] batch and each tap a time-major [T, ..., H] state.
+    x is an [N, T, w] batch and each tap a time-major [T, N, H] state.
     Verification passes a source model's period to an embedded (untied)
     model, so both are supervised at the source's repetition boundaries.
     `resume = (j, h)` starts at position j from the hidden state h that

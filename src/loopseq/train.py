@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -48,6 +49,16 @@ _EVAL_BATCH = 256
 
 log = logging.getLogger(__name__)
 
+# each TrainConfig annotation: the types its values may have (never a bool), and their name in errors
+_FIELD_KINDS = {
+    "str": (str, "a string"),
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "float | None": ((numbers.Real, type(None)), "a real number or None"),
+}
+# the least value of each integer TrainConfig field
+_LEAST = {"concentration": 1, "seed": 0, "batch_size": 1, "max_epochs": 0, "patience": 0, "hidden": 1, "state": 1}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -65,19 +76,18 @@ class TrainConfig:
     state: int = 64
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, label = _FIELD_KINDS[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {label}, got {value!r}")
+            if f.type == "int" and value < _LEAST[f.name]:
+                raise ConfigError(f"{f.name} must be >= {_LEAST[f.name]}, got {value}")
         parse_pattern(self.pattern)  # raises ConfigError on malformed patterns
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}; expected one of {list(ARCHS)}")
         if self.supervision not in SUPERVISIONS:
             raise ConfigError(f"unknown supervision {self.supervision!r}; expected {list(SUPERVISIONS)}")
-        if self.concentration < 1 or self.seed < 0:
-            raise ConfigError(
-                f"concentration must be >= 1 and seed >= 0, got {self.concentration} and {self.seed}"
-            )
-        if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
-            raise ConfigError("batch_size must be >= 1; max_epochs and patience >= 0")
-        if self.hidden < 1 or self.state < 1:
-            raise ConfigError(f"hidden and state must be >= 1, got {self.hidden} and {self.state}")
         if not 0 < self.lr < float("inf"):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.clip_norm is not None and not 0 < self.clip_norm < float("inf"):

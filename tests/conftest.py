@@ -1,6 +1,11 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
+
+# every property test draws the same examples on every run; each test keeps its own max_examples
+settings.register_profile("loopseq", derandomize=True)
+settings.load_profile("loopseq")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 from pathlib import Path
@@ -9,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loopseq import cli
+from loopseq import cli, report
 from loopseq import train as train_mod
 from loopseq.cli import build_parser, main
 from loopseq.data import synth_sine_task, write_ts
 from loopseq.errors import DataError
 from loopseq.report import ExperimentPlan, read_results
+from loopseq.train import TrainConfig
 from loopseq.verify import AuditReport, CheckResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -294,15 +296,16 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         (["train", "--clip-norm", "-1", "--max-epochs", "1"], "clip_norm"),
         (["train", "--clip-norm", "nan", "--max-epochs", "1"], "clip_norm"),
         (["grid", "--clip-norm", "inf", "--max-epochs", "1"], "clip_norm"),
-        (["train", "--hidden", "0", "--max-epochs", "1"], "hidden and state must be >= 1"),
-        (["train", "--state", "-1", "--max-epochs", "1"], "hidden and state must be >= 1"),
+        (["train", "--hidden", "0", "--max-epochs", "1"], "hidden must be >= 1, got 0"),
+        (["train", "--state", "-1", "--max-epochs", "1"], "state must be >= 1, got -1"),
         (["grid", "--workers", "0", "--max-epochs", "1"], "--workers must be >= 1"),
         (["grid", "--workers", "-1", "--max-epochs", "1"], "--workers must be >= 1"),
         (["grid", "--arch", "Foo", "--max-epochs", "1"], "unknown arch 'Foo'"),
         (["grid", "--concentration", "0", "--max-epochs", "1"], "concentration must be >= 1"),
-        (["grid", "--seeds=-1", "--max-epochs", "1"], "seed >= 0"),
-        (["train", "--seed=-1", "--max-epochs", "1"], "seed >= 0"),
+        (["grid", "--seeds=-1", "--max-epochs", "1"], "seed must be >= 0, got -1"),
+        (["train", "--seed=-1", "--max-epochs", "1"], "seed must be >= 0, got -1"),
         (["grid", "--max-epochs", "0"], "--max-epochs must be >= 1 for a grid, got 0"),
+        (["train", "--supervision", "x", "--max-epochs", "1"], "unknown supervision 'x'"),
     ],
     ids=[
         "pattern-not-int",
@@ -325,12 +328,39 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         "negative-grid-seed",
         "negative-train-seed",
         "zero-grid-epochs",
+        "unknown-supervision",
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_grid_whose_every_run_diverged_exits_1(tmp_path, capsys, monkeypatch):
+    # once an exit 2, the code of a refusal before any run, though every run had trained
+    monkeypatch.setattr(report, "synth_sine_task", functools.partial(synth_sine_task, n=8, steps=10))
+    out = tmp_path / "grid"
+    argv = ["grid", "--lrs", "1e308", "--seeds", "0", "--max-epochs", "1", "--hidden", "4", "--state", "4"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "failed: AggregationError: every run in the grid diverged" in err
+    assert not out.exists()
+
+
+def test_run_flag_defaults_are_train_config_defaults():
+    parser = build_parser()
+    default = TrainConfig()
+    for command in ("train", "grid"):
+        args = parser.parse_args([command])
+        for f in dataclasses.fields(TrainConfig):
+            if hasattr(args, f.name):  # grid sweeps lr and seed with --lrs and --seeds
+                assert getattr(args, f.name) == getattr(default, f.name), (command, f.name)
+    assert cli._config_from(parser.parse_args(["train"])) == default
+    plan = ExperimentPlan(["synth"], ["LRU"], ["AA"], ["final"], [1], [0.01], [0], "out")
+    for f in dataclasses.fields(TrainConfig):
+        if hasattr(plan, f.name):
+            assert getattr(plan, f.name) == getattr(default, f.name), f.name
 
 
 @pytest.mark.parametrize(
@@ -344,16 +374,16 @@ def test_bad_input_exits_2(argv, message, capsys):
         (dict(archs="LRU"), "'archs' must be a list"),
         (dict(seeds=[0, "1"]), "'seeds' must be a list of integers"),
         (dict(regime="auto"), "unknown plan fields: ['regime']"),
-        (dict(batch_size="32"), "plan field 'batch_size' must be an integer, got '32'"),
-        (dict(patience=False), "plan field 'patience' must be an integer, got False"),
+        (dict(batch_size="32"), "batch_size must be an integer, got '32'"),
+        (dict(patience=False), "patience must be an integer, got False"),
         (dict(out_dir=3), "plan field 'out_dir' must be a string, got 3"),
         (dict(synth=[1]), "plan field 'synth' must be an object, got [1]"),
         (dict(synth={"bogus": 1}), "unknown synth keys ['bogus']"),
         (dict(seeds=[0, 0]), "plan field 'seeds' must be non-empty without repeats, got [0, 0]"),
         (dict(patterns=["AAAAAA", "6,1"]), "plan field 'patterns' names one pattern twice"),
-        (dict(hidden=0), "hidden and state must be >= 1, got 0 and 64"),
-        (dict(state=-1), "hidden and state must be >= 1, got 64 and -1"),
-        (dict(seeds=[-1]), "seed >= 0, got 1 and -1"),
+        (dict(hidden=0), "hidden must be >= 1, got 0"),
+        (dict(state=-1), "state must be >= 1, got -1"),
+        (dict(seeds=[-1]), "seed must be >= 0, got -1"),
         (dict(synth={"n": "46"}), "synth 'n' must be an integer >= 1, got '46'"),
         (dict(synth={"noise": "x"}), "synth 'noise' must be a number >= 0.0, got 'x'"),
         (dict(synth={"n": 2}), "synth 'n': need at least 4 examples to split, got 2"),

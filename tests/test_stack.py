@@ -1,5 +1,6 @@
 """Depth-stack tests: patterns, supervision, containment, gradient aggregation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from loopseq import autodiff as ad
 from loopseq import stack
 from loopseq.autodiff import Tape, backward, Tensor
 from loopseq.blocks import ARCHS, block_forward, encoder_forward, head_forward, named_tensors
-from loopseq.errors import ConfigError
+from loopseq.errors import ConfigError, ShapeError
 from loopseq.stack import (
     AggregationReport,
     StackConfig,
@@ -104,6 +105,26 @@ def test_tap_period_controls_taps():
     assert len(stack_forward(model, x, 2)) == 3
     with pytest.raises(ConfigError):
         stack_forward(model, x, 4)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (2, 5, 4), (1, 2, 5, 3)], ids=["unbatched", "wrong-width", "4-d"])
+def test_input_not_n_t_w_is_refused_before_the_encoder(shape, monkeypatch):
+    # once, an unbatched series ran every block and failed in the head, and a
+    # wrong width was reported in the shape of the encoder's time-major view
+    model = _tiny()  # w = 3
+    x = np.zeros(shape)
+
+    def no_product(*args):
+        raise AssertionError("the encoder ran")
+
+    monkeypatch.setattr(ad, "affine", no_product)
+    for run in (
+        lambda: predict_logits(model, x),
+        lambda: stack_loss(model, x, np.zeros(shape[0], dtype=int)),
+        lambda: prefix_reuse_loss(model, x, np.zeros(shape[0], dtype=int))(),
+    ):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            run()
 
 
 def test_residual_chain_with_zero_mixers_is_identity_plus_encoder():

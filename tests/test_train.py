@@ -280,6 +280,29 @@ def test_config_validation(kw):
         _tiny_config(**kw)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("batch_size", 2.5),
+        ("hidden", True),
+        ("concentration", 2.0),
+        ("max_epochs", 1.5),
+        ("seed", 1.5),
+        ("lr", "0.1"),
+        ("patience", None),
+    ],
+)
+def test_config_refuses_a_value_of_the_wrong_type(field, value):
+    # each once reached train_one, or raised a bare TypeError from a comparison
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        _tiny_config(**{field: value})
+
+
+def test_config_takes_numpy_numbers():
+    config = _tiny_config(seed=np.int64(1), hidden=np.int32(6), lr=np.float64(1e-2), clip_norm=None)
+    assert config == _tiny_config(seed=1, hidden=6, lr=1e-2, clip_norm=None)
+
+
 # --- runs and grids ---------------------------------------------------------------
 
 
