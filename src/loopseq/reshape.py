@@ -10,9 +10,7 @@ c alone decides the computation: c = 1 returns the input unchanged,
 every other c runs the arithmetic above.  The `regime` label only names
 the case: `identity` for c = 1, `low_dim_concat` when c is a multiple
 of w (each row is then exactly c/w consecutive time steps), and
-`high_dim_flatten` otherwise (rows may end inside a time step).  The
-inverse drops the pad after checking it is still zero, so a round trip
-is exact and tampering is detected.
+`high_dim_flatten` otherwise (rows may end inside a time step).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -78,25 +76,3 @@ def reshape_forward(x: np.ndarray, spec: ReshapeSpec) -> np.ndarray:
         pad = np.zeros(lead + (spec.pad_count,), dtype=x.dtype)
         flat = np.concatenate([flat, pad], axis=-1)
     return flat.reshape(lead + (spec.rows, spec.concentration))
-
-
-def reshape_inverse(y: np.ndarray, spec: ReshapeSpec) -> np.ndarray:
-    """Exact inverse of reshape_forward; rejects modified padding."""
-    y = np.asarray(y)
-    if spec.concentration == 1:
-        if y.shape[-2:] != spec.original_shape:
-            raise ShapeError(f"input trailing shape {y.shape[-2:]} != spec {spec.original_shape}")
-        return y
-    if y.shape[-2:] != (spec.rows, spec.concentration):
-        raise ShapeError(f"input trailing shape {y.shape[-2:]} != spec output {spec.out_shape}")
-    lead = y.shape[:-2]
-    T, w = spec.original_shape
-    flat = y.reshape(lead + (spec.rows * spec.concentration,))
-    if spec.pad_count:
-        tail = flat[..., T * w :]
-        if np.any(tail != 0):
-            raise ContractError(
-                f"padding region is no longer zero ({np.count_nonzero(tail)} cells); "
-                "refusing to invert"
-            )
-    return flat[..., : T * w].reshape(lead + (T, w))

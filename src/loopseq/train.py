@@ -24,8 +24,6 @@ import json
 import logging
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +32,7 @@ from . import autodiff as ad
 from .blocks import ARCHS
 from .data import Dataset, apply_reshape, normalize, split_dataset
 from .errors import AggregationError, ConfigError
+from .pool import run_pooled
 from .reshape import make_spec
 from .stack import (
     SUPERVISIONS,
@@ -328,22 +327,14 @@ def _attempt(job: tuple[TrainConfig, Dataset]) -> RunResult | str:
 
 
 def run_jobs(jobs: list[tuple[TrainConfig, Dataset]], workers: int | None = None) -> list:
-    """Train every (config, dataset) job, in-process or on `workers` processes.
+    """Train every (config, dataset) job, in-process or on up to `workers` processes.
 
     Each job gives its `RunResult` or the text of the exception it raised,
     so a failed run costs only itself. A worker process that dies breaks
     the pool: every run not yet finished then reports `BrokenProcessPool`.
     """
-    if not workers or workers <= 1:
-        return [_attempt(job) for job in jobs]
-    outcomes = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(_attempt, job) for job in jobs]:
-            try:
-                outcomes.append(future.result())
-            except BrokenProcessPool as exc:
-                outcomes.append(f"BrokenProcessPool: {exc}")
-    return outcomes
+    lost = lambda args, exc: f"BrokenProcessPool: {exc}"
+    return run_pooled([(_attempt, (job,)) for job in jobs], workers or 1, lost)
 
 
 @dataclass

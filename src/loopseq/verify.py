@@ -20,7 +20,10 @@ Three families of checks, each returning structured results:
   stack only from the first block whose tensors moved
   (`stack.prefix_reuse_loss`), with the same bits as a full forward.
 
-`run_all` bundles everything into a report for the CLI.
+Each check is a job, a module-level function and its arguments, with its
+own fixed seeds. The jobs run on one process per usable CPU, in-process
+when there is one, with the same results in the same order either way.
+`run_all` bundles every job into one report for the CLI.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import finite_difference_check
+from .autodiff import finite_difference_check, param
 from .blocks import ARCHS
 from .data import CANONICAL
 from .errors import ConfigError
+from .pool import run_pooled, usable_cpus
 from .stack import (
     StackConfig,
     build_stack,
@@ -93,10 +97,10 @@ class AuditReport:
             fh.write("\n")
 
 
-def _timed(name: str, fn) -> CheckResult:
+def _timed(name: str, fn, *args) -> CheckResult:
     t0 = time.perf_counter()
     try:
-        max_error, passed, detail = fn()
+        max_error, passed, detail = fn(*args)
     except Exception as exc:  # an audit that crashes is a failing audit
         return CheckResult(
             name=name,
@@ -114,81 +118,87 @@ def _timed(name: str, fn) -> CheckResult:
     )
 
 
+def _run(jobs: list[tuple]) -> list[CheckResult]:
+    """`_timed(*job)` for each (name, check, *args) job, in the order of `jobs`.
+
+    The checks run on one process per usable CPU, the finite-difference
+    ones (most of the time) first; with one usable CPU they run in-process.
+    A check lost with its worker process fails.
+    """
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][1] is not _grad_one)
+    lost = lambda job, exc: CheckResult(job[0], False, float("inf"), 0.0, {"error": f"BrokenProcessPool: {exc}"})
+    outcomes = run_pooled([(_timed, jobs[i]) for i in order], usable_cpus(), lost)
+    return [out for _, out in sorted(zip(order, outcomes))]
+
+
 # --- containment ---------------------------------------------------------------------
 
 
 def _containment_one(arch: str, seeds: int, n_inputs: int, steps: int, hidden: int, state: int):
-    def check():
-        width = 3
-        worst = 0.0
-        cases = 0
-        for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            base = build_stack(
-                arch,
-                StackConfig(depth=6, n_unique=1),
-                width=width,
-                n_classes=4,
-                hidden=hidden,
-                state=state,
-                rng=seed,
-            )
-            x = rng.standard_normal((n_inputs, steps, width))
-            want = predict_logits(base, x)
-            # two chains and the direct hop must all be bit-identical
-            via2 = embed_periodic(embed_periodic(base, 2), 6)
-            via3 = embed_periodic(embed_periodic(base, 3), 6)
-            direct = embed_periodic(base, 6)
-            for model in (via2, via3, direct):
-                got = predict_logits(model, x)
-                diff = float(np.max(np.abs(got - want)))
-                worst = max(worst, diff)
-                cases += 1
-                if not np.array_equal(got, want):
-                    return worst, False, {"seed": seed, "cases": cases}
-        return worst, True, {"seeds": seeds, "cases": cases, "inputs_per_seed": n_inputs}
-
-    return _timed(f"containment/{arch}", check)
+    width = 3
+    worst = 0.0
+    cases = 0
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        base = build_stack(
+            arch,
+            StackConfig(depth=6, n_unique=1),
+            width=width,
+            n_classes=4,
+            hidden=hidden,
+            state=state,
+            rng=seed,
+        )
+        x = rng.standard_normal((n_inputs, steps, width))
+        want = predict_logits(base, x)
+        # two chains and the direct hop must all be bit-identical
+        via2 = embed_periodic(embed_periodic(base, 2), 6)
+        via3 = embed_periodic(embed_periodic(base, 3), 6)
+        direct = embed_periodic(base, 6)
+        for model in (via2, via3, direct):
+            got = predict_logits(model, x)
+            diff = float(np.max(np.abs(got - want)))
+            worst = max(worst, diff)
+            cases += 1
+            if not np.array_equal(got, want):
+                return worst, False, {"seed": seed, "cases": cases}
+    return worst, True, {"seeds": seeds, "cases": cases, "inputs_per_seed": n_inputs}
 
 
 def _containment_guards(hidden: int, state: int):
-    def check():
-        base = build_stack(
-            "LRU",
-            StackConfig(depth=6, n_unique=2),
-            width=3,
-            n_classes=3,
-            hidden=hidden,
-            state=state,
-            rng=0,
-        )
-        try:
-            embed_periodic(base, 3)
-            return float("inf"), False, {"error": "2 -> 3 re-expression was not rejected"}
-        except ConfigError:
-            pass
-        # sensitivity: a 1e-9 nudge to one block parameter must change the logits
-        x = np.random.default_rng(1).standard_normal((8, 12, 3))
-        want = predict_logits(base, x)
-        nudged = embed_periodic(base, 2)
-        nudged.blocks[0].glu_value_w.data[0, 0] += 1e-9
-        got = predict_logits(nudged, x)
-        diff = float(np.max(np.abs(got - want)))
-        return diff, diff > 0.0, {"note": "perturbation must break bit-equality"}
-
-    return _timed("containment/guards", check)
+    base = build_stack(
+        "LRU",
+        StackConfig(depth=6, n_unique=2),
+        width=3,
+        n_classes=3,
+        hidden=hidden,
+        state=state,
+        rng=0,
+    )
+    try:
+        embed_periodic(base, 3)
+        return float("inf"), False, {"error": "2 -> 3 re-expression was not rejected"}
+    except ConfigError:
+        pass
+    # sensitivity: a 1e-9 nudge to one block parameter must change the logits
+    x = np.random.default_rng(1).standard_normal((8, 12, 3))
+    want = predict_logits(base, x)
+    nudged = embed_periodic(base, 2)
+    nudged.blocks[0].glu_value_w.data[0, 0] += 1e-9
+    got = predict_logits(nudged, x)
+    diff = float(np.max(np.abs(got - want)))
+    return diff, diff > 0.0, {"note": "perturbation must break bit-equality"}
 
 
-def audit_containment(
-    seeds: int = 5,
-    n_inputs: int = 100,
-    steps: int = 24,
-    hidden: int = 16,
-    state: int = 16,
-) -> list[CheckResult]:
-    results = [_containment_one(arch, seeds, n_inputs, steps, hidden, state) for arch in ARCHS]
-    results.append(_containment_guards(hidden, state))
-    return results
+def _containment_jobs(seeds=5, n_inputs=100, steps=24, hidden=16, state=16) -> list[tuple]:
+    sizes = (seeds, n_inputs, steps, hidden, state)
+    jobs = [(f"containment/{arch}", _containment_one, arch, *sizes) for arch in ARCHS]
+    return jobs + [("containment/guards", _containment_guards, hidden, state)]
+
+
+def audit_containment(**sizes) -> list[CheckResult]:
+    """The containment checks; `sizes` override `_containment_jobs`'s defaults."""
+    return _run(_containment_jobs(**sizes))
 
 
 # --- parameter accounting ---------------------------------------------------------------
@@ -202,137 +212,121 @@ def _count(arch: str, m: int, width: int, n_classes: int) -> int:
     return model.n_params()
 
 
+def _params_one(arch: str):
+    worst = 0
+    rows = {}
+    for name, meta in CANONICAL.items():
+        counts = {m: _count(arch, m, meta["width"], meta["classes"]) for m in (1, 2, 3, 6)}
+        per_block = counts[2] - counts[1]
+        shared = counts[1] - per_block
+        for m, c in counts.items():
+            worst = max(worst, abs(c - (shared + m * per_block)))
+        ratio = counts[6] / counts[1]
+        rows[name] = {"counts": counts, "ratio": round(ratio, 4)}
+        if not (_RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]):
+            return float(worst), False, {"corpus": name, "ratio": ratio}
+    return float(worst), worst == 0, rows
+
+
+def _param_jobs() -> list[tuple]:
+    return [(f"params/{arch}", _params_one, arch) for arch in ARCHS]
+
+
 def audit_param_linear() -> list[CheckResult]:
-    results = []
-    for arch in ARCHS:
-
-        def check(arch=arch):
-            worst = 0
-            rows = {}
-            for name, meta in CANONICAL.items():
-                counts = {
-                    m: _count(arch, m, meta["width"], meta["classes"])
-                    for m in (1, 2, 3, 6)
-                }
-                per_block = counts[2] - counts[1]
-                shared = counts[1] - per_block
-                for m, c in counts.items():
-                    worst = max(worst, abs(c - (shared + m * per_block)))
-                ratio = counts[6] / counts[1]
-                rows[name] = {"counts": counts, "ratio": round(ratio, 4)}
-                if not (_RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]):
-                    return float(worst), False, {"corpus": name, "ratio": ratio}
-            return float(worst), worst == 0, rows
-
-        results.append(_timed(f"params/{arch}", check))
-    return results
+    return _run(_param_jobs())
 
 
 # --- gradients ----------------------------------------------------------------------------
 
 
 def _grad_one(arch: str, supervision: str, n_unique: int, fast: bool):
-    def check():
-        width, n_classes, steps = 3, 3, 16
-        model = build_stack(
-            arch,
-            StackConfig(depth=6, n_unique=n_unique, supervision=supervision),
-            width=width,
-            n_classes=n_classes,
-            hidden=4,
-            state=4,
-            rng=0,
-        )
-        # evaluate at a generic point: the symmetric init leaves some
-        # directional derivatives near 1e-8, below what central
-        # differences can resolve against the relative-error floor
-        jitter = np.random.default_rng(99)
-        for _, p in model.parameters():
-            p.data += 0.5 * jitter.standard_normal(p.data.shape)
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((4, steps, width))
-        labels = rng.integers(0, n_classes, 4)
-        err = finite_difference_check(
-            prefix_reuse_loss(model, x, labels),
-            model.param_tensors(),
-            h=1e-5,
-            rng=np.random.default_rng(11) if fast else None,  # None: every coordinate
-        )
-        coords = "1 direction/tensor" if fast else "all"
-        return err, err < _TOL_FD, {"tol": _TOL_FD, "pattern_uniques": n_unique, "coords": coords}
-
-    return _timed(f"gradients/fd/{arch}/{supervision}/m{n_unique}", check)
+    width, n_classes, steps = 3, 3, 16
+    model = build_stack(
+        arch,
+        StackConfig(depth=6, n_unique=n_unique, supervision=supervision),
+        width=width,
+        n_classes=n_classes,
+        hidden=4,
+        state=4,
+        rng=0,
+    )
+    # evaluate at a generic point: the symmetric init leaves some
+    # directional derivatives near 1e-8, below what central
+    # differences can resolve against the relative-error floor
+    jitter = np.random.default_rng(99)
+    for _, p in model.parameters():
+        p.data += 0.5 * jitter.standard_normal(p.data.shape)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((4, steps, width))
+    labels = rng.integers(0, n_classes, 4)
+    err = finite_difference_check(
+        prefix_reuse_loss(model, x, labels),
+        model.param_tensors(),
+        h=1e-5,
+        rng=np.random.default_rng(11) if fast else None,  # None: every coordinate
+    )
+    coords = "1 direction/tensor" if fast else "all"
+    return err, err < _TOL_FD, {"tol": _TOL_FD, "pattern_uniques": n_unique, "coords": coords}
 
 
 def _aggregation_one(arch: str, supervision: str):
-    def check():
-        model = build_stack(
-            arch,
-            StackConfig(depth=6, n_unique=2, supervision=supervision),
-            width=3,
-            n_classes=3,
-            hidden=4,
-            state=4,
-            rng=2,
-        )
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((4, 12, 3))
-        labels = rng.integers(0, 3, 4)
-        report = verify_gradient_aggregation(model, x, labels)
-        ok = bool(report.loss_match) and not report.all_zero and report.max_rel_error < _TOL_AGG
-        return report.max_rel_error, ok, {
-            "loss_match": bool(report.loss_match),
-            "all_zero": bool(report.all_zero),
-            "tol": _TOL_AGG,
-        }
-
-    return _timed(f"gradients/aggregation/{arch}/{supervision}", check)
+    model = build_stack(
+        arch,
+        StackConfig(depth=6, n_unique=2, supervision=supervision),
+        width=3,
+        n_classes=3,
+        hidden=4,
+        state=4,
+        rng=2,
+    )
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 12, 3))
+    labels = rng.integers(0, 3, 4)
+    report = verify_gradient_aggregation(model, x, labels)
+    ok = bool(report.loss_match) and not report.all_zero and report.max_rel_error < _TOL_AGG
+    return report.max_rel_error, ok, {
+        "loss_match": bool(report.loss_match),
+        "all_zero": bool(report.all_zero),
+        "tol": _TOL_AGG,
+    }
 
 
 def _gradient_detector(fast: bool):
     """The FD estimator the audit uses must itself flag a wrong gradient (sign flip)."""
+    p = param(np.array([0.7, -0.3]))
 
-    def check():
-        from . import autodiff as ad
+    def wrong_loss():
+        # -x masquerading as x: analytic gradient has the wrong sign
+        return (p.detach() * 2.0 - p).sum()
 
-        p = ad.param(np.array([0.7, -0.3]))
-
-        def wrong_loss():
-            # -x masquerading as x: analytic gradient has the wrong sign
-            return (p.detach() * 2.0 - p).sum()
-
-        rng = np.random.default_rng(11) if fast else None
-        err = finite_difference_check(wrong_loss, [p], h=1e-5, rng=rng)
-        return err, err > 1.0, {"note": "detector must reject a sign-flipped gradient"}
-
-    return _timed("gradients/detector", check)
+    rng = np.random.default_rng(11) if fast else None
+    err = finite_difference_check(wrong_loss, [p], h=1e-5, rng=rng)
+    return err, err > 1.0, {"note": "detector must reject a sign-flipped gradient"}
 
 
-def audit_gradients(fast: bool = False) -> list[CheckResult]:
-    results = []
+def _gradient_jobs(fast: bool) -> list[tuple]:
+    jobs = []
     for arch in ARCHS:
         for supervision in ("final", "block"):
             for n_unique in (1, 6):
-                results.append(_grad_one(arch, supervision, n_unique, fast))
-            results.append(_aggregation_one(arch, supervision))
-    results.append(_gradient_detector(fast))
-    return results
+                name = f"gradients/fd/{arch}/{supervision}/m{n_unique}"
+                jobs.append((name, _grad_one, arch, supervision, n_unique, fast))
+            jobs.append((f"gradients/aggregation/{arch}/{supervision}", _aggregation_one, arch, supervision))
+    return jobs + [("gradients/detector", _gradient_detector, fast)]
+
+
+def audit_gradients(fast: bool = False) -> list[CheckResult]:
+    return _run(_gradient_jobs(fast))
 
 
 # --- bundle ---------------------------------------------------------------------------------
 
 
 def run_all(fast: bool = False) -> AuditReport:
-    """Every audit.
+    """Every audit, as one set of jobs.
 
     `fast` trims the containment batches and checks each gradient tensor
     along one random direction instead of coordinate by coordinate.
     """
-    results = []
-    if fast:
-        results += audit_containment(seeds=2, n_inputs=8, steps=12)
-    else:
-        results += audit_containment()
-    results += audit_param_linear()
-    results += audit_gradients(fast=fast)
-    return AuditReport(results)
+    small = dict(seeds=2, n_inputs=8, steps=12) if fast else {}
+    return AuditReport(_run(_containment_jobs(**small) + _param_jobs() + _gradient_jobs(fast)))

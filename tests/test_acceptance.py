@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from loopseq.data import CANONICAL, load_named, synth_sine_task
-from loopseq.reshape import make_spec, reshape_forward, reshape_inverse
+from loopseq.reshape import make_spec, reshape_forward
 from loopseq.scan import ScanElement, scan_linear, scan_sequential
 from loopseq.stack import (
     StackConfig,
@@ -25,6 +25,7 @@ from loopseq.stack import (
 )
 from loopseq.train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from loopseq.verify import audit_containment, audit_gradients, audit_param_linear
+from reshape_oracle import reshape_inverse
 
 SYNTH = synth_sine_task(n=512, steps=100, width=2, n_classes=2, noise=0.1, seed=0)
 

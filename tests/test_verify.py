@@ -1,12 +1,13 @@
 """Audit suite: the checks pass on the real code and fail on planted defects."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 import loopseq.autodiff as ad
-from loopseq import stack, verify
+from loopseq import cli, pool, stack, verify
 from loopseq.verify import (
     AuditReport,
     CheckResult,
@@ -18,7 +19,12 @@ from loopseq.verify import (
 )
 
 
-def test_fast_bundle_all_pass(tmp_path):
+def _key(result: CheckResult) -> tuple:
+    return result.name, result.passed, float.hex(result.max_error), result.detail
+
+
+def test_fast_bundle_all_pass(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
     report = run_all(fast=True)
     assert report.passed, report.to_text()
     text = report.to_text()
@@ -29,6 +35,46 @@ def test_fast_bundle_all_pass(tmp_path):
     back = json.loads(path.read_text())
     assert back["passed"] is True
     assert len(back["results"]) == len(report.results)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a child process started on one usable CPU")
+
+    # on one usable CPU the same checks run in-process, with the pooled results bit for bit
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    serial = run_all(fast=True)
+    assert [_key(r) for r in serial.results] == [_key(r) for r in report.results]
+
+
+class _KillsWorker:
+    """Unpickling this ends the process that unpickles it."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
+
+
+def test_a_check_lost_with_its_worker_fails(tmp_path, monkeypatch, capsys):
+    healthy = [(f"unit/detector{i}", verify._gradient_detector, True) for i in range(3)]
+    want = [_key(verify._timed(*job)) for job in healthy]
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_containment_jobs", lambda **sizes: healthy)
+    monkeypatch.setattr(verify, "_param_jobs", lambda: [])
+    killer = ("unit/killed", verify._gradient_detector, _KillsWorker())
+    monkeypatch.setattr(verify, "_gradient_jobs", lambda fast: [killer])
+    out = tmp_path / "audit.json"
+    assert cli.main(["verify", "--fast", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    *before, killed = report["results"]
+    assert killed["name"] == "unit/killed" and not killed["passed"]
+    assert killed["detail"]["error"].startswith("BrokenProcessPool")
+    assert "[FAIL] unit/killed" in capsys.readouterr().out
+    # a worker takes its next job only after sending its last result, so
+    # at least one healthy check finished first, and it keeps its result
+    kept = [(r["name"], r["passed"], float.hex(r["max_error"]), r["detail"]) for r in before]
+    assert any(k == w for k, w in zip(kept, want))
+    for k, w, r in zip(kept, want, before):
+        assert k == w or r["detail"]["error"].startswith("BrokenProcessPool")
 
 
 def test_containment_small_config_passes():
@@ -66,6 +112,8 @@ def test_gradient_audits_pass(audit_results):
 
 
 def test_fast_gradient_audit_has_teeth(monkeypatch):
+    # one usable CPU: the checks run in this process, where the patches and counters live
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
     # scan `da` off by 0.1%: every arch's recurrence factor gets a wrong gradient
     true_backward = ad._scan.scan_backward
 
