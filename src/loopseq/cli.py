@@ -26,7 +26,7 @@ from .blocks import ARCHS
 from .data import CANONICAL
 from .errors import AggregationError, ConfigError, LoopseqError
 from .report import check_grid_epochs, check_out_dir, load_plan, read_results, render_report, resolve_dataset, run_plan
-from .reshape import make_spec
+from .reshape import reshape_law
 from .stack import SUPERVISIONS
 from .train import TrainConfig, grid_and_seeds, run_jobs, train_one
 from .verify import run_all
@@ -167,16 +167,16 @@ def _cmd_reshape_stats(args) -> int:
     for name in names:
         meta = CANONICAL[name]
         for c in factors:
-            spec = make_spec(meta["steps"], meta["width"], c)
+            regime, n_rows, pad = reshape_law(meta["steps"], meta["width"], c)
             rows.append(
                 {
                     "dataset": name,
                     "steps": meta["steps"],
                     "width": meta["width"],
                     "concentration": c,
-                    "regime": spec.regime,
-                    "rows": spec.rows,
-                    "pad": spec.pad_count,
+                    "regime": regime,
+                    "rows": n_rows,
+                    "pad": pad,
                 }
             )
     header = list(rows[0])

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .reshape import ReshapeSpec, reshape_forward
+from .reshape import reshape_forward
 
 # canonical corpus metadata: steps, width, classes, and the archive name
 # the distribution files use
@@ -298,12 +298,6 @@ def synth_sine_task(
 # --- training-time reshaping ----------------------------------------------------------
 
 
-def apply_reshape(ds: Dataset, spec: ReshapeSpec) -> Dataset:
-    """Reshape every series to the spec's [rows, c] layout."""
-    if (ds.steps, ds.width) != spec.original_shape:
-        raise ConfigError(
-            f"reshape spec is for shape {spec.original_shape}, dataset is {(ds.steps, ds.width)}"
-        )
-    if spec.concentration == 1:
-        return ds
-    return ds.replace(series=reshape_forward(ds.series, spec))
+def apply_reshape(ds: Dataset, c: int) -> Dataset:
+    """Reshape every series to [rows, c]; `ds` itself at c = 1."""
+    return ds if c == 1 else ds.replace(series=reshape_forward(ds.series, c))

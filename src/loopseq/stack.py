@@ -146,26 +146,19 @@ def build_stack(
     return StackModel(config, encoder, blocks, head)
 
 
-def stack_forward(
-    model: StackModel, x, period: int, resume: tuple[int, Tensor] | None = None
-) -> list[Tensor]:
+def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
     """Encoder then L periodic block applications; the hidden state after every `period`.
 
     x is an [N, T, w] batch and each tap a time-major [T, N, H] state.
     Verification passes a source model's period to an embedded (untied)
     model, so both are supervised at the source's repetition boundaries.
-    `resume = (j, h)` starts at position j from the hidden state h that
-    enters it, skipping the encoder and positions 0..j-1, and returns
-    only the taps from position j on.
     """
     depth = model.config.depth
     if period < 1 or depth % period != 0:
         raise ConfigError(f"tap period {period} must divide depth {depth}")
-    start, h = resume or (0, encoder_forward(model.encoder, x if isinstance(x, Tensor) else Tensor(x)))
-    if not 0 <= start <= depth:
-        raise ConfigError(f"resume position {start} must lie in [0, {depth}]")
+    h = encoder_forward(model.encoder, x if isinstance(x, Tensor) else Tensor(x))
     taps = []
-    for j in range(start, depth):
+    for j in range(depth):
         h = block_forward(model.blocks[j % model.config.n_unique], h)
         if (j + 1) % period == 0:
             taps.append(h)
@@ -220,7 +213,8 @@ def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], 
     def loss() -> Tensor:
         s = next((i for i, ts in enumerate(stages) if _tensor_bytes(ts) != seen[i]), depth + 1) if kept else 0
         outs = [Tensor(a) for a in kept[:s]] if s else [encoder_forward(model.encoder, x)]
-        outs += stack_forward(model, x, 1, resume=(len(outs) - 1, outs[-1]))
+        for j in range(len(outs) - 1, depth):
+            outs.append(block_forward(model.blocks[j % model.config.n_unique], outs[-1]))
         if not kept:
             kept.extend(h.data for h in outs)
             seen.extend(_tensor_bytes(ts) for ts in stages)

@@ -33,7 +33,6 @@ from .blocks import ARCHS
 from .data import Dataset, apply_reshape, normalize, split_dataset
 from .errors import AggregationError, ConfigError
 from .pool import run_pooled
-from .reshape import make_spec
 from .stack import (
     SUPERVISIONS,
     StackConfig,
@@ -177,8 +176,7 @@ def prepare_splits(ds: Dataset, config: TrainConfig) -> PreparedData:
     """Seeded split, train-statistics normalization, then reshaping."""
     sp = split_dataset(ds, config.seed)
     norm, _, _ = normalize(ds, sp.train)
-    spec = make_spec(ds.steps, ds.width, config.concentration)
-    parts = [apply_reshape(norm.subset(idx), spec) for idx in (sp.train, sp.val, sp.test)]
+    parts = [apply_reshape(norm.subset(idx), config.concentration) for idx in (sp.train, sp.val, sp.test)]
     return PreparedData(*parts, width=parts[0].width)
 
 
@@ -186,9 +184,9 @@ def full_loss(model: StackModel, ds: Dataset) -> float:
     """Mean loss over a whole dataset without recording gradients."""
     total, n = 0.0, ds.n
     for lo in range(0, n, _EVAL_BATCH):
-        idx = np.arange(lo, min(lo + _EVAL_BATCH, n))
-        loss = stack_loss(model, ds.series[idx], ds.labels[idx])
-        total += float(loss.data) * len(idx)
+        batch = slice(lo, lo + _EVAL_BATCH)  # a view: the batch's input is not copied
+        loss = stack_loss(model, ds.series[batch], ds.labels[batch])
+        total += float(loss.data) * len(ds.labels[batch])
     return total / n
 
 
@@ -196,12 +194,12 @@ def accuracy(model: StackModel, ds: Dataset) -> float:
     """Fraction of examples whose argmax logit is the label; NaN when any logit is non-finite."""
     hits, n = 0, ds.n
     for lo in range(0, n, _EVAL_BATCH):
-        idx = np.arange(lo, min(lo + _EVAL_BATCH, n))
+        batch = slice(lo, lo + _EVAL_BATCH)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            logits = predict_logits(model, ds.series[idx])
+            logits = predict_logits(model, ds.series[batch])
         if not np.isfinite(logits).all():
             return float("nan")
-        hits += int((logits.argmax(axis=-1) == ds.labels[idx]).sum())
+        hits += int((logits.argmax(axis=-1) == ds.labels[batch]).sum())
     return hits / n
 
 

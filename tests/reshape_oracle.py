@@ -4,22 +4,21 @@ of the reshape tests and acceptance criterion 5."""
 import numpy as np
 
 from loopseq.errors import ContractError, ShapeError
-from loopseq.reshape import ReshapeSpec
+from loopseq.reshape import reshape_law
 
 
-def reshape_inverse(y: np.ndarray, spec: ReshapeSpec) -> np.ndarray:
-    """(rows, c) -> (T, w); rejects modified padding, so tampering is detected."""
+def reshape_inverse(y: np.ndarray, T: int, w: int, c: int) -> np.ndarray:
+    """[..., rows, c] -> [..., T, w]; rejects modified padding, so tampering is detected."""
     y = np.asarray(y)
-    if spec.concentration == 1:
-        if y.shape[-2:] != spec.original_shape:
-            raise ShapeError(f"input trailing shape {y.shape[-2:]} != spec {spec.original_shape}")
+    _, rows, pad_count = reshape_law(T, w, c)
+    want = (T, w) if c == 1 else (rows, c)
+    if y.shape[-2:] != want:
+        raise ShapeError(f"input trailing shape {y.shape[-2:]} != reshaped shape {want}")
+    if c == 1:
         return y
-    if y.shape[-2:] != (spec.rows, spec.concentration):
-        raise ShapeError(f"input trailing shape {y.shape[-2:]} != spec output {spec.out_shape}")
     lead = y.shape[:-2]
-    T, w = spec.original_shape
-    flat = y.reshape(lead + (spec.rows * spec.concentration,))
-    if spec.pad_count:
+    flat = y.reshape(lead + (rows * c,))
+    if pad_count:
         tail = flat[..., T * w :]
         if np.any(tail != 0):
             raise ContractError(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from loopseq.data import CANONICAL, load_named, synth_sine_task
-from loopseq.reshape import make_spec, reshape_forward
+from loopseq.reshape import reshape_forward, reshape_law
 from loopseq.scan import ScanElement, scan_linear, scan_sequential
 from loopseq.stack import (
     StackConfig,
@@ -141,24 +141,25 @@ def test_criterion_5_reshape_laws():
         for meta in CANONICAL.values():
             T, w = meta["steps"], meta["width"]
             for c in (1, 8, 16):
-                spec = make_spec(T, w, c)
+                _, law_rows, pad_count = reshape_law(T, w, c)
                 x = rng.standard_normal((T, w))
-                y = reshape_forward(x, spec)
+                y = reshape_forward(x, c)
                 if c == 1:
                     # c=1 recovers the input without modification
                     assert y is x, f"c=1 not byte-identical at {(T, w)}"
-                    assert spec.pad_count == 0
+                    assert pad_count == 0
                 else:
                     rows = -(-T * w // c)
                     assert y.shape == (rows, c), f"shape law broken at {(T, w, c)}"
-                    assert spec.pad_count == rows * c - T * w
-                    assert 0 <= spec.pad_count < c
-                back = reshape_inverse(y, spec)
+                    assert pad_count == rows * c - T * w
+                    assert 0 <= pad_count < c
+                assert y.shape[0] == law_rows, f"row count disagrees with the law at {(T, w, c)}"
+                back = reshape_inverse(y, T, w, c)
                 assert np.array_equal(back, x), f"round-trip broken at {(T, w, c)}"
-        e = make_spec(1751, 2, 8)
-        assert (e.rows, e.concentration) == (438, 8)
-        h = make_spec(405, 61, 8)
-        assert (h.rows, h.concentration) == (3089, 8)
+        assert reshape_forward(np.zeros((1751, 2)), 8).shape == (438, 8)
+        assert reshape_law(1751, 2, 8)[1] == 438
+        assert reshape_forward(np.zeros((405, 61)), 8).shape == (3089, 8)
+        assert reshape_law(405, 61, 8)[1] == 3089
         return "shape/pad laws for 6 corpus shapes x c in (1,8,16); (1751,2,8)->(438,8); (405,61,8)->(3089,8)"
 
     _criterion(5, "sequence reshaping laws", 10, run)

@@ -54,4 +54,5 @@ def test_traced_tiny_train_counts():
     assert metrics["train.steps"] == 4
     assert metrics["stack.loss_calls"] == 6
     assert metrics["stack.predict_calls"] == 4
+    assert metrics["reshape.calls"] == 6  # c = 2: each run reshapes its three splits
     assert metrics["scan.calls.cdiag"] == metrics["scan.calls.mat2"] == 42

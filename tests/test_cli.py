@@ -13,9 +13,10 @@ import pytest
 from loopseq import cli, report
 from loopseq import train as train_mod
 from loopseq.cli import build_parser, main
-from loopseq.data import synth_sine_task, write_ts
+from loopseq.data import CANONICAL, synth_sine_task, write_ts
 from loopseq.errors import DataError
 from loopseq.report import ExperimentPlan, read_results
+from loopseq.reshape import reshape_forward
 from loopseq.train import TrainConfig
 from loopseq.verify import AuditReport, CheckResult
 
@@ -154,6 +155,25 @@ def test_reshape_stats_canonical_instances(capsys, tmp_path):
     assert any("Ethanol\t1751\t2" in ln and "\t438\t" in ln for ln in lines)
     assert any("Heartbeat\t405\t61" in ln and "\t3089\t" in ln for ln in lines)
     assert out.exists() and out.read_text().count("\n") == 7
+
+
+def test_reshape_stats_rows_and_pad_are_what_a_run_feeds(capsys, tmp_path):
+    """The table's rows and pad are the shape `reshape_forward` returns, at c = 1 too."""
+    import csv
+
+    out = tmp_path / "stats.csv"
+    assert main(["reshape-stats", "--dataset", "all", "--concentration", "1,8,16", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        table = {(r["dataset"], int(r["concentration"])): r for r in csv.DictReader(fh)}
+    assert len(table) == 3 * len(CANONICAL)
+    for name, meta in CANONICAL.items():
+        T, w = meta["steps"], meta["width"]
+        for c in (1, 8, 16):
+            y = reshape_forward(np.zeros((T, w)), c)
+            row = table[(name, c)]
+            assert int(row["rows"]) == y.shape[0], (name, c)
+            assert int(row["pad"]) == y.size - T * w, (name, c)
 
 
 def test_reshape_stats_unknown_dataset():
@@ -454,7 +474,7 @@ def test_unusable_out_dir_exits_2_before_any_run(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "train_one", no_work)
     monkeypatch.setattr(train_mod, "train_one", no_work)
     monkeypatch.setattr(cli, "run_all", no_work)
-    monkeypatch.setattr(cli, "make_spec", no_work)
+    monkeypatch.setattr(cli, "reshape_law", no_work)
     tiny = ["--max-epochs", "1", "--hidden", "4", "--state", "4", "--pattern", "2,1"]
     if command == "plan":
         plan = {
@@ -480,7 +500,7 @@ def test_out_file_that_is_a_directory_exits_2_before_any_run(tmp_path, capsys, m
         raise AssertionError("work started before the output file was checked")
 
     monkeypatch.setattr(cli, "run_all", no_work)
-    monkeypatch.setattr(cli, "make_spec", no_work)
+    monkeypatch.setattr(cli, "reshape_law", no_work)
     assert main([command, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "it is a directory" in err

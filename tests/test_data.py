@@ -15,7 +15,6 @@ from loopseq.data import (
     write_ts,
 )
 from loopseq.errors import ConfigError, DataError, ParseError
-from loopseq.reshape import make_spec
 
 
 def _toy(n=10, steps=7, width=3, n_classes=2, seed=0):
@@ -272,14 +271,7 @@ def test_synth_deterministic():
 
 def test_apply_reshape_identity_returns_same_object():
     ds = _toy()
-    spec = make_spec(ds.steps, ds.width, 1)
-    assert apply_reshape(ds, spec) is ds
-
-
-def test_apply_reshape_shape_mismatch():
-    ds = _toy(steps=7, width=3)
-    with pytest.raises(ConfigError, match="reshape spec"):
-        apply_reshape(ds, make_spec(8, 3, 6))
+    assert apply_reshape(ds, 1) is ds
 
 
 # --- container validation ------------------------------------------------------------------

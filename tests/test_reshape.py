@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopseq.errors import ConfigError, ContractError, ShapeError
-from loopseq.reshape import ReshapeSpec, make_spec, reshape_forward
+from loopseq.reshape import reshape_forward, reshape_law
 from reshape_oracle import reshape_inverse
 
 # (T, w) of the six canonical corpus shapes
@@ -21,37 +21,33 @@ CORPUS_SHAPES = {
 
 
 def test_known_instances():
-    spec = make_spec(1751, 2, 8)
-    assert spec.regime == "low_dim_concat"
-    assert (spec.rows, spec.concentration) == (438, 8)
-    assert spec.pad_count == 2
+    assert reshape_law(1751, 2, 8) == ("low_dim_concat", 438, 2)
+    assert reshape_forward(np.zeros((1751, 2)), 8).shape == (438, 8)
 
-    spec = make_spec(405, 61, 8)
-    assert spec.regime == "high_dim_flatten"
-    assert (spec.rows, spec.concentration) == (3089, 8)
-    assert spec.pad_count == 7
+    assert reshape_law(405, 61, 8) == ("high_dim_flatten", 3089, 7)
+    assert reshape_forward(np.zeros((405, 61)), 8).shape == (3089, 8)
 
 
 @pytest.mark.parametrize("name,shape", list(CORPUS_SHAPES.items()))
 @pytest.mark.parametrize("c", [1, 8, 16])
 def test_shape_law_on_corpus_shapes(name, shape, c):
     T, w = shape
-    spec = make_spec(T, w, c)
-    rows, width = spec.out_shape
-    assert rows * width == T * w + spec.pad_count
-    assert 0 <= spec.pad_count < max(c, 2)  # pad < c; identity pads zero
+    regime, n_rows, pad = reshape_law(T, w, c)
+    rows, width = reshape_forward(np.zeros((T, w)), c).shape
+    assert rows == n_rows
+    assert rows * width == T * w + pad
+    assert 0 <= pad < max(c, 2)  # pad < c; identity pads zero
     if c == 1:
-        assert spec.regime == "identity"
-        assert spec.out_shape == (T, w)
+        assert regime == "identity"
+        assert (rows, width) == (T, w)
 
 
 def test_identity_returns_input_bitwise():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((11, 5))
-    spec = make_spec(11, 5, 1)
-    assert spec.regime == "identity"
-    assert reshape_forward(x, spec) is x
-    assert reshape_inverse(x, spec) is x
+    assert reshape_law(11, 5, 1) == ("identity", 11, 0)
+    assert reshape_forward(x, 1) is x
+    assert reshape_inverse(x, 11, 5, 1) is x
 
 
 def test_low_dim_concat_is_timestep_concatenation():
@@ -59,10 +55,10 @@ def test_low_dim_concat_is_timestep_concatenation():
     rng = np.random.default_rng(1)
     T, w, c = 13, 3, 6
     x = rng.standard_normal((T, w))
-    spec = make_spec(T, w, c)
-    assert spec.regime == "low_dim_concat"
-    y = reshape_forward(x, spec)
-    for i in range(spec.rows):
+    regime, rows, _ = reshape_law(T, w, c)
+    assert regime == "low_dim_concat"
+    y = reshape_forward(x, c)
+    for i in range(rows):
         for j in range(c):
             k = i * c + j
             if k < T * w:
@@ -81,43 +77,40 @@ def test_low_dim_concat_is_timestep_concatenation():
 def test_roundtrip_and_conservation_property(T, w, c, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((T, w))
-    spec = make_spec(T, w, c)
-    y = reshape_forward(x, spec)
-    assert y.shape == spec.out_shape
-    assert spec.out_shape[0] * spec.out_shape[1] == T * w + spec.pad_count
-    assert 0 <= spec.pad_count < max(c, 2)
-    back = reshape_inverse(y, spec)
+    _, rows, pad = reshape_law(T, w, c)
+    y = reshape_forward(x, c)
+    assert y.shape == (rows, c if c > 1 else w)  # rows = T at c = 1
+    assert y.shape[0] * y.shape[1] == T * w + pad
+    assert 0 <= pad < max(c, 2)
+    back = reshape_inverse(y, T, w, c)
     np.testing.assert_array_equal(back, x)
 
 
 def test_batched_reshape_matches_per_example():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((4, 10, 3))
-    spec = make_spec(10, 3, 8)
-    Y = reshape_forward(X, spec)
-    assert Y.shape == (4,) + spec.out_shape
+    Y = reshape_forward(X, 8)
+    assert Y.shape == (4, 4, 8)
     for i in range(4):
-        np.testing.assert_array_equal(Y[i], reshape_forward(X[i], spec))
-    np.testing.assert_array_equal(reshape_inverse(Y, spec), X)
+        np.testing.assert_array_equal(Y[i], reshape_forward(X[i], 8))
+    np.testing.assert_array_equal(reshape_inverse(Y, 10, 3, 8), X)
 
 
 def test_tampered_padding_is_rejected():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((5, 3))
-    spec = make_spec(5, 3, 4)
-    assert spec.pad_count == 1
-    y = reshape_forward(x, spec).copy()
+    assert reshape_law(5, 3, 4)[2] == 1
+    y = reshape_forward(x, 4).copy()
     y[-1, -1] = 1e-9
     with pytest.raises(ContractError):
-        reshape_inverse(y, spec)
+        reshape_inverse(y, 5, 3, 4)
 
 
 def test_wrong_shape_rejected():
-    spec = make_spec(5, 3, 4)
     with pytest.raises(ShapeError):
-        reshape_forward(np.zeros((5, 4)), spec)
+        reshape_forward(np.zeros(15), 4)
     with pytest.raises(ShapeError):
-        reshape_inverse(np.zeros((3, 4)), spec)
+        reshape_inverse(np.zeros((3, 4)), 5, 3, 4)
 
 
 # --- regime labels ---------------------------------------------------------------
@@ -138,16 +131,21 @@ def test_wrong_shape_rejected():
 )
 def test_regime_label_follows_concentration(T, w, c, regime):
     """The label follows from c and w; every c > 1 runs the same flatten-pad-chunk."""
-    spec = make_spec(T, w, c)
-    assert spec.regime == regime
+    got, _, pad = reshape_law(T, w, c)
+    assert got == regime
     x = np.random.default_rng(5).standard_normal((T, w))
-    y = reshape_forward(x, spec)
+    y = reshape_forward(x, c)
     if c == 1:
         assert y is x
     else:
-        np.testing.assert_array_equal(y, np.pad(x.ravel(), (0, spec.pad_count)).reshape(-1, c))
+        np.testing.assert_array_equal(y, np.pad(x.ravel(), (0, pad)).reshape(-1, c))
 
 
 def test_bad_concentration_rejected():
     with pytest.raises(ConfigError):
-        make_spec(10, 3, 0)
+        reshape_law(10, 3, 0)
+    with pytest.raises(ConfigError):
+        reshape_forward(np.zeros((10, 3)), 0)
+    for T, w in ((0, 3), (10, 0)):
+        with pytest.raises(ConfigError):
+            reshape_law(T, w, 4)

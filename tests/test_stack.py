@@ -279,7 +279,7 @@ def test_aggregation_flags_all_zero_when_loss_ignores_blocks():
 
 
 def _count_blocks(monkeypatch) -> list:
-    """Block applications made through the name `stack_forward` calls."""
+    """Block applications made through the name `stack.block_forward`."""
     calls = []
     orig = stack.block_forward
     monkeypatch.setattr(stack, "block_forward", lambda p, h: calls.append(1) or orig(p, h))
@@ -331,21 +331,6 @@ def test_prefix_reuse_loss_is_stack_loss_through_a_sweep(arch, supervision, m, m
         assert _same_bits(loss(), stack_loss(model, x, y))
         for i, orig in zip(picked, saved):
             params[i].data[...] = orig
-
-
-def test_stack_forward_resume_point():
-    model = _tiny(m=3, supervision="block")
-    x = np.random.default_rng(42).standard_normal((2, 5, 3))
-    outs = stack_forward(model, x, 1)
-    for j in range(7):
-        h = encoder_forward(model.encoder, Tensor(x)) if j == 0 else outs[j - 1]
-        resumed = stack_forward(model, x, 3, resume=(j, h))
-        want = [t for i, t in enumerate(outs) if i >= j and (i + 1) % 3 == 0]
-        assert len(resumed) == len(want)
-        assert all(_same_bits(a, b) for a, b in zip(resumed, want))
-    for bad in (-1, 7):
-        with pytest.raises(ConfigError, match="resume position"):
-            stack_forward(model, x, 3, resume=(bad, outs[0]))
 
 
 # --- memory ---------------------------------------------------------------------------
