@@ -13,8 +13,10 @@ A few fused primitives carry hand-derived adjoints so a block records a
 handful of nodes instead of dozens: `scan_linear` (its reverse recurrence
 is the forward kernel run backwards in time, see scan.scan_backward),
 `affine` (x @ w + b), `layer_norm` (which saves only the normalised input
-and 1/std) and `reshape`.  Every adjoint here is checked against central
-finite differences in the test suite.
+and 1/std), `reshape`, and `gated_residual`, a block's whole tail, which
+saves no array of its own and recomputes its intermediates in the adjoint.
+Every adjoint here is checked against central finite differences in the
+test suite.
 
 The tape keeps only the arrays some adjoint reads.  A node holds no
 output and refers to a parent recorded on the same tape by its index,
@@ -265,17 +267,26 @@ def tanh(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(x) -> Tensor:
-    x = _lift(x)
-    # neither exponent is positive, so nothing overflows; for d >= 0 this is
-    # 1 / (1 + exp(-d)) and for d < 0 it is exp(d) / (1 + exp(d)), bit for bit
-    d = x.data
-    out = np.exp(np.minimum(d, 0.0))
-    e = np.abs(d, out=np.empty_like(d))  # an array even for 0-d input, so it updates in place
+def _sigmoid(d: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Logistic sigmoid of an array; `overwrite` lets it use d's buffer as scratch.
+
+    Neither exponent is positive, so nothing overflows; for d >= 0 this is
+    1 / (1 + exp(-d)) and for d < 0 it is exp(d) / (1 + exp(d)), bit for bit.
+    """
+    # out= arrays, so 0-d input updates in place too
+    out = np.minimum(d, 0.0, out=np.empty_like(d))
+    np.exp(out, out=out)
+    e = np.abs(d, out=d if overwrite else np.empty_like(d))
     np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1.0
     out /= e
+    return out
+
+
+def sigmoid(x) -> Tensor:
+    x = _lift(x)
+    out = _sigmoid(x.data)
     return _record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -321,6 +332,16 @@ def _matmul_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray):
     return gx, gw
 
 
+def _broadcasts_into(shape: tuple[int, ...], into: tuple[int, ...]) -> bool:
+    return len(shape) <= len(into) and all(s in (1, o) for s, o in zip(shape[::-1], into[::-1]))
+
+
+def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = _dot(x, w)
+    out += b
+    return out
+
+
 def matmul(x, w) -> Tensor:
     """x @ w with w strictly 2-D; leading axes of x are batch axes."""
     x, w = _lift(x), _lift(w)
@@ -334,10 +355,10 @@ def affine(x, w, b) -> Tensor:
     x, w, b = _lift(x), _lift(w), _lift(b)
     _check_matmul(x, w, "affine")
     xd, wd, bs = x.data, w.data, b.data.shape
-    out = _dot(xd, wd)
-    if b.ndim > out.ndim or any(s not in (1, o) for s, o in zip(bs[::-1], out.shape[::-1])):
-        raise ShapeError(f"affine bias {bs} does not broadcast into {out.shape}")
-    out += b.data
+    shape = xd.shape[:-1] + wd.shape[1:]
+    if not _broadcasts_into(bs, shape):
+        raise ShapeError(f"affine bias {bs} does not broadcast into {shape}")
+    out = _affine_data(xd, wd, b.data)
 
     def vjp(g):
         gx, gw = _matmul_vjp(xd, wd, g)
@@ -370,6 +391,75 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
         return gx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, bs)
 
     return _record(out, (x, gain, bias), vjp)
+
+
+def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
+    """h + (r @ wv + bv) * sigmoid(r @ wg + bg) with r = x @ c + d * u, as one node.
+
+    A block's tail: the readout of the scan states x [..., n] through
+    c [n, H], the feedthrough d * u, the GLU and the residual add.  The
+    node keeps only x, u and the weights, which the scan's and the
+    factor's nodes keep anyway; its adjoint recomputes r, the GLU value
+    and the gate (one readout and two GLU products, one sigmoid) instead
+    of taping three [..., H] arrays (selective recomputation, Chen et
+    al., arXiv:1604.06174).  Forward and adjoint run the elementwise ops
+    and products of the same tail composed from `matmul`, `mul`, `add`,
+    `affine` and `sigmoid`, in that composition's order, so every bit
+    agrees with it; the forward works in place where that changes no
+    bit.  Without a tape the states are freed once r is made, if the
+    caller holds no other reference to them.
+    """
+    h, x, c, d, u, wv, bv, wg, bg = map(_lift, (h, x, c, d, u, wv, bv, wg, bg))
+    _check_matmul(x, c, "gated_residual")
+    shape = x.shape[:-1] + c.shape[1:]
+    square = (shape[-1], shape[-1])
+    if h.shape != shape or u.shape != shape or wv.shape != square or wg.shape != square:
+        raise ShapeError(
+            f"gated_residual needs h and u of shape {shape} and GLU weights {square}, got "
+            f"{h.shape}, {u.shape}, {wv.shape} and {wg.shape}"
+        )
+    if not all(_broadcasts_into(t.shape, shape) for t in (d, bv, bg)):
+        raise ShapeError(f"gated_residual: {d.shape}, {bv.shape}, {bg.shape} do not broadcast into {shape}")
+    xd, cd, dd, ud = x.data, c.data, d.data, u.data
+    wvd, bvd, wgd, bgd = wv.data, bv.data, wg.data, bg.data
+    r = _dot(xd, cd)
+    r += dd * ud
+    if not _ACTIVE:  # nothing reads the states again: let them go before the GLU
+        x = xd = None
+    out = _affine_data(r, wvd, bvd)
+    pre = _affine_data(r, wgd, bgd)
+    del r
+    gate = _sigmoid(pre, overwrite=True)
+    del pre
+    out *= gate
+    del gate
+    out += h.data
+
+    def vjp(g):
+        r = _dot(xd, cd)
+        r += dd * ud
+        gate = _sigmoid(_affine_data(r, wgd, bgd), overwrite=True)
+        g_pre = _affine_data(r, wvd, bvd)  # the GLU value, overwritten by g * value
+        np.multiply(g, g_pre, out=g_pre)
+        g_value = g * gate
+        g_pre *= gate
+        np.subtract(1.0, gate, out=gate)
+        g_pre *= gate
+        del gate
+        g_r, g_wg = _matmul_vjp(r, wgd, g_pre)
+        g_bg = _unbroadcast(g_pre, bgd.shape)
+        del g_pre
+        g_rv, g_wv = _matmul_vjp(r, wvd, g_value)
+        g_bv = _unbroadcast(g_value, bvd.shape)
+        del r, g_value
+        g_r += g_rv
+        del g_rv
+        g_d = _unbroadcast(g_r * ud, dd.shape)
+        g_u = g_r * dd
+        g_x, g_c = _matmul_vjp(xd, cd, g_r)
+        return g, g_x, g_c, g_d, g_u, g_wv, g_bv, g_wg, g_bg
+
+    return _record(out, (h, x, c, d, u, wv, bv, wg, bg), vjp)
 
 
 # --- reductions and structure --------------------------------------------------

@@ -5,14 +5,18 @@ Hidden states are time-major: the encoder turns a [..., T, w] batch into
 [T, ..., H] -> [T, ..., H] as
 
     u = layer_norm(h_in)
-    (kind, a, b, c) = factor(params, u)
-    h_out = h_in + glu(readout(scan(a, b, kind), c) + d * u)
+    (kind, a, b) = factor(params, u)
+    h_out = h_in + glu(scan(a, b, kind) @ c + d * u)
 
-The four archs differ only in their factor: the scan kind, the transition
-factor a, the forcing b and the readout weights c.  `block_forward` runs
-the scan, the readout, the feedthrough d * u, the GLU mixer (linear value
-gated by a sigmoid-linear gate) and the residual add once for all of them.
-No dropout anywhere.  The factors:
+The four archs differ only in their factor (the scan kind, the transition
+factor a and the forcing b) and in their readout weights c.
+`block_forward` runs the scan once for all of them, then the tail as one
+tape node, `autodiff.gated_residual`: the readout, the feedthrough d * u,
+the GLU mixer (linear value gated by a sigmoid-linear gate) and the
+residual add.  That node keeps no array of its own for the backward; it
+recomputes the readout, the value and the gate from the states and u,
+which the scan's and the factor's nodes keep anyway.  No dropout
+anywhere.  The factors:
 
     lru     complex diagonal x_t = lambda * x_{t-1} + gamma * (B u_t),
             |lambda| = exp(-exp(nu_log)) initialized in the ring
@@ -243,8 +247,7 @@ def _lru_factor(p: LRUParams, u: Tensor):
     mag = ad.exp(-ad.exp(p.nu_log))
     lam = ad.cpair(mag * ad.cos(p.theta), mag * ad.sin(p.theta))
     gamma = ad.sqrt(1.0 - mag * mag)
-    forcing = _project_in(u, ad.cpair(gamma * p.b_re, gamma * p.b_im))
-    return "cdiag", lam, forcing, ad.stack([p.c_re, -p.c_im], axis=1)
+    return "cdiag", lam, _project_in(u, ad.cpair(gamma * p.b_re, gamma * p.b_im))
 
 
 def _s5_factor(p: S5Params, u: Tensor):
@@ -259,7 +262,7 @@ def _s5_factor(p: S5Params, u: Tensor):
     bc_re = (num_re * lam_re + abar_im * p.im) / d
     bc_im = (abar_im * lam_re - num_re * p.im) / d
     w = ad.cpair(bc_re * p.b_re - bc_im * p.b_im, bc_re * p.b_im + bc_im * p.b_re)
-    return "cdiag", ad.cpair(abar_re, abar_im), _project_in(u, w), ad.stack([p.c_re, -p.c_im], axis=1)
+    return "cdiag", ad.cpair(abar_re, abar_im), _project_in(u, w)
 
 
 def _linoss_factor(p: LinOSSParams, u: Tensor):
@@ -269,15 +272,13 @@ def _linoss_factor(p: LinOSSParams, u: Tensor):
     row_z = ad.stack([s, -(dt * freq * s)], axis=-1)
     row_y = ad.stack([dt * s, 1.0 - dt * dt * freq * s], axis=-1)
     m = ad.stack([row_z, row_y], axis=-2)
-    forcing = _project_in(u, ad.cpair(dt * s * p.b_w, dt * dt * s * p.b_w))
-    # only the y component of each (z, y) state is read out
-    return "mat2", m, forcing, ad.stack([Tensor(np.zeros(p.c_w.shape)), p.c_w], axis=1)
+    return "mat2", m, _project_in(u, ad.cpair(dt * s * p.b_w, dt * dt * s * p.b_w))
 
 
 def _lrcssm_factor(p: LrcSSMParams, u: Tensor):
     gate = ad.sigmoid(ad.affine(u, p.gate_w, p.gate_b))
     drive = (1.0 - gate) * ad.tanh(ad.affine(u, p.drive_w, p.drive_b))
-    return "diag", gate, drive, p.c_w
+    return "diag", gate, drive
 
 
 _FACTORS = {
@@ -289,21 +290,35 @@ _FACTORS = {
 ARCHS = tuple(cls.arch for cls in _FACTORS)
 
 
+def _states(p: BlockParams, u: Tensor) -> Tensor:
+    """Scan states of the arch's factor as [T, ..., n]: n = P, or 2P with a pair axis flattened."""
+    kind, a, b = _FACTORS[type(p)](p, u)
+    x = ad.scan_linear(a, b, kind)  # the forcing is freed on return, unless the tape keeps it
+    return x if kind == "diag" else ad.reshape(x, x.shape[:-2] + (2 * x.shape[-2],))
+
+
+def _readout(p: BlockParams) -> Tensor:
+    """Readout weights [n, H] matching `_states`: Re(C x) = x_re @ c_re - x_im @ c_im
+    over (re, im) pairs, and only the y of each (z, y) oscillator state."""
+    if isinstance(p, LrcSSMParams):
+        return p.c_w
+    if isinstance(p, LinOSSParams):
+        pairs = ad.stack([Tensor(np.zeros(p.c_w.shape)), p.c_w], axis=1)
+    else:
+        pairs = ad.stack([p.c_re, -p.c_im], axis=1)
+    state, _, hidden = pairs.shape
+    return ad.reshape(pairs, (2 * state, hidden))
+
+
 def block_forward(p: BlockParams, h: Tensor) -> Tensor:
-    """Pre-norm, the arch's factor, then the shared tail; preserves [T, ..., H]."""
+    """Pre-norm, the arch's factor and scan, then the tail as one node; preserves [T, ..., H]."""
     u = ad.layer_norm(h, p.norm_gain, p.norm_bias, _NORM_EPS)
-    kind, a, b, c = _FACTORS[type(p)](p, u)
-    x = ad.scan_linear(a, b, kind)
-    del a, b  # the tape keeps what the scan's adjoint reads; the forcing is freed here
-    if kind != "diag":  # x [..., P, 2] @ c [P, 2, H], as [..., 2P] @ [2P, H]
-        state, _, hidden = c.shape
-        x = ad.reshape(x, x.shape[:-2] + (2 * state,))
-        c = ad.reshape(c, (2 * state, hidden))
-    r = x @ c + p.feedthrough * u
-    del x  # without a tape the states are freed here too, before the GLU
-    value = ad.affine(r, p.glu_value_w, p.glu_value_b)
-    gate = ad.sigmoid(ad.affine(r, p.glu_gate_w, p.glu_gate_b))
-    return h + value * gate
+    # no name here holds the states: CPython 3.11+ moves a call's arguments into
+    # the callee, so without a tape the tail frees the states before its GLU
+    return ad.gated_residual(
+        h, _states(p, u), _readout(p), p.feedthrough, u,
+        p.glu_value_w, p.glu_value_b, p.glu_gate_w, p.glu_gate_b
+    )
 
 
 def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -251,13 +252,28 @@ def split_dataset(ds: Dataset, seed: int) -> Split:
 # --- normalization ------------------------------------------------------------------
 
 
-def normalize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Per-channel z-score from train-split statistics."""
-    tr = ds.series[train_idx]
+def normalize(ds: Dataset, parts: Sequence[np.ndarray]) -> tuple[list[Dataset], np.ndarray, np.ndarray]:
+    """Per-channel z-score of the subsets `ds.subset(idx)`, idx in `parts`,
+    from the statistics of the first (the train split).
+
+    Each idx is an index array, so each subset is a copy of its rows of
+    `ds`, normalized in place by the operations of `(series - mean) / std`.
+    The statistics come from the first copy before any other is made, so
+    the transient peak is that copy and one squared-deviation array of it.
+    """
+    out = [ds.subset(parts[0])]
+    tr = out[0].series
     count = tr.shape[0] * tr.shape[1]
     mean = tr.sum(axis=(0, 1)) / count
-    std = np.maximum(np.sqrt(((tr - mean) ** 2).sum(axis=(0, 1)) / count), 1e-8)
-    return ds.replace(series=(ds.series - mean) / std), mean, std
+    dev = tr - mean
+    np.square(dev, out=dev)
+    std = np.maximum(np.sqrt(dev.sum(axis=(0, 1)) / count), 1e-8)
+    del dev
+    out += [ds.subset(idx) for idx in parts[1:]]
+    for part in out:
+        part.series -= mean
+        part.series /= std
+    return out, mean, std
 
 
 # --- synthetic task -----------------------------------------------------------------

@@ -175,8 +175,9 @@ class PreparedData:
 def prepare_splits(ds: Dataset, config: TrainConfig) -> PreparedData:
     """Seeded split, train-statistics normalization, then reshaping."""
     sp = split_dataset(ds, config.seed)
-    norm, _, _ = normalize(ds, sp.train)
-    parts = [apply_reshape(norm.subset(idx), config.concentration) for idx in (sp.train, sp.val, sp.test)]
+    parts, _, _ = normalize(ds, (sp.train, sp.val, sp.test))
+    for i, part in enumerate(parts):  # each split is freed once a padded copy replaces it
+        parts[i] = apply_reshape(part, config.concentration)
     return PreparedData(*parts, width=parts[0].width)
 
 

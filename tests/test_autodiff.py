@@ -1,10 +1,12 @@
 """Tape autodiff tests: every primitive's adjoint against central differences."""
 
+import contextlib
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from tail_oracle import unfused_gated_residual
 
 import loopseq.autodiff as ad
 from loopseq.autodiff import Tape, Tensor, backward, finite_difference_check, param
@@ -156,6 +158,49 @@ def test_layer_norm_matches_fd():
     w = Tensor(rng.standard_normal((2, 4, 6)))
     err = _fd(lambda: (ad.layer_norm(x, gain, bias, 1e-6) * w).sum(), [x, gain, bias])
     assert err < 1e-5
+
+
+def _tail_operands(rng, lead=(5, 2), n=6, hidden=4):
+    """h, x, c, d, u, wv, bv, wg, bg of `gated_residual` as parameters."""
+    shapes = [lead + (hidden,), lead + (n,), (n, hidden), (hidden,), lead + (hidden,)]
+    shapes += [(hidden, hidden), (hidden,)] * 2
+    return [param(rng.standard_normal(s)) for s in shapes]
+
+
+def test_gated_residual_matches_fd():
+    rng = np.random.default_rng(26)
+    ps = _tail_operands(rng)
+    w = rng.standard_normal(ps[0].shape)
+    err = _fd(lambda: (ad.gated_residual(*ps) * Tensor(w)).sum(), ps)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_gated_residual_equals_unfused_composition_bitwise(taped):
+    rng = np.random.default_rng(27)
+    ps = _tail_operands(rng, lead=(7, 3), n=8, hidden=5)
+    w = Tensor(rng.standard_normal(ps[0].shape))
+    got, want = [], []
+    for f, into in ((ad.gated_residual, got), (unfused_gated_residual, want)):
+        with Tape() if taped else contextlib.nullcontext():
+            out = f(*ps)
+            into.append(out.data.tobytes())
+            if taped:
+                grads = backward((out * w).sum(), ps)
+                into.extend(grads[p].data.tobytes() for p in ps)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "which,shape",
+    [(0, (5, 2, 3)), (4, (5, 1, 4)), (5, (4, 3)), (6, (2,)), (3, (5,))],
+    ids=["h", "u", "wv", "bv", "d"],
+)
+def test_gated_residual_rejects_mismatched_shapes(which, shape):
+    ps = _tail_operands(np.random.default_rng(28))
+    ps[which] = Tensor(np.zeros(shape))
+    with pytest.raises(ShapeError):
+        ad.gated_residual(*ps)
 
 
 def test_layer_norm_normalises_last_axis():
@@ -405,7 +450,7 @@ def _every_primitive(x, y, m, w, v, a, b):
         ad.sum_(x), ad.sum_(x, axis=0), ad.mean_(x), ad.mean_(m, axis=-1, keepdims=True),
         ad.stack([x, y], axis=0), ad.cpair(x, y), ad.reshape(m, (-1,)),
         ad.scan_linear(a, b, "cdiag"), ad.softmax_cross_entropy(m, np.array([0, 2])),
-        ad.sum_(x) * ad.sum_(y),
+        ad.gated_residual(m, m, w, v, m, w, v, w, v), ad.sum_(x) * ad.sum_(y),
     ]
 
 

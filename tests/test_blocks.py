@@ -181,7 +181,7 @@ def test_block_tape_memory_bounded(arch):
 
 
 # per block application: the tape nodes recorded and the one scan kind sent
-_TAPE_NODES = {"LRU": 31, "S5": 47, "LinOSS": 39, "LrcSSM": 16}
+_TAPE_NODES = {"LRU": 24, "S5": 40, "LinOSS": 32, "LrcSSM": 9}
 _SCAN_KIND = {"LRU": "cdiag", "S5": "cdiag", "LinOSS": "mat2", "LrcSSM": "diag"}
 
 

@@ -212,8 +212,8 @@ def test_normalize_train_statistics_are_standard():
     ds = _toy(n=60, steps=20, width=5, seed=4)
     ds = ds.replace(series=ds.series * 7.0 + 3.0)
     idx = np.arange(40)
-    out, mean, std = normalize(ds, idx)
-    tr = out.series[idx].reshape(-1, 5)
+    (out,), mean, std = normalize(ds, [idx])
+    tr = out.series.reshape(-1, 5)
     np.testing.assert_allclose(tr.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(tr.std(axis=0), 1.0, atol=1e-12)
     assert mean.shape == std.shape == (5,)
@@ -222,9 +222,9 @@ def test_normalize_train_statistics_are_standard():
 def test_normalize_constant_channel_does_not_blow_up():
     ds = _toy(n=10, steps=8, width=2)
     ds = ds.replace(series=np.concatenate([ds.series[..., :1], np.full((10, 8, 1), 4.25)], axis=-1))
-    out, _, std = normalize(ds, np.arange(7))
+    out, _, std = normalize(ds, [np.arange(7), np.arange(7, 10)])
     assert std[1] == 1e-8
-    assert np.isfinite(out.series).all()
+    assert all(np.isfinite(part.series).all() for part in out)
 
 
 # --- synthetic task ----------------------------------------------------------------------
