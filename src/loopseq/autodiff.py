@@ -482,12 +482,7 @@ def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _lift(x)
-    if axis is None:
-        n = x.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([x.shape[a] for a in axis]))
-    else:
-        n = x.shape[axis]
+    n = x.size if axis is None else x.shape[axis]
     return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -567,13 +562,6 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     return _record(loss, (logits,), vjp)
 
 
-# --- complex pairs (a composition, no new adjoint) ------------------------------
-
-
-def cpair(re, im) -> Tensor:
-    return stack([re, im], axis=-1)
-
-
 # --- backward pass --------------------------------------------------------------
 
 
@@ -623,10 +611,12 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
     return result
 
 
+_FD_STEP = 1e-5  # h, the finite-difference step
+
+
 def finite_difference_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
-    h: float = 1e-5,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Max relative error between analytic gradients and central differences.
@@ -644,7 +634,7 @@ def finite_difference_check(
     small defect in one entry of a large tensor can fall under a tolerance
     for some directions.
     """
-    params = list(params)
+    params, h = list(params), _FD_STEP
     with Tape():
         loss = f()
         if not np.isfinite(loss.data).all():

@@ -245,9 +245,9 @@ def _project_in(u: Tensor, w_pairs: Tensor) -> Tensor:
 
 def _lru_factor(p: LRUParams, u: Tensor):
     mag = ad.exp(-ad.exp(p.nu_log))
-    lam = ad.cpair(mag * ad.cos(p.theta), mag * ad.sin(p.theta))
+    lam = ad.stack([mag * ad.cos(p.theta), mag * ad.sin(p.theta)], axis=-1)
     gamma = ad.sqrt(1.0 - mag * mag)
-    return "cdiag", lam, _project_in(u, ad.cpair(gamma * p.b_re, gamma * p.b_im))
+    return "cdiag", lam, _project_in(u, ad.stack([gamma * p.b_re, gamma * p.b_im], axis=-1))
 
 
 def _s5_factor(p: S5Params, u: Tensor):
@@ -261,8 +261,8 @@ def _s5_factor(p: S5Params, u: Tensor):
     d = lam_re * lam_re + p.im * p.im
     bc_re = (num_re * lam_re + abar_im * p.im) / d
     bc_im = (abar_im * lam_re - num_re * p.im) / d
-    w = ad.cpair(bc_re * p.b_re - bc_im * p.b_im, bc_re * p.b_im + bc_im * p.b_re)
-    return "cdiag", ad.cpair(abar_re, abar_im), _project_in(u, w)
+    w = ad.stack([bc_re * p.b_re - bc_im * p.b_im, bc_re * p.b_im + bc_im * p.b_re], axis=-1)
+    return "cdiag", ad.stack([abar_re, abar_im], axis=-1), _project_in(u, w)
 
 
 def _linoss_factor(p: LinOSSParams, u: Tensor):
@@ -272,7 +272,7 @@ def _linoss_factor(p: LinOSSParams, u: Tensor):
     row_z = ad.stack([s, -(dt * freq * s)], axis=-1)
     row_y = ad.stack([dt * s, 1.0 - dt * dt * freq * s], axis=-1)
     m = ad.stack([row_z, row_y], axis=-2)
-    return "mat2", m, _project_in(u, ad.cpair(dt * s * p.b_w, dt * dt * s * p.b_w))
+    return "mat2", m, _project_in(u, ad.stack([dt * s * p.b_w, dt * dt * s * p.b_w], axis=-1))
 
 
 def _lrcssm_factor(p: LrcSSMParams, u: Tensor):

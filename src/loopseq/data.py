@@ -220,13 +220,6 @@ def load_named(name: str, data_dir) -> Dataset:
 # --- splits -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Split:
-    train: np.ndarray
-    val: np.ndarray
-    test: np.ndarray
-
-
 def split_sizes(n: int) -> tuple[int, int, int]:
     """70/15/15 with the rounding remainder going to train.
 
@@ -239,20 +232,17 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n - n_val - n_test, n_val, n_test
 
 
-def split_dataset(ds: Dataset, seed: int) -> Split:
-    n_train, n_val, n_test = split_sizes(ds.n)
+def split_dataset(ds: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The train, validation and test index arrays of a seeded permutation."""
+    n_train, n_val, _ = split_sizes(ds.n)
     perm = np.random.default_rng(seed).permutation(ds.n)
-    return Split(
-        train=perm[:n_train],
-        val=perm[n_train : n_train + n_val],
-        test=perm[n_train + n_val :],
-    )
+    return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
 # --- normalization ------------------------------------------------------------------
 
 
-def normalize(ds: Dataset, parts: Sequence[np.ndarray]) -> tuple[list[Dataset], np.ndarray, np.ndarray]:
+def normalize(ds: Dataset, parts: Sequence[np.ndarray]) -> list[Dataset]:
     """Per-channel z-score of the subsets `ds.subset(idx)`, idx in `parts`,
     from the statistics of the first (the train split).
 
@@ -273,7 +263,7 @@ def normalize(ds: Dataset, parts: Sequence[np.ndarray]) -> tuple[list[Dataset], 
     for part in out:
         part.series -= mean
         part.series /= std
-    return out, mean, std
+    return out
 
 
 # --- synthetic task -----------------------------------------------------------------

@@ -3,18 +3,20 @@
 A plan is a declarative JSON document describing a cross product of
 datasets, architectures, sharing patterns, supervision modes, and
 concentration factors; every cell runs a learning-rate x seed grid.
-The baseline pattern (all blocks unique, e.g. ABCDEF) pairs only with
-final-step supervision, so a plan over all four patterns and both
-supervisions yields 7 cells per dataset/arch/concentration, baseline
-included.
+A stack of depth L is compared with the plain stack of the same depth,
+its baseline: the all-unique pattern (ABCDEF at L = 6, ABCD at L = 4).
+The baseline pairs only with final-step supervision, so a plan over
+all four depth-6 patterns and both supervisions yields 7 cells per
+dataset/arch/concentration, baseline included.
 
 Every lr x seed run of every cell is one job on one runner
 (`train.run_jobs`), so a run that fails costs only its own cell.
 Results are written as one CSV row per cell (including the per-seed
-test accuracies) plus a markdown table with the baseline column first.
+test accuracies) plus a markdown table with each depth's baseline
+column before that depth's variants.
 A cell whose run raised, whose worker died, or whose every lr diverged
 gets a row with its `error` filled and no results, and renders as `failed`.  In
-the markdown, a cell is **bold** when its mean beats the baseline mean
+the markdown, a cell is **bold** when its mean beats its depth's baseline mean
 at the reported precision (2 decimals) and <u>underlined</u> when equal
 at that precision.  Rendering is a pure function of the CSV, so
 re-running the report on unchanged results is idempotent.
@@ -37,24 +39,6 @@ from .train import TrainConfig, grid_and_seeds, run_jobs
 
 log = logging.getLogger(__name__)
 
-_BASELINE_PATTERN = pattern_string(6, 6)  # all blocks unique
-
-CSV_COLUMNS = [
-    "dataset",
-    "arch",
-    "pattern",
-    "supervision",
-    "concentration",
-    "mean_acc",
-    "std_acc",
-    "n_params",
-    "seconds",
-    "lr",
-    "seed_accs",
-    "diverged_seeds",
-    "error",
-]
-
 
 @dataclass(frozen=True)
 class PlanCell:
@@ -65,23 +49,30 @@ class PlanCell:
     concentration: int
 
 
-# list-valued plan fields: the type of their elements, and its name in errors
-_LIST_FIELDS = {
-    "datasets": (str, "string"),
-    "archs": (str, "string"),
-    "patterns": (str, "string"),
-    "supervisions": (str, "string"),
-    "concentrations": (int, "integer"),
-    "lrs": ((int, float), "number"),
-    "seeds": (int, "integer"),
+CSV_COLUMNS = [f.name for f in dataclasses.fields(PlanCell)] + [
+    "mean_acc", "std_acc", "n_params", "seconds", "lr", "seed_accs", "diverged_seeds", "error"
+]
+
+# what a plan field of each annotation admits: its values' type, and that type's name
+# in errors (an `int` field is checked by the TrainConfig of every run)
+_ADMITS = {
+    "list[str]": (str, "a list of strings"),
+    "list[int]": (int, "a list of integers"),
+    "list[float]": ((int, float), "a list of numbers"),
+    "str": (str, "a string"),
+    "dict": (dict, "an object"),
 }
 # list fields whose values come from a closed set that no TrainConfig checks
 # (a supervision paired only with the all-unique pattern builds no run)
 _CHOICES = {"datasets": ["synth", *sorted(CANONICAL)], "supervisions": list(SUPERVISIONS)}
-# scalar plan fields that no TrainConfig checks: their type, and its name in errors
-_SCALAR_FIELDS = {"out_dir": (str, "a string"), "data_dir": (str, "a string"), "synth": (dict, "an object")}
 # synth keys: the least value each takes ("noise" is any finite number, the rest integers)
 _SYNTH_MIN = {"n": 1, "steps": 1, "width": 1, "n_classes": 2, "noise": 0.0, "seed": 0}
+
+
+def _baseline(depth: int) -> str:
+    """The all-unique pattern of `depth`, the plain stack a shared one of that depth
+    is compared with; past 26 blocks it has no letter form, so no plan runs it."""
+    return pattern_string(depth, depth) if depth <= 26 else f"{depth},{depth}"
 
 
 @dataclass
@@ -90,10 +81,10 @@ class ExperimentPlan:
     archs: list[str]
     patterns: list[str]
     supervisions: list[str]
-    concentrations: list[int]
     lrs: list[float]
     seeds: list[int]
     out_dir: str
+    concentrations: list[int] = field(default_factory=lambda: [1])
     batch_size: int = TrainConfig.batch_size
     max_epochs: int = TrainConfig.max_epochs
     patience: int = TrainConfig.patience
@@ -103,21 +94,21 @@ class ExperimentPlan:
     synth: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, (kind, label) in _LIST_FIELDS.items():
-            values = getattr(self, name)
-            if not isinstance(values, list) or any(
-                isinstance(v, bool) or not isinstance(v, kind) for v in values
-            ):
-                raise ConfigError(f"plan field {name!r} must be a list of {label}s, got {values!r}")
-            if not values or len(set(values)) < len(values):
-                raise ConfigError(f"plan field {name!r} must be non-empty without repeats, got {values!r}")
-            unknown = [v for v in values if v not in _CHOICES.get(name, values)]
+        for f in dataclasses.fields(self):
+            if f.type not in _ADMITS:
+                continue
+            kind, label = _ADMITS[f.type]
+            value, is_list = getattr(self, f.name), f.type.startswith("list")
+            items = value if is_list else [value]
+            if not isinstance(items, list) or any(isinstance(v, bool) or not isinstance(v, kind) for v in items):
+                raise ConfigError(f"plan field {f.name!r} must be {label}, got {value!r}")
+            if not is_list:
+                continue
+            if not value or len(set(value)) < len(value):
+                raise ConfigError(f"plan field {f.name!r} must be non-empty without repeats, got {value!r}")
+            unknown = [v for v in value if v not in _CHOICES.get(f.name, value)]
             if unknown:
-                raise ConfigError(f"unknown {name} {unknown}; expected some of {_CHOICES[name]}")
-        for name, (kind, label) in _SCALAR_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"plan field {name!r} must be {label}, got {value!r}")
+                raise ConfigError(f"unknown {f.name} {unknown}; expected some of {_CHOICES[f.name]}")
         unknown = sorted(set(self.synth) - set(_SYNTH_MIN))
         if unknown:
             raise ConfigError(f"unknown synth keys {unknown}; expected some of {sorted(_SYNTH_MIN)}")
@@ -136,16 +127,16 @@ class ExperimentPlan:
         check_grid_epochs(self.max_epochs, "plan field 'max_epochs'")
 
     def cells(self) -> list[PlanCell]:
-        """Cross product, except the all-unique baseline runs final-only."""
+        """Cross product, except each depth's all-unique baseline runs final-only."""
         out = []
         for ds in self.datasets:
             for arch in self.archs:
                 for c in self.concentrations:
                     for pattern in self.patterns:
-                        depth, n_unique = parse_pattern(pattern)
-                        canonical = pattern_string(depth, n_unique)
+                        stack = parse_pattern(pattern)
+                        canonical = pattern_string(stack.depth, stack.n_unique)
                         for sup in self.supervisions:
-                            if n_unique == depth and sup != "final":
+                            if canonical == _baseline(stack.depth) and sup != "final":
                                 continue
                             out.append(PlanCell(ds, arch, canonical, sup, c))
         return out
@@ -168,16 +159,14 @@ def load_plan(path) -> ExperimentPlan:
         raise ConfigError(f"cannot read plan {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"plan {path} must be a JSON object, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(ExperimentPlan)}
-    extra = set(raw) - known
+    fields = dataclasses.fields(ExperimentPlan)
+    extra = set(raw) - {f.name for f in fields}
     if extra:
         raise ConfigError(f"unknown plan fields: {sorted(extra)}")
-    missing = {"datasets", "archs", "patterns", "supervisions", "lrs", "seeds", "out_dir"} - set(
-        raw
-    )
+    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+    missing = required - set(raw)
     if missing:
         raise ConfigError(f"plan is missing required fields: {sorted(missing)}")
-    raw.setdefault("concentrations", [1])
     return ExperimentPlan(**raw)
 
 
@@ -294,13 +283,15 @@ def _welch_p(row: dict, base_row: dict) -> str:
 
 
 def render_markdown(rows: list[dict], stderr_aware: bool = False) -> str:
-    """Markdown table per concentration: baseline column first, then variants.
+    """Markdown table per concentration: for each depth, its baseline column first, then its variants.
 
-    Bold marks a mean strictly above the baseline at 2 decimals,
-    underline marks equality at 2 decimals.  A row with an `error`
-    renders as `failed`; without a finished baseline the group renders
-    unmarked with a warning.  Rows from before the `error` column
-    render as finished.
+    A row's pattern is the canonical letter form `run_plan` writes, so its
+    length is its depth, and its baseline is the all-unique pattern of
+    that depth.  Bold marks a mean strictly above the baseline at 2
+    decimals, underline marks equality at 2 decimals.  A row with an
+    `error` renders as `failed`; without a finished baseline a depth's
+    cells render unmarked with a warning.  Rows from before the `error`
+    column render as finished.
     """
     if not rows:
         raise ConfigError("no result rows to render")
@@ -308,17 +299,19 @@ def render_markdown(rows: list[dict], stderr_aware: bool = False) -> str:
     concentrations = sorted({int(r["concentration"]) for r in rows})
     for conc in concentrations:
         sub = [r for r in rows if int(r["concentration"]) == conc]
-        variants: list[tuple[str, str]] = []
+        variants: dict[int, list[tuple[str, str]]] = {}  # depth -> its variants, baseline excluded
         for row in sub:
             key = _variant_key(row)
-            if key[0] != _BASELINE_PATTERN and key not in variants:
-                variants.append(key)
-        variants.sort()
-        header = ["dataset", "arch", f"baseline {_BASELINE_PATTERN}"] + [
-            f"{p}·{s}" for p, s in variants
-        ]
+            keys = variants.setdefault(len(key[0]), [])
+            if key[0] != _baseline(len(key[0])) and key not in keys:
+                keys.append(key)
+        depths = sorted(variants)
+        header = ["dataset", "arch"]
+        for depth in depths:
+            variants[depth].sort()
+            header += [f"baseline {_baseline(depth)}"] + [f"{p}·{s}" for p, s in variants[depth]]
         if stderr_aware:
-            header += [f"p({p}·{s})" for p, s in variants]
+            header += [f"p({p}·{s})" for depth in depths for p, s in variants[depth]]
         lines.append(f"## concentration c={conc}")
         lines.append("")
         lines.append("| " + " | ".join(header) + " |")
@@ -327,35 +320,37 @@ def render_markdown(rows: list[dict], stderr_aware: bool = False) -> str:
         for row in sub:
             groups.setdefault((row["dataset"], row["arch"]), {})[_variant_key(row)] = row
         for (dataset, arch), cells in sorted(groups.items()):
-            base_row = cells.get((_BASELINE_PATTERN, "final"))
-            base_mean, base_text = None, "—"
-            if base_row is not None and base_row.get("error"):
-                base_row, base_text = None, "failed"
-            if base_row is None:
-                log.warning(
-                    "no baseline (%s/final) result for %s/%s at c=%d; cells rendered unmarked",
-                    _BASELINE_PATTERN,
-                    dataset,
-                    arch,
-                    conc,
-                )
-            else:
-                base_mean, base_text = _fmt_percent(base_row)
-            cols = [dataset, arch, base_text]
+            cols = [dataset, arch]
             pvals = []
-            for key in variants:
-                row = cells.get(key)
-                if row is None or row.get("error"):
-                    cols.append("—" if row is None else "failed")
-                    pvals.append("—")
-                    continue
-                mean, text = _fmt_percent(row)
-                if base_mean is not None and mean > base_mean:
-                    text = f"**{text}**"
-                elif base_mean is not None and mean == base_mean:
-                    text = f"<u>{text}</u>"
-                cols.append(text)
-                pvals.append(_welch_p(row, base_row) if stderr_aware and base_row is not None else "—")
+            for depth in depths:
+                base_row = cells.get((_baseline(depth), "final"))
+                base_mean, base_text = None, "—"
+                if base_row is not None and base_row.get("error"):
+                    base_row, base_text = None, "failed"
+                if base_row is None:
+                    log.warning(
+                        "no baseline (%s/final) result for %s/%s at c=%d; cells rendered unmarked",
+                        _baseline(depth),
+                        dataset,
+                        arch,
+                        conc,
+                    )
+                else:
+                    base_mean, base_text = _fmt_percent(base_row)
+                cols.append(base_text)
+                for key in variants[depth]:
+                    row = cells.get(key)
+                    if row is None or row.get("error"):
+                        cols.append("—" if row is None else "failed")
+                        pvals.append("—")
+                        continue
+                    mean, text = _fmt_percent(row)
+                    if base_mean is not None and mean > base_mean:
+                        text = f"**{text}**"
+                    elif base_mean is not None and mean == base_mean:
+                        text = f"<u>{text}</u>"
+                    cols.append(text)
+                    pvals.append(_welch_p(row, base_row) if stderr_aware and base_row is not None else "—")
             if stderr_aware:
                 cols += pvals
             lines.append("| " + " | ".join(cols) + " |")

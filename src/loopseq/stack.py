@@ -54,11 +54,11 @@ def pattern_string(depth: int, n_unique: int) -> str:
     return "".join(string.ascii_uppercase[j % n_unique] for j in range(depth))
 
 
-def parse_pattern(value: str) -> tuple[int, int]:
-    """(depth, n_unique) from 'ABABAB'-style strings or 'L,m' pairs.
+def parse_pattern(value: str, supervision: str = "final") -> StackConfig:
+    """The stack an 'ABABAB'-style string or an 'L,m' pair names, under `supervision`.
 
     Only canonical periodic strings are accepted; 'AABBCC' has no
-    periodic reading and is rejected.
+    periodic reading and is rejected.  `StackConfig` checks the shape.
     """
     s = str(value).strip().upper()
     if "," in s:
@@ -73,11 +73,7 @@ def parse_pattern(value: str) -> tuple[int, int]:
                 f"pattern {value!r} is not periodic; expected e.g. "
                 f"{pattern_string(depth, max(1, n_unique))!r}"
             )
-    if depth < 1 or n_unique < 1 or depth % n_unique != 0:
-        raise ConfigError(
-            f"pattern needs 1 <= m <= L with m dividing L, got L={depth}, m={n_unique}"
-        )
-    return depth, n_unique
+    return StackConfig(depth, n_unique, supervision)
 
 
 SUPERVISIONS = ("final", "block")
@@ -90,14 +86,12 @@ class StackConfig:
     supervision: str = "final"
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError(f"depth must be positive, got {self.depth}")
-        if self.n_unique < 1 or self.depth % self.n_unique != 0:
+        if self.depth < 1 or self.n_unique < 1 or self.depth % self.n_unique != 0:
             raise ConfigError(
-                f"n_unique must divide depth, got depth={self.depth}, n_unique={self.n_unique}"
+                f"pattern needs 1 <= m <= L with m dividing L, got L={self.depth}, m={self.n_unique}"
             )
         if self.supervision not in SUPERVISIONS:
-            raise ConfigError(f"supervision must be one of {SUPERVISIONS}, got {self.supervision!r}")
+            raise ConfigError(f"unknown supervision {self.supervision!r}; expected {list(SUPERVISIONS)}")
 
     @property
     def tap_period(self) -> int:

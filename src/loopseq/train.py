@@ -33,15 +33,7 @@ from .blocks import ARCHS
 from .data import Dataset, apply_reshape, normalize, split_dataset
 from .errors import AggregationError, ConfigError
 from .pool import run_pooled
-from .stack import (
-    SUPERVISIONS,
-    StackConfig,
-    StackModel,
-    build_stack,
-    parse_pattern,
-    predict_logits,
-    stack_loss,
-)
+from .stack import StackConfig, StackModel, build_stack, parse_pattern, predict_logits, stack_loss
 
 _EVAL_BATCH = 256
 
@@ -81,15 +73,17 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {label}, got {value!r}")
             if f.type == "int" and value < _LEAST[f.name]:
                 raise ConfigError(f"{f.name} must be >= {_LEAST[f.name]}, got {value}")
-        parse_pattern(self.pattern)  # raises ConfigError on malformed patterns
+        self.stack()  # refuses a malformed pattern or an unknown supervision
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}; expected one of {list(ARCHS)}")
-        if self.supervision not in SUPERVISIONS:
-            raise ConfigError(f"unknown supervision {self.supervision!r}; expected {list(SUPERVISIONS)}")
         if not 0 < self.lr < float("inf"):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.clip_norm is not None and not 0 < self.clip_norm < float("inf"):
             raise ConfigError(f"clip_norm must be positive and finite or None, got {self.clip_norm}")
+
+    def stack(self) -> StackConfig:
+        """The shape of the stack this run trains: its pattern under its supervision."""
+        return parse_pattern(self.pattern, self.supervision)
 
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)
@@ -164,21 +158,13 @@ class RunResult:
     elapsed_seconds: float
 
 
-@dataclass
-class PreparedData:
-    train: Dataset
-    val: Dataset
-    test: Dataset
-    width: int
-
-
-def prepare_splits(ds: Dataset, config: TrainConfig) -> PreparedData:
-    """Seeded split, train-statistics normalization, then reshaping."""
-    sp = split_dataset(ds, config.seed)
-    parts, _, _ = normalize(ds, (sp.train, sp.val, sp.test))
+def prepare_splits(ds: Dataset, config: TrainConfig) -> list[Dataset]:
+    """The train, validation and test sets: seeded split, train-statistics
+    normalization, then reshaping."""
+    parts = normalize(ds, split_dataset(ds, config.seed))
     for i, part in enumerate(parts):  # each split is freed once a padded copy replaces it
         parts[i] = apply_reshape(part, config.concentration)
-    return PreparedData(*parts, width=parts[0].width)
+    return parts
 
 
 def full_loss(model: StackModel, ds: Dataset) -> float:
@@ -218,14 +204,13 @@ def train_one(
     order.
     """
     t0 = time.perf_counter()
-    prep = prepare_splits(dataset, config)
+    train_set, val_set, test_set = prepare_splits(dataset, config)
     init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
     if model is None:
-        depth, n_unique = parse_pattern(config.pattern)
         model = build_stack(
             config.arch,
-            StackConfig(depth=depth, n_unique=n_unique, supervision=config.supervision),
-            width=prep.width,
+            config.stack(),
+            width=train_set.width,
             n_classes=dataset.n_classes,
             hidden=config.hidden,
             state=config.state,
@@ -235,7 +220,7 @@ def train_one(
     params = model.parameters()
     opt = AdamState(lr=config.lr)
 
-    initial_loss = full_loss(model, prep.train)
+    initial_loss = full_loss(model, train_set)
     train_losses: list[float] = []
     val_accs: list[float] = []
     test_accs: list[float] = []
@@ -246,14 +231,14 @@ def train_one(
     for epoch in range(config.max_epochs):
         if diverged:
             break
-        perm = shuffle_rng.permutation(prep.train.n)
+        perm = shuffle_rng.permutation(train_set.n)
         epoch_loss, seen = 0.0, 0
-        for lo in range(0, prep.train.n, config.batch_size):
+        for lo in range(0, train_set.n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
             # divergence is detected by the finite checks below, so the
             # intermediate overflow warnings on the way there are noise
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"), ad.Tape():
-                loss = stack_loss(model, prep.train.series[idx], prep.train.labels[idx])
+                loss = stack_loss(model, train_set.series[idx], train_set.labels[idx])
                 grads = ad.backward(loss, [p for _, p in params])
             value = float(loss.data)
             if not np.isfinite(value) or any(
@@ -272,7 +257,7 @@ def train_one(
         if diverged:
             break
         # finite parameters can still overflow to non-finite logits
-        val_acc, test_acc = accuracy(model, prep.val), accuracy(model, prep.test)
+        val_acc, test_acc = accuracy(model, val_set), accuracy(model, test_set)
         if not np.isfinite(val_acc + test_acc):
             diverged = True
             break

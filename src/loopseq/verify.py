@@ -262,7 +262,6 @@ def _grad_one(arch: str, supervision: str, n_unique: int, fast: bool):
     err = finite_difference_check(
         prefix_reuse_loss(model, x, labels),
         model.param_tensors(),
-        h=1e-5,
         rng=np.random.default_rng(11) if fast else None,  # None: every coordinate
     )
     coords = "1 direction/tensor" if fast else "all"
@@ -300,7 +299,7 @@ def _gradient_detector(fast: bool):
         return (p.detach() * 2.0 - p).sum()
 
     rng = np.random.default_rng(11) if fast else None
-    err = finite_difference_check(wrong_loss, [p], h=1e-5, rng=rng)
+    err = finite_difference_check(wrong_loss, [p], rng=rng)
     return err, err > 1.0, {"note": "detector must reject a sign-flipped gradient"}
 
 

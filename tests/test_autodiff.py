@@ -448,7 +448,7 @@ def _every_primitive(x, y, m, w, v, a, b):
         ad.sqrt(ad.exp(x)), ad.tanh(x), ad.sigmoid(x), ad.relu(x), ad.sin(x), ad.cos(x),
         ad.matmul(m, w), ad.affine(m, w, v), ad.layer_norm(m, v, v, 1e-5),
         ad.sum_(x), ad.sum_(x, axis=0), ad.mean_(x), ad.mean_(m, axis=-1, keepdims=True),
-        ad.stack([x, y], axis=0), ad.cpair(x, y), ad.reshape(m, (-1,)),
+        ad.stack([x, y], axis=0), ad.stack([x, y], axis=-1), ad.reshape(m, (-1,)),
         ad.scan_linear(a, b, "cdiag"), ad.softmax_cross_entropy(m, np.array([0, 2])),
         ad.gated_residual(m, m, w, v, m, w, v, w, v), ad.sum_(x) * ad.sum_(y),
     ]
@@ -551,13 +551,14 @@ def test_directional_fd_restores_parameters_bit_exactly():
         np.testing.assert_array_equal(p.data, want)
 
 
-def test_directional_fd_reports_nonfinite_perturbed_loss():
+def test_directional_fd_reports_nonfinite_perturbed_loss(monkeypatch):
     # exp(26^2) is finite; a step of 1 in either direction of the one
     # coordinate reaches exp(25^2) and the overflowing exp(27^2)
+    monkeypatch.setattr(ad, "_FD_STEP", 1.0)
     p = param(np.array([26.0]))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="random direction"):
-            _fd(lambda: ad.exp(p * p).sum(), [p], h=1.0, rng=np.random.default_rng(0))
+            _fd(lambda: ad.exp(p * p).sum(), [p], rng=np.random.default_rng(0))
 
 
 def test_softmax_ce_uniform_is_log_c():

@@ -148,9 +148,7 @@ def test_block_gradients_match_finite_differences(arch):
     h = Tensor(rng.standard_normal((8, 3)))
     w = rng.standard_normal((8, 3))
     params = [t for _, t in named_tensors(p)]
-    err = finite_difference_check(
-        lambda: (block_forward(p, h) * Tensor(w)).sum(), params, h=1e-5
-    )
+    err = finite_difference_check(lambda: (block_forward(p, h) * Tensor(w)).sum(), params)
     assert err < 1e-4
 
 

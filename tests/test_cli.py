@@ -377,7 +377,9 @@ def test_run_flag_defaults_are_train_config_defaults():
             if hasattr(args, f.name):  # grid sweeps lr and seed with --lrs and --seeds
                 assert getattr(args, f.name) == getattr(default, f.name), (command, f.name)
     assert cli._config_from(parser.parse_args(["train"])) == default
-    plan = ExperimentPlan(["synth"], ["LRU"], ["AA"], ["final"], [1], [0.01], [0], "out")
+    plan = ExperimentPlan(
+        datasets=["synth"], archs=["LRU"], patterns=["AA"], supervisions=["final"], lrs=[0.01], seeds=[0], out_dir="out"
+    )
     for f in dataclasses.fields(TrainConfig):
         if hasattr(plan, f.name):
             assert getattr(plan, f.name) == getattr(default, f.name), f.name

@@ -56,18 +56,18 @@ def test_split_sizes_sum_to_n():
 
 def test_split_partitions_index_range():
     ds = _toy(n=53)
-    sp = split_dataset(ds, seed=1)
-    combined = np.sort(np.concatenate([sp.train, sp.val, sp.test]))
+    train, val, test = split_dataset(ds, seed=1)
+    combined = np.sort(np.concatenate([train, val, test]))
     assert np.array_equal(combined, np.arange(53))
-    assert len(sp.val) == len(sp.test) == split_sizes(53)[1]
+    assert len(val) == len(test) == split_sizes(53)[1]
 
 
 def test_split_deterministic_per_seed():
     ds = _toy(n=40)
     a, b = split_dataset(ds, seed=7), split_dataset(ds, seed=7)
-    assert np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[2], b[2])
     c = split_dataset(ds, seed=8)
-    assert not np.array_equal(a.train, c.train)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_split_too_small_rejected():
@@ -212,18 +212,19 @@ def test_normalize_train_statistics_are_standard():
     ds = _toy(n=60, steps=20, width=5, seed=4)
     ds = ds.replace(series=ds.series * 7.0 + 3.0)
     idx = np.arange(40)
-    (out,), mean, std = normalize(ds, [idx])
+    (out,) = normalize(ds, [idx])
     tr = out.series.reshape(-1, 5)
     np.testing.assert_allclose(tr.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(tr.std(axis=0), 1.0, atol=1e-12)
-    assert mean.shape == std.shape == (5,)
+    assert out.series.shape == (40, 20, 5)  # one statistic per channel
 
 
 def test_normalize_constant_channel_does_not_blow_up():
     ds = _toy(n=10, steps=8, width=2)
     ds = ds.replace(series=np.concatenate([ds.series[..., :1], np.full((10, 8, 1), 4.25)], axis=-1))
-    out, _, std = normalize(ds, [np.arange(7), np.arange(7, 10)])
-    assert std[1] == 1e-8
+    ds.series[7:, :, 1] = 4.25 + 3e-8  # off the train split's constant, so its std shows
+    out = normalize(ds, [np.arange(7), np.arange(7, 10)])
+    assert np.all(out[1].series[..., 1] == (4.25 + 3e-8 - 4.25) / 1e-8)  # std floored at 1e-8
     assert all(np.isfinite(part.series).all() for part in out)
 
 
@@ -249,14 +250,14 @@ def test_synth_balanced_and_shaped():
 
 def test_synth_classes_are_spectrally_separable():
     ds = synth_sine_task(n=200, steps=100, n_classes=2, noise=0.0, seed=1)
-    sp = split_dataset(ds, seed=0)
-    assert _fft_centroid_accuracy(ds, sp.train, sp.test) == 1.0
+    train, _, test = split_dataset(ds, seed=0)
+    assert _fft_centroid_accuracy(ds, train, test) == 1.0
 
 
 def test_synth_noise_keeps_separability():
     ds = synth_sine_task(n=200, steps=100, n_classes=3, noise=0.1, seed=2)
-    sp = split_dataset(ds, seed=0)
-    assert _fft_centroid_accuracy(ds, sp.train, sp.test) >= 0.97
+    train, _, test = split_dataset(ds, seed=0)
+    assert _fft_centroid_accuracy(ds, train, test) >= 0.97
 
 
 def test_synth_deterministic():

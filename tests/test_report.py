@@ -1,6 +1,7 @@
 """Plans, result tables, and markdown rendering marks."""
 
 import csv
+import dataclasses
 import json
 import logging
 
@@ -117,6 +118,21 @@ def test_load_plan_example_file():
     assert plan.synth["n"] == 512
 
 
+def test_load_plan_without_concentrations_takes_the_declared_default(tmp_path):
+    raw = dict(datasets=["synth"], archs=["LRU"], patterns=["AAAAAA"], supervisions=["final"], lrs=[1e-3], seeds=[0])
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**raw, "out_dir": "out"}))
+    (declared,) = [f for f in dataclasses.fields(ExperimentPlan) if f.name == "concentrations"]
+    assert load_plan(path).concentrations == declared.default_factory() == [1]
+
+
+def test_depth_4_plan_runs_its_own_baseline_final_only():
+    cells = _plan(patterns=["AAAA", "ABAB", "ABCD"]).cells()
+    assert [(c.pattern, c.supervision) for c in cells] == [
+        ("AAAA", "final"), ("AAAA", "block"), ("ABAB", "final"), ("ABAB", "block"), ("ABCD", "final")
+    ]
+
+
 def test_load_plan_rejects_unknown_and_missing_fields(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"datasets": ["synth"], "bogus": 1}))
@@ -208,6 +224,42 @@ def test_missing_baseline_warns_and_renders_unmarked(caplog):
         md = render_markdown(rows)
     assert "no baseline" in caplog.text
     assert "90.00" in md and "**90.00" not in md
+
+
+def test_depth_4_table_marks_against_abcd_without_warning(caplog):
+    rows = [
+        _row("ABCD", "final", 0.70),
+        _row("AAAA", "final", 0.75),
+        _row("ABAB", "block", 0.70001),  # 70.00 after rounding
+        _row("ABAB", "final", 0.65),
+    ]
+    with caplog.at_level(logging.WARNING):
+        md = render_markdown(rows)
+    assert "no baseline" not in caplog.text
+    assert "| dataset | arch | baseline ABCD | AAAA·final | ABAB·block | ABAB·final |" in md
+    assert "| synth | LRU | 70.00 ± 3.00 | **75.00 ± 3.00** | <u>70.00 ± 3.00</u> | 65.00 ± 3.00 |" in md
+
+
+def test_mixed_depths_mark_each_variant_against_its_own_depth(caplog):
+    rows = [
+        _row("ABCDEF", "final", 0.80),
+        _row("AAAAAA", "final", 0.75),  # below its baseline, above depth 4's
+        _row("ABCD", "final", 0.70),
+        _row("AAAA", "final", 0.75),
+        _row("AAAAAAAAAAAAAAAAAAAAAAAAAAA", "final", 0.50),  # depth 27: no letter baseline exists
+    ]
+    with caplog.at_level(logging.WARNING):
+        md = render_markdown(rows, stderr_aware=True)
+    assert caplog.text.count("no baseline") == 1 and "27,27" in caplog.text
+    header, _, line = md.splitlines()[2:5]
+    assert header == (
+        "| dataset | arch | baseline ABCD | AAAA·final | baseline ABCDEF | AAAAAA·final "
+        "| baseline 27,27 | AAAAAAAAAAAAAAAAAAAAAAAAAAA·final "
+        "| p(AAAA·final) | p(AAAAAA·final) | p(AAAAAAAAAAAAAAAAAAAAAAAAAAA·final) |"
+    )
+    cells = line.strip("| ").split(" | ")
+    assert cells[2:8] == ["70.00 ± 3.00", "**75.00 ± 3.00**", "80.00 ± 3.00", "75.00 ± 3.00", "—", "50.00 ± 3.00"]
+    assert cells[8] != "—" and cells[9] != "—" and cells[10] == "—"  # no p-value without a baseline
 
 
 def test_failed_cell_renders_failed():

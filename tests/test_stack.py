@@ -59,7 +59,7 @@ def test_pattern_strings():
     [("AAAAAA", (6, 1)), ("ABABAB", (6, 2)), ("ABCABC", (6, 3)), ("ABCDEF", (6, 6)), ("6,2", (6, 2))],
 )
 def test_parse_pattern_accepts_canonical(text, expected):
-    assert parse_pattern(text) == expected
+    assert parse_pattern(text) == StackConfig(*expected)
 
 
 # tuples are not a pattern form: they are refused like any malformed string
@@ -74,6 +74,27 @@ def test_config_rejects_non_divisor():
         StackConfig(depth=6, n_unique=4)
     with pytest.raises(ConfigError):
         StackConfig(depth=6, n_unique=2, supervision="none")
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: parse_pattern("6,4"), "pattern needs 1 <= m <= L with m dividing L, got L=6, m=4"),
+        (lambda: parse_pattern("0,1"), "pattern needs 1 <= m <= L with m dividing L, got L=0, m=1"),
+        (lambda: parse_pattern(""), "pattern needs 1 <= m <= L with m dividing L, got L=0, m=0"),
+        (lambda: StackConfig(depth=6, n_unique=4), "pattern needs 1 <= m <= L with m dividing L, got L=6, m=4"),
+        (lambda: StackConfig(depth=-2, n_unique=1), "pattern needs 1 <= m <= L with m dividing L, got L=-2, m=1"),
+        (lambda: parse_pattern("ABAB", "x"), "unknown supervision 'x'; expected ['final', 'block']"),
+        (lambda: StackConfig(6, 2, "none"), "unknown supervision 'none'; expected ['final', 'block']"),
+    ],
+)
+def test_stack_config_alone_checks_the_shape(make, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_parse_pattern_carries_the_supervision():
+    assert parse_pattern("ABAB", "block") == StackConfig(depth=4, n_unique=2, supervision="block")
 
 
 def test_config_derived_fields():

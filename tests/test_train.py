@@ -194,11 +194,11 @@ def test_training_improves_on_separable_task():
 def test_model_override_and_embedding_keep_initial_loss():
     data = _tiny_data()
     cfg = _tiny_config(max_epochs=0, pattern="AAAAAA", hidden=6, state=4)
-    prep = prepare_splits(data, cfg)
+    train_set, _, _ = prepare_splits(data, cfg)
     model = build_stack(
         "LRU",
         StackConfig(depth=6, n_unique=1),
-        width=prep.width,
+        width=train_set.width,
         n_classes=data.n_classes,
         hidden=6,
         state=4,
@@ -214,18 +214,18 @@ def test_full_loss_matches_direct_computation():
 
     data = _tiny_data(n=20)
     cfg = _tiny_config()
-    prep = prepare_splits(data, cfg)
+    train_set, val_set, _ = prepare_splits(data, cfg)
     model = build_stack(
         "LRU",
         StackConfig(depth=2, n_unique=1),
-        width=prep.width,
+        width=train_set.width,
         n_classes=2,
         hidden=6,
         state=4,
         rng=0,
     )
-    direct = float(stack_loss(model, prep.val.series, prep.val.labels).data)
-    assert full_loss(model, prep.val) == pytest.approx(direct, rel=1e-12)
+    direct = float(stack_loss(model, val_set.series, val_set.labels).data)
+    assert full_loss(model, val_set) == pytest.approx(direct, rel=1e-12)
 
 
 def test_run_log_is_json_lines(tmp_path):
@@ -240,10 +240,10 @@ def test_run_log_is_json_lines(tmp_path):
 
 def test_prepare_splits_applies_concentration():
     data = _tiny_data(n=40, steps=16)  # width 2
-    prep = prepare_splits(data, _tiny_config(concentration=4))
-    assert prep.width == 4
-    assert prep.train.steps == 8  # ceil(16 * 2 / 4)
-    sizes = (prep.train.n, prep.val.n, prep.test.n)
+    train_set, val_set, test_set = prepare_splits(data, _tiny_config(concentration=4))
+    assert train_set.width == 4
+    assert train_set.steps == 8  # ceil(16 * 2 / 4)
+    sizes = (train_set.n, val_set.n, test_set.n)
     assert sum(sizes) == 40 and sizes[1] == sizes[2] == 6
 
 
