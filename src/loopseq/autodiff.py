@@ -23,7 +23,17 @@ output and refers to a parent recorded on the same tape by its index,
 and each vjp closure binds the shapes, operands or outputs it reads,
 never a whole Tensor.  An intermediate no adjoint reads (an `add` fed
 only to a `sum_`, say) is freed during the forward, as soon as the code
-that built it drops it.
+that built it drops it.  Two more rules hold the tape down:
+
+- The tape keeps no array it can rebuild bit for bit from one it already
+  keeps.  A taped `layer_norm` output carries the recipe (xhat, gain,
+  bias); `matmul`, `affine` and `gated_residual` keep that recipe, whose
+  arrays the layer-norm node keeps anyway, and rebuild the output in
+  their adjoints with the forward's own two operations.
+- A cotangent may be a read-only view (`sum_` returns its incoming
+  cotangent broadcast, not copied), and no vjp writes into its incoming
+  `g`.  `backward` copies a read-only leaf gradient, so every gradient it
+  returns can be scaled in place.
 
 `backward` releases the tape as it goes: once a node's vjp has run (or
 no cotangent reached it) the node drops its parents and vjp, so the
@@ -47,7 +57,7 @@ _FLOAT64 = np.dtype(np.float64)
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode."""
 
-    __slots__ = ("data", "requires_grad", "_tape", "_node_id")
+    __slots__ = ("data", "requires_grad", "_tape", "_node_id", "_recipe")
 
     def __init__(self, data, requires_grad: bool = False):
         # a float64 ndarray, which every primitive makes, is stored as it is
@@ -63,6 +73,9 @@ class Tensor:
         self.requires_grad = requires_grad
         self._tape: "Tape | None" = None
         self._node_id: int | None = None
+        # (xhat, gain, bias) of a taped layer-norm output: what a vjp keeps to
+        # rebuild this array instead of keeping it
+        self._recipe: tuple | None = None
 
     # -- introspection ------------------------------------------------------
     @property
@@ -342,26 +355,43 @@ def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """xhat * gain + bias: a layer norm's output, as its forward makes it."""
+    out = xhat * gain
+    out += bias
+    return out
+
+
+def _keep(x: Tensor):
+    """What a vjp binds to read x's array later: its rebuild recipe, or the array."""
+    return x.data if x._recipe is None else x._recipe
+
+
+def _kept(k) -> np.ndarray:
+    """The array `_keep` stood for, rebuilt bit for bit from a recipe."""
+    return k if type(k) is np.ndarray else _scale_shift(*k)
+
+
 def matmul(x, w) -> Tensor:
     """x @ w with w strictly 2-D; leading axes of x are batch axes."""
     x, w = _lift(x), _lift(w)
     _check_matmul(x, w, "matmul")
-    xd, wd = x.data, w.data
-    return _record(_dot(xd, wd), (x, w), lambda g: _matmul_vjp(xd, wd, g))
+    xk, wd = _keep(x), w.data
+    return _record(_dot(x.data, wd), (x, w), lambda g: _matmul_vjp(_kept(xk), wd, g))
 
 
 def affine(x, w, b) -> Tensor:
     """x @ w + b as one node; `b` broadcasts into the product's shape."""
     x, w, b = _lift(x), _lift(w), _lift(b)
     _check_matmul(x, w, "affine")
-    xd, wd, bs = x.data, w.data, b.data.shape
-    shape = xd.shape[:-1] + wd.shape[1:]
+    xk, wd, bs = _keep(x), w.data, b.data.shape
+    shape = x.shape[:-1] + wd.shape[1:]
     if not _broadcasts_into(bs, shape):
         raise ShapeError(f"affine bias {bs} does not broadcast into {shape}")
-    out = _affine_data(xd, wd, b.data)
+    out = _affine_data(x.data, wd, b.data)
 
     def vjp(g):
-        gx, gw = _matmul_vjp(xd, wd, g)
+        gx, gw = _matmul_vjp(_kept(xk), wd, g)
         return gx, gw, _unbroadcast(g, bs)
 
     return _record(out, (x, w, b), vjp)
@@ -372,25 +402,31 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
 
     One node that saves only the normalised input and 1/std.  With
     xhat the normalised input and gy = g * gain, the input adjoint is
-    (gy - mean(gy) - xhat * mean(gy * xhat)) / std.
+    (gy - mean(gy) - xhat * mean(gy * xhat)) / std.  A taped output
+    carries the recipe (xhat, gain, bias), so `matmul`, `affine` and
+    `gated_residual` keep that instead of the output and rebuild it in
+    their adjoints with the forward's own operations.
     """
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
     inv_n = 1.0 / x.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    # np.add.reduce is ndarray.sum's own reduction, without its Python wrapper
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + eps)
     xhat = np.divide(centered, std, out=centered)
     rstd = 1.0 / std
-    gd, bs = gain.data, bias.data.shape
-    out = xhat * gd + bias.data
+    gd, bd = gain.data, bias.data
 
     def vjp(g):
         gy = g * gd
-        gx = gy - gy.sum(axis=-1, keepdims=True) * inv_n
-        gx -= xhat * ((gy * xhat).sum(axis=-1, keepdims=True) * inv_n)
+        gx = gy - np.add.reduce(gy, axis=-1, keepdims=True) * inv_n
+        gx -= xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) * inv_n)
         gx *= rstd
-        return gx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, bs)
+        return gx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, bd.shape)
 
-    return _record(out, (x, gain, bias), vjp)
+    out = _record(_scale_shift(xhat, gd, bd), (x, gain, bias), vjp)
+    if out._tape is not None:
+        out._recipe = (xhat, gd, bd)
+    return out
 
 
 def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
@@ -398,10 +434,10 @@ def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
 
     A block's tail: the readout of the scan states x [..., n] through
     c [n, H], the feedthrough d * u, the GLU and the residual add.  The
-    node keeps only x, u and the weights, which the scan's and the
-    factor's nodes keep anyway; its adjoint recomputes r, the GLU value
-    and the gate (one readout and two GLU products, one sigmoid) instead
-    of taping three [..., H] arrays (selective recomputation, Chen et
+    node keeps only x, u (or u's layer-norm recipe) and the weights, which
+    the scan's and the factor's nodes keep anyway; its adjoint recomputes
+    r, the GLU value and the gate (one readout and two GLU products, one
+    sigmoid) instead of taping three [..., H] arrays (selective recomputation, Chen et
     al., arXiv:1604.06174).  Forward and adjoint run the elementwise ops
     and products of the same tail composed from `matmul`, `mul`, `add`,
     `affine` and `sigmoid`, in that composition's order, so every bit
@@ -420,10 +456,10 @@ def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
         )
     if not all(_broadcasts_into(t.shape, shape) for t in (d, bv, bg)):
         raise ShapeError(f"gated_residual: {d.shape}, {bv.shape}, {bg.shape} do not broadcast into {shape}")
-    xd, cd, dd, ud = x.data, c.data, d.data, u.data
+    xd, cd, dd, uk = x.data, c.data, d.data, _keep(u)
     wvd, bvd, wgd, bgd = wv.data, bv.data, wg.data, bg.data
     r = _dot(xd, cd)
-    r += dd * ud
+    r += dd * u.data
     if not _ACTIVE:  # nothing reads the states again: let them go before the GLU
         x = xd = None
     out = _affine_data(r, wvd, bvd)
@@ -436,6 +472,7 @@ def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
     out += h.data
 
     def vjp(g):
+        ud = _kept(uk)
         r = _dot(xd, cd)
         r += dd * ud
         gate = _sigmoid(_affine_data(r, wgd, bgd), overwrite=True)
@@ -470,12 +507,10 @@ def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     xs = x.data.shape
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, xs).copy(),)
-        if not keepdims:
+    def vjp(g):  # a read-only view, not a copy
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, xs).copy(),)
+        return (np.broadcast_to(g, xs),)
 
     return _record(out, (x,), vjp)
 
@@ -604,7 +639,8 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
                 acc = leaf_grads.get(p)
                 leaf_grads[p] = pg if acc is None else acc + pg
 
-    result = {p: Tensor(g) for p, g in leaf_grads.items()}
+    # a cotangent may be a read-only view; a gradient is the caller's to scale in place
+    result = {p: Tensor(g if g.flags.writeable else g.copy()) for p, g in leaf_grads.items()}
     for p in params:
         if p not in result:
             result[p] = Tensor(np.zeros_like(p.data))

@@ -34,12 +34,16 @@ trailing axis of length 2 over a float64 substrate; inside the kernel a
     per-step  b's own shape, plus the 2x2 for "mat2" (LrcSSM's gate).
 
 `scan_backward` returns each adjoint in its input's shape: a shared
-factor's `da` is summed over the time and batch axes.
+factor's `da` is summed over the time and batch axes.  That sum is built a
+fixed number of bytes of rows at a time, each chunk's `np.add.reduce`
+starting from the running total, so the [T, ..., n] products are never
+held at once and the sum keeps the bits of the materialised one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,11 @@ KINDS = ("diag", "cdiag", "mat2")
 
 # trailing dims of b after its time and lead axes, per kind
 _B_TRAIL = {"diag": 1, "cdiag": 2, "mat2": 2}
+
+# a shared factor's da is summed this many bytes of products at a time: one
+# chunk holds a synth-shaped "cdiag" da (T = 100, B = 32, P = 16; two for
+# "mat2") and an 18th of a Worms-length LRU one (T = 17984, B = 1, P = 64)
+_DA_CHUNK_BYTES = 1 << 20
 
 
 def pair_mul(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -182,7 +191,7 @@ def scan_backward(
     "cdiag") is the forward kernel run in reverse time on the adjoint
     factor, shifted one step.  Then db_t = lam_t and da_t = lam_t (x) x_{t-1}
     (with the kind-appropriate product); a shared factor's da is that
-    product summed over the time and batch axes.
+    product summed over the time and batch axes, a chunk of rows at a time.
     """
     kind = elem.kind
     a, b, full, shared = _check_elements(kind, elem.a, elem.b)
@@ -200,17 +209,49 @@ def scan_backward(
     # reversed time: step s multiplies by the adjoint of a_{T-s}
     _recur(kind, f if shared else f[:0:-1], shared, _complex(kind, g)[::-1], lam[::-1])
 
+    x = _complex(kind, np.asarray(states, dtype=np.float64))
+    if shared and a.size > 1:  # NumPy sums a one-element tail pairwise, so that one stays whole
+        return _reduce_shared_da(kind, a.shape, b.ndim - _B_TRAIL[kind], lam, x), db
     da = np.empty(full)
     wda = _complex(kind, da)
-    x_prev = _complex(kind, np.asarray(states, dtype=np.float64))[:-1]
     wda[0] = 0.0
-    if kind == "diag":
-        np.multiply(lam[1:], x_prev, out=wda[1:])
-    elif kind == "cdiag":
-        np.conjugate(x_prev, out=wda[1:])
-        wda[1:] *= lam[1:]
-    else:
-        np.multiply(lam[1:, ..., :, None], x_prev[..., None, :], out=wda[1:])
+    _outer(kind, lam[1:], x[:-1], wda[1:])
     if shared:
         da = da.sum(axis=tuple(range(b.ndim - _B_TRAIL[kind])))
     return da, db
+
+
+def _outer(kind: str, lam: np.ndarray, x_prev: np.ndarray, out: np.ndarray) -> None:
+    """out = lam (x) x_prev, the kind's product of a state adjoint and the state before it."""
+    if kind == "diag":
+        np.multiply(lam, x_prev, out=out)
+    elif kind == "cdiag":
+        np.conjugate(x_prev, out=out)
+        out *= lam
+    else:
+        np.multiply(lam[..., :, None], x_prev[..., None, :], out=out)
+
+
+def _reduce_shared_da(kind: str, shape: tuple, k: int, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A shared factor's da in its `shape`: lam_t (x) x_{t-1} summed over the k time and lead axes.
+
+    The products are made _DA_CHUNK_BYTES of rows at a time, never over the
+    whole [T, ..., n] shape, and each chunk's `np.add.reduce` over axis 0
+    starts from the running total as its first row.  That is NumPy's own
+    sequential order for `.sum` over the leading axes of a C-contiguous
+    array whose tail holds more than one element, so the result equals the
+    materialised sum bit for bit; the zero rows at t = 0 add nothing to a
+    total that starts at +0.0.
+    """
+    lam = lam[1:].reshape((-1,) + lam.shape[k:])
+    x = x[:-1].reshape(lam.shape)
+    rows = max(1, _DA_CHUNK_BYTES // (8 * math.prod(shape)))
+    buf = np.zeros((min(rows, len(lam)) + 1,) + shape)  # row 0 carries the running total
+    out = _complex(kind, buf)[1:]
+    total = buf[0]
+    for s in range(0, len(lam), rows):
+        n = min(rows, len(lam) - s)
+        buf[0] = total
+        _outer(kind, lam[s : s + n], x[s : s + n], out[:n])
+        total = np.add.reduce(buf[: n + 1], axis=0)
+    return total

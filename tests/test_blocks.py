@@ -152,15 +152,21 @@ def test_block_gradients_match_finite_differences(arch):
     assert err < 1e-4
 
 
+# one block's fwd+bwd peak in B*T*H floats: measured 9.25/9.26/9.36/10.09 and
+# pinned 0.46 above
+_BLOCK_PEAK = {"LRU": 9.71, "S5": 9.72, "LinOSS": 9.82, "LrcSSM": 10.55}
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_block_tape_memory_bounded(arch):
-    """One block's forward+backward at B=1, T=2000, H=P=64 peaks at <= 24 B*T*H floats.
+    """One block's forward+backward at B=1, T=2000, H=P=64 stays at its pinned peak.
 
     The tape holds a few fused nodes per block, keeps only the arrays their
-    adjoints read, and backward frees each node as it passes, so the peak
-    is about 11-13 such arrays.  Keeping every node's output read 16-19;
-    recording every elementwise step as well, with the tape kept until the
-    sweep ends, read 28-44.
+    adjoints read and none it can rebuild, and backward frees each node as
+    it passes, so the peak is about 9-10 such arrays.  Keeping the layer-norm
+    output, a copy of the `sum_` cotangent and a materialised shared da read
+    11-13, keeping every node's output 16-19, and recording every
+    elementwise step as well, with the tape kept until the sweep ends, 28-44.
     """
     B, T, H = 1, 2000, 64
     rng = np.random.default_rng(24)
@@ -175,7 +181,7 @@ def test_block_tape_memory_bounded(arch):
     finally:
         tracemalloc.stop()
     unit = B * T * H * 8
-    assert peak <= 24 * unit, f"{arch} fwd+bwd peak {peak / unit:.1f} x B*T*H floats"
+    assert peak <= _BLOCK_PEAK[arch] * unit, f"{arch} fwd+bwd peak {peak / unit:.2f} x B*T*H floats"
 
 
 # per block application: the tape nodes recorded and the one scan kind sent

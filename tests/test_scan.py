@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopseq import scan
 from loopseq.errors import EmptySequenceError, ShapeError
 from loopseq.scan import (
     ScanElement,
@@ -130,26 +131,34 @@ _A_TAIL = {"diag": (), "cdiag": (2,), "mat2": (2, 2)}
 
 @pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
 @pytest.mark.parametrize("a_lead", [()], ids=["shared"])
-def test_time_invariant_a_bit_identical_to_materialised(kind, a_lead):
+def test_time_invariant_a_bit_identical_to_materialised(kind, a_lead, monkeypatch):
     """A shared factor takes the same arithmetic as one expanded over batch and time.
 
-    Its da is the materialised factor's da summed over (time, batch), bit for bit.
+    Its da is the materialised factor's da summed over (time, batch), bit for
+    bit, whether the chunked sum takes one chunk (T * B = 51), several plus a
+    remainder (3.5 chunks at B = 4, so boundaries split a time step), or one
+    row per chunk, fewer than a time step holds.
     """
     rng = np.random.default_rng(31)
-    B, T, n = 3, 17, 5
-    elem = _random_elem(kind, T, n, rng, lead=(B,))
-    a = _random_elem(kind, 1, n, rng, lead=a_lead).a[0]  # (n, ...): no time axis
-    full = np.ascontiguousarray(np.broadcast_to(a, (T, B, n) + _A_TAIL[kind]))
-    inv = ScanElement(a, elem.b, kind)
-    mat = ScanElement(full, elem.b, kind)
-    x_inv, x_mat = scan_linear(inv), scan_linear(mat)
-    np.testing.assert_array_equal(x_inv, x_mat)
-    g = rng.standard_normal(elem.b.shape)
-    da_inv, db_inv = scan_backward(inv, x_inv, g)
-    da_mat, db_mat = scan_backward(mat, x_mat, g)
-    np.testing.assert_array_equal(db_inv, db_mat)
-    assert da_inv.shape == a.shape
-    np.testing.assert_array_equal(da_inv, da_mat.sum(axis=(0, 1)))
+    n = 5
+    row_bytes = 8 * n * {"diag": 1, "cdiag": 2, "mat2": 4}[kind]
+    several = 7 * scan._DA_CHUNK_BYTES // (2 * row_bytes * 4) + 1
+    for B, T, chunk in ((3, 17, None), (4, several, None), (4, 17, row_bytes)):
+        if chunk is not None:
+            monkeypatch.setattr(scan, "_DA_CHUNK_BYTES", chunk)
+        elem = _random_elem(kind, T, n, rng, lead=(B,))
+        a = _random_elem(kind, 1, n, rng, lead=a_lead).a[0]  # (n, ...): no time axis
+        full = np.ascontiguousarray(np.broadcast_to(a, (T, B, n) + _A_TAIL[kind]))
+        inv = ScanElement(a, elem.b, kind)
+        mat = ScanElement(full, elem.b, kind)
+        x_inv, x_mat = scan_linear(inv), scan_linear(mat)
+        np.testing.assert_array_equal(x_inv, x_mat)
+        g = rng.standard_normal(elem.b.shape)
+        da_inv, db_inv = scan_backward(inv, x_inv, g)
+        da_mat, db_mat = scan_backward(mat, x_mat, g)
+        np.testing.assert_array_equal(db_inv, db_mat)
+        assert da_inv.shape == a.shape
+        assert da_inv.tobytes() == da_mat.sum(axis=(0, 1)).tobytes(), f"B, T = {B}, {T}"
 
 
 @pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
@@ -200,7 +209,7 @@ def test_kernel_matches_loop_reference_property(seed, kind, lead, T, pattern):
 
 
 def test_worms_scale_memory_is_bounded():
-    """No padding and no time-expanded factor: peaks stay a small multiple of b."""
+    """No padding, no time-expanded factor and no full-shape da: peaks stay a small multiple of b."""
     rng = np.random.default_rng(37)
     a = np.stack([rng.uniform(0.5, 0.99, 64), rng.uniform(-0.1, 0.1, 64)], axis=-1)
     b = rng.standard_normal((17984, 1, 64, 2))
@@ -217,7 +226,9 @@ def test_worms_scale_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert fwd_peak <= 2 * b.nbytes, f"forward peak {fwd_peak / b.nbytes:.2f}x b"
-    assert bwd_peak <= 6 * b.nbytes, f"backward peak {bwd_peak / b.nbytes:.2f}x b"
+    # db and one da chunk: measured 1.06 and pinned 0.46 above; a da over the
+    # whole [T, B, n, 2] shape adds 1.0
+    assert bwd_peak <= 1.52 * b.nbytes, f"backward peak {bwd_peak / b.nbytes:.2f}x b"
 
 
 def _pinned_reference(a, b, g, kind, shared):

@@ -12,7 +12,7 @@ import pytest
 from tail_oracle import unfused_gated_residual
 
 from loopseq import autodiff as ad
-from loopseq import stack
+from loopseq import scan, stack
 from loopseq.autodiff import Tape, backward, Tensor
 from loopseq.blocks import ARCHS, block_forward, encoder_forward, head_forward, named_tensors
 from loopseq.errors import ConfigError, ShapeError
@@ -386,25 +386,81 @@ def test_fused_tail_gives_the_unfused_bits(arch, supervision, m, monkeypatch):
         assert runs[0] == runs[1], f"B, T, H = {B}, {T}, {H}"
 
 
+# --- arrays the tape rebuilds or aliases instead of keeping ---------------------------------
+
+_LAYER_NORM = ad.layer_norm
+
+
+def _kept_layer_norm(x, gain, bias, eps):
+    """`ad.layer_norm` whose output carries no recipe, so the tape keeps it."""
+    out = _LAYER_NORM(x, gain, bias, eps)
+    out._recipe = None
+    return out
+
+
+def _copying_sum(x, axis=None, keepdims=False):
+    """`ad.sum_` whose adjoint returns a fresh copy of the broadcast cotangent."""
+    x = ad._lift(x)
+    xs = x.data.shape
+
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, xs).copy(),)
+
+    return ad._record(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
+
+
+@pytest.mark.parametrize("pattern", ["AAAAAA", "ABABAB", "ABCDEF"])
+@pytest.mark.parametrize("supervision", ["final", "block"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_rebuilt_and_aliased_arrays_give_the_kept_bits(arch, supervision, pattern, monkeypatch):
+    """The loss, every gradient and the untaped logits equal, byte for byte, those of
+    a tape that keeps each layer-norm output, copies each `sum_` cotangent and sums a
+    shared factor's da in one chunk; here that da takes 256-byte chunks of one or two
+    rows."""
+    runs = []
+    for kept in (False, True):
+        if kept:
+            monkeypatch.setattr(ad, "layer_norm", _kept_layer_norm)
+            monkeypatch.setattr(ad, "sum_", _copying_sum)
+        monkeypatch.setattr(scan, "_DA_CHUNK_BYTES", 1 << 62 if kept else 256)
+        for B in (1, 3):
+            model = build_stack(arch, parse_pattern(pattern, supervision), width=3, n_classes=4, hidden=8, state=8, rng=5)
+            rng = np.random.default_rng(B)
+            params = model.param_tensors()
+            for p in params:  # norm gains and biases start at exactly 1 and 0
+                p.data += 0.1 * rng.standard_normal(p.shape)
+            x = rng.standard_normal((B, 60, 3))
+            y = rng.integers(0, 4, B)
+            with Tape():
+                loss = stack_loss(model, x, y)
+                grads = backward(loss, params)
+            runs.append([loss.data.tobytes(), predict_logits(model, x).tobytes()])
+            runs[-1] += [grads[p].data.tobytes() for p in params]
+    assert runs[:2] == runs[2:]
+
+
 # --- memory ---------------------------------------------------------------------------
 
 
 # tracemalloc peak of one AAAAAA step in B*T*H floats, (`final`, `block`),
-# measured 33.02/33.07/35.15/41.22 and 37.02/37.07/39.15/46.19 and pinned 0.46
-# above: a block tail that tapes its r again reads 5.0 higher. `block` adds 4.0
-# for the taps' cotangents, and 5.0 for LrcSSM, whose peak is the last block
-# tail's backward, which runs while all six are held.
+# measured 25.05/25.10/25.18/35.19 and 28.00/28.06/28.05/39.19 and pinned 0.46
+# above. Taping each layer-norm output again reads 5.0-6.0 higher, copying each
+# `sum_` cotangent 1.0 (2.1 under `block`) and a materialised shared da 1.0
+# (LRU, S5) or 3.0 (LinOSS, `final`). `block` peaks in the forward, where the
+# six tapped states are all held: 3.0 above `final` (4.0 for LrcSSM).
 _STEP_PEAK = {
-    "LRU": (33.48, 37.48),
-    "S5": (33.53, 37.53),
-    "LinOSS": (35.61, 39.61),
-    "LrcSSM": (41.68, 46.65),
+    "LRU": (25.51, 28.46),
+    "S5": (25.56, 28.52),
+    "LinOSS": (25.64, 28.51),
+    "LrcSSM": (35.65, 39.65),
 }
 
 # the same step at B = 4, T = 200 and w = H = P = 32, where the input batch
-# is one B*T*H array: measured 33.58/33.80/36.34/41.49 and pinned 0.46 above,
+# is one B*T*H array: measured 26.58/26.79/29.33/35.66 and pinned 0.46 above,
 # so an encoder that tapes a time-major copy of its input (1.0 more) fails
-_WIDE_STEP_PEAK = {"LRU": 34.04, "S5": 34.26, "LinOSS": 36.8, "LrcSSM": 41.95}
+_WIDE_STEP_PEAK = {"LRU": 27.04, "S5": 27.25, "LinOSS": 29.79, "LrcSSM": 36.12}
 
 
 def _step_peak(arch, supervision, B, T, w, H):
@@ -431,10 +487,10 @@ def _step_peak(arch, supervision, B, T, w, H):
 def test_train_step_memory_bounded(arch, supervision):
     """One stack_loss + backward at depth 6, B=1, T=2000, H=P=64 stays at its pinned peak.
 
-    The tape keeps only the arrays its adjoints read, and each block tail
-    keeps none of its own, so the step peaks at 33-47 B*T*H floats; a tape
-    that kept every node's output, and every input Tensor its closures
-    named, read 90-110.
+    The tape keeps only the arrays its adjoints read and none it can rebuild,
+    and each block tail keeps none of its own, so the step peaks at 25-40
+    B*T*H floats; a tape that kept every node's output, and every input
+    Tensor its closures named, read 90-110.
     """
     peak = _step_peak(arch, supervision, B=1, T=2000, w=6, H=64)
     limit = _STEP_PEAK[arch][supervision == "block"]
@@ -478,12 +534,14 @@ def test_predict_logits_memory_bounded(arch):
 # rises above the resident set at the step's start, in B*T*H floats, after a
 # T = 100 step has touched the BLAS buffers. It sees what tracemalloc does not:
 # heap the allocator keeps after a free. The peak is VmHWM, not ru_maxrss,
-# which carries the spawning process's peak across exec. Measured 33.4-33.6 on
-# Linux with glibc (about 1 more or less in scripts whose own heap lies
-# otherwise) and pinned at 36.0. A tail that builds r, the GLU value and the
-# gate as separate arrays, freed at the same points, reads 37.4 although its
-# tracemalloc peak is the same.
-_STEP_RSS_GROWTH = 36.0
+# which carries the spawning process's peak across exec. Measured 26.2-28.9 on
+# Linux with glibc: the child's heap layout moves with its directory and
+# environment, which shifts the reading by up to about 2.6 between checkouts
+# and between runs (most read 26.2-26.9). Pinned 0.46 above the highest. Under
+# pytest, taping each layer-norm output again reads 32.9, summing a shared da
+# over its whole shape 31.7-31.8, and copying each `sum_` cotangent 28.2-28.4,
+# which only the tracemalloc pins above catch.
+_STEP_RSS_GROWTH = 29.31
 
 _RSS_STEP = """
 import numpy as np

@@ -106,6 +106,17 @@ def test_clip_global_norm():
     np.testing.assert_array_equal(c.data, before)
 
 
+
+def test_clip_global_norm_scales_a_sum_gradient_in_place():
+    """`sum_`'s adjoint is a read-only broadcast view; `backward` hands out a writable copy."""
+    p = ad.param(np.zeros((4, 3)))
+    with ad.Tape():
+        grads = ad.backward(p.sum(), [p])
+    norm = clip_global_norm(grads, 1.0)
+    assert norm == np.sqrt(12.0)
+    np.testing.assert_array_equal(grads[p].data, np.full((4, 3), 1.0 / np.sqrt(12.0)))
+
+
 # --- single runs ---------------------------------------------------------------------
 
 
