@@ -10,10 +10,11 @@ trailing axis of length 2, so complex arithmetic decomposes into real
 primitives and every adjoint is derived exactly once, for the real case.
 
 A few fused primitives carry hand-derived adjoints so a block records a
-handful of nodes instead of dozens: `scan_linear` (its reverse recurrence
-is the forward kernel run backwards in time, see scan.scan_backward),
-`affine` (x @ w + b), `layer_norm` (which saves only the normalised input
-and 1/std), `reshape`, and `gated_residual`, a block's whole tail, which
+handful of nodes instead of dozens: `project_scan` and `gate_scan` (a
+block's forcing and its scan, whose reverse recurrence is the forward
+kernel run backwards in time, see scan.scan_backward), `affine`
+(x @ w + b), `layer_norm` (which saves only the normalised input and
+1/std), `reshape`, and `gated_residual`, a block's whole tail, which
 saves no array of its own and recomputes its intermediates in the adjoint.
 Every adjoint here is checked against central finite differences in the
 test suite.
@@ -26,14 +27,23 @@ only to a `sum_`, say) is freed during the forward, as soon as the code
 that built it drops it.  Two more rules hold the tape down:
 
 - The tape keeps no array it can rebuild bit for bit from one it already
-  keeps.  A taped `layer_norm` output carries the recipe (xhat, gain,
-  bias); `matmul`, `affine` and `gated_residual` keep that recipe, whose
-  arrays the layer-norm node keeps anyway, and rebuild the output in
-  their adjoints with the forward's own two operations.
+  keeps.  A taped output that can be rebuilt carries a recipe, a closure
+  that remakes it with the forward's own operations, and `matmul`,
+  `affine`, `gated_residual` and the two scans keep that recipe instead
+  of the array.  A layer-norm output is rebuilt from (xhat, gain, bias),
+  which its node keeps anyway, at the cost of two elementwise operations.
+  A scan's states, with its forcing (and LrcSSM's gate and tanh), are
+  rebuilt from u's recipe at the cost of the forcing products and one
+  forward scan, once per backward: the first adjoint that reads them
+  makes them, and the scan's own adjoint takes them over and drops them.
+  A rebuild uses array operations only, so it records nothing on the
+  tape that is active while `backward` runs (selective recomputation,
+  Chen et al., arXiv:1604.06174).
 - A cotangent may be a read-only view (`sum_` returns its incoming
-  cotangent broadcast, not copied), and no vjp writes into its incoming
-  `g`.  `backward` copies a read-only leaf gradient, so every gradient it
-  returns can be scaled in place.
+  cotangent broadcast, not copied), may be shared between parents (`add`
+  hands its cotangent to both), and no vjp writes into its incoming `g`.
+  `backward` copies a leaf gradient that is read-only or whose memory it
+  already handed out, so every gradient it returns can be scaled in place.
 
 `backward` releases the tape as it goes: once a node's vjp has run (or
 no cotangent reached it) the node drops its parents and vjp, so the
@@ -73,9 +83,9 @@ class Tensor:
         self.requires_grad = requires_grad
         self._tape: "Tape | None" = None
         self._node_id: int | None = None
-        # (xhat, gain, bias) of a taped layer-norm output: what a vjp keeps to
-        # rebuild this array instead of keeping it
-        self._recipe: tuple | None = None
+        # a taped output's rebuild: a closure that remakes this array, bit for
+        # bit, from arrays the tape keeps anyway; a vjp keeps it instead
+        self._recipe: Callable[[], np.ndarray] | None = None
 
     # -- introspection ------------------------------------------------------
     @property
@@ -274,12 +284,6 @@ def sqrt(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * (0.5 / out),))
 
 
-def tanh(x) -> Tensor:
-    x = _lift(x)
-    out = np.tanh(x.data)
-    return _record(out, (x,), lambda g: (g * (1.0 - out * out),))
-
-
 def _sigmoid(d: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Logistic sigmoid of an array; `overwrite` lets it use d's buffer as scratch.
 
@@ -369,7 +373,7 @@ def _keep(x: Tensor):
 
 def _kept(k) -> np.ndarray:
     """The array `_keep` stood for, rebuilt bit for bit from a recipe."""
-    return k if type(k) is np.ndarray else _scale_shift(*k)
+    return k if type(k) is np.ndarray else k()
 
 
 def matmul(x, w) -> Tensor:
@@ -403,9 +407,8 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     One node that saves only the normalised input and 1/std.  With
     xhat the normalised input and gy = g * gain, the input adjoint is
     (gy - mean(gy) - xhat * mean(gy * xhat)) / std.  A taped output
-    carries the recipe (xhat, gain, bias), so `matmul`, `affine` and
-    `gated_residual` keep that instead of the output and rebuild it in
-    their adjoints with the forward's own operations.
+    carries a recipe that rebuilds it from (xhat, gain, bias) with the
+    forward's own two operations, so its readers keep that instead.
     """
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
     inv_n = 1.0 / x.shape[-1]
@@ -425,7 +428,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
 
     out = _record(_scale_shift(xhat, gd, bd), (x, gain, bias), vjp)
     if out._tape is not None:
-        out._recipe = (xhat, gd, bd)
+        out._recipe = lambda: _scale_shift(xhat, gd, bd)
     return out
 
 
@@ -434,11 +437,12 @@ def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
 
     A block's tail: the readout of the scan states x [..., n] through
     c [n, H], the feedthrough d * u, the GLU and the residual add.  The
-    node keeps only x, u (or u's layer-norm recipe) and the weights, which
-    the scan's and the factor's nodes keep anyway; its adjoint recomputes
-    r, the GLU value and the gate (one readout and two GLU products, one
-    sigmoid) instead of taping three [..., H] arrays (selective recomputation, Chen et
-    al., arXiv:1604.06174).  Forward and adjoint run the elementwise ops
+    node keeps only the weights and x and u, or their recipes: a block's
+    states come from a scan node and u from a layer norm, so the tape keeps
+    neither array.  Its adjoint rebuilds them, then recomputes r, the GLU
+    value and the gate (one readout and two GLU products, one sigmoid)
+    instead of taping three [..., H] arrays (selective recomputation, Chen
+    et al., arXiv:1604.06174).  Forward and adjoint run the elementwise ops
     and products of the same tail composed from `matmul`, `mul`, `add`,
     `affine` and `sigmoid`, in that composition's order, so every bit
     agrees with it; the forward works in place where that changes no
@@ -456,12 +460,14 @@ def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
         )
     if not all(_broadcasts_into(t.shape, shape) for t in (d, bv, bg)):
         raise ShapeError(f"gated_residual: {d.shape}, {bv.shape}, {bg.shape} do not broadcast into {shape}")
-    xd, cd, dd, uk = x.data, c.data, d.data, _keep(u)
+    cd, dd, uk = c.data, d.data, _keep(u)
     wvd, bvd, wgd, bgd = wv.data, bv.data, wg.data, bg.data
-    r = _dot(xd, cd)
+    r = _dot(x.data, cd)
     r += dd * u.data
-    if not _ACTIVE:  # nothing reads the states again: let them go before the GLU
-        x = xd = None
+    if _ACTIVE:
+        xk = _keep(x)
+    else:  # nothing reads the states again: let them go before the GLU
+        x = xk = None
     out = _affine_data(r, wvd, bvd)
     pre = _affine_data(r, wgd, bgd)
     del r
@@ -472,7 +478,7 @@ def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
     out += h.data
 
     def vjp(g):
-        ud = _kept(uk)
+        xd, ud = _kept(xk), _kept(uk)
         r = _dot(xd, cd)
         r += dd * ud
         gate = _sigmoid(_affine_data(r, wgd, bgd), overwrite=True)
@@ -547,23 +553,122 @@ def reshape(x, shape) -> Tensor:
 # --- fused / structured primitives ---------------------------------------------
 
 
-def scan_linear(a, b, kind: str = "diag") -> Tensor:
-    """States of x_t = a_t * x_{t-1} + b_t (x_0 = 0) via the scan kernel.
+def _scan_node(u: Tensor, parents: tuple, build, adjoint) -> Tensor:
+    """The states of the scan whose element `build` makes from u's array, as one
+    node that keeps no array of the scan's own.
 
-    `a` is shared (its channel tail alone, applied at every step) or
-    per-step (b's shape, plus the 2x2 for "mat2"); see `scan`.  The kernel
-    returns each adjoint in its input's shape.
+    `build(ud)` returns the scan element made from u's array and what
+    `adjoint` reads besides it.  `adjoint(uk, held)` maps the scan's
+    adjoints to the parents'; `held` is the list [a, extra, da, db], which
+    the adjoint may empty to free each array once it is read.  The output
+    has a pair axis flattened into the channels, [..., n] with n = P or 2P.
+    A taped output's recipe rebuilds the states from u's recipe at most
+    once per backward: the first adjoint that reads them makes them, and
+    this node's vjp takes them over.
     """
-    a, b = _lift(a), _lift(b)
-    a_data, b_shape = a.data, b.data.shape
-    states = _scan.scan_linear(_scan.ScanElement(a_data, b.data, kind))
+    uk, ndim = _keep(u), u.ndim
+    elem = build(u.data)[0]  # the forward drops what only the adjoint reads
+    states = _scan.scan_linear(elem)
+    del elem
+    rebuilt = []  # (element, extra, states) of one rebuild, until the vjp takes them
+
+    def flat(x):
+        return x if x.ndim == ndim else x.reshape(x.shape[:-2] + (-1,))
+
+    def rebuild():
+        if not rebuilt:
+            elem, extra = build(_kept(uk))
+            x = _scan.scan_linear(elem)
+            # the adjoint reads only b's shape, so a zero-stride stand-in replaces b
+            zeros = np.broadcast_to(0.0, elem.b.shape)
+            rebuilt.append((_scan.ScanElement(elem.a, zeros, elem.kind), extra, x))
+        return flat(rebuilt[0][2])
 
     def vjp(g):
-        # the adjoint reads only b's shape, so a zero-stride stand-in replaces b
-        elem = _scan.ScanElement(a_data, np.broadcast_to(0.0, b_shape), kind)
-        return _scan.scan_backward(elem, states, g)
+        rebuild()
+        elem, extra, x = rebuilt.pop()
+        da, db = _scan.scan_backward(elem, x, g.reshape(x.shape))
+        held = [elem.a, extra, da, db]  # the adjoint takes these over, to free each once read
+        del elem, extra, x, g, da, db
+        return adjoint(uk, held)
 
-    return _record(states, (a, b), vjp)
+    out = _record(flat(states), parents, vjp)
+    if out._tape is not None:
+        out._recipe = rebuild
+    return out
+
+
+def project_scan(u, w, a, kind: str) -> Tensor:
+    """States of x_t = a * x_{t-1} + u_t @ w (x_0 = 0) under a shared factor a, as one node.
+
+    w [H, P, 2] maps u [..., H] to the forcing [..., P, 2] as one product
+    over interleaved columns, [..., H] @ [H, 2P]; `kind` is "cdiag" or
+    "mat2" and a its shared factor (see `scan`).  The states [..., P, 2]
+    come out as [..., 2P].
+    """
+    u, w, a = _lift(u), _lift(w), _lift(a)
+    if w.ndim != 3 or w.shape[-1] != 2 or u.shape[-1] != w.shape[0]:
+        raise ShapeError(f"project_scan needs u [..., H] and w [H, P, 2], got {u.shape} and {w.shape}")
+    ws, a_data = w.shape, a.data
+    wd = w.data.reshape(ws[0], -1)
+
+    def build(ud):
+        b = _dot(ud, wd)
+        return _scan.ScanElement(a_data, b.reshape(b.shape[:-1] + ws[1:]), kind), None
+
+    def adjoint(uk, held):
+        _, _, da, db = held
+        gu, gw = _matmul_vjp(_kept(uk), wd, db.reshape(db.shape[:-2] + wd.shape[1:]))
+        return gu, gw.reshape(ws), da
+
+    return _scan_node(u, (u, w, a), build, adjoint)
+
+
+def gate_scan(u, wa, ba, wb, bb) -> Tensor:
+    """States of x_t = a_t * x_{t-1} + (1 - a_t) * tanh(u_t @ wb + bb) (x_0 = 0)
+    with the gate a_t = sigmoid(u_t @ wa + ba), as one node.
+
+    Forward and adjoint run the elementwise ops and products of the same
+    recurrence composed from `affine`, `sigmoid`, `sub`, `mul`, a tanh node
+    and a per-step "diag" scan node, in that composition's order, so every
+    bit agrees with it.  u is listed twice among the parents, the drive's
+    use first, so its cotangents add up in the composition's order.
+    """
+    u, wa, ba, wb, bb = map(_lift, (u, wa, ba, wb, bb))
+    _check_matmul(u, wa, "gate_scan")
+    _check_matmul(u, wb, "gate_scan")
+    wad, bad, wbd, bbd = wa.data, ba.data, wb.data, bb.data
+
+    def build(ud):
+        gate = _sigmoid(_affine_data(ud, wad, bad), overwrite=True)
+        tnh = np.tanh(_affine_data(ud, wbd, bbd))
+        drive = 1.0 - gate
+        drive *= tnh
+        return _scan.ScanElement(gate, drive, "diag"), tnh
+
+    def adjoint(uk, held):
+        gate, tnh, da, db = held
+        held.clear()
+        ud = _kept(uk)
+        one_minus = 1.0 - gate
+        g_one_minus = db * tnh  # db is the drive's cotangent
+        db *= one_minus  # now tanh's
+        np.multiply(tnh, tnh, out=tnh)
+        np.subtract(1.0, tnh, out=tnh)
+        db *= tnh
+        del tnh
+        gu_b, gwb = _matmul_vjp(ud, wbd, db)
+        gbb = _unbroadcast(db, bbd.shape)
+        del db
+        da -= g_one_minus  # the gate's cotangent, through the scan and through 1 - gate
+        del g_one_minus
+        da *= gate
+        da *= one_minus
+        del gate, one_minus
+        gu_a, gwa = _matmul_vjp(ud, wad, da)
+        return gu_b, gwb, gbb, gu_a, gwa, _unbroadcast(da, bad.shape)
+
+    return _scan_node(u, (u, wb, bb, u, wa, ba), build, adjoint)
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
@@ -626,10 +731,10 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
         node = tape.nodes[i]
         parents, vjp = node.parents, node.vjp
         node.parents = node.vjp = None
-        g = need.pop(i, None)
-        if g is None:
+        if i not in need:
             continue
-        for p, pg in zip(parents, vjp(g)):
+        # the vjp owns its cotangent, so it can free it once read
+        for p, pg in zip(parents, vjp(need.pop(i))):
             if pg is None or p is None:
                 continue
             if isinstance(p, int):
@@ -639,8 +744,15 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
                 acc = leaf_grads.get(p)
                 leaf_grads[p] = pg if acc is None else acc + pg
 
-    # a cotangent may be a read-only view; a gradient is the caller's to scale in place
-    result = {p: Tensor(g if g.flags.writeable else g.copy()) for p, g in leaf_grads.items()}
+    # a cotangent may be a read-only view, or one array handed to two parents;
+    # a gradient is the caller's to scale in place
+    result, handed = {}, set()
+    for p, g in leaf_grads.items():
+        owner = id(g if g.base is None else g.base)
+        if not g.flags.writeable or owner in handed:
+            g = g.copy()
+        handed.add(owner)
+        result[p] = Tensor(g)
     for p in params:
         if p not in result:
             result[p] = Tensor(np.zeros_like(p.data))

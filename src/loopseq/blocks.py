@@ -9,14 +9,16 @@ Hidden states are time-major: the encoder turns a [..., T, w] batch into
     h_out = h_in + glu(scan(a, b, kind) @ c + d * u)
 
 The four archs differ only in their factor (the scan kind, the transition
-factor a and the forcing b) and in their readout weights c.
-`block_forward` runs the scan once for all of them, then the tail as one
-tape node, `autodiff.gated_residual`: the readout, the feedthrough d * u,
-the GLU mixer (linear value gated by a sigmoid-linear gate) and the
-residual add.  That node keeps no array of its own for the backward; it
-recomputes the readout, the value and the gate from the states and u,
-which the scan's and the factor's nodes keep anyway.  No dropout
-anywhere.  The factors:
+factor a and the forcing b) and in their readout weights c.  Each block
+application records its forcing and scan as one tape node,
+`autodiff.project_scan` (the forcing u @ w under a shared factor: LRU, S5,
+LinOSS) or `autodiff.gate_scan` (LrcSSM), then the tail as one more,
+`autodiff.gated_residual`: the readout, the feedthrough d * u, the GLU
+mixer (linear value gated by a sigmoid-linear gate) and the residual add.
+Neither node keeps a time-sized array for the backward: the tail's
+adjoint rebuilds the states from u's layer-norm recipe, once per backward
+(the scan's adjoint takes them over), and recomputes the readout, the
+value and the gate.  No dropout anywhere.  The factors:
 
     lru     complex diagonal x_t = lambda * x_{t-1} + gamma * (B u_t),
             |lambda| = exp(-exp(nu_log)) initialized in the ring
@@ -236,21 +238,14 @@ def init_head(hidden: int, n_classes: int, rng: np.random.Generator) -> HeadPara
 # Re(C x) = x_re @ c_re - x_im @ c_im as [..., 2P] @ [2P, H].
 
 
-def _project_in(u: Tensor, w_pairs: Tensor) -> Tensor:
-    """u [..., H] @ w_pairs [H, P, 2] -> forcing [..., P, 2]."""
-    hidden, state, _ = w_pairs.shape
-    flat = u @ ad.reshape(w_pairs, (hidden, 2 * state))
-    return ad.reshape(flat, flat.shape[:-1] + (state, 2))
-
-
-def _lru_factor(p: LRUParams, u: Tensor):
+def _lru_states(p: LRUParams, u: Tensor):
     mag = ad.exp(-ad.exp(p.nu_log))
     lam = ad.stack([mag * ad.cos(p.theta), mag * ad.sin(p.theta)], axis=-1)
     gamma = ad.sqrt(1.0 - mag * mag)
-    return "cdiag", lam, _project_in(u, ad.stack([gamma * p.b_re, gamma * p.b_im], axis=-1))
+    return ad.project_scan(u, ad.stack([gamma * p.b_re, gamma * p.b_im], axis=-1), lam, "cdiag")
 
 
-def _s5_factor(p: S5Params, u: Tensor):
+def _s5_states(p: S5Params, u: Tensor):
     lam_re = -ad.exp(p.re_log)
     dt = ad.exp(p.log_dt)
     zi = dt * p.im
@@ -262,43 +257,34 @@ def _s5_factor(p: S5Params, u: Tensor):
     bc_re = (num_re * lam_re + abar_im * p.im) / d
     bc_im = (abar_im * lam_re - num_re * p.im) / d
     w = ad.stack([bc_re * p.b_re - bc_im * p.b_im, bc_re * p.b_im + bc_im * p.b_re], axis=-1)
-    return "cdiag", ad.stack([abar_re, abar_im], axis=-1), _project_in(u, w)
+    return ad.project_scan(u, w, ad.stack([abar_re, abar_im], axis=-1), "cdiag")
 
 
-def _linoss_factor(p: LinOSSParams, u: Tensor):
+def _linoss_states(p: LinOSSParams, u: Tensor):
     freq = ad.relu(p.a_hat)
     dt = ad.sigmoid(p.dt_hat)
     s = 1.0 / (1.0 + dt * dt * freq)
     row_z = ad.stack([s, -(dt * freq * s)], axis=-1)
     row_y = ad.stack([dt * s, 1.0 - dt * dt * freq * s], axis=-1)
     m = ad.stack([row_z, row_y], axis=-2)
-    return "mat2", m, _project_in(u, ad.stack([dt * s * p.b_w, dt * dt * s * p.b_w], axis=-1))
+    return ad.project_scan(u, ad.stack([dt * s * p.b_w, dt * dt * s * p.b_w], axis=-1), m, "mat2")
 
 
-def _lrcssm_factor(p: LrcSSMParams, u: Tensor):
-    gate = ad.sigmoid(ad.affine(u, p.gate_w, p.gate_b))
-    drive = (1.0 - gate) * ad.tanh(ad.affine(u, p.drive_w, p.drive_b))
-    return "diag", gate, drive
+def _lrcssm_states(p: LrcSSMParams, u: Tensor):
+    return ad.gate_scan(u, p.gate_w, p.gate_b, p.drive_w, p.drive_b)
 
 
-_FACTORS = {
-    LRUParams: _lru_factor,
-    S5Params: _s5_factor,
-    LinOSSParams: _linoss_factor,
-    LrcSSMParams: _lrcssm_factor,
+_STATES = {
+    LRUParams: _lru_states,
+    S5Params: _s5_states,
+    LinOSSParams: _linoss_states,
+    LrcSSMParams: _lrcssm_states,
 }
-ARCHS = tuple(cls.arch for cls in _FACTORS)
-
-
-def _states(p: BlockParams, u: Tensor) -> Tensor:
-    """Scan states of the arch's factor as [T, ..., n]: n = P, or 2P with a pair axis flattened."""
-    kind, a, b = _FACTORS[type(p)](p, u)
-    x = ad.scan_linear(a, b, kind)  # the forcing is freed on return, unless the tape keeps it
-    return x if kind == "diag" else ad.reshape(x, x.shape[:-2] + (2 * x.shape[-2],))
+ARCHS = tuple(cls.arch for cls in _STATES)
 
 
 def _readout(p: BlockParams) -> Tensor:
-    """Readout weights [n, H] matching `_states`: Re(C x) = x_re @ c_re - x_im @ c_im
+    """Readout weights [n, H] matching the states: Re(C x) = x_re @ c_re - x_im @ c_im
     over (re, im) pairs, and only the y of each (z, y) oscillator state."""
     if isinstance(p, LrcSSMParams):
         return p.c_w
@@ -316,7 +302,7 @@ def block_forward(p: BlockParams, h: Tensor) -> Tensor:
     # no name here holds the states: CPython 3.11+ moves a call's arguments into
     # the callee, so without a tape the tail frees the states before its GLU
     return ad.gated_residual(
-        h, _states(p, u), _readout(p), p.feedthrough, u,
+        h, _STATES[type(p)](p, u), _readout(p), p.feedthrough, u,
         p.glu_value_w, p.glu_value_b, p.glu_gate_w, p.glu_gate_b
     )
 

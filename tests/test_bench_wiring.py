@@ -49,10 +49,11 @@ def test_traced_tiny_train_counts():
         metrics = patches.metrics(perf_counter() - t0)
     finally:
         patches.restore()
-    # 8 examples split 6/1/1: per run one full-loss pass, two steps and two accuracy passes,
-    # and every depth-6 forward or backward runs one scan per block
+    # 8 examples split 6/1/1: per run one full-loss pass, two steps and two accuracy passes;
+    # every depth-6 forward runs one scan per block, and every backward two: the rebuild
+    # of each block's states and the reverse scan
     assert metrics["train.steps"] == 4
     assert metrics["stack.loss_calls"] == 6
     assert metrics["stack.predict_calls"] == 4
     assert metrics["reshape.calls"] == 6  # c = 2: each run reshapes its three splits
-    assert metrics["scan.calls.cdiag"] == metrics["scan.calls.mat2"] == 42
+    assert metrics["scan.calls.cdiag"] == metrics["scan.calls.mat2"] == 54

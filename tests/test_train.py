@@ -117,6 +117,21 @@ def test_clip_global_norm_scales_a_sum_gradient_in_place():
     np.testing.assert_array_equal(grads[p].data, np.full((4, 3), 1.0 / np.sqrt(12.0)))
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["same-array", "reshaped-view"])
+def test_clip_global_norm_scales_leaves_that_shared_a_cotangent_once(view):
+    """`add` hands one cotangent to both parents (a reshape's adjoint, a view of it),
+    so `backward` must copy the second before `clip_global_norm` scales both in place."""
+    p, q = ad.param(np.zeros((3, 1) if view else 3)), ad.param(np.zeros(3))
+    with ad.Tape():
+        x = ad.reshape(p, (3,)) if view else p
+        grads = ad.backward(((x + q) * 2.0).sum(), [p, q])
+    assert not np.shares_memory(grads[p].data, grads[q].data)
+    assert clip_global_norm(grads, 1.0) == np.sqrt(24.0)
+    scaled = 2.0 * (1.0 / np.sqrt(24.0))  # 0.408; scaling one array twice gave 0.0833
+    np.testing.assert_array_equal(grads[p].data.reshape(3), np.full(3, scaled))
+    np.testing.assert_array_equal(grads[q].data, np.full(3, scaled))
+
+
 # --- single runs ---------------------------------------------------------------------
 
 
