@@ -10,40 +10,27 @@ trailing axis of length 2, so complex arithmetic decomposes into real
 primitives and every adjoint is derived exactly once, for the real case.
 
 A few fused primitives carry hand-derived adjoints so a block records a
-handful of nodes instead of dozens: `project_scan` and `gate_scan` (a
-block's forcing and its scan, whose reverse recurrence is the forward
-kernel run backwards in time, see scan.scan_backward), `affine`
-(x @ w + b), `layer_norm` (which saves only the normalised input and
-1/std), `reshape`, and `gated_residual`, a block's whole tail, which
-saves no array of its own and recomputes its intermediates in the adjoint.
-Every adjoint here is checked against central finite differences in the
-test suite.
+handful of nodes instead of dozens: `affine` (x @ w + b), `reshape`, and
+`ssm_block`, one whole block application (layer norm, forcing, scan,
+readout, GLU and residual add; the scan's reverse recurrence is the
+forward kernel run backwards in time, see scan.scan_backward).  Every
+adjoint here is checked against central finite differences in the test
+suite.
 
 The tape keeps only the arrays some adjoint reads.  A node holds no
 output and refers to a parent recorded on the same tape by its index,
 and each vjp closure binds the shapes, operands or outputs it reads,
 never a whole Tensor.  An intermediate no adjoint reads (an `add` fed
 only to a `sum_`, say) is freed during the forward, as soon as the code
-that built it drops it.  Two more rules hold the tape down:
-
-- The tape keeps no array it can rebuild bit for bit from one it already
-  keeps.  A taped output that can be rebuilt carries a recipe, a closure
-  that remakes it with the forward's own operations, and `matmul`,
-  `affine`, `gated_residual` and the two scans keep that recipe instead
-  of the array.  A layer-norm output is rebuilt from (xhat, gain, bias),
-  which its node keeps anyway, at the cost of two elementwise operations.
-  A scan's states, with its forcing (and LrcSSM's gate and tanh), are
-  rebuilt from u's recipe at the cost of the forcing products and one
-  forward scan, once per backward: the first adjoint that reads them
-  makes them, and the scan's own adjoint takes them over and drops them.
-  A rebuild uses array operations only, so it records nothing on the
-  tape that is active while `backward` runs (selective recomputation,
-  Chen et al., arXiv:1604.06174).
-- A cotangent may be a read-only view (`sum_` returns its incoming
-  cotangent broadcast, not copied), may be shared between parents (`add`
-  hands its cotangent to both), and no vjp writes into its incoming `g`.
-  `backward` copies a leaf gradient that is read-only or whose memory it
-  already handed out, so every gradient it returns can be scaled in place.
+that built it drops it.  `ssm_block` keeps no time-sized array it can
+rebuild bit for bit: its adjoint remakes them from the normalised input,
+with array operations only, so a rebuild records nothing on the tape
+that is active while `backward` runs.  Across nodes one more rule holds:
+a cotangent may be a read-only view (`sum_` returns its incoming
+cotangent broadcast, not copied), may be shared between parents (`add`
+hands its cotangent to both), and no vjp writes into its incoming `g`.
+`backward` copies a leaf gradient that is read-only or whose memory it
+already handed out, so every gradient it returns can be scaled in place.
 
 `backward` releases the tape as it goes: once a node's vjp has run (or
 no cotangent reached it) the node drops its parents and vjp, so the
@@ -67,7 +54,7 @@ _FLOAT64 = np.dtype(np.float64)
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode."""
 
-    __slots__ = ("data", "requires_grad", "_tape", "_node_id", "_recipe")
+    __slots__ = ("data", "requires_grad", "_tape", "_node_id")
 
     def __init__(self, data, requires_grad: bool = False):
         # a float64 ndarray, which every primitive makes, is stored as it is
@@ -83,9 +70,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._tape: "Tape | None" = None
         self._node_id: int | None = None
-        # a taped output's rebuild: a closure that remakes this array, bit for
-        # bit, from arrays the tape keeps anyway; a vjp keeps it instead
-        self._recipe: Callable[[], np.ndarray] | None = None
 
     # -- introspection ------------------------------------------------------
     @property
@@ -135,9 +119,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
@@ -359,150 +340,21 @@ def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """xhat * gain + bias: a layer norm's output, as its forward makes it."""
-    out = xhat * gain
-    out += bias
-    return out
-
-
-def _keep(x: Tensor):
-    """What a vjp binds to read x's array later: its rebuild recipe, or the array."""
-    return x.data if x._recipe is None else x._recipe
-
-
-def _kept(k) -> np.ndarray:
-    """The array `_keep` stood for, rebuilt bit for bit from a recipe."""
-    return k if type(k) is np.ndarray else k()
-
-
-def matmul(x, w) -> Tensor:
-    """x @ w with w strictly 2-D; leading axes of x are batch axes."""
-    x, w = _lift(x), _lift(w)
-    _check_matmul(x, w, "matmul")
-    xk, wd = _keep(x), w.data
-    return _record(_dot(x.data, wd), (x, w), lambda g: _matmul_vjp(_kept(xk), wd, g))
-
-
 def affine(x, w, b) -> Tensor:
     """x @ w + b as one node; `b` broadcasts into the product's shape."""
     x, w, b = _lift(x), _lift(w), _lift(b)
     _check_matmul(x, w, "affine")
-    xk, wd, bs = _keep(x), w.data, b.data.shape
+    xd, wd, bs = x.data, w.data, b.data.shape
     shape = x.shape[:-1] + wd.shape[1:]
     if not _broadcasts_into(bs, shape):
         raise ShapeError(f"affine bias {bs} does not broadcast into {shape}")
-    out = _affine_data(x.data, wd, b.data)
+    out = _affine_data(xd, wd, b.data)
 
     def vjp(g):
-        gx, gw = _matmul_vjp(_kept(xk), wd, g)
+        gx, gw = _matmul_vjp(xd, wd, g)
         return gx, gw, _unbroadcast(g, bs)
 
     return _record(out, (x, w, b), vjp)
-
-
-def layer_norm(x, gain, bias, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis.
-
-    One node that saves only the normalised input and 1/std.  With
-    xhat the normalised input and gy = g * gain, the input adjoint is
-    (gy - mean(gy) - xhat * mean(gy * xhat)) / std.  A taped output
-    carries a recipe that rebuilds it from (xhat, gain, bias) with the
-    forward's own two operations, so its readers keep that instead.
-    """
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    inv_n = 1.0 / x.shape[-1]
-    # np.add.reduce is ndarray.sum's own reduction, without its Python wrapper
-    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + eps)
-    xhat = np.divide(centered, std, out=centered)
-    rstd = 1.0 / std
-    gd, bd = gain.data, bias.data
-
-    def vjp(g):
-        gy = g * gd
-        gx = gy - np.add.reduce(gy, axis=-1, keepdims=True) * inv_n
-        gx -= xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) * inv_n)
-        gx *= rstd
-        return gx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, bd.shape)
-
-    out = _record(_scale_shift(xhat, gd, bd), (x, gain, bias), vjp)
-    if out._tape is not None:
-        out._recipe = lambda: _scale_shift(xhat, gd, bd)
-    return out
-
-
-def gated_residual(h, x, c, d, u, wv, bv, wg, bg) -> Tensor:
-    """h + (r @ wv + bv) * sigmoid(r @ wg + bg) with r = x @ c + d * u, as one node.
-
-    A block's tail: the readout of the scan states x [..., n] through
-    c [n, H], the feedthrough d * u, the GLU and the residual add.  The
-    node keeps only the weights and x and u, or their recipes: a block's
-    states come from a scan node and u from a layer norm, so the tape keeps
-    neither array.  Its adjoint rebuilds them, then recomputes r, the GLU
-    value and the gate (one readout and two GLU products, one sigmoid)
-    instead of taping three [..., H] arrays (selective recomputation, Chen
-    et al., arXiv:1604.06174).  Forward and adjoint run the elementwise ops
-    and products of the same tail composed from `matmul`, `mul`, `add`,
-    `affine` and `sigmoid`, in that composition's order, so every bit
-    agrees with it; the forward works in place where that changes no
-    bit.  Without a tape the states are freed once r is made, if the
-    caller holds no other reference to them.
-    """
-    h, x, c, d, u, wv, bv, wg, bg = map(_lift, (h, x, c, d, u, wv, bv, wg, bg))
-    _check_matmul(x, c, "gated_residual")
-    shape = x.shape[:-1] + c.shape[1:]
-    square = (shape[-1], shape[-1])
-    if h.shape != shape or u.shape != shape or wv.shape != square or wg.shape != square:
-        raise ShapeError(
-            f"gated_residual needs h and u of shape {shape} and GLU weights {square}, got "
-            f"{h.shape}, {u.shape}, {wv.shape} and {wg.shape}"
-        )
-    if not all(_broadcasts_into(t.shape, shape) for t in (d, bv, bg)):
-        raise ShapeError(f"gated_residual: {d.shape}, {bv.shape}, {bg.shape} do not broadcast into {shape}")
-    cd, dd, uk = c.data, d.data, _keep(u)
-    wvd, bvd, wgd, bgd = wv.data, bv.data, wg.data, bg.data
-    r = _dot(x.data, cd)
-    r += dd * u.data
-    if _ACTIVE:
-        xk = _keep(x)
-    else:  # nothing reads the states again: let them go before the GLU
-        x = xk = None
-    out = _affine_data(r, wvd, bvd)
-    pre = _affine_data(r, wgd, bgd)
-    del r
-    gate = _sigmoid(pre, overwrite=True)
-    del pre
-    out *= gate
-    del gate
-    out += h.data
-
-    def vjp(g):
-        xd, ud = _kept(xk), _kept(uk)
-        r = _dot(xd, cd)
-        r += dd * ud
-        gate = _sigmoid(_affine_data(r, wgd, bgd), overwrite=True)
-        g_pre = _affine_data(r, wvd, bvd)  # the GLU value, overwritten by g * value
-        np.multiply(g, g_pre, out=g_pre)
-        g_value = g * gate
-        g_pre *= gate
-        np.subtract(1.0, gate, out=gate)
-        g_pre *= gate
-        del gate
-        g_r, g_wg = _matmul_vjp(r, wgd, g_pre)
-        g_bg = _unbroadcast(g_pre, bgd.shape)
-        del g_pre
-        g_rv, g_wv = _matmul_vjp(r, wvd, g_value)
-        g_bv = _unbroadcast(g_value, bvd.shape)
-        del r, g_value
-        g_r += g_rv
-        del g_rv
-        g_d = _unbroadcast(g_r * ud, dd.shape)
-        g_u = g_r * dd
-        g_x, g_c = _matmul_vjp(xd, cd, g_r)
-        return g, g_x, g_c, g_d, g_u, g_wv, g_bv, g_wg, g_bg
-
-    return _record(out, (h, x, c, d, u, wv, bv, wg, bg), vjp)
 
 
 # --- reductions and structure --------------------------------------------------
@@ -550,65 +402,14 @@ def reshape(x, shape) -> Tensor:
     return _record(x.data.reshape(shape), (x,), lambda g: (g.reshape(xs),))
 
 
-# --- fused / structured primitives ---------------------------------------------
+# --- the block application -------------------------------------------------------
 
 
-def _scan_node(u: Tensor, parents: tuple, build, adjoint) -> Tensor:
-    """The states of the scan whose element `build` makes from u's array, as one
-    node that keeps no array of the scan's own.
-
-    `build(ud)` returns the scan element made from u's array and what
-    `adjoint` reads besides it.  `adjoint(uk, held)` maps the scan's
-    adjoints to the parents'; `held` is the list [a, extra, da, db], which
-    the adjoint may empty to free each array once it is read.  The output
-    has a pair axis flattened into the channels, [..., n] with n = P or 2P.
-    A taped output's recipe rebuilds the states from u's recipe at most
-    once per backward: the first adjoint that reads them makes them, and
-    this node's vjp takes them over.
-    """
-    uk, ndim = _keep(u), u.ndim
-    elem = build(u.data)[0]  # the forward drops what only the adjoint reads
-    states = _scan.scan_linear(elem)
-    del elem
-    rebuilt = []  # (element, extra, states) of one rebuild, until the vjp takes them
-
-    def flat(x):
-        return x if x.ndim == ndim else x.reshape(x.shape[:-2] + (-1,))
-
-    def rebuild():
-        if not rebuilt:
-            elem, extra = build(_kept(uk))
-            x = _scan.scan_linear(elem)
-            # the adjoint reads only b's shape, so a zero-stride stand-in replaces b
-            zeros = np.broadcast_to(0.0, elem.b.shape)
-            rebuilt.append((_scan.ScanElement(elem.a, zeros, elem.kind), extra, x))
-        return flat(rebuilt[0][2])
-
-    def vjp(g):
-        rebuild()
-        elem, extra, x = rebuilt.pop()
-        da, db = _scan.scan_backward(elem, x, g.reshape(x.shape))
-        held = [elem.a, extra, da, db]  # the adjoint takes these over, to free each once read
-        del elem, extra, x, g, da, db
-        return adjoint(uk, held)
-
-    out = _record(flat(states), parents, vjp)
-    if out._tape is not None:
-        out._recipe = rebuild
-    return out
-
-
-def project_scan(u, w, a, kind: str) -> Tensor:
-    """States of x_t = a * x_{t-1} + u_t @ w (x_0 = 0) under a shared factor a, as one node.
-
-    w [H, P, 2] maps u [..., H] to the forcing [..., P, 2] as one product
-    over interleaved columns, [..., H] @ [H, 2P]; `kind` is "cdiag" or
-    "mat2" and a its shared factor (see `scan`).  The states [..., P, 2]
-    come out as [..., 2P].
-    """
-    u, w, a = _lift(u), _lift(w), _lift(a)
-    if w.ndim != 3 or w.shape[-1] != 2 or u.shape[-1] != w.shape[0]:
-        raise ShapeError(f"project_scan needs u [..., H] and w [H, P, 2], got {u.shape} and {w.shape}")
+def _project_scan(kind: str, hidden: int, w: Tensor, a: Tensor):
+    """The forcing u @ w [H, P, 2] scanned under the shared factor a, as `ssm_block`'s
+    (n, build, adjoint): one product over interleaved columns, [..., H] @ [H, 2P]."""
+    if w.ndim != 3 or w.shape[0] != hidden or w.shape[-1] != 2:
+        raise ShapeError(f"ssm_block needs a forcing weight [{hidden}, P, 2], got {w.shape}")
     ws, a_data = w.shape, a.data
     wd = w.data.reshape(ws[0], -1)
 
@@ -616,27 +417,27 @@ def project_scan(u, w, a, kind: str) -> Tensor:
         b = _dot(ud, wd)
         return _scan.ScanElement(a_data, b.reshape(b.shape[:-1] + ws[1:]), kind), None
 
-    def adjoint(uk, held):
+    def adjoint(ud, held):
         _, _, da, db = held
-        gu, gw = _matmul_vjp(_kept(uk), wd, db.reshape(db.shape[:-2] + wd.shape[1:]))
-        return gu, gw.reshape(ws), da
+        gu, gw = _matmul_vjp(ud, wd, db.reshape(db.shape[:-2] + wd.shape[1:]))
+        return (gu,), (gw.reshape(ws), da)
 
-    return _scan_node(u, (u, w, a), build, adjoint)
+    return 2 * ws[1], build, adjoint
 
 
-def gate_scan(u, wa, ba, wb, bb) -> Tensor:
-    """States of x_t = a_t * x_{t-1} + (1 - a_t) * tanh(u_t @ wb + bb) (x_0 = 0)
-    with the gate a_t = sigmoid(u_t @ wa + ba), as one node.
+def _gate_scan(kind: str, hidden: int, wb: Tensor, bb: Tensor, wa: Tensor, ba: Tensor):
+    """LrcSSM's x_t = a_t * x_{t-1} + (1 - a_t) * tanh(u_t @ wb + bb) with the gate
+    a_t = sigmoid(u_t @ wa + ba), a per-step "diag" scan, as `ssm_block`'s
+    (n, build, adjoint).
 
     Forward and adjoint run the elementwise ops and products of the same
     recurrence composed from `affine`, `sigmoid`, `sub`, `mul`, a tanh node
-    and a per-step "diag" scan node, in that composition's order, so every
-    bit agrees with it.  u is listed twice among the parents, the drive's
-    use first, so its cotangents add up in the composition's order.
+    and a per-step scan node, in that composition's order, so every bit
+    agrees with it.  u's cotangent comes back in two pieces, the drive's
+    first, which add up in the composition's order.
     """
-    u, wa, ba, wb, bb = map(_lift, (u, wa, ba, wb, bb))
-    _check_matmul(u, wa, "gate_scan")
-    _check_matmul(u, wb, "gate_scan")
+    if wa.ndim != 2 or wa.shape[0] != hidden or wb.shape != wa.shape:
+        raise ShapeError(f"ssm_block needs gate and drive weights [{hidden}, P], got {wa.shape}, {wb.shape}")
     wad, bad, wbd, bbd = wa.data, ba.data, wb.data, bb.data
 
     def build(ud):
@@ -644,12 +445,11 @@ def gate_scan(u, wa, ba, wb, bb) -> Tensor:
         tnh = np.tanh(_affine_data(ud, wbd, bbd))
         drive = 1.0 - gate
         drive *= tnh
-        return _scan.ScanElement(gate, drive, "diag"), tnh
+        return _scan.ScanElement(gate, drive, kind), tnh
 
-    def adjoint(uk, held):
+    def adjoint(ud, held):
         gate, tnh, da, db = held
         held.clear()
-        ud = _kept(uk)
         one_minus = 1.0 - gate
         g_one_minus = db * tnh  # db is the drive's cotangent
         db *= one_minus  # now tanh's
@@ -666,9 +466,138 @@ def gate_scan(u, wa, ba, wb, bb) -> Tensor:
         da *= one_minus
         del gate, one_minus
         gu_a, gwa = _matmul_vjp(ud, wad, da)
-        return gu_b, gwb, gbb, gu_a, gwa, _unbroadcast(da, bad.shape)
+        return (gu_b, gu_a), (gwb, gbb, gwa, _unbroadcast(da, bad.shape))
 
-    return _scan_node(u, (u, wb, bb, u, wa, ba), build, adjoint)
+    return wa.shape[1], build, adjoint
+
+
+# the arch's part of a block application, by scan kind
+_SCAN_PARTS = {"cdiag": _project_scan, "mat2": _project_scan, "diag": _gate_scan}
+
+
+def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """xhat * gain + bias: a layer norm's output, as its forward makes it."""
+    out = xhat * gain
+    out += bias
+    return out
+
+
+def ssm_block(h, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
+    """One block application as one node: h + (r @ wv + bv) * sigmoid(r @ wg + bg)
+    with r = x @ c + d * u, u = layer_norm(h) and x the states of the arch's scan of u.
+
+    u is (h - mean) / sqrt(var + eps) * gain + bias over the last axis, with
+    gain and bias the rows of `norm` [2, H].  `scan` is (kind, *tensors):
+    ("cdiag" or "mat2", w, a), the forcing u @ w [H, P, 2] under the shared
+    factor a (LRU, S5, LinOSS), whose states [..., P, 2] are read out as
+    [..., 2P]; or ("diag", wb, bb, wa, ba), LrcSSM's gated scan.  c [n, H]
+    reads the states out.
+
+    The node keeps only the normalised input, 1/std and parameter-sized
+    arrays.  Its adjoint rebuilds u and the states with the forward's own
+    operations and recomputes the readout, the GLU value and the gate
+    (selective recomputation, Chen et al., arXiv:1604.06174).  It then runs
+    the tail's, the scan's, the forcing's and the layer norm's adjoints in
+    turn, freeing each array once it is read, and rebuilds u once more for
+    the forcing's adjoint rather than hold it across the scan's.  Every
+    elementwise op and product is that of the block composed from single-op
+    nodes, in that composition's order, so every bit agrees with it: u's
+    cotangent is the tail's plus the forcing's pieces, one at a time, and h
+    is listed twice among the parents, the tail's use first, so `backward`
+    adds its cotangents as it added the composition's.
+    """
+    kind, *scan_tensors = scan
+    h, norm, c, d, wv, bv, wg, bg = map(_lift, (h, norm, c, d, wv, bv, wg, bg))
+    scan_tensors = [_lift(t) for t in scan_tensors]
+    shape = h.shape
+    hidden = shape[-1]
+    n, build, adjoint = _SCAN_PARTS[kind](kind, hidden, *scan_tensors)
+    square = (hidden, hidden)
+    if len(shape) < 2 or (norm.shape, c.shape, wv.shape, wg.shape) != ((2, hidden), (n, hidden), square, square):
+        raise ShapeError(
+            f"ssm_block needs h [..., H] of at least 2 dims, norm [2, H], a readout [{n}, H] and GLU "
+            f"weights [H, H], got h {shape}, norm {norm.shape}, readout {c.shape}, GLU {wv.shape}, {wg.shape}"
+        )
+    if not all(_broadcasts_into(t.shape, shape) for t in (d, bv, bg)):
+        raise ShapeError(f"ssm_block: {d.shape}, {bv.shape}, {bg.shape} do not broadcast into {shape}")
+    (gd, bd), cd, dd = norm.data, c.data, d.data
+    wvd, bvd, wgd, bgd = wv.data, bv.data, wg.data, bg.data
+    inv_n = 1.0 / hidden
+    # np.add.reduce is ndarray.sum's own reduction, without its Python wrapper
+    centered = h.data - np.add.reduce(h.data, axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + eps)
+    xhat = np.divide(centered, std, out=centered)
+    rstd = 1.0 / std
+    del centered, std
+    u = _scale_shift(xhat, gd, bd)
+    if not _ACTIVE:  # nothing reads them again
+        xhat = rstd = None
+    elem = build(u)[0]  # the forward drops what only the adjoint reads
+    x = _scan.scan_linear(elem)
+    del elem
+    r = _dot(x.reshape(shape[:-1] + (n,)), cd)
+    del x  # the states go before the GLU
+    r += dd * u
+    del u
+    out = _affine_data(r, wvd, bvd)
+    pre = _affine_data(r, wgd, bgd)
+    del r
+    gate = _sigmoid(pre, overwrite=True)
+    del pre
+    out *= gate
+    del gate
+    out += h.data
+
+    def vjp(g):
+        u = _scale_shift(xhat, gd, bd)
+        elem, extra = build(u)
+        x = _scan.scan_linear(elem)
+        # the scan's adjoint reads only b's shape, so a zero-stride stand-in replaces b
+        elem = _scan.ScanElement(elem.a, np.broadcast_to(0.0, elem.b.shape), elem.kind)
+        xf = x.reshape(shape[:-1] + (n,))
+        # the tail
+        r = _dot(xf, cd)
+        r += dd * u
+        gate = _sigmoid(_affine_data(r, wgd, bgd), overwrite=True)
+        g_pre = _affine_data(r, wvd, bvd)  # the GLU value, overwritten by g * value
+        np.multiply(g, g_pre, out=g_pre)
+        g_value = g * gate
+        g_pre *= gate
+        np.subtract(1.0, gate, out=gate)
+        g_pre *= gate
+        del gate
+        g_r, g_wg = _matmul_vjp(r, wgd, g_pre)
+        g_bg = _unbroadcast(g_pre, bgd.shape)
+        del g_pre
+        g_rv, g_wv = _matmul_vjp(r, wvd, g_value)
+        g_bv = _unbroadcast(g_value, bvd.shape)
+        del r, g_value
+        g_r += g_rv
+        del g_rv
+        g_d = _unbroadcast(g_r * u, dd.shape)
+        g_u = g_r * dd
+        del u
+        g_x, g_c = _matmul_vjp(xf, cd, g_r)
+        del g_r, xf
+        # the scan, then the forcing, on u rebuilt once more
+        da, db = _scan.scan_backward(elem, x, g_x.reshape(x.shape))
+        held = [elem.a, extra, da, db]  # the adjoint takes these over, to free each once read
+        del elem, extra, x, g_x, da, db
+        u_pieces, g_scan = adjoint(_scale_shift(xhat, gd, bd), held)
+        for piece in u_pieces:
+            g_u += piece
+        del u_pieces, piece
+        # the layer norm
+        gy = g_u * gd
+        gh = gy - np.add.reduce(gy, axis=-1, keepdims=True) * inv_n
+        gh -= xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) * inv_n)
+        del gy
+        gh *= rstd
+        g_norm = np.stack([_unbroadcast(g_u * xhat, gd.shape), _unbroadcast(g_u, bd.shape)])
+        return (g, g_c, g_d, g_wv, g_bv, g_wg, g_bg, *g_scan, gh, g_norm)
+
+    parents = (h, c, d, wv, bv, wg, bg, *scan_tensors, h, norm)
+    return _record(out, parents, vjp)
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
@@ -709,7 +638,8 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
     """Reverse sweep from a scalar loss; returns a map parameter -> gradient.
 
     Every requested parameter appears in the map; parameters the loss
-    never touched get exact zeros.  A loss that was built with no tape
+    never touched get exact zeros.  The map lists the gradients in the
+    order the sweep first reaches each leaf, then the untouched ones.  A loss that was built with no tape
     active yields all zeros plus a warning.
     """
     if loss.data.size != 1:

@@ -10,15 +10,16 @@ Hidden states are time-major: the encoder turns a [..., T, w] batch into
 
 The four archs differ only in their factor (the scan kind, the transition
 factor a and the forcing b) and in their readout weights c.  Each block
-application records its forcing and scan as one tape node,
-`autodiff.project_scan` (the forcing u @ w under a shared factor: LRU, S5,
-LinOSS) or `autodiff.gate_scan` (LrcSSM), then the tail as one more,
-`autodiff.gated_residual`: the readout, the feedthrough d * u, the GLU
-mixer (linear value gated by a sigmoid-linear gate) and the residual add.
-Neither node keeps a time-sized array for the backward: the tail's
-adjoint rebuilds the states from u's layer-norm recipe, once per backward
-(the scan's adjoint takes them over), and recomputes the readout, the
-value and the gate.  No dropout anywhere.  The factors:
+application is one tape node, `autodiff.ssm_block`: the layer norm, the
+forcing u @ w under a shared factor (LRU, S5, LinOSS) or LrcSSM's gate and
+drive, the scan, the readout, the feedthrough d * u, the GLU mixer (linear
+value gated by a sigmoid-linear gate) and the residual add.  `_STATES`
+gives each arch's part of it, the scan kind and the tensors the forcing
+and factor are made from; the parameter-side nodes that make those
+tensors and the readout are recorded before the block's node.  The node
+keeps no time-sized array for the backward: its adjoint rebuilds u and
+the states and recomputes the readout, the value and the gate.  No
+dropout anywhere.  The factors:
 
     lru     complex diagonal x_t = lambda * x_{t-1} + gamma * (B u_t),
             |lambda| = exp(-exp(nu_log)) initialized in the ring
@@ -238,14 +239,14 @@ def init_head(hidden: int, n_classes: int, rng: np.random.Generator) -> HeadPara
 # Re(C x) = x_re @ c_re - x_im @ c_im as [..., 2P] @ [2P, H].
 
 
-def _lru_states(p: LRUParams, u: Tensor):
+def _lru_states(p: LRUParams):
     mag = ad.exp(-ad.exp(p.nu_log))
     lam = ad.stack([mag * ad.cos(p.theta), mag * ad.sin(p.theta)], axis=-1)
     gamma = ad.sqrt(1.0 - mag * mag)
-    return ad.project_scan(u, ad.stack([gamma * p.b_re, gamma * p.b_im], axis=-1), lam, "cdiag")
+    return "cdiag", ad.stack([gamma * p.b_re, gamma * p.b_im], axis=-1), lam
 
 
-def _s5_states(p: S5Params, u: Tensor):
+def _s5_states(p: S5Params):
     lam_re = -ad.exp(p.re_log)
     dt = ad.exp(p.log_dt)
     zi = dt * p.im
@@ -257,21 +258,21 @@ def _s5_states(p: S5Params, u: Tensor):
     bc_re = (num_re * lam_re + abar_im * p.im) / d
     bc_im = (abar_im * lam_re - num_re * p.im) / d
     w = ad.stack([bc_re * p.b_re - bc_im * p.b_im, bc_re * p.b_im + bc_im * p.b_re], axis=-1)
-    return ad.project_scan(u, w, ad.stack([abar_re, abar_im], axis=-1), "cdiag")
+    return "cdiag", w, ad.stack([abar_re, abar_im], axis=-1)
 
 
-def _linoss_states(p: LinOSSParams, u: Tensor):
+def _linoss_states(p: LinOSSParams):
     freq = ad.relu(p.a_hat)
     dt = ad.sigmoid(p.dt_hat)
     s = 1.0 / (1.0 + dt * dt * freq)
     row_z = ad.stack([s, -(dt * freq * s)], axis=-1)
     row_y = ad.stack([dt * s, 1.0 - dt * dt * freq * s], axis=-1)
     m = ad.stack([row_z, row_y], axis=-2)
-    return ad.project_scan(u, ad.stack([dt * s * p.b_w, dt * dt * s * p.b_w], axis=-1), m, "mat2")
+    return "mat2", ad.stack([dt * s * p.b_w, dt * dt * s * p.b_w], axis=-1), m
 
 
-def _lrcssm_states(p: LrcSSMParams, u: Tensor):
-    return ad.gate_scan(u, p.gate_w, p.gate_b, p.drive_w, p.drive_b)
+def _lrcssm_states(p: LrcSSMParams):
+    return "diag", p.drive_w, p.drive_b, p.gate_w, p.gate_b
 
 
 _STATES = {
@@ -297,12 +298,13 @@ def _readout(p: BlockParams) -> Tensor:
 
 
 def block_forward(p: BlockParams, h: Tensor) -> Tensor:
-    """Pre-norm, the arch's factor and scan, then the tail as one node; preserves [T, ..., H]."""
-    u = ad.layer_norm(h, p.norm_gain, p.norm_bias, _NORM_EPS)
-    # no name here holds the states: CPython 3.11+ moves a call's arguments into
-    # the callee, so without a tape the tail frees the states before its GLU
-    return ad.gated_residual(
-        h, _STATES[type(p)](p, u), _readout(p), p.feedthrough, u,
+    """Pre-norm, the arch's factor and scan, then the tail, as one node; preserves [T, ..., H]."""
+    # gain and bias as one node recorded before the arch's parameter-side nodes,
+    # so the backward sweep reaches them after those, which keeps the order of
+    # its gradient map (the order `train.clip_global_norm` sums in)
+    norm = ad.stack([p.norm_gain, p.norm_bias], axis=0)
+    return ad.ssm_block(
+        h, norm, _NORM_EPS, _STATES[type(p)](p), _readout(p), p.feedthrough,
         p.glu_value_w, p.glu_value_b, p.glu_gate_w, p.glu_gate_b
     )
 

@@ -220,6 +220,14 @@ def train_one(
     params = model.parameters()
     opt = AdamState(lr=config.lr)
 
+    def log_line(record: dict, mode: str = "a") -> None:
+        # each line is written and flushed as it is known, so a killed run keeps its epochs
+        if log_path is not None:
+            with open(log_path, mode) as fh:
+                fh.write(json.dumps(record) + "\n")
+
+    log_line({"config": dataclasses.asdict(config)}, "w")
+
     initial_loss = full_loss(model, train_set)
     train_losses: list[float] = []
     val_accs: list[float] = []
@@ -264,6 +272,7 @@ def train_one(
         train_losses.append(epoch_loss / seen)
         val_accs.append(val_acc)
         test_accs.append(test_acc)
+        log_line({"epoch": epoch, "train_loss": train_losses[-1], "val_acc": val_acc, "test_acc": test_acc})
         if val_accs[-1] > best_val:
             best_val, best_epoch, best_test = val_accs[-1], epoch, test_accs[-1]
             bad = 0
@@ -287,14 +296,8 @@ def train_one(
         epochs_run=len(train_losses),
         elapsed_seconds=elapsed,
     )
-    if log_path is not None:
-        final = ("best_epoch", "best_val_acc", "test_acc_at_best", "diverged")
-        with open(log_path, "w") as fh:
-            fh.write(json.dumps({"config": dataclasses.asdict(config)}) + "\n")
-            for epoch, (loss, val, test) in enumerate(zip(train_losses, val_accs, test_accs)):
-                record = {"epoch": epoch, "train_loss": loss, "val_acc": val, "test_acc": test}
-                fh.write(json.dumps(record) + "\n")
-            fh.write(json.dumps({"final": {k: getattr(result, k) for k in final}}) + "\n")
+    final = ("best_epoch", "best_val_acc", "test_acc_at_best", "diverged")
+    log_line({"final": {k: getattr(result, k) for k in final}})
     return result
 
 

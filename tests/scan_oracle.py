@@ -1,11 +1,17 @@
 """A block's forcing and scan as the unfused composition of autodiff primitives
-around a scan node that keeps its states: the bitwise oracle of
-`autodiff.project_scan` and `autodiff.gate_scan`, which rebuild them instead."""
+around a scan node that keeps its states: the bitwise oracle of the forcing and
+scan inside `autodiff.ssm_block`, which rebuilds them instead."""
 
 import numpy as np
 
 from loopseq import autodiff as ad
 from loopseq import scan
+
+
+def _matmul(x, w):
+    """x @ w as one node with w strictly 2-D, one 2-D product over x's leading axes."""
+    xd, wd = x.data, w.data
+    return ad._record(ad._dot(xd, wd), (x, w), lambda g: ad._matmul_vjp(xd, wd, g))
 
 
 def kept_scan(a, b, kind):
@@ -25,7 +31,7 @@ def kept_project_scan(u, w, a, kind):
     """The forcing u @ w [..., P, 2] as matmul and reshape nodes, then the kept scan,
     with its states reshaped to [..., 2P]."""
     hidden, state, _ = w.shape
-    flat = u @ ad.reshape(w, (hidden, 2 * state))
+    flat = _matmul(u, ad.reshape(w, (hidden, 2 * state)))
     x = kept_scan(a, ad.reshape(flat, flat.shape[:-1] + (state, 2)), kind)
     return ad.reshape(x, x.shape[:-2] + (2 * state,))
 

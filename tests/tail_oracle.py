@@ -1,5 +1,7 @@
 """The block tail as the unfused composition of autodiff primitives: the bitwise
-oracle of `autodiff.gated_residual`, which fuses it into one tape node."""
+oracle of the tail inside `autodiff.ssm_block`, which fuses it into the block's node."""
+
+from scan_oracle import _matmul
 
 from loopseq import autodiff as ad
 
@@ -8,7 +10,7 @@ def unfused_gated_residual(h, x, c, d, u, wv, bv, wg, bg):
     """h + (r @ wv + bv) * sigmoid(r @ wg + bg) with r = x @ c + d * u, one tape
     node per operation (matmul, mul, add, affine, affine, sigmoid, mul, add), each
     with its own adjoint, in the order the block tail recorded them before the fusion."""
-    r = x @ c + d * u
+    r = _matmul(x, c) + d * u
     value = ad.affine(r, wv, bv)
     gate = ad.sigmoid(ad.affine(r, wg, bg))
     return h + value * gate

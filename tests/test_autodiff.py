@@ -6,7 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
-from tail_oracle import unfused_gated_residual
+from block_oracle import _layer_norm, kept_block
+from scan_oracle import _matmul
 
 import loopseq.autodiff as ad
 from loopseq.autodiff import Tape, Tensor, backward, finite_difference_check, param
@@ -58,12 +59,13 @@ def test_relu_matches_fd_off_kink():
 
 
 def test_matmul_matches_fd():
+    # the oracles' matmul node (no block multiplies Tensors with `@`)
     rng = np.random.default_rng(4)
     x = param(rng.standard_normal((2, 5, 3)))
     w = param(rng.standard_normal((3, 4)))
 
     def f():
-        y = x @ w
+        y = _matmul(x, w)
         return (y * y).sum()
 
     err = _fd(f, [x, w])
@@ -83,7 +85,7 @@ def test_products_are_one_2d_product(op, shape):
     b = param(rng.standard_normal(8))
     g = rng.standard_normal(shape[:-1] + (8,))
     with Tape():
-        y = ad.matmul(x, w) if op == "matmul" else ad.affine(x, w, b)
+        y = _matmul(x, w) if op == "matmul" else ad.affine(x, w, b)
         grads = backward((y * Tensor(g)).sum(), [x, w, b])
     x2, g2 = x.data.reshape(-1, 16), g.reshape(-1, 8)
     want = x2 @ w.data
@@ -132,7 +134,7 @@ def test_affine_equals_matmul_plus_bias():
     rng = np.random.default_rng(14)
     x, w, b = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
     got = ad.affine(Tensor(x), Tensor(w), Tensor(b)).data
-    np.testing.assert_array_equal(got, (Tensor(x) @ Tensor(w) + Tensor(b)).data)
+    np.testing.assert_array_equal(got, (_matmul(Tensor(x), Tensor(w)) + Tensor(b)).data)
 
 
 @pytest.mark.parametrize(
@@ -151,63 +153,117 @@ def test_affine_rejects_mismatched_shapes(x_shape, w_shape, b_shape):
 
 
 def test_layer_norm_matches_fd():
+    # the oracles' layer-norm node, whose bits `ssm_block` reproduces
     rng = np.random.default_rng(15)
     x = param(rng.standard_normal((2, 4, 6)))
     gain = param(rng.uniform(0.5, 1.5, 6))
     bias = param(rng.standard_normal(6))
     w = Tensor(rng.standard_normal((2, 4, 6)))
-    err = _fd(lambda: (ad.layer_norm(x, gain, bias, 1e-6) * w).sum(), [x, gain, bias])
+    err = _fd(lambda: (_layer_norm(x, ad.stack([gain, bias], axis=0), 1e-6) * w).sum(), [x, gain, bias])
     assert err < 1e-5
-
-
-def _tail_operands(rng, lead=(5, 2), n=6, hidden=4):
-    """h, x, c, d, u, wv, bv, wg, bg of `gated_residual` as parameters."""
-    shapes = [lead + (hidden,), lead + (n,), (n, hidden), (hidden,), lead + (hidden,)]
-    shapes += [(hidden, hidden), (hidden,)] * 2
-    return [param(rng.standard_normal(s)) for s in shapes]
-
-
-def test_gated_residual_matches_fd():
-    rng = np.random.default_rng(26)
-    ps = _tail_operands(rng)
-    w = rng.standard_normal(ps[0].shape)
-    err = _fd(lambda: (ad.gated_residual(*ps) * Tensor(w)).sum(), ps)
-    assert err < 1e-6
-
-
-@pytest.mark.parametrize("taped", [False, True])
-def test_gated_residual_equals_unfused_composition_bitwise(taped):
-    rng = np.random.default_rng(27)
-    ps = _tail_operands(rng, lead=(7, 3), n=8, hidden=5)
-    w = Tensor(rng.standard_normal(ps[0].shape))
-    got, want = [], []
-    for f, into in ((ad.gated_residual, got), (unfused_gated_residual, want)):
-        with Tape() if taped else contextlib.nullcontext():
-            out = f(*ps)
-            into.append(out.data.tobytes())
-            if taped:
-                grads = backward((out * w).sum(), ps)
-                into.extend(grads[p].data.tobytes() for p in ps)
-    assert got == want
-
-
-@pytest.mark.parametrize(
-    "which,shape",
-    [(0, (5, 2, 3)), (4, (5, 1, 4)), (5, (4, 3)), (6, (2,)), (3, (5,))],
-    ids=["h", "u", "wv", "bv", "d"],
-)
-def test_gated_residual_rejects_mismatched_shapes(which, shape):
-    ps = _tail_operands(np.random.default_rng(28))
-    ps[which] = Tensor(np.zeros(shape))
-    with pytest.raises(ShapeError):
-        ad.gated_residual(*ps)
 
 
 def test_layer_norm_normalises_last_axis():
     x = np.random.default_rng(16).standard_normal((3, 7)) * 5.0 + 2.0
-    out = ad.layer_norm(Tensor(x), Tensor(np.ones(7)), Tensor(np.zeros(7)), 0.0).data
+    out = _layer_norm(Tensor(x), Tensor(np.stack([np.ones(7), np.zeros(7)])), 0.0).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-14)
     np.testing.assert_allclose(out.std(axis=-1), 1.0, rtol=1e-12)
+
+
+# --- one block application as one node ----------------------------------------------
+
+# the scan tensors of `ssm_block` for each kind, at hidden size H and state size P
+_SCAN_SHAPES = {
+    "cdiag": lambda H, P: [(H, P, 2), (P, 2)],
+    "mat2": lambda H, P: [(H, P, 2), (P, 2, 2)],
+    "diag": lambda H, P: [(H, P), (P,), (H, P), (P,)],
+}
+
+
+def _block_operands(rng, kind="cdiag", lead=(5, 2), hidden=4, state=3):
+    """h, gain, bias, the scan tensors, c, d, wv, bv, wg, bg of `ssm_block` as parameters."""
+    n = state if kind == "diag" else 2 * state
+    shapes = [lead + (hidden,), (hidden,), (hidden,), *_SCAN_SHAPES[kind](hidden, state)]
+    shapes += [(n, hidden), (hidden,)] + [(hidden, hidden), (hidden,)] * 2
+    ps = [param(rng.standard_normal(s)) for s in shapes]
+    if kind != "diag":  # a shared factor inside the unit disc
+        ps[4] = param(rng.uniform(-0.5, 0.5, ps[4].shape))
+    return ps
+
+
+def _block(kind, ps, block=ad.ssm_block):
+    """`block` (`ssm_block` or an oracle with its signature) on `_block_operands`' tensors,
+    with gain and bias stacked into one norm tensor as `blocks` does."""
+    h, gain, bias, *rest = ps
+    scan, tail = rest[:-6], rest[-6:]
+    return block(h, ad.stack([gain, bias], axis=0), 1e-6, (kind, *scan), *tail)
+
+
+@pytest.mark.parametrize("kind", ["cdiag", "mat2"])
+def test_project_scan_matches_fd(kind):
+    rng = np.random.default_rng(8)
+    ps = _block_operands(rng, kind)
+    v = rng.standard_normal(ps[0].shape)
+    assert _fd(lambda: (_block(kind, ps) * Tensor(v)).sum(), ps) < 1e-5
+
+
+def test_gate_scan_matches_fd():
+    rng = np.random.default_rng(7)
+    ps = _block_operands(rng, "diag")
+    v = rng.standard_normal(ps[0].shape)
+    assert _fd(lambda: (_block("diag", ps) * Tensor(v)).sum(), ps) < 1e-5
+
+
+def test_gated_residual_matches_fd():
+    # the tail's operands: h, the readout, the feedthrough and the GLU
+    rng = np.random.default_rng(26)
+    ps = _block_operands(rng)
+    v = rng.standard_normal(ps[0].shape)
+    tail = [ps[0], *ps[-6:]]
+    assert _fd(lambda: (_block("cdiag", ps) * Tensor(v)).sum(), tail) < 1e-6
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_ssm_block_equals_unfused_composition_bitwise(taped):
+    for kind in ("cdiag", "mat2", "diag"):
+        rng = np.random.default_rng(27)
+        ps = _block_operands(rng, kind, lead=(7, 3), hidden=5, state=4)
+        w = Tensor(rng.standard_normal(ps[0].shape))
+        got, want = [], []
+        for block, into in ((ad.ssm_block, got), (kept_block, want)):
+            with Tape() if taped else contextlib.nullcontext():
+                out = _block(kind, ps, block)
+                into.append(out.data.tobytes())
+                if taped:
+                    grads = backward((out * w).sum(), ps)
+                    into.extend(grads[p].data.tobytes() for p in ps)
+        assert got == want, kind
+
+
+@pytest.mark.parametrize(
+    "which,shape",
+    [(0, (5, 2, 3)), (1, (3,)), (5, (5, 4)), (7, (4, 3)), (8, (2,)), (6, (5,))],
+    ids=["h", "norm", "c", "wv", "bv", "d"],
+)
+def test_gated_residual_rejects_mismatched_shapes(which, shape):
+    ps = _block_operands(np.random.default_rng(28))
+    ps[which] = Tensor(np.zeros(shape))
+    if which == 1:  # gain and bias of one shape, not the input's
+        ps[2] = Tensor(np.zeros(shape))
+    with pytest.raises(ShapeError):
+        _block("cdiag", ps)
+
+
+@pytest.mark.parametrize(
+    "kind,which,shape",
+    [("cdiag", 3, (4, 3)), ("cdiag", 3, (4, 3, 3)), ("cdiag", 3, (2, 3, 2)), ("diag", 5, (2, 3))],
+    ids=["no-pair-axis", "triple", "inner-dims", "gate-inner-dims"],
+)
+def test_project_scan_rejects_a_forcing_weight_of_another_shape(kind, which, shape):
+    ps = _block_operands(np.random.default_rng(29), kind)
+    ps[which] = Tensor(np.zeros(shape))
+    with pytest.raises(ShapeError):
+        _block(kind, ps)
 
 
 def test_reshape_matches_fd():
@@ -263,34 +319,6 @@ def test_sigmoid_bits_equal_the_where_formula():
             mask = ~np.isnan(x)  # NaN payloads may differ; every other value matches bit for bit
             np.testing.assert_array_equal(got[mask].view(np.uint64), ref[mask].view(np.uint64))
             np.testing.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
-
-
-@pytest.mark.parametrize("kind", ["cdiag", "mat2"])
-def test_project_scan_matches_fd(kind):
-    rng = np.random.default_rng(8)
-    u = param(rng.standard_normal((10, 2, 3)))
-    w = param(rng.standard_normal((3, 4, 2)))
-    a = param(rng.uniform(-0.5, 0.5, (4, 2) if kind == "cdiag" else (4, 2, 2)))
-    v = rng.standard_normal((10, 2, 8))
-    err = _fd(lambda: (ad.project_scan(u, w, a, kind) * Tensor(v)).sum(), [u, w, a])
-    assert err < 1e-5
-
-
-@pytest.mark.parametrize("w_shape", [(3, 4), (3, 4, 3), (2, 4, 2)], ids=["no-pair-axis", "triple", "inner-dims"])
-def test_project_scan_rejects_a_forcing_weight_of_another_shape(w_shape):
-    u, a = Tensor(np.zeros((10, 2, 3))), Tensor(np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
-        ad.project_scan(u, Tensor(np.zeros(w_shape)), a, "cdiag")
-
-
-def test_gate_scan_matches_fd():
-    rng = np.random.default_rng(7)
-    u = param(rng.standard_normal((10, 2, 3)))
-    wa, wb = (param(rng.standard_normal((3, 4))) for _ in range(2))
-    ba, bb = (param(rng.standard_normal(4)) for _ in range(2))
-    v = rng.standard_normal((10, 2, 4))
-    err = _fd(lambda: (ad.gate_scan(u, wa, ba, wb, bb) * Tensor(v)).sum(), [u, wa, ba, wb, bb])
-    assert err < 1e-5
 
 
 def test_softmax_cross_entropy_matches_fd():
@@ -456,12 +484,13 @@ def _every_primitive(x, y, m, w, v, a, b):
     return [
         ad.add(x, y), ad.sub(x, y), ad.mul(x, 2), ad.div(x, y), ad.neg(x), ad.exp(x),
         ad.sqrt(ad.exp(x)), ad.sigmoid(x), ad.relu(x), ad.sin(x), ad.cos(x),
-        ad.matmul(m, w), ad.affine(m, w, v), ad.layer_norm(m, v, v, 1e-5),
+        ad.affine(m, w, v),
         ad.sum_(x), ad.sum_(x, axis=0), ad.mean_(x), ad.mean_(m, axis=-1, keepdims=True),
         ad.stack([x, y], axis=0), ad.stack([x, y], axis=-1), ad.reshape(m, (-1,)),
-        ad.project_scan(m, b, a, "cdiag"), ad.gate_scan(m, w, v, w, v),
         ad.softmax_cross_entropy(m, np.array([0, 2])),
-        ad.gated_residual(m, m, w, v, m, w, v, w, v), ad.sum_(x) * ad.sum_(y),
+        ad.ssm_block(m, ad.stack([v, v], axis=0), 1e-5, ("cdiag", b, a), ad.reshape(b, (6, 3)), v, w, v, w, v),
+        ad.ssm_block(m, ad.stack([v, v], axis=0), 1e-5, ("diag", w, v, w, v), w, v, w, v, w, v),
+        ad.sum_(x) * ad.sum_(y),
     ]
 
 
@@ -478,7 +507,7 @@ def test_every_primitive_stores_a_float64_ndarray(taped):
         outs = _every_primitive(x, y, m, w, v, a, b)
     for out in outs:
         assert type(out.data) is np.ndarray and out.data.dtype == np.float64, out
-    assert outs[14].data.shape == () and outs[-1].data.shape == ()
+    assert outs[12].data.shape == () and outs[-1].data.shape == ()
 
 
 def test_negated_adjoint_sentinel_detected():

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scan_oracle import kept_gate_scan, kept_project_scan
-from tail_oracle import unfused_gated_residual
+from block_oracle import kept_block
 
 from loopseq import autodiff as ad
 from loopseq import scan, stack
@@ -218,13 +217,13 @@ def test_identical_taps_give_identical_head_gradients():
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-30)
 
 
-def test_shared_lru_stack_records_127_tape_nodes():
-    # encoder 1 + six block applications of 20 + head and loss 6
+def test_shared_lru_stack_records_121_tape_nodes():
+    # encoder 1 + six block applications of 19 + head and loss 6
     model = _tiny(m=1)
     x = np.random.default_rng(9).standard_normal((2, 5, 3))
     with Tape() as tape:
         stack_loss(model, x, np.array([0, 1]))
-    assert len(tape.nodes) == 127
+    assert len(tape.nodes) == 121
 
 
 # --- containment (periodic embedding) ------------------------------------------------
@@ -361,7 +360,7 @@ def test_prefix_reuse_loss_is_stack_loss_through_a_sweep(arch, supervision, m, m
             params[i].data[...] = orig
 
 
-# --- the block tail as one node -----------------------------------------------------------
+# --- each block application as one node ------------------------------------------------------
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -369,8 +368,9 @@ def test_prefix_reuse_loss_is_stack_loss_through_a_sweep(arch, supervision, m, m
 @pytest.mark.parametrize("arch", ARCHS)
 def test_fused_tail_gives_the_unfused_bits(arch, supervision, m, monkeypatch):
     """The loss, every gradient and the untaped logits equal, byte for byte, those of
-    the same stack with each block tail recorded as `tail_oracle`'s eight nodes."""
-    fused = ad.gated_residual
+    the same stack with each block application recorded as `block_oracle`'s unfused
+    nodes, its tail as `tail_oracle`'s eight."""
+    fused = ad.ssm_block
     for B, T, H in ((4, 50, 8), (1, 300, 16), (3, 16, 4)):
         model = build_stack(arch, StackConfig(6, m, supervision), width=3, n_classes=4, hidden=H, state=H, rng=7)
         rng = np.random.default_rng(B * T)
@@ -378,8 +378,8 @@ def test_fused_tail_gives_the_unfused_bits(arch, supervision, m, monkeypatch):
         y = rng.integers(0, 4, B)
         params = model.param_tensors()
         runs = []
-        for tail in (fused, unfused_gated_residual):
-            monkeypatch.setattr(ad, "gated_residual", tail)
+        for block in (fused, kept_block):
+            monkeypatch.setattr(ad, "ssm_block", block)
             with Tape():
                 loss = stack_loss(model, x, y)
                 grads = backward(loss, params)
@@ -388,17 +388,32 @@ def test_fused_tail_gives_the_unfused_bits(arch, supervision, m, monkeypatch):
         assert runs[0] == runs[1], f"B, T, H = {B}, {T}, {H}"
 
 
+# the order in which backward's sweep first reaches each parameter of a one-block stack
+_TAIL = ["feedthrough", "glu_value_w", "glu_value_b", "glu_gate_w", "glu_gate_b"]
+_GRAD_ORDER = {
+    "LRU": _TAIL + ["c_re", "c_im", "b_im", "b_re", "theta", "nu_log"],
+    "S5": _TAIL + ["c_re", "c_im", "b_re", "b_im", "im", "log_dt", "re_log"],
+    "LinOSS": _TAIL + ["c_w", "b_w", "dt_hat", "a_hat"],
+    "LrcSSM": ["c_w"] + _TAIL + ["drive_w", "drive_b", "gate_w", "gate_b"],
+}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_gradient_map_keeps_the_sweep_order(arch):
+    """`backward` lists the gradients in the order its sweep first reaches each
+    parameter, and `train.clip_global_norm` sums their squares in that order, so the
+    order is part of a training run's bits: the head, the block's tail, readout and
+    factor weights, its norm gain and bias, then the encoder."""
+    model = build_stack(arch, StackConfig(2, 1, "final"), width=3, n_classes=3, hidden=4, state=4, rng=0)
+    x = np.random.default_rng(0).standard_normal((2, 5, 3))
+    with Tape():
+        grads = backward(stack_loss(model, x, np.array([0, 1])), model.param_tensors())
+    names = {id(p): name for name, p in model.parameters()}
+    block = ["blocks.0." + name for name in _GRAD_ORDER[arch] + ["norm_gain", "norm_bias"]]
+    assert [names[id(p)] for p in grads] == ["head.weight", "head.bias", *block, "encoder.weight", "encoder.bias"]
+
+
 # --- arrays the tape rebuilds or aliases instead of keeping ---------------------------------
-
-_LAYER_NORM = ad.layer_norm
-
-
-def _kept_layer_norm(x, gain, bias, eps):
-    """`ad.layer_norm` whose output carries no recipe, so the tape keeps it."""
-    out = _LAYER_NORM(x, gain, bias, eps)
-    out._recipe = None
-    return out
-
 
 def _copying_sum(x, axis=None, keepdims=False):
     """`ad.sum_` whose adjoint returns a fresh copy of the broadcast cotangent."""
@@ -418,13 +433,13 @@ def _copying_sum(x, axis=None, keepdims=False):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_rebuilt_and_aliased_arrays_give_the_kept_bits(arch, supervision, pattern, monkeypatch):
     """The loss, every gradient and the untaped logits equal, byte for byte, those of
-    a tape that keeps each layer-norm output, copies each `sum_` cotangent and sums a
-    shared factor's da in one chunk; here that da takes 256-byte chunks of one or two
-    rows."""
+    a tape that keeps each layer-norm output (`block_oracle`), copies each `sum_`
+    cotangent and sums a shared factor's da in one chunk; here that da takes 256-byte
+    chunks of one or two rows."""
     runs = []
     for kept in (False, True):
         if kept:
-            monkeypatch.setattr(ad, "layer_norm", _kept_layer_norm)
+            monkeypatch.setattr(ad, "ssm_block", kept_block)
             monkeypatch.setattr(ad, "sum_", _copying_sum)
         monkeypatch.setattr(scan, "_DA_CHUNK_BYTES", 1 << 62 if kept else 256)
         for B in (1, 3):
@@ -461,21 +476,16 @@ def _jittered_bits(arch, config, B, T, H):
     return [loss.data.tobytes(), predict_logits(model, x).tobytes()] + [grads[p].data.tobytes() for p in params]
 
 
-def _keep_the_states(monkeypatch):
-    monkeypatch.setattr(ad, "project_scan", kept_project_scan)
-    monkeypatch.setattr(ad, "gate_scan", kept_gate_scan)
-
-
 @pytest.mark.parametrize("pattern", ["AAAAAA", "ABABAB", "ABCDEF"])
 @pytest.mark.parametrize("supervision", ["final", "block"])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_rebuilt_states_give_the_kept_bits(arch, supervision, pattern, monkeypatch):
     """The loss, every gradient and the untaped logits equal, byte for byte, those of
-    the same stack built from `scan_oracle`'s unfused nodes, whose tape keeps each
+    the same stack built from `block_oracle`'s unfused nodes, whose tape keeps each
     application's forcing, states and (LrcSSM) gate, tanh and 1 - gate."""
     config = parse_pattern(pattern, supervision)
     rebuilt = [_jittered_bits(arch, config, B, 60, 8) for B in (1, 3)]
-    _keep_the_states(monkeypatch)
+    monkeypatch.setattr(ad, "ssm_block", kept_block)
     assert rebuilt == [_jittered_bits(arch, config, B, 60, 8) for B in (1, 3)]
 
 
@@ -486,7 +496,7 @@ def test_rebuilt_states_give_the_kept_bits_when_da_spans_chunks(arch, monkeypatc
     B, T, H = 3, 3000, 16
     assert (T - 1) * B * 8 * 2 * H > 2 * scan._DA_CHUNK_BYTES
     rebuilt = _jittered_bits(arch, parse_pattern("ABABAB", "block"), B, T, H)
-    _keep_the_states(monkeypatch)
+    monkeypatch.setattr(ad, "ssm_block", kept_block)
     assert rebuilt == _jittered_bits(arch, parse_pattern("ABABAB", "block"), B, T, H)
 
 
@@ -520,22 +530,23 @@ def test_backward_records_nothing_and_frees_the_rebuilt_states(arch, monkeypatch
 
 
 # tracemalloc peak of one AAAAAA step in B*T*H floats, (`final`, `block`),
-# measured 15.05/15.09/15.18/14.33 and 18.00/18.05/18.05/16.18 and pinned 0.46
-# above. Keeping each application's states (and LrcSSM's gate, tanh and 1 - gate)
-# on the tape, as `scan_oracle` does, reads 25.05/25.10/25.18/35.19 and
-# 28.00/28.06/28.05/39.19; taping each layer-norm output again reads
-# 21.04/21.09/21.18/19.25. `block` peaks in the forward, where the six tapped
-# states are all held.
+# measured 15.16/15.20/15.28/14.40 (pinned as before, 0.35 above) and
+# 16.96/17.01/17.01/15.13 (pinned 0.46 above). Building each application from
+# `block_oracle`'s unfused nodes, whose tape keeps u, the forcing, the states and
+# the tail's intermediates, reads 46.06/46.11/46.23/57.15 and
+# 49.96/50.02/50.01/61.15; a block node that keeps u instead of rebuilding it
+# reads 21.12/21.17/21.28/19.25 and 21.94/22.00/21.99/20.18. `block` peaks
+# in the forward, where the six tapped states are all held.
 _STEP_PEAK = {
-    "LRU": (15.51, 18.46),
-    "S5": (15.55, 18.51),
-    "LinOSS": (15.64, 18.51),
-    "LrcSSM": (14.79, 16.64),
+    "LRU": (15.51, 17.42),
+    "S5": (15.55, 17.47),
+    "LinOSS": (15.64, 17.47),
+    "LrcSSM": (14.79, 15.59),
 }
 
 # the same step at B = 4, T = 200 and w = H = P = 32, where the input batch
-# is one B*T*H array: measured 16.57/16.79/19.32/14.62 and pinned 0.46 above,
-# so an encoder that tapes a time-major copy of its input (1.0 more) fails
+# is one B*T*H array: measured 16.68/16.87/19.45/14.65 and pinned 0.33-0.43
+# above, so an encoder that tapes a time-major copy of its input (1.0 more) fails
 _WIDE_STEP_PEAK = {"LRU": 17.03, "S5": 17.25, "LinOSS": 19.78, "LrcSSM": 15.08}
 
 
@@ -565,7 +576,7 @@ def test_train_step_memory_bounded(arch, supervision):
 
     The tape keeps only the arrays its adjoints read and none it can rebuild,
     and each block tail, forcing and scan keeps none of its own, so the step
-    peaks at 14-19 B*T*H floats; a tape that kept every node's output, and
+    peaks at 14-18 B*T*H floats; a tape that kept every node's output, and
     every input Tensor its closures named, read 90-110.
     """
     peak = _step_peak(arch, supervision, B=1, T=2000, w=6, H=64)
@@ -585,11 +596,11 @@ def test_train_step_memory_bounded_batched_wide_input(arch):
 
 
 # tracemalloc peak of `predict_logits` at B = 1, T = 2000, w = 6, H = P = 64, in
-# B*T*H floats: measured 6.13/6.13/6.13/5.07 and pinned 0.46 above. A block
+# B*T*H floats: measured 6.14/6.14/6.14/5.01 and pinned 0.45-0.46 above. A block
 # that holds its scan states in a local across the tail's GLU reads 7.13 for
 # the paired-state archs, and the unfused tail read 7.07/7.07/7.07/7.00.
 # LrcSSM read 6.00 while its tanh and 1 - gate lived through the scan.
-_PREDICT_PEAK = {"LRU": 6.59, "S5": 6.59, "LinOSS": 6.59, "LrcSSM": 5.53}
+_PREDICT_PEAK = {"LRU": 6.59, "S5": 6.59, "LinOSS": 6.59, "LrcSSM": 5.47}
 
 
 @pytest.mark.parametrize("arch", ARCHS)

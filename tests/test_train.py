@@ -264,6 +264,29 @@ def test_run_log_is_json_lines(tmp_path):
     assert lines[-1]["final"]["best_epoch"] == res.best_epoch
 
 
+def test_run_log_streams_each_epoch_as_it_is_scored(tmp_path, monkeypatch):
+    """The log holds the config line and every scored epoch while the run goes on:
+    read from inside the third epoch's evaluation, it equals the first three lines
+    of an uninterrupted run's log, and the finished file equals that log."""
+    config, data = _tiny_config(max_epochs=4), _tiny_data()
+    whole = tmp_path / "whole.jsonl"
+    train_one(config, data, log_path=whole)
+    path = tmp_path / "streamed.jsonl"
+    seen, calls = [], []
+    accuracy = train_mod.accuracy
+
+    def probe(model, ds):
+        calls.append(ds)
+        if len(calls) == 5:  # epoch 2's validation accuracy: two epochs scored
+            seen.append(path.read_text())
+        return accuracy(model, ds)
+
+    monkeypatch.setattr(train_mod, "accuracy", probe)
+    train_one(config, data, log_path=path)
+    assert seen == ["".join(whole.read_text().splitlines(keepends=True)[:3])]
+    assert path.read_bytes() == whole.read_bytes()
+
+
 def test_prepare_splits_applies_concentration():
     data = _tiny_data(n=40, steps=16)  # width 2
     train_set, val_set, test_set = prepare_splits(data, _tiny_config(concentration=4))
