@@ -13,7 +13,9 @@ A few fused primitives carry hand-derived adjoints so a block records a
 handful of nodes instead of dozens: `affine` (x @ w + b), `reshape`, and
 `ssm_block`, one whole block application (layer norm, forcing, scan,
 readout, GLU and residual add; the scan's reverse recurrence is the
-forward kernel run backwards in time, see scan.scan_backward).  Every
+forward kernel run backwards in time, see scan.scan_backward).  Its
+forward is `BlockRows`, the block's arithmetic split at the scan, which
+the stack's streamed evaluation runs over chunks of time rows.  Every
 adjoint here is checked against central finite differences in the test
 suite.
 
@@ -482,6 +484,64 @@ def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.nda
     return out
 
 
+class BlockRows:
+    """One block application's arithmetic with its operands bound, split at the scan.
+
+    The arguments are `ssm_block`'s after h, with `hidden` = H.  Every step
+    but the scan acts on each time row on its own: `layer_norm` makes u,
+    `build` makes the scan element from u (the forcing under the shared factor, or LrcSSM's gate and
+    drive), and `tail` the readout, feedthrough, GLU and residual add from the
+    states.  `ssm_block` runs them over all T rows at once, and `stack`'s
+    streamed evaluation over chunks of rows, each chunk's scan started from
+    the state the chunk before left.  Nothing here is taped.
+    """
+
+    def __init__(self, hidden: int, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg):
+        kind, *scan_tensors = scan
+        self.scan_tensors = [_lift(t) for t in scan_tensors]
+        self.n, self.build, self.adjoint = _SCAN_PARTS[kind](kind, hidden, *self.scan_tensors)
+        self.tensors = norm, c, d, wv, bv, wg, bg = tuple(map(_lift, (norm, c, d, wv, bv, wg, bg)))
+        square = (hidden, hidden)
+        if (norm.shape, c.shape, wv.shape, wg.shape) != ((2, hidden), (self.n, hidden), square, square):
+            raise ShapeError(
+                f"ssm_block needs norm [2, H], a readout [{self.n}, H] and GLU weights [H, H] with H = "
+                f"{hidden}, got norm {norm.shape}, readout {c.shape}, GLU {wv.shape}, {wg.shape}"
+            )
+        self.eps = eps
+        (self.gd, self.bd), self.cd, self.dd = norm.data, c.data, d.data
+        self.wvd, self.bvd, self.wgd, self.bgd = wv.data, bv.data, wg.data, bg.data
+
+    def layer_norm(self, hd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u = (h - mean) / std * gain + bias over the last axis, the normalised
+        rows (h - mean) / std, and 1/std."""
+        inv_n = 1.0 / hd.shape[-1]
+        # np.add.reduce is ndarray.sum's own reduction, without its Python wrapper
+        centered = hd - np.add.reduce(hd, axis=-1, keepdims=True) * inv_n
+        std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + self.eps)
+        xhat = np.divide(centered, std, out=centered)
+        return _scale_shift(xhat, self.gd, self.bd), xhat, 1.0 / std
+
+    def tail(self, held: list, hd: np.ndarray) -> np.ndarray:
+        """h + (r @ wv + bv) * sigmoid(r @ wg + bg) with r = x @ c + d * u, from
+        held = [the states x, u]; it empties `held`, to free x once read out and
+        u once fed through, before the GLU."""
+        x, u = held
+        held.clear()
+        r = _dot(x.reshape(u.shape[:-1] + (self.n,)), self.cd)
+        del x
+        r += self.dd * u
+        del u
+        out = _affine_data(r, self.wvd, self.bvd)
+        pre = _affine_data(r, self.wgd, self.bgd)
+        del r
+        gate = _sigmoid(pre, overwrite=True)
+        del pre
+        out *= gate
+        del gate
+        out += hd
+        return out
+
+
 def ssm_block(h, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
     """One block application as one node: h + (r @ wv + bv) * sigmoid(r @ wg + bg)
     with r = x @ c + d * u, u = layer_norm(h) and x the states of the arch's scan of u.
@@ -491,7 +551,7 @@ def ssm_block(h, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
     ("cdiag" or "mat2", w, a), the forcing u @ w [H, P, 2] under the shared
     factor a (LRU, S5, LinOSS), whose states [..., P, 2] are read out as
     [..., 2P]; or ("diag", wb, bb, wa, ba), LrcSSM's gated scan.  c [n, H]
-    reads the states out.
+    reads the states out.  The forward is `BlockRows`' steps over all rows.
 
     The node keeps only the normalised input, 1/std and parameter-sized
     arrays.  Its adjoint rebuilds u and the states with the forward's own
@@ -506,47 +566,24 @@ def ssm_block(h, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
     is listed twice among the parents, the tail's use first, so `backward`
     adds its cotangents as it added the composition's.
     """
-    kind, *scan_tensors = scan
-    h, norm, c, d, wv, bv, wg, bg = map(_lift, (h, norm, c, d, wv, bv, wg, bg))
-    scan_tensors = [_lift(t) for t in scan_tensors]
+    h = _lift(h)
     shape = h.shape
-    hidden = shape[-1]
-    n, build, adjoint = _SCAN_PARTS[kind](kind, hidden, *scan_tensors)
-    square = (hidden, hidden)
-    if len(shape) < 2 or (norm.shape, c.shape, wv.shape, wg.shape) != ((2, hidden), (n, hidden), square, square):
-        raise ShapeError(
-            f"ssm_block needs h [..., H] of at least 2 dims, norm [2, H], a readout [{n}, H] and GLU "
-            f"weights [H, H], got h {shape}, norm {norm.shape}, readout {c.shape}, GLU {wv.shape}, {wg.shape}"
-        )
+    if len(shape) < 2:
+        raise ShapeError(f"ssm_block needs h [..., H] of at least 2 dims, got h {shape}")
+    rows = BlockRows(shape[-1], norm, eps, scan, c, d, wv, bv, wg, bg)
+    norm, c, d, wv, bv, wg, bg = rows.tensors
     if not all(_broadcasts_into(t.shape, shape) for t in (d, bv, bg)):
         raise ShapeError(f"ssm_block: {d.shape}, {bv.shape}, {bg.shape} do not broadcast into {shape}")
+    n, build, adjoint = rows.n, rows.build, rows.adjoint
     (gd, bd), cd, dd = norm.data, c.data, d.data
     wvd, bvd, wgd, bgd = wv.data, bv.data, wg.data, bg.data
-    inv_n = 1.0 / hidden
-    # np.add.reduce is ndarray.sum's own reduction, without its Python wrapper
-    centered = h.data - np.add.reduce(h.data, axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + eps)
-    xhat = np.divide(centered, std, out=centered)
-    rstd = 1.0 / std
-    del centered, std
-    u = _scale_shift(xhat, gd, bd)
+    inv_n = 1.0 / shape[-1]
+    u, xhat, rstd = rows.layer_norm(h.data)
     if not _ACTIVE:  # nothing reads them again
         xhat = rstd = None
-    elem = build(u)[0]  # the forward drops what only the adjoint reads
-    x = _scan.scan_linear(elem)
-    del elem
-    r = _dot(x.reshape(shape[:-1] + (n,)), cd)
-    del x  # the states go before the GLU
-    r += dd * u
+    held = [_scan.scan_linear(build(u)[0]), u]  # the forward drops what only the adjoint reads
     del u
-    out = _affine_data(r, wvd, bvd)
-    pre = _affine_data(r, wgd, bgd)
-    del r
-    gate = _sigmoid(pre, overwrite=True)
-    del pre
-    out *= gate
-    del gate
-    out += h.data
+    out = rows.tail(held, h.data)
 
     def vjp(g):
         u = _scale_shift(xhat, gd, bd)
@@ -596,7 +633,7 @@ def ssm_block(h, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
         g_norm = np.stack([_unbroadcast(g_u * xhat, gd.shape), _unbroadcast(g_u, bd.shape)])
         return (g, g_c, g_d, g_wv, g_bv, g_wg, g_bg, *g_scan, gh, g_norm)
 
-    parents = (h, c, d, wv, bv, wg, bg, *scan_tensors, h, norm)
+    parents = (h, c, d, wv, bv, wg, bg, *rows.scan_tensors, h, norm)
     return _record(out, parents, vjp)
 
 

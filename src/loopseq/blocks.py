@@ -297,16 +297,27 @@ def _readout(p: BlockParams) -> Tensor:
     return ad.reshape(pairs, (2 * state, hidden))
 
 
-def block_forward(p: BlockParams, h: Tensor) -> Tensor:
-    """Pre-norm, the arch's factor and scan, then the tail, as one node; preserves [T, ..., H]."""
+def block_operands(p: BlockParams) -> tuple:
+    """`ad.ssm_block`'s operands after h for block p (and `ad.BlockRows`' after H)."""
     # gain and bias as one node recorded before the arch's parameter-side nodes,
     # so the backward sweep reaches them after those, which keeps the order of
     # its gradient map (the order `train.clip_global_norm` sums in)
     norm = ad.stack([p.norm_gain, p.norm_bias], axis=0)
-    return ad.ssm_block(
-        h, norm, _NORM_EPS, _STATES[type(p)](p), _readout(p), p.feedthrough,
-        p.glu_value_w, p.glu_value_b, p.glu_gate_w, p.glu_gate_b
+    return (
+        norm, _NORM_EPS, _STATES[type(p)](p), _readout(p), p.feedthrough,
+        p.glu_value_w, p.glu_value_b, p.glu_gate_w, p.glu_gate_b,
     )
+
+
+def block_forward(p: BlockParams, h: Tensor) -> Tensor:
+    """Pre-norm, the arch's factor and scan, then the tail, as one node; preserves [T, ..., H]."""
+    return ad.ssm_block(h, *block_operands(p))
+
+
+def check_batch(p: EncoderParams, x: Tensor) -> None:
+    """Refuse an input that is not an [N, T, w] batch for encoder p, naming its shape."""
+    if x.ndim != 3 or x.shape[-1] != p.weight.shape[0]:
+        raise ShapeError(f"input must be an [N, T, {p.weight.shape[0]}] batch, got shape {x.shape}")
 
 
 def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:
@@ -316,11 +327,16 @@ def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:
     copy of the input; x is data, and no gradient flows back into it. Any
     other shape is refused before any product, naming the shape passed.
     """
-    if x.ndim != 3 or x.shape[-1] != p.weight.shape[0]:
-        raise ShapeError(f"input must be an [N, T, {p.weight.shape[0]}] batch, got shape {x.shape}")
+    check_batch(p, x)
     return ad.affine(Tensor(np.moveaxis(x.data, -2, 0)), p.weight, p.bias)
 
 
 def head_forward(p: HeadParams, h: Tensor) -> Tensor:
     """Logits [..., C] from hidden states [T, ..., H] mean-pooled over time."""
-    return ad.affine(ad.mean_(h, axis=0), p.weight, p.bias)
+    return head_from_sum(p, ad.sum_(h, axis=0), h.shape[0])
+
+
+def head_from_sum(p: HeadParams, total, steps: int) -> Tensor:
+    """Logits [..., C] from the time sum [..., H] of `steps` hidden states: `ad.mean_`'s
+    scaling, then the linear map."""
+    return ad.affine(ad.mul(total, 1.0 / steps), p.weight, p.bias)

@@ -33,6 +33,12 @@ trailing axis of length 2 over a float64 substrate; inside the kernel a
               and never expanded over batch or time (LRU, S5, LinOSS);
     per-step  b's own shape, plus the 2x2 for "mat2" (LrcSSM's gate).
 
+A sequence can also be scanned in chunks: `fold_carry` starts a chunk's
+recurrence from the last state of the chunk before, by one step of the
+kernel, and `scan_joint` runs independent recurrences over the same rows
+as one `scan_linear` call on their channels side by side; either way the
+states keep the bits of one scan over the whole sequence.
+
 `scan_backward` returns each adjoint in its input's shape: a shared
 factor's `da` is summed over the time and batch axes.  That sum is built a
 fixed number of bytes of rows at a time, each chunk's `np.add.reduce`
@@ -180,6 +186,43 @@ def scan_linear(elem: ScanElement) -> np.ndarray:
     out = np.empty(b.shape)
     _recur(kind, f if shared else f[1:], shared, _complex(kind, b), _complex(kind, out))
     return out
+
+
+def fold_carry(elem: ScanElement, carry: np.ndarray) -> None:
+    """Start elem's recurrence from the state `carry` instead of zero, in place.
+
+    b_0 becomes a_0 . carry + b_0 by one step of the kernel itself, so a
+    sequence scanned in chunks, each from the last state of the chunk
+    before, keeps the bits of one scan over all its steps.
+    """
+    kind = elem.kind
+    a, b, _, shared = _check_elements(kind, elem.a, elem.b)
+    rows = np.stack([carry, b[0]])
+    f = _complex(kind, a)
+    step = _complex(kind, rows)
+    _recur(kind, f if shared else f[:1], shared, step, step)
+    b[0] = rows[1]
+
+
+def scan_joint(elems: list[ScanElement]) -> list[np.ndarray]:
+    """The states of independent recurrences over the same time and lead axes,
+    from one `scan_linear` call over their channels side by side.
+
+    The elements share a kind and a layout.  The kernel acts on each channel
+    on its own, so each element's states, returned in its b's shape as a view
+    of the joint states, are its own scan's bits.  The list is emptied, so
+    each forcing is freed once copied; a lone element is scanned as it is.
+    """
+    if len(elems) == 1:
+        return [scan_linear(elems.pop())]
+    kind = elems[0].kind
+    shared = _check_elements(kind, elems[0].a, elems[0].b)[3]
+    axis = elems[0].b.ndim - _B_TRAIL[kind]  # b's channel axis
+    widths = [e.b.shape[axis] for e in elems]
+    a = np.concatenate([e.a for e in elems], axis=0 if shared else axis)
+    b = np.concatenate([e.b for e in elems], axis=axis)
+    elems.clear()
+    return np.split(scan_linear(ScanElement(a, b, kind)), np.cumsum(widths[:-1]), axis=axis)
 
 
 def scan_backward(

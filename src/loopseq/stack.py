@@ -18,6 +18,13 @@ after every full pass through the unique sequence (period m, giving
 r = L / m taps h^(1)..h^(r)).  The encoder and head are never shared
 across patterns being compared; only block parameters participate in
 tying.
+
+Evaluation streams over time (`predict_logits`, `eval_loss`): untaped,
+it runs chunks of K time steps, block application j on chunk c at
+stage c + j, so the L applications advance through time together and
+one scan loop serves all of them.  Its memory follows K, not T, and its
+logits and loss are the whole sequence's, bit for bit.  Training and
+the finite-difference checks run the whole sequence (`stack_loss`).
 """
 
 from __future__ import annotations
@@ -29,22 +36,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import scan
 from .autodiff import Tape, Tensor, backward
 from .blocks import (
     BlockParams,
     EncoderParams,
     HeadParams,
     block_forward,
+    block_operands,
+    check_batch,
     clone_params,
     count_params,
     encoder_forward,
     head_forward,
+    head_from_sum,
     init_block,
     init_encoder,
     init_head,
     named_tensors,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EmptySequenceError
 
 
 def pattern_string(depth: int, n_unique: int) -> str:
@@ -140,6 +151,11 @@ def build_stack(
     return StackModel(config, encoder, blocks, head)
 
 
+def _check_period(depth: int, period: int) -> None:
+    if period < 1 or depth % period != 0:
+        raise ConfigError(f"tap period {period} must divide depth {depth}")
+
+
 def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
     """Encoder then L periodic block applications; the hidden state after every `period`.
 
@@ -148,8 +164,7 @@ def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
     model, so both are supervised at the source's repetition boundaries.
     """
     depth = model.config.depth
-    if period < 1 or depth % period != 0:
-        raise ConfigError(f"tap period {period} must divide depth {depth}")
+    _check_period(depth, period)
     h = encoder_forward(model.encoder, x if isinstance(x, Tensor) else Tensor(x))
     taps = []
     for j in range(depth):
@@ -163,15 +178,23 @@ def tap_loss(model: StackModel, taps: list[Tensor], labels: np.ndarray) -> Tenso
     """Uniform average of the shared head's cross entropy over the taps.
 
     No stop-gradients: every tap backpropagates into every earlier
-    block application.  One tap is returned unscaled: a factor of 1.0
-    would change no bit and only add a tape node.
+    block application.
     """
-    total = None
-    for h in taps:
-        logits = head_forward(model.head, h)
-        term = ad.softmax_cross_entropy(logits, labels).mean()
+    return _mean_loss((head_forward(model.head, h) for h in taps), labels)
+
+
+def _mean_loss(logits, labels: np.ndarray) -> Tensor:
+    """Uniform average of the cross entropy of each of the `logits`, made in turn.
+
+    One term is returned unscaled: a factor of 1.0 would change no bit and
+    only add a tape node.
+    """
+    total, count = None, 0
+    for z in logits:
+        term = ad.softmax_cross_entropy(z, labels).mean()
         total = term if total is None else total + term
-    return total if len(taps) == 1 else total * (1.0 / len(taps))
+        count += 1
+    return total if count == 1 else total * (1.0 / count)
 
 
 def stack_loss(model: StackModel, x, labels: np.ndarray) -> Tensor:
@@ -221,10 +244,114 @@ def _tensor_bytes(tensors: list[Tensor]) -> list[bytes]:
     return [t.data.tobytes() for t in tensors]
 
 
+# --- streamed evaluation ------------------------------------------------------------
+
+# a streamed evaluation runs chunks of K time rows, K set so that one [K, N, H]
+# array holds this many bytes: the fastest of 64 KiB-1 MiB at Worms length
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_rows(T: int, N: int, H: int, n: int, depth: int) -> int:
+    """K for an evaluation of N series of T steps through `depth` applications
+    of blocks with hidden size H and n scan channels.
+
+    All depth applications are in flight at once, each holding about six
+    [K, N, H] arrays, so streaming starts at two chunks per application, where
+    its peak is half the whole sequence's; below that K = T.  K = T as well
+    unless H and n are multiples of 8: OpenBLAS computes a product 1-4 columns
+    past a multiple of 8 wide with another kernel below some size, in other
+    bits, and a product one column wide (B * H = 1 too) as a matrix-vector
+    product.
+    """
+    if not N or H % 8 or n % 8:
+        return T
+    rows = max(2, _CHUNK_BYTES // (8 * N * H))
+    return T if T < 2 * depth * rows else rows
+
+
+def _stream_logits(model: StackModel, x, period: int) -> list[Tensor]:
+    """The head's logits at every `period`-th block application, without a tape,
+    streamed over chunks of K time rows; the bits of `stack_forward`'s taps
+    through `head_forward`.
+
+    Application j runs chunk c at stage c + j, and the active applications'
+    scans run as one (`scan.scan_joint`), started from the last state each
+    application's previous chunk left (`scan.fold_carry`).  Every other step
+    acts on each time row on its own, and a product's rows do not depend on
+    how many rows it has (a test pins this) unless it has one.  Each tap's
+    time sum is built a chunk at a time by `np.add.reduce` starting from the
+    running total, NumPy's own order for a sum over axis 0 (K = T when that
+    sum's tail holds one element).  K comes from `_chunk_rows`.
+    """
+    depth, m = model.config.depth, model.config.n_unique
+    _check_period(depth, period)
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    check_batch(model.encoder, x)
+    N, T, _ = x.shape
+    if not T:
+        raise EmptySequenceError("evaluation over zero time steps")
+    H = model.encoder.weight.shape[1]
+    rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
+    K = _chunk_rows(T, N, H, rows[0].n, depth)
+    # a product of one row is a matrix-vector product, in other bits, so at
+    # N = 1 a last chunk of one row joins the chunk before it
+    starts = list(range(0, T, K))
+    if len(starts) > 1 and N * (T - starts[-1]) == 1:
+        starts.pop()
+    chunks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [T])]
+    last = len(chunks) - 1
+    if last:
+        # glibc serves a block above its mmap threshold (128 KiB at start) by
+        # mmap, and hands free heap above twice that threshold back to the OS,
+        # so every stage would fault its arrays' pages in afresh; freeing an
+        # mmapped block raises the threshold to the block's size.  One untouched
+        # block of 4 chunk arrays per application, under the stages' peak of
+        # about 6, freed at once, keeps the stages on the heap: a Worms-length
+        # full_loss at N = 2 took 165k page faults per call without it.
+        np.empty(min(4 * depth * K * N * H, 1 << 21))
+    h: list = [None] * depth  # each application's input chunk for this stage
+    carry: list = [None] * depth  # each application's last state so far
+    sums: list = [None] * (depth // period)
+    for stage in range(last + depth):
+        if stage <= last:
+            h[0] = encoder_forward(model.encoder, Tensor(x.data[:, chunks[stage]])).data
+        active = range(max(0, stage - last), min(depth, stage + 1))
+        elems, held, groups = {}, {}, {}
+        for j in active:
+            blk = rows[j % m]
+            u = blk.layer_norm(h[j])[0]
+            elems[j] = blk.build(u)[0]
+            if stage > j:
+                scan.fold_carry(elems[j], carry[j])
+            held[j] = [None, u]
+            # only the application on the last chunk can have another length
+            groups.setdefault(len(h[j]), []).append(j)
+        for group in groups.values():
+            for j, states in zip(group, scan.scan_joint([elems.pop(j) for j in group])):
+                held[j][0] = states
+        del u, states  # `tail` frees each application's u and states
+        for j in reversed(active):  # the deepest first: h[j + 1] is read before it is replaced
+            if stage - j < last:
+                carry[j] = held[j][0][-1].copy()
+            out = rows[j % m].tail(held.pop(j), h[j])
+            if (j + 1) % period == 0:
+                tap = (j + 1) // period - 1
+                total = sums[tap]
+                sums[tap] = np.add.reduce(out if total is None else np.concatenate([total[None], out]), axis=0)
+            h[j] = None
+            if j + 1 < depth:
+                h[j + 1] = out
+    return [head_from_sum(model.head, total, T) for total in sums]
+
+
 def predict_logits(model: StackModel, x) -> np.ndarray:
-    """Final logits without recording a tape (evaluation path)."""
-    (h,) = stack_forward(model, x, model.config.depth)
-    return head_forward(model.head, h).data
+    """Final logits, streamed without a tape (`_stream_logits`)."""
+    return _stream_logits(model, x, model.config.depth)[0].data
+
+
+def eval_loss(model: StackModel, x, labels: np.ndarray) -> float:
+    """`stack_loss`'s value, streamed without a tape (`_stream_logits`)."""
+    return _mean_loss(_stream_logits(model, x, model.config.tap_period), labels).item()
 
 
 # --- periodic embedding ------------------------------------------------------------

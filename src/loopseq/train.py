@@ -8,6 +8,9 @@ bit-identical curves.
 Per run we record the pre-update loss over the full train portion
 (`initial_loss`), per-epoch mean minibatch loss, validation/test
 accuracy per epoch, and the test accuracy at the best-validation epoch.
+The evaluations (`full_loss`, `accuracy`) run the stack's untaped
+streamed forward, whose memory follows a chunk of time steps rather
+than the series length; the training steps run the whole series.
 Non-finite losses, gradients, parameters or evaluation logits mark the
 run diverged and end it; the epoch in which that happens is not scored.
 
@@ -33,7 +36,7 @@ from .blocks import ARCHS
 from .data import Dataset, apply_reshape, normalize, split_dataset
 from .errors import AggregationError, ConfigError
 from .pool import run_pooled
-from .stack import StackConfig, StackModel, build_stack, parse_pattern, predict_logits, stack_loss
+from .stack import StackConfig, StackModel, build_stack, eval_loss, parse_pattern, predict_logits, stack_loss
 
 _EVAL_BATCH = 256
 
@@ -168,12 +171,11 @@ def prepare_splits(ds: Dataset, config: TrainConfig) -> list[Dataset]:
 
 
 def full_loss(model: StackModel, ds: Dataset) -> float:
-    """Mean loss over a whole dataset without recording gradients."""
+    """Mean loss over a whole dataset, streamed without recording gradients."""
     total, n = 0.0, ds.n
     for lo in range(0, n, _EVAL_BATCH):
         batch = slice(lo, lo + _EVAL_BATCH)  # a view: the batch's input is not copied
-        loss = stack_loss(model, ds.series[batch], ds.labels[batch])
-        total += float(loss.data) * len(ds.labels[batch])
+        total += eval_loss(model, ds.series[batch], ds.labels[batch]) * len(ds.labels[batch])
     return total / n
 
 

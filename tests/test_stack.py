@@ -16,13 +16,14 @@ from loopseq import autodiff as ad
 from loopseq import scan, stack
 from loopseq.autodiff import Tape, backward, Tensor
 from loopseq.blocks import ARCHS, block_forward, encoder_forward, head_forward, named_tensors
-from loopseq.errors import ConfigError, ShapeError
+from loopseq.errors import ConfigError, EmptySequenceError, ShapeError
 from loopseq.stack import (
     AggregationReport,
     StackConfig,
     StackModel,
     build_stack,
     embed_periodic,
+    eval_loss,
     parse_pattern,
     pattern_string,
     predict_logits,
@@ -461,15 +462,20 @@ def test_rebuilt_and_aliased_arrays_give_the_kept_bits(arch, supervision, patter
 # --- scan states the backward rebuilds instead of keeping ----------------------------------
 
 
-def _jittered_bits(arch, config, B, T, H):
-    """The loss, every gradient and the untaped logits of a jittered stack, as bytes."""
+def _jittered(arch, config, B, T, H):
+    """A stack whose every parameter is moved off its init (norm gains start at
+    exactly 1 and biases at 0), with an input batch and labels."""
     model = build_stack(arch, config, width=3, n_classes=4, hidden=H, state=H, rng=5)
     rng = np.random.default_rng(B * T)
-    params = model.param_tensors()
-    for p in params:  # norm gains and biases start at exactly 1 and 0
+    for p in model.param_tensors():
         p.data += 0.1 * rng.standard_normal(p.shape)
-    x = rng.standard_normal((B, T, 3))
-    y = rng.integers(0, 4, B)
+    return model, rng.standard_normal((B, T, 3)), rng.integers(0, 4, B)
+
+
+def _jittered_bits(arch, config, B, T, H):
+    """The loss, every gradient and the untaped logits of a jittered stack, as bytes."""
+    model, x, y = _jittered(arch, config, B, T, H)
+    params = model.param_tensors()
     with Tape():
         loss = stack_loss(model, x, y)
         grads = backward(loss, params)
@@ -524,6 +530,115 @@ def test_backward_records_nothing_and_frees_the_rebuilt_states(arch, monkeypatch
         assert len(tape.nodes) == recorded
     assert len(rebuilt) == 6
     assert all(ref() is None for ref in rebuilt)
+
+
+# --- streamed evaluation -----------------------------------------------------------------
+
+# `_dot` on row chunks of one matrix, against the rows of the whole product, for
+# products as wide as a multiple of 8, the only ones a streamed evaluation chunks:
+# the Worms-shaped encoder, forcing, readout and GLU products and smaller ones; every
+# chunk has two rows or more, the last one too
+_DOT_ROWS = """
+import numpy as np
+from loopseq.autodiff import _dot
+
+rng = np.random.default_rng(0)
+moved = []
+for k, n in ((6, 64), (64, 128), (128, 64), (64, 64), (16, 8), (17, 24), (1, 16), (256, 32)):
+    x = rng.standard_normal((2000, k))
+    w = rng.standard_normal((k, n))
+    whole = _dot(x, w)
+    for rows in (2, 3, 7, 64, 512):
+        for lo in range(0, 1999, rows):
+            if not np.array_equal(_dot(x[lo : lo + rows], w), whole[lo : lo + rows]):
+                moved.append((k, n, rows, lo))
+print(moved)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dot_rows_do_not_depend_on_the_row_count(threads):
+    """Each row of a product as wide as a multiple of 8 is the same bits however
+    many rows it is computed with, at one and at two BLAS threads; streamed
+    evaluation rests on this. A product of one row, or 1-4 columns past a
+    multiple of 8 wide, can take other bits, and streamed evaluation makes none."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": threads,
+    }
+    run = subprocess.run([sys.executable, "-c", _DOT_ROWS], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def _streamed_matches_whole(model, x, y, monkeypatch, chunks):
+    """predict_logits and eval_loss with each K in `chunks` against the whole
+    sequence's composition: logits equal, the loss equal under float.hex."""
+    taps = stack_forward(model, x, model.config.tap_period)
+    logits = head_forward(model.head, taps[-1]).data
+    loss = tap_loss(model, taps, y).item().hex()
+    for K in chunks:
+        monkeypatch.setattr(stack, "_chunk_rows", lambda *shape: K)
+        assert np.array_equal(predict_logits(model, x), logits), f"K = {K}"
+        assert eval_loss(model, x, y).hex() == loss, f"K = {K}"
+
+
+@pytest.mark.parametrize("pattern", ["AAAAAA", "ABABAB", "ABCDEF"])
+@pytest.mark.parametrize("supervision", ["final", "block"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_streamed_evaluation_keeps_the_whole_sequence_bits(arch, supervision, pattern, monkeypatch):
+    """Chunks of K = 1, 7 (which does not divide T), T - 1 (a last chunk of one
+    step) and T give the logits and loss of the whole sequence, bit for bit."""
+    model, x, y = _jittered(arch, parse_pattern(pattern, supervision), B=3, T=23, H=8)
+    _streamed_matches_whole(model, x, y, monkeypatch, (1, 7, 22, 23))
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_streamed_evaluation_of_one_series_keeps_the_bits(arch, monkeypatch):
+    """At N = 1 a chunk of one step is a product of one row, NumPy's
+    matrix-vector path: a last chunk of one step (K = T - 1, T - 2) joins the
+    chunk before it."""
+    model, x, y = _jittered(arch, parse_pattern("ABABAB", "block"), B=1, T=23, H=8)
+    _streamed_matches_whole(model, x, y, monkeypatch, (2, 7, 11, 21, 22, 23))
+
+
+def test_chunk_rows_streams_only_long_evaluations():
+    """K from the byte budget, and T where streaming would cost memory or bits."""
+    H = 64
+    assert stack._chunk_rows(17984, 1, H, 128, 6) == 512  # Worms, one series: 256 KiB rows
+    assert stack._chunk_rows(17984, 2, H, 128, 6) == 256
+    assert stack._chunk_rows(17984, 181, H, 128, 6) == 2  # never a product of one row
+    assert stack._chunk_rows(6144, 1, H, 128, 6) == 512  # two chunks per application
+    assert stack._chunk_rows(6143, 1, H, 128, 6) == 6143
+    assert stack._chunk_rows(2000, 1, H, 128, 6) == 2000
+    assert stack._chunk_rows(100, 32, 16, 32, 6) == 100  # synth
+    assert stack._chunk_rows(16, 4, 4, 8, 6) == 16  # audit
+    assert stack._chunk_rows(10**6, 1, 1, 8, 6) == 10**6  # B*H = 1: a one-element sum
+    assert stack._chunk_rows(10**6, 4, 12, 24, 6) == 10**6  # widths off a multiple of 8
+    assert stack._chunk_rows(10**6, 4, 8, 4, 6) == 10**6
+
+
+def test_streamed_evaluation_takes_an_empty_batch_and_refuses_zero_steps():
+    model = _tiny()
+    assert predict_logits(model, np.zeros((0, 5, 3))).shape == (0, 3)
+    with pytest.raises(EmptySequenceError):
+        predict_logits(model, np.zeros((2, 0, 3)))
+
+
+def test_streamed_evaluation_chunks_under_its_own_rule(monkeypatch):
+    """With a small byte budget the default K streams, and keeps the bits; at
+    B * H = 1 it does not stream."""
+    monkeypatch.setattr(stack, "_CHUNK_BYTES", 8 * 3 * 8 * 4)
+    model, x, y = _jittered("LRU", parse_pattern("ABABAB", "block"), B=3, T=60, H=8)
+    assert stack._chunk_rows(60, 3, 8, 16, 6) == 4
+    taps = stack_forward(model, x, 2)
+    assert np.array_equal(predict_logits(model, x), head_forward(model.head, taps[-1]).data)
+    assert eval_loss(model, x, y).hex() == tap_loss(model, taps, y).item().hex()
+    model, x, y = _jittered("LRU", parse_pattern("AAAAAA", "final"), B=1, T=60, H=1)
+    (h,) = stack_forward(model, x, 6)
+    assert stack._chunk_rows(60, 1, 1, 2, 6) == 60
+    assert np.array_equal(predict_logits(model, x), head_forward(model.head, h).data)
 
 
 # --- memory ---------------------------------------------------------------------------
@@ -616,6 +731,33 @@ def test_predict_logits_memory_bounded(arch):
         tracemalloc.stop()
     peak /= B * T * H * 8
     assert peak <= _PREDICT_PEAK[arch], f"{arch} predict_logits peak {peak:.2f} x B*T*H floats"
+
+
+# tracemalloc peak of a streamed `eval_loss` at B = 1, w = 6, H = P = 64, depth 6
+# (K = 512), in [K, B, H] float arrays: measured 36.67/36.66/36.77/36.08 at T = 6144
+# and at T = 12288 alike, and pinned 0.46 above the highest. In flight at once are
+# each application's input chunk, u, its share of the joint forcing and of the joint
+# states; the whole-sequence evaluation held 6.14 x T/K such arrays.
+_STREAM_PEAK = 37.23
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_streamed_evaluation_memory_does_not_grow_with_t(arch):
+    H, K = 64, 512
+    model = build_stack(arch, StackConfig(6, 1, "final"), width=6, n_classes=5, hidden=H, state=H, rng=0)
+    peaks = []
+    for T in (6144, 12288):
+        assert stack._chunk_rows(T, 1, H, 2 * H if arch != "LrcSSM" else H, 6) == K
+        x = np.random.default_rng(16).standard_normal((1, T, 6))
+        tracemalloc.start()
+        try:
+            eval_loss(model, x, np.array([1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak / (K * H * 8))
+    assert max(peaks) <= _STREAM_PEAK, f"{arch} streamed peaks {peaks} x K*B*H floats"
+    assert peaks[1] - peaks[0] < 0.05, f"{arch} streamed peak grew with T: {peaks}"
 
 
 # One LRU step as above, in a fresh interpreter: how far the peak resident set
