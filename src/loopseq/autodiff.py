@@ -21,10 +21,10 @@ suite.
 
 The tape keeps only the arrays some adjoint reads.  A node holds no
 output and refers to a parent recorded on the same tape by its index,
-and each vjp closure binds the shapes, operands or outputs it reads,
-never a whole Tensor.  An intermediate no adjoint reads (an `add` fed
-only to a `sum_`, say) is freed during the forward, as soon as the code
-that built it drops it.  `ssm_block` keeps no time-sized array it can
+and each vjp closure binds the shapes, operands or outputs it reads
+(`ssm_block`'s, its `BlockRows`), never a whole Tensor.  An intermediate
+no adjoint reads (an `add` fed only to a `sum_`, say) is freed during
+the forward, as soon as the code that built it drops it.  `ssm_block` keeps no time-sized array it can
 rebuild bit for bit: its adjoint remakes them from the normalised input,
 with array operations only, so a rebuild records nothing on the tape
 that is active while `backward` runs.  Across nodes one more rule holds:
@@ -487,29 +487,27 @@ def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.nda
 class BlockRows:
     """One block application's arithmetic with its operands bound, split at the scan.
 
-    The arguments are `ssm_block`'s after h, with `hidden` = H.  Every step
-    but the scan acts on each time row on its own: `layer_norm` makes u,
-    `build` makes the scan element from u (the forcing under the shared factor, or LrcSSM's gate and
-    drive), and `tail` the readout, feedthrough, GLU and residual add from the
-    states.  `ssm_block` runs them over all T rows at once, and `stack`'s
+    The arguments are `ssm_block`'s after h, with `hidden` = H; the norm gain
+    and bias are two [H] operands, as d, bv and bg are.  Every step but the
+    scan acts on each time row on its own: `layer_norm` makes u, `build`
+    makes the scan element from u (the forcing under the shared factor, or
+    LrcSSM's gate and drive), and `tail` the readout, feedthrough, GLU and
+    residual add from the states.  `ssm_block` runs them over all T rows at once, and `stack`'s
     streamed evaluation over chunks of rows, each chunk's scan started from
     the state the chunk before left.  Nothing here is taped.
     """
 
-    def __init__(self, hidden: int, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg):
+    def __init__(self, hidden: int, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg):
         kind, *scan_tensors = scan
         self.scan_tensors = [_lift(t) for t in scan_tensors]
         self.n, self.build, self.adjoint = _SCAN_PARTS[kind](kind, hidden, *self.scan_tensors)
-        self.tensors = norm, c, d, wv, bv, wg, bg = tuple(map(_lift, (norm, c, d, wv, bv, wg, bg)))
-        square = (hidden, hidden)
-        if (norm.shape, c.shape, wv.shape, wg.shape) != ((2, hidden), (self.n, hidden), square, square):
-            raise ShapeError(
-                f"ssm_block needs norm [2, H], a readout [{self.n}, H] and GLU weights [H, H] with H = "
-                f"{hidden}, got norm {norm.shape}, readout {c.shape}, GLU {wv.shape}, {wg.shape}"
-            )
+        self.tensors = tuple(map(_lift, (gain, bias, c, d, wv, bv, wg, bg)))
+        self.gd, self.bd, self.cd, self.dd, self.wvd, self.bvd, self.wgd, self.bgd = (t.data for t in self.tensors)
+        want = ((hidden,),) * 2 + ((self.n, hidden), (hidden,)) + ((hidden, hidden), (hidden,)) * 2
+        shapes = tuple(t.shape for t in self.tensors)
+        if shapes != want:
+            raise ShapeError(f"ssm_block needs gain, bias, c, d, wv, bv, wg, bg of shapes {want}, got {shapes}")
         self.eps = eps
-        (self.gd, self.bd), self.cd, self.dd = norm.data, c.data, d.data
-        self.wvd, self.bvd, self.wgd, self.bgd = wv.data, bv.data, wg.data, bg.data
 
     def layer_norm(self, hd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """u = (h - mean) / std * gain + bias over the last axis, the normalised
@@ -542,99 +540,96 @@ class BlockRows:
         return out
 
 
-def ssm_block(h, norm, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
+def ssm_block(h, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
     """One block application as one node: h + (r @ wv + bv) * sigmoid(r @ wg + bg)
     with r = x @ c + d * u, u = layer_norm(h) and x the states of the arch's scan of u.
 
     u is (h - mean) / sqrt(var + eps) * gain + bias over the last axis, with
-    gain and bias the rows of `norm` [2, H].  `scan` is (kind, *tensors):
+    gain, bias, d, bv and bg [H].  `scan` is (kind, *tensors):
     ("cdiag" or "mat2", w, a), the forcing u @ w [H, P, 2] under the shared
     factor a (LRU, S5, LinOSS), whose states [..., P, 2] are read out as
     [..., 2P]; or ("diag", wb, bb, wa, ba), LrcSSM's gated scan.  c [n, H]
     reads the states out.  The forward is `BlockRows`' steps over all rows.
 
-    The node keeps only the normalised input, 1/std and parameter-sized
-    arrays.  Its adjoint rebuilds u and the states with the forward's own
-    operations and recomputes the readout, the GLU value and the gate
-    (selective recomputation, Chen et al., arXiv:1604.06174).  It then runs
-    the tail's, the scan's, the forcing's and the layer norm's adjoints in
-    turn, freeing each array once it is read, and rebuilds u once more for
-    the forcing's adjoint rather than hold it across the scan's.  Every
-    elementwise op and product is that of the block composed from single-op
-    nodes, in that composition's order, so every bit agrees with it: u's
-    cotangent is the tail's plus the forcing's pieces, one at a time, and h
-    is listed twice among the parents, the tail's use first, so `backward`
-    adds its cotangents as it added the composition's.
+    The node keeps only the normalised input, 1/std and the `BlockRows`,
+    whose arrays are parameter-sized.  Its adjoint rebuilds u and the states
+    with the forward's own operations and recomputes the readout, the GLU
+    value and the gate (selective recomputation, Chen et al.,
+    arXiv:1604.06174).  It then runs the tail's, the scan's, the forcing's
+    and the layer norm's adjoints in turn, freeing each array once it is
+    read, and rebuilds u once more for the forcing's adjoint rather than
+    hold it across the scan's.  Every elementwise op and product is that of
+    the block composed from single-op nodes, in that composition's order, so
+    every bit agrees with it: u's cotangent is the tail's plus the forcing's
+    pieces, one at a time, and h is listed twice among the parents, the
+    tail's use first, so `backward` adds its cotangents as it added the
+    composition's.
     """
     h = _lift(h)
     shape = h.shape
     if len(shape) < 2:
         raise ShapeError(f"ssm_block needs h [..., H] of at least 2 dims, got h {shape}")
-    rows = BlockRows(shape[-1], norm, eps, scan, c, d, wv, bv, wg, bg)
-    norm, c, d, wv, bv, wg, bg = rows.tensors
-    if not all(_broadcasts_into(t.shape, shape) for t in (d, bv, bg)):
-        raise ShapeError(f"ssm_block: {d.shape}, {bv.shape}, {bg.shape} do not broadcast into {shape}")
-    n, build, adjoint = rows.n, rows.build, rows.adjoint
-    (gd, bd), cd, dd = norm.data, c.data, d.data
-    wvd, bvd, wgd, bgd = wv.data, bv.data, wg.data, bg.data
-    inv_n = 1.0 / shape[-1]
+    rows = BlockRows(shape[-1], gain, bias, eps, scan, c, d, wv, bv, wg, bg)
+    channels, inv_n = shape[-1:], 1.0 / shape[-1]  # the [H] operands' shape
     u, xhat, rstd = rows.layer_norm(h.data)
     if not _ACTIVE:  # nothing reads them again
         xhat = rstd = None
-    held = [_scan.scan_linear(build(u)[0]), u]  # the forward drops what only the adjoint reads
+    held = [_scan.scan_linear(rows.build(u)[0]), u]  # the forward drops what only the adjoint reads
     del u
     out = rows.tail(held, h.data)
 
     def vjp(g):
-        u = _scale_shift(xhat, gd, bd)
-        elem, extra = build(u)
+        u = _scale_shift(xhat, rows.gd, rows.bd)
+        elem, extra = rows.build(u)
         x = _scan.scan_linear(elem)
         # the scan's adjoint reads only b's shape, so a zero-stride stand-in replaces b
         elem = _scan.ScanElement(elem.a, np.broadcast_to(0.0, elem.b.shape), elem.kind)
-        xf = x.reshape(shape[:-1] + (n,))
+        xf = x.reshape(shape[:-1] + (rows.n,))
         # the tail
-        r = _dot(xf, cd)
-        r += dd * u
-        gate = _sigmoid(_affine_data(r, wgd, bgd), overwrite=True)
-        g_pre = _affine_data(r, wvd, bvd)  # the GLU value, overwritten by g * value
+        r = _dot(xf, rows.cd)
+        r += rows.dd * u
+        gate = _sigmoid(_affine_data(r, rows.wgd, rows.bgd), overwrite=True)
+        g_pre = _affine_data(r, rows.wvd, rows.bvd)  # the GLU value, overwritten by g * value
         np.multiply(g, g_pre, out=g_pre)
         g_value = g * gate
         g_pre *= gate
         np.subtract(1.0, gate, out=gate)
         g_pre *= gate
         del gate
-        g_r, g_wg = _matmul_vjp(r, wgd, g_pre)
-        g_bg = _unbroadcast(g_pre, bgd.shape)
+        g_r, g_wg = _matmul_vjp(r, rows.wgd, g_pre)
+        g_bg = _unbroadcast(g_pre, channels)
         del g_pre
-        g_rv, g_wv = _matmul_vjp(r, wvd, g_value)
-        g_bv = _unbroadcast(g_value, bvd.shape)
+        g_rv, g_wv = _matmul_vjp(r, rows.wvd, g_value)
+        g_bv = _unbroadcast(g_value, channels)
         del r, g_value
         g_r += g_rv
         del g_rv
-        g_d = _unbroadcast(g_r * u, dd.shape)
-        g_u = g_r * dd
+        g_d = _unbroadcast(g_r * u, channels)
+        g_u = g_r * rows.dd
         del u
-        g_x, g_c = _matmul_vjp(xf, cd, g_r)
+        g_x, g_c = _matmul_vjp(xf, rows.cd, g_r)
         del g_r, xf
         # the scan, then the forcing, on u rebuilt once more
         da, db = _scan.scan_backward(elem, x, g_x.reshape(x.shape))
         held = [elem.a, extra, da, db]  # the adjoint takes these over, to free each once read
         del elem, extra, x, g_x, da, db
-        u_pieces, g_scan = adjoint(_scale_shift(xhat, gd, bd), held)
+        u_pieces, g_scan = rows.adjoint(_scale_shift(xhat, rows.gd, rows.bd), held)
         for piece in u_pieces:
             g_u += piece
         del u_pieces, piece
         # the layer norm
-        gy = g_u * gd
+        gy = g_u * rows.gd
         gh = gy - np.add.reduce(gy, axis=-1, keepdims=True) * inv_n
         gh -= xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) * inv_n)
         del gy
         gh *= rstd
-        g_norm = np.stack([_unbroadcast(g_u * xhat, gd.shape), _unbroadcast(g_u, bd.shape)])
-        return (g, g_c, g_d, g_wv, g_bv, g_wg, g_bg, *g_scan, gh, g_norm)
+        g_gain = _unbroadcast(g_u * xhat, channels)
+        return (g, g_c, g_d, g_wv, g_bv, g_wg, g_bg, *g_scan, gh, g_gain, _unbroadcast(g_u, channels))
 
-    parents = (h, c, d, wv, bv, wg, bg, *rows.scan_tensors, h, norm)
-    return _record(out, parents, vjp)
+    # gain and bias last: `backward`'s loop variable outlives its loop, and would
+    # hold h's cotangent gh (B*T*H floats) through the next node's adjoint
+    gain, bias, c, d, wv, bv, wg, bg = rows.tensors
+    return _record(out, (h, c, d, wv, bv, wg, bg, *rows.scan_tensors, h, gain, bias), vjp)
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
@@ -676,8 +671,9 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
 
     Every requested parameter appears in the map; parameters the loss
     never touched get exact zeros.  The map lists the gradients in the
-    order the sweep first reaches each leaf, then the untouched ones.  A loss that was built with no tape
-    active yields all zeros plus a warning.
+    order the sweep first reaches each leaf, then the untouched ones; no
+    training code reads that order (the clip sums in parameter order).  A
+    loss that was built with no tape active yields all zeros plus a warning.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")

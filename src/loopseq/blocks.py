@@ -16,7 +16,9 @@ drive, the scan, the readout, the feedthrough d * u, the GLU mixer (linear
 value gated by a sigmoid-linear gate) and the residual add.  `_STATES`
 gives each arch's part of it, the scan kind and the tensors the forcing
 and factor are made from; the parameter-side nodes that make those
-tensors and the readout are recorded before the block's node.  The node
+tensors and the readout are recorded before the block's node, and the
+norm gain and bias [H], the feedthrough and the GLU weights are its own
+parents.  The node
 keeps no time-sized array for the backward: its adjoint rebuilds u and
 the states and recomputes the readout, the value and the gate.  No
 dropout anywhere.  The factors:
@@ -31,7 +33,7 @@ dropout anywhere.  The factors:
 
     linoss  forced harmonic oscillator y'' = -A y + B u discretized
             implicitly; the per-channel state (z, y) evolves under the
-            2x2 transition [[S, -dt*A*S], [dt*S, 1 - dt^2*A*S]] with
+            2x2 transition S * [[1, -dt*A], [dt, 1]] with
             S = 1/(1 + dt^2 A), spectral radius <= 1 for A >= 0
 
     lrcssm  input-dependent real diagonal a_t = sigmoid(W_a u_t + b_a)
@@ -264,11 +266,12 @@ def _s5_states(p: S5Params):
 def _linoss_states(p: LinOSSParams):
     freq = ad.relu(p.a_hat)
     dt = ad.sigmoid(p.dt_hat)
-    s = 1.0 / (1.0 + dt * dt * freq)
-    row_z = ad.stack([s, -(dt * freq * s)], axis=-1)
-    row_y = ad.stack([dt * s, 1.0 - dt * dt * freq * s], axis=-1)
-    m = ad.stack([row_z, row_y], axis=-2)
-    return "mat2", ad.stack([dt * s * p.b_w, dt * dt * s * p.b_w], axis=-1), m
+    dt2 = dt * dt
+    s = 1.0 / (1.0 + dt2 * freq)
+    ds = dt * s
+    # M = S [[1, -dt A], [dt, 1]], since 1 - dt^2 A S = S; no cancellation
+    m = ad.stack([ad.stack([s, -(ds * freq)], axis=-1), ad.stack([ds, s], axis=-1)], axis=-2)
+    return "mat2", ad.stack([ds * p.b_w, dt2 * s * p.b_w], axis=-1), m
 
 
 def _lrcssm_states(p: LrcSSMParams):
@@ -299,12 +302,8 @@ def _readout(p: BlockParams) -> Tensor:
 
 def block_operands(p: BlockParams) -> tuple:
     """`ad.ssm_block`'s operands after h for block p (and `ad.BlockRows`' after H)."""
-    # gain and bias as one node recorded before the arch's parameter-side nodes,
-    # so the backward sweep reaches them after those, which keeps the order of
-    # its gradient map (the order `train.clip_global_norm` sums in)
-    norm = ad.stack([p.norm_gain, p.norm_bias], axis=0)
     return (
-        norm, _NORM_EPS, _STATES[type(p)](p), _readout(p), p.feedthrough,
+        p.norm_gain, p.norm_bias, _NORM_EPS, _STATES[type(p)](p), _readout(p), p.feedthrough,
         p.glu_value_w, p.glu_value_b, p.glu_gate_w, p.glu_gate_b,
     )
 

@@ -128,10 +128,11 @@ def adam_step(state: AdamState, params: list, grads: dict) -> None:
         p.data -= state.lr * correction * m / (np.sqrt(v) + _EPS * np.sqrt(1.0 - b2**t))
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale the `Tensor` gradients in place so their joint L2 norm is at most `max_norm`."""
+def clip_global_norm(grads: list, max_norm: float) -> float:
+    """Scale the `Tensor` gradients in place so their joint L2 norm is at most `max_norm`,
+    summing their squares in list order (`train_one` lists them in parameter order)."""
     total = 0.0
-    arrays = [g.data for g in grads.values()]
+    arrays = [g.data for g in grads]
     for g in arrays:
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
@@ -257,7 +258,7 @@ def train_one(
                 diverged = True
                 break
             if config.clip_norm is not None:
-                clip_global_norm(grads, config.clip_norm)
+                clip_global_norm([grads[p] for _, p in params], config.clip_norm)
             adam_step(opt, params, grads)
             if any(not np.isfinite(p.data).all() for _, p in params):
                 diverged = True

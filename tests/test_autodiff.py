@@ -159,13 +159,13 @@ def test_layer_norm_matches_fd():
     gain = param(rng.uniform(0.5, 1.5, 6))
     bias = param(rng.standard_normal(6))
     w = Tensor(rng.standard_normal((2, 4, 6)))
-    err = _fd(lambda: (_layer_norm(x, ad.stack([gain, bias], axis=0), 1e-6) * w).sum(), [x, gain, bias])
+    err = _fd(lambda: (_layer_norm(x, gain, bias, 1e-6) * w).sum(), [x, gain, bias])
     assert err < 1e-5
 
 
 def test_layer_norm_normalises_last_axis():
     x = np.random.default_rng(16).standard_normal((3, 7)) * 5.0 + 2.0
-    out = _layer_norm(Tensor(x), Tensor(np.stack([np.ones(7), np.zeros(7)])), 0.0).data
+    out = _layer_norm(Tensor(x), Tensor(np.ones(7)), Tensor(np.zeros(7)), 0.0).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-14)
     np.testing.assert_allclose(out.std(axis=-1), 1.0, rtol=1e-12)
 
@@ -192,11 +192,10 @@ def _block_operands(rng, kind="cdiag", lead=(5, 2), hidden=4, state=3):
 
 
 def _block(kind, ps, block=ad.ssm_block):
-    """`block` (`ssm_block` or an oracle with its signature) on `_block_operands`' tensors,
-    with gain and bias stacked into one norm tensor as `blocks` does."""
+    """`block` (`ssm_block` or an oracle with its signature) on `_block_operands`' tensors."""
     h, gain, bias, *rest = ps
     scan, tail = rest[:-6], rest[-6:]
-    return block(h, ad.stack([gain, bias], axis=0), 1e-6, (kind, *scan), *tail)
+    return block(h, gain, bias, 1e-6, (kind, *scan), *tail)
 
 
 @pytest.mark.parametrize("kind", ["cdiag", "mat2"])
@@ -242,14 +241,12 @@ def test_ssm_block_equals_unfused_composition_bitwise(taped):
 
 @pytest.mark.parametrize(
     "which,shape",
-    [(0, (5, 2, 3)), (1, (3,)), (5, (5, 4)), (7, (4, 3)), (8, (2,)), (6, (5,))],
-    ids=["h", "norm", "c", "wv", "bv", "d"],
+    [(0, (5, 2, 3)), (1, (3,)), (2, (3,)), (5, (5, 4)), (7, (4, 3)), (8, (2,)), (6, (5,))],
+    ids=["h", "gain", "bias", "c", "wv", "bv", "d"],
 )
 def test_gated_residual_rejects_mismatched_shapes(which, shape):
     ps = _block_operands(np.random.default_rng(28))
     ps[which] = Tensor(np.zeros(shape))
-    if which == 1:  # gain and bias of one shape, not the input's
-        ps[2] = Tensor(np.zeros(shape))
     with pytest.raises(ShapeError):
         _block("cdiag", ps)
 
@@ -488,8 +485,8 @@ def _every_primitive(x, y, m, w, v, a, b):
         ad.sum_(x), ad.sum_(x, axis=0), ad.mean_(x), ad.mean_(m, axis=-1, keepdims=True),
         ad.stack([x, y], axis=0), ad.stack([x, y], axis=-1), ad.reshape(m, (-1,)),
         ad.softmax_cross_entropy(m, np.array([0, 2])),
-        ad.ssm_block(m, ad.stack([v, v], axis=0), 1e-5, ("cdiag", b, a), ad.reshape(b, (6, 3)), v, w, v, w, v),
-        ad.ssm_block(m, ad.stack([v, v], axis=0), 1e-5, ("diag", w, v, w, v), w, v, w, v, w, v),
+        ad.ssm_block(m, v, v, 1e-5, ("cdiag", b, a), ad.reshape(b, (6, 3)), v, w, v, w, v),
+        ad.ssm_block(m, v, v, 1e-5, ("diag", w, v, w, v), w, v, w, v, w, v),
         ad.sum_(x) * ad.sum_(y),
     ]
 

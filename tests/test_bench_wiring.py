@@ -1,8 +1,10 @@
-"""The benchmark's probes still find every name they patch in the package.
+"""The benchmark's probes still find every name they patch in the package,
+and its output check still passes on one input.
 
 `perfbench/tracer.py` wraps package functions where their callers look
 them up; a rename or deletion there would otherwise surface only as a
-failed benchmark run.
+failed benchmark run.  Likewise a change that moves training losses beyond
+the benchmark's tolerance of `perfbench/references.json`.
 """
 
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import run  # noqa: E402
 import tracer  # noqa: E402
 
 
@@ -58,3 +61,12 @@ def test_traced_tiny_train_counts():
     assert metrics["stack.predict_calls"] == 4
     assert metrics["reshape.calls"] == 6  # c = 2: each run reshapes its three splits
     assert metrics["scan.calls.cdiag"] == metrics["scan.calls.mat2"] == 54
+
+
+def test_benchmark_output_check_passes_on_one_input(tmp_path):
+    """One synth-grid unit in its own worker (one BLAS thread), as the benchmark
+    runs it: all 24 train runs end within the references' rtol."""
+    report = run.spawn_worker("synth-grid", 0, "run", tmp_path, timeout=120.0)
+    assert report["exit"] == 0, report.get("log_tail")
+    failed = [op for op in report["ops"] if not op[1]]
+    assert len(report["ops"]) == run.WORKLOADS["synth-grid"]["ops"] and not failed, failed

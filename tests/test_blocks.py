@@ -186,7 +186,7 @@ def test_block_tape_memory_bounded(arch):
 
 
 # per block application: the tape nodes recorded and the one scan kind sent
-_TAPE_NODES = {"LRU": 19, "S5": 35, "LinOSS": 27, "LrcSSM": 2}
+_TAPE_NODES = {"LRU": 18, "S5": 34, "LinOSS": 19, "LrcSSM": 1}
 _SCAN_KIND = {"LRU": "cdiag", "S5": "cdiag", "LinOSS": "mat2", "LrcSSM": "diag"}
 
 

@@ -218,13 +218,13 @@ def test_identical_taps_give_identical_head_gradients():
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-30)
 
 
-def test_shared_lru_stack_records_121_tape_nodes():
-    # encoder 1 + six block applications of 19 + head and loss 6
+def test_shared_lru_stack_records_115_tape_nodes():
+    # encoder 1 + six block applications of 18 + head and loss 6
     model = _tiny(m=1)
     x = np.random.default_rng(9).standard_normal((2, 5, 3))
     with Tape() as tape:
         stack_loss(model, x, np.array([0, 1]))
-    assert len(tape.nodes) == 121
+    assert len(tape.nodes) == 115
 
 
 # --- containment (periodic embedding) ------------------------------------------------
@@ -391,26 +391,26 @@ def test_fused_tail_gives_the_unfused_bits(arch, supervision, m, monkeypatch):
 
 # the order in which backward's sweep first reaches each parameter of a one-block stack
 _TAIL = ["feedthrough", "glu_value_w", "glu_value_b", "glu_gate_w", "glu_gate_b"]
+_NORM = ["norm_gain", "norm_bias"]
 _GRAD_ORDER = {
-    "LRU": _TAIL + ["c_re", "c_im", "b_im", "b_re", "theta", "nu_log"],
-    "S5": _TAIL + ["c_re", "c_im", "b_re", "b_im", "im", "log_dt", "re_log"],
-    "LinOSS": _TAIL + ["c_w", "b_w", "dt_hat", "a_hat"],
-    "LrcSSM": ["c_w"] + _TAIL + ["drive_w", "drive_b", "gate_w", "gate_b"],
+    "LRU": _TAIL + _NORM + ["c_re", "c_im", "b_im", "b_re", "theta", "nu_log"],
+    "S5": _TAIL + _NORM + ["c_re", "c_im", "b_re", "b_im", "im", "log_dt", "re_log"],
+    "LinOSS": _TAIL + _NORM + ["c_w", "b_w", "dt_hat", "a_hat"],
+    "LrcSSM": ["c_w"] + _TAIL + ["drive_w", "drive_b", "gate_w", "gate_b"] + _NORM,
 }
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_gradient_map_keeps_the_sweep_order(arch):
     """`backward` lists the gradients in the order its sweep first reaches each
-    parameter, and `train.clip_global_norm` sums their squares in that order, so the
-    order is part of a training run's bits: the head, the block's tail, readout and
-    factor weights, its norm gain and bias, then the encoder."""
+    parameter: the head, the block node's own parameters in its parent order, the
+    readout and factor weights behind its parameter-side nodes, then the encoder."""
     model = build_stack(arch, StackConfig(2, 1, "final"), width=3, n_classes=3, hidden=4, state=4, rng=0)
     x = np.random.default_rng(0).standard_normal((2, 5, 3))
     with Tape():
         grads = backward(stack_loss(model, x, np.array([0, 1])), model.param_tensors())
     names = {id(p): name for name, p in model.parameters()}
-    block = ["blocks.0." + name for name in _GRAD_ORDER[arch] + ["norm_gain", "norm_bias"]]
+    block = ["blocks.0." + name for name in _GRAD_ORDER[arch]]
     assert [names[id(p)] for p in grads] == ["head.weight", "head.bias", *block, "encoder.weight", "encoder.bias"]
 
 

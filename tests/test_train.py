@@ -94,15 +94,14 @@ def test_adam_minimizes_quadratic_bowl():
 
 def test_clip_global_norm():
     a, b = Tensor(np.array([3.0, 0.0])), Tensor(np.array([0.0, 4.0]))
-    grads = {"a": a, "b": b}
-    norm = clip_global_norm(grads, 2.5)
+    norm = clip_global_norm([a, b], 2.5)
     assert norm == pytest.approx(5.0)
     joint = np.sqrt(np.sum(a.data**2) + np.sum(b.data**2))
     assert joint == pytest.approx(2.5)
     # under the threshold nothing moves
     c = Tensor(np.array([0.1, 0.1]))
     before = c.data.copy()
-    clip_global_norm({"c": c}, 2.5)
+    clip_global_norm([c], 2.5)
     np.testing.assert_array_equal(c.data, before)
 
 
@@ -112,7 +111,7 @@ def test_clip_global_norm_scales_a_sum_gradient_in_place():
     p = ad.param(np.zeros((4, 3)))
     with ad.Tape():
         grads = ad.backward(p.sum(), [p])
-    norm = clip_global_norm(grads, 1.0)
+    norm = clip_global_norm([grads[p]], 1.0)
     assert norm == np.sqrt(12.0)
     np.testing.assert_array_equal(grads[p].data, np.full((4, 3), 1.0 / np.sqrt(12.0)))
 
@@ -126,10 +125,39 @@ def test_clip_global_norm_scales_leaves_that_shared_a_cotangent_once(view):
         x = ad.reshape(p, (3,)) if view else p
         grads = ad.backward(((x + q) * 2.0).sum(), [p, q])
     assert not np.shares_memory(grads[p].data, grads[q].data)
-    assert clip_global_norm(grads, 1.0) == np.sqrt(24.0)
+    assert clip_global_norm([grads[p], grads[q]], 1.0) == np.sqrt(24.0)
     scaled = 2.0 * (1.0 / np.sqrt(24.0))  # 0.408; scaling one array twice gave 0.0833
     np.testing.assert_array_equal(grads[p].data.reshape(3), np.full(3, scaled))
     np.testing.assert_array_equal(grads[q].data, np.full(3, scaled))
+
+
+def _clipped_curves(ds, monkeypatch) -> dict:
+    """Every initial and train loss, under `float.hex`, of 8 `train_one` runs whose
+    every step clips."""
+    ratios = []  # each step's pre-clip norm over the clip
+    monkeypatch.setattr(train_mod, "clip_global_norm", lambda g, m: ratios.append(clip_global_norm(g, m) / m))
+    curves = {}
+    for arch in ("LRU", "S5", "LinOSS", "LrcSSM"):
+        for pattern, supervision in (("AAAAAA", "final"), ("ABABAB", "block")):
+            config = TrainConfig(
+                arch=arch, pattern=pattern, supervision=supervision, batch_size=8, max_epochs=3,
+                clip_norm=0.05, hidden=8, state=8,
+            )
+            run = train_one(config, ds)
+            curves[arch, pattern] = [x.hex() for x in (run.initial_loss, *run.train_losses)]
+    assert len(ratios) == 8 * 3 * 6 and min(ratios) > 1.0  # 44 training examples, 6 steps an epoch
+    return curves
+
+
+def test_clipped_curves_do_not_depend_on_the_gradient_map_order(monkeypatch):
+    """The clip sums squares in parameter order, so the order in which `backward`'s
+    sweep reaches each parameter does not reach a run's bits: the curves are the same
+    with its gradient map handed back reversed."""
+    ds = synth_sine_task(n=64, steps=40, seed=3)
+    as_swept = _clipped_curves(ds, monkeypatch)
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda *a: dict(reversed(backward(*a).items())))
+    assert _clipped_curves(ds, monkeypatch) == as_swept
 
 
 # --- single runs ---------------------------------------------------------------------
