@@ -14,8 +14,9 @@ handful of nodes instead of dozens: `affine` (x @ w + b), `reshape`, and
 `ssm_block`, one whole block application (layer norm, forcing, scan,
 readout, GLU and residual add; the scan's reverse recurrence is the
 forward kernel run backwards in time, see scan.scan_backward).  Its
-forward is `BlockRows`, the block's arithmetic split at the scan, which
-the stack's streamed evaluation runs over chunks of time rows.  Every
+forward and adjoint are `BlockRows`' steps, the block's arithmetic split
+at the scan, which the stack's streamed passes also run over chunks of
+time rows, evaluation forward only and training both ways.  Every
 adjoint here is checked against central finite differences in the test
 suite.
 
@@ -267,14 +268,15 @@ def sqrt(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * (0.5 / out),))
 
 
-def _sigmoid(d: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Logistic sigmoid of an array; `overwrite` lets it use d's buffer as scratch.
+def _sigmoid(d: np.ndarray, overwrite: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid of an array, into `out` when given; `overwrite` lets it use
+    d's buffer as scratch.
 
     Neither exponent is positive, so nothing overflows; for d >= 0 this is
     1 / (1 + exp(-d)) and for d < 0 it is exp(d) / (1 + exp(d)), bit for bit.
     """
     # out= arrays, so 0-d input updates in place too
-    out = np.minimum(d, 0.0, out=np.empty_like(d))
+    out = np.minimum(d, 0.0, out=np.empty_like(d) if out is None else out)
     np.exp(out, out=out)
     e = np.abs(d, out=d if overwrite else np.empty_like(d))
     np.negative(e, out=e)
@@ -320,14 +322,17 @@ def _check_matmul(x: Tensor, w: Tensor, op: str) -> None:
         raise ShapeError(f"{op} inner dims disagree: {x.shape} @ {w.shape}")
 
 
-def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _dot(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x [..., k] @ w [k, n] as one 2-D product over all leading axes; numpy
-    would run [T, 1, k] @ w as T separate products, slower and in other bits."""
+    would run [T, 1, k] @ w as T separate products, slower and in other bits.
+    With `out`, a [rows, n] view, the product is written there instead."""
+    if out is not None:
+        return np.matmul(x.reshape(-1, x.shape[-1]), w, out=out)
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
 
 
-def _matmul_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray):
-    gx = _dot(g, w.T)
+def _matmul_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray, out: np.ndarray | None = None):
+    gx = _dot(g, w.T, out)
     gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
     return gx, gw
 
@@ -397,6 +402,27 @@ def stack(xs: Sequence, axis: int = -1) -> Tensor:
     return _record(out, xs, vjp)
 
 
+def unstack(x) -> list[Tensor]:
+    """x's slices along axis 0, one node each: `stack`'s inverse over axis 0.
+
+    Each slice's adjoint is x-shaped and -0.0 outside its slice: -0.0 is
+    the exact additive identity, so `backward` adds the slices' cotangents
+    into x's without moving a bit.
+    """
+    x = _lift(x)
+    shape = x.shape
+
+    def take(i):
+        def vjp(g):
+            out = np.full(shape, -0.0)
+            out[i] = g
+            return (out,)
+
+        return vjp
+
+    return [_record(x.data[i], (x,), take(i)) for i in range(shape[0])]
+
+
 def reshape(x, shape) -> Tensor:
     """A view of x with a new shape (a copy only where numpy needs one)."""
     x = _lift(x)
@@ -409,28 +435,27 @@ def reshape(x, shape) -> Tensor:
 
 def _project_scan(kind: str, hidden: int, w: Tensor, a: Tensor):
     """The forcing u @ w [H, P, 2] scanned under the shared factor a, as `ssm_block`'s
-    (n, build, adjoint): one product over interleaved columns, [..., H] @ [H, 2P]."""
+    (n, factor, build, adjoint): one product over interleaved columns, [..., H] @ [H, 2P]."""
     if w.ndim != 3 or w.shape[0] != hidden or w.shape[-1] != 2:
         raise ShapeError(f"ssm_block needs a forcing weight [{hidden}, P, 2], got {w.shape}")
-    ws, a_data = w.shape, a.data
+    ws = w.shape
     wd = w.data.reshape(ws[0], -1)
 
-    def build(ud):
-        b = _dot(ud, wd)
-        return _scan.ScanElement(a_data, b.reshape(b.shape[:-1] + ws[1:]), kind), None
+    def build(ud, b, a=None):
+        _dot(ud, wd, b)
 
     def adjoint(ud, held):
         _, _, da, db = held
         gu, gw = _matmul_vjp(ud, wd, db.reshape(db.shape[:-2] + wd.shape[1:]))
         return (gu,), (gw.reshape(ws), da)
 
-    return 2 * ws[1], build, adjoint
+    return 2 * ws[1], a.data, build, adjoint
 
 
 def _gate_scan(kind: str, hidden: int, wb: Tensor, bb: Tensor, wa: Tensor, ba: Tensor):
     """LrcSSM's x_t = a_t * x_{t-1} + (1 - a_t) * tanh(u_t @ wb + bb) with the gate
     a_t = sigmoid(u_t @ wa + ba), a per-step "diag" scan, as `ssm_block`'s
-    (n, build, adjoint).
+    (n, factor, build, adjoint).
 
     Forward and adjoint run the elementwise ops and products of the same
     recurrence composed from `affine`, `sigmoid`, `sub`, `mul`, a tanh node
@@ -442,16 +467,19 @@ def _gate_scan(kind: str, hidden: int, wb: Tensor, bb: Tensor, wa: Tensor, ba: T
         raise ShapeError(f"ssm_block needs gate and drive weights [{hidden}, P], got {wa.shape}, {wb.shape}")
     wad, bad, wbd, bbd = wa.data, ba.data, wb.data, bb.data
 
-    def build(ud):
-        gate = _sigmoid(_affine_data(ud, wad, bad), overwrite=True)
-        tnh = np.tanh(_affine_data(ud, wbd, bbd))
-        drive = 1.0 - gate
-        drive *= tnh
-        return _scan.ScanElement(gate, drive, kind), tnh
+    def build(ud, b, a):
+        ud = ud.reshape(-1, hidden)
+        _sigmoid(_affine_data(ud, wad, bad), overwrite=True, out=a)
+        tnh = _affine_data(ud, wbd, bbd)
+        np.tanh(tnh, out=tnh)
+        np.subtract(1.0, a, out=b)
+        b *= tnh
+        return tnh
 
     def adjoint(ud, held):
         gate, tnh, da, db = held
         held.clear()
+        tnh = tnh.reshape(db.shape)
         one_minus = 1.0 - gate
         g_one_minus = db * tnh  # db is the drive's cotangent
         db *= one_minus  # now tanh's
@@ -470,7 +498,7 @@ def _gate_scan(kind: str, hidden: int, wb: Tensor, bb: Tensor, wa: Tensor, ba: T
         gu_a, gwa = _matmul_vjp(ud, wad, da)
         return (gu_b, gu_a), (gwb, gbb, gwa, _unbroadcast(da, bad.shape))
 
-    return wa.shape[1], build, adjoint
+    return wa.shape[1], None, build, adjoint
 
 
 # the arch's part of a block application, by scan kind
@@ -485,39 +513,50 @@ def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.nda
 
 
 class BlockRows:
-    """One block application's arithmetic with its operands bound, split at the scan.
+    """One block application's arithmetic with its operands bound, split at the scan,
+    forward and adjoint.
 
     The arguments are `ssm_block`'s after h, with `hidden` = H; the norm gain
     and bias are two [H] operands, as d, bv and bg are.  Every step but the
-    scan acts on each time row on its own: `layer_norm` makes u, `build`
-    makes the scan element from u (the forcing under the shared factor, or
-    LrcSSM's gate and drive), and `tail` the readout, feedthrough, GLU and
-    residual add from the states.  `ssm_block` runs them over all T rows at once, and `stack`'s
-    streamed evaluation over chunks of rows, each chunk's scan started from
-    the state the chunk before left.  Nothing here is taped.
+    scan acts on each time row on its own.  Forward: `layer_norm` makes u,
+    `build` writes the scan's forcing (LrcSSM: its gate and drive) from u
+    into a `scan.Joint`'s slice (`build_joint`), and `tail` makes the
+    readout, feedthrough, GLU and residual add from the states.  Adjoint,
+    after u and the states are rebuilt: `tail_adjoint`, then the scan's
+    (`scan.scan_backward`), then `adjoint`, the forcing's, and
+    `norm_adjoint`; together they return the gradients of `operands`, in
+    that order.  `ssm_block` runs them over all T rows at once, and the
+    stack's streamed passes over chunks of rows, each chunk's scan started
+    from the state the chunk before left.  Nothing here is taped.
     """
 
     def __init__(self, hidden: int, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg):
-        kind, *scan_tensors = scan
+        self.kind, *scan_tensors = scan
         self.scan_tensors = [_lift(t) for t in scan_tensors]
-        self.n, self.build, self.adjoint = _SCAN_PARTS[kind](kind, hidden, *self.scan_tensors)
+        self.n, self.factor, self.build, self.adjoint = _SCAN_PARTS[self.kind](self.kind, hidden, *self.scan_tensors)
         self.tensors = tuple(map(_lift, (gain, bias, c, d, wv, bv, wg, bg)))
         self.gd, self.bd, self.cd, self.dd, self.wvd, self.bvd, self.wgd, self.bgd = (t.data for t in self.tensors)
         want = ((hidden,),) * 2 + ((self.n, hidden), (hidden,)) + ((hidden, hidden), (hidden,)) * 2
         shapes = tuple(t.shape for t in self.tensors)
         if shapes != want:
             raise ShapeError(f"ssm_block needs gain, bias, c, d, wv, bv, wg, bg of shapes {want}, got {shapes}")
+        self.operands = (*self.tensors[2:], *self.scan_tensors, *self.tensors[:2])
         self.eps = eps
 
-    def layer_norm(self, hd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def layer_norm(self, hd: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """u = (h - mean) / std * gain + bias over the last axis, the normalised
-        rows (h - mean) / std, and 1/std."""
+        rows (h - mean) / std, written into `out` when given, and 1/std."""
         inv_n = 1.0 / hd.shape[-1]
         # np.add.reduce is ndarray.sum's own reduction, without its Python wrapper
-        centered = hd - np.add.reduce(hd, axis=-1, keepdims=True) * inv_n
+        mean = np.add.reduce(hd, axis=-1, keepdims=True) * inv_n
+        centered = np.subtract(hd, mean, out=out)
         std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + self.eps)
         xhat = np.divide(centered, std, out=centered)
-        return _scale_shift(xhat, self.gd, self.bd), xhat, 1.0 / std
+        return self.rebuild_u(xhat), xhat, 1.0 / std
+
+    def rebuild_u(self, xhat: np.ndarray) -> np.ndarray:
+        """u from the normalised rows, as `layer_norm` makes it."""
+        return _scale_shift(xhat, self.gd, self.bd)
 
     def tail(self, held: list, hd: np.ndarray) -> np.ndarray:
         """h + (r @ wv + bv) * sigmoid(r @ wg + bg) with r = x @ c + d * u, from
@@ -539,6 +578,70 @@ class BlockRows:
         out += hd
         return out
 
+    def tail_adjoint(self, g: np.ndarray, held: list, out: np.ndarray | None = None):
+        """The tail's adjoint from its output's cotangent g (only read) and held =
+        [the states x, u], which it empties, to free u once read: x's cotangent in
+        the readout's [..., n] layout (written into `out`, a [rows, n] view, when
+        given), u's first piece, and the gradients of c, d, wv, bv, wg and bg.
+
+        It recomputes the readout, the GLU value and the gate."""
+        x, u = held
+        held.clear()
+        channels = u.shape[-1:]
+        xf = x.reshape(u.shape[:-1] + (self.n,))
+        del x
+        r = _dot(xf, self.cd)
+        r += self.dd * u
+        gate = _sigmoid(_affine_data(r, self.wgd, self.bgd), overwrite=True)
+        g_pre = _affine_data(r, self.wvd, self.bvd)  # the GLU value, overwritten by g * value
+        np.multiply(g, g_pre, out=g_pre)
+        g_value = g * gate
+        g_pre *= gate
+        np.subtract(1.0, gate, out=gate)
+        g_pre *= gate
+        del gate
+        g_r, g_wg = _matmul_vjp(r, self.wgd, g_pre)
+        g_bg = _unbroadcast(g_pre, channels)
+        del g_pre
+        g_rv, g_wv = _matmul_vjp(r, self.wvd, g_value)
+        g_bv = _unbroadcast(g_value, channels)
+        del r, g_value
+        g_r += g_rv
+        del g_rv
+        g_d = _unbroadcast(g_r * u, channels)
+        g_u = g_r * self.dd
+        del u
+        g_x, g_c = _matmul_vjp(xf, self.cd, g_r, out)
+        return g_x, g_u, (g_c, g_d, g_wv, g_bv, g_wg, g_bg)
+
+    def norm_adjoint(self, g_u: np.ndarray, xhat: np.ndarray, rstd: np.ndarray):
+        """The layer norm's adjoint from u's whole cotangent: h's cotangent and the
+        gradients of gain and bias."""
+        channels, inv_n = xhat.shape[-1:], 1.0 / xhat.shape[-1]
+        gy = g_u * self.gd
+        gh = gy - np.add.reduce(gy, axis=-1, keepdims=True) * inv_n
+        gh -= xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) * inv_n)
+        del gy
+        gh *= rstd
+        return gh, _unbroadcast(g_u * xhat, channels), _unbroadcast(g_u, channels)
+
+
+def build_joint(blocks: list[BlockRows], us: list[np.ndarray], carries: list | None = None) -> tuple:
+    """The scans of blocks of one kind, each of its u over the same rows, as one
+    `scan.Joint` whose parts each block's `build` wrote, each part started from
+    its carry (`scan.fold_carry`; None, or no `carries`, starts from zero), and
+    what each build returned for its adjoint."""
+    kind, lead = blocks[0].kind, us[0].shape[:-1]
+    factors = None if blocks[0].factor is None else [blk.factor for blk in blocks]
+    joint = _scan.Joint(kind, lead, [blk.n // (1 if kind == "diag" else 2) for blk in blocks], factors)
+    b_cols = joint.columns(joint.elem.b)
+    a_cols = b_cols if factors is not None else joint.columns(joint.elem.a)
+    extras = [blk.build(u, b, a) for blk, u, b, a in zip(blocks, us, b_cols, a_cols)]
+    for part, carry in zip(joint.parts, carries or ()):
+        if carry is not None:
+            _scan.fold_carry(part, carry)
+    return joint, extras
+
 
 def ssm_block(h, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
     """One block application as one node: h + (r @ wv + bv) * sigmoid(r @ wg + bg)
@@ -549,17 +652,17 @@ def ssm_block(h, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> T
     ("cdiag" or "mat2", w, a), the forcing u @ w [H, P, 2] under the shared
     factor a (LRU, S5, LinOSS), whose states [..., P, 2] are read out as
     [..., 2P]; or ("diag", wb, bb, wa, ba), LrcSSM's gated scan.  c [n, H]
-    reads the states out.  The forward is `BlockRows`' steps over all rows.
+    reads the states out.  Forward and adjoint are `BlockRows`' steps over
+    all rows.
 
     The node keeps only the normalised input, 1/std and the `BlockRows`,
     whose arrays are parameter-sized.  Its adjoint rebuilds u and the states
-    with the forward's own operations and recomputes the readout, the GLU
-    value and the gate (selective recomputation, Chen et al.,
-    arXiv:1604.06174).  It then runs the tail's, the scan's, the forcing's
-    and the layer norm's adjoints in turn, freeing each array once it is
-    read, and rebuilds u once more for the forcing's adjoint rather than
-    hold it across the scan's.  Every elementwise op and product is that of
-    the block composed from single-op nodes, in that composition's order, so
+    with the forward's own operations (selective recomputation, Chen et al.,
+    arXiv:1604.06174), then runs the tail's, the scan's, the forcing's and
+    the layer norm's adjoints in turn, freeing each array once it is read,
+    and rebuilds u once more for the forcing's adjoint rather than hold it
+    across the scan's.  Every elementwise op and product is that of the
+    block composed from single-op nodes, in that composition's order, so
     every bit agrees with it: u's cotangent is the tail's plus the forcing's
     pieces, one at a time, and h is listed twice among the parents, the
     tail's use first, so `backward` adds its cotangents as it added the
@@ -570,66 +673,34 @@ def ssm_block(h, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> T
     if len(shape) < 2:
         raise ShapeError(f"ssm_block needs h [..., H] of at least 2 dims, got h {shape}")
     rows = BlockRows(shape[-1], gain, bias, eps, scan, c, d, wv, bv, wg, bg)
-    channels, inv_n = shape[-1:], 1.0 / shape[-1]  # the [H] operands' shape
     u, xhat, rstd = rows.layer_norm(h.data)
     if not _ACTIVE:  # nothing reads them again
         xhat = rstd = None
-    held = [_scan.scan_linear(rows.build(u)[0]), u]  # the forward drops what only the adjoint reads
+    held = [_scan.scan_linear(build_joint([rows], [u])[0].elem), u]  # the forward drops what only the adjoint reads
     del u
     out = rows.tail(held, h.data)
 
     def vjp(g):
-        u = _scale_shift(xhat, rows.gd, rows.bd)
-        elem, extra = rows.build(u)
-        x = _scan.scan_linear(elem)
+        u = rows.rebuild_u(xhat)
+        joint, (extra,) = build_joint([rows], [u])
+        x = _scan.scan_linear(joint.elem)
         # the scan's adjoint reads only b's shape, so a zero-stride stand-in replaces b
-        elem = _scan.ScanElement(elem.a, np.broadcast_to(0.0, elem.b.shape), elem.kind)
-        xf = x.reshape(shape[:-1] + (rows.n,))
-        # the tail
-        r = _dot(xf, rows.cd)
-        r += rows.dd * u
-        gate = _sigmoid(_affine_data(r, rows.wgd, rows.bgd), overwrite=True)
-        g_pre = _affine_data(r, rows.wvd, rows.bvd)  # the GLU value, overwritten by g * value
-        np.multiply(g, g_pre, out=g_pre)
-        g_value = g * gate
-        g_pre *= gate
-        np.subtract(1.0, gate, out=gate)
-        g_pre *= gate
-        del gate
-        g_r, g_wg = _matmul_vjp(r, rows.wgd, g_pre)
-        g_bg = _unbroadcast(g_pre, channels)
-        del g_pre
-        g_rv, g_wv = _matmul_vjp(r, rows.wvd, g_value)
-        g_bv = _unbroadcast(g_value, channels)
-        del r, g_value
-        g_r += g_rv
-        del g_rv
-        g_d = _unbroadcast(g_r * u, channels)
-        g_u = g_r * rows.dd
-        del u
-        g_x, g_c = _matmul_vjp(xf, rows.cd, g_r)
-        del g_r, xf
+        elem = _scan.ScanElement(joint.elem.a, np.broadcast_to(0.0, x.shape), rows.kind)
+        held = [x, u]
+        del joint, u
+        g_x, g_u, g_tail = rows.tail_adjoint(g, held)
         # the scan, then the forcing, on u rebuilt once more
         da, db = _scan.scan_backward(elem, x, g_x.reshape(x.shape))
         held = [elem.a, extra, da, db]  # the adjoint takes these over, to free each once read
         del elem, extra, x, g_x, da, db
-        u_pieces, g_scan = rows.adjoint(_scale_shift(xhat, rows.gd, rows.bd), held)
+        u_pieces, g_scan = rows.adjoint(rows.rebuild_u(xhat), held)
         for piece in u_pieces:
             g_u += piece
         del u_pieces, piece
-        # the layer norm
-        gy = g_u * rows.gd
-        gh = gy - np.add.reduce(gy, axis=-1, keepdims=True) * inv_n
-        gh -= xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) * inv_n)
-        del gy
-        gh *= rstd
-        g_gain = _unbroadcast(g_u * xhat, channels)
-        return (g, g_c, g_d, g_wv, g_bv, g_wg, g_bg, *g_scan, gh, g_gain, _unbroadcast(g_u, channels))
+        return (g, *g_tail, *g_scan, *rows.norm_adjoint(g_u, xhat, rstd))
 
-    # gain and bias last: `backward`'s loop variable outlives its loop, and would
-    # hold h's cotangent gh (B*T*H floats) through the next node's adjoint
-    gain, bias, c, d, wv, bv, wg, bg = rows.tensors
-    return _record(out, (h, c, d, wv, bv, wg, bg, *rows.scan_tensors, h, gain, bias), vjp)
+    ops = rows.operands
+    return _record(out, (h, *ops[:-2], h, *ops[-2:]), vjp)
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
@@ -706,6 +777,9 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
             else:
                 acc = leaf_grads.get(p)
                 leaf_grads[p] = pg if acc is None else acc + pg
+        # unbound, so the last cotangent (or the sum it went into) is not held
+        # through the next node's adjoint
+        p = pg = acc = None
 
     # a cotangent may be a read-only view, or one array handed to two parents;
     # a gradient is the caller's to scale in place

@@ -33,11 +33,17 @@ trailing axis of length 2 over a float64 substrate; inside the kernel a
               and never expanded over batch or time (LRU, S5, LinOSS);
     per-step  b's own shape, plus the 2x2 for "mat2" (LrcSSM's gate).
 
-A sequence can also be scanned in chunks: `fold_carry` starts a chunk's
-recurrence from the last state of the chunk before, by one step of the
-kernel, and `scan_joint` runs independent recurrences over the same rows
-as one `scan_linear` call on their channels side by side; either way the
-states keep the bits of one scan over the whole sequence.
+A sequence can also be scanned in chunks, and independent recurrences
+side by side.  `fold_carry` starts a chunk's recurrence from the last
+state of the chunk before, by one step of the kernel; in reverse,
+`carry_back` gives the state adjoint a chunk hands the chunk before it,
+which that chunk adds into its cotangent's last row, and
+`add_prev_product` adds the chunk's first da product, which needs the
+state before it.  `Joint` lays independent recurrences over the same rows
+side by side on the channel axis of one element, which their owners write
+into, so that one `scan_linear` call scans them all.  Either way the
+states and state adjoints keep the bits of one scan over the whole
+sequence.
 
 `scan_backward` returns each adjoint in its input's shape: a shared
 factor's `da` is summed over the time and batch axes.  That sum is built a
@@ -204,25 +210,55 @@ def fold_carry(elem: ScanElement, carry: np.ndarray) -> None:
     b[0] = rows[1]
 
 
-def scan_joint(elems: list[ScanElement]) -> list[np.ndarray]:
-    """The states of independent recurrences over the same time and lead axes,
-    from one `scan_linear` call over their channels side by side.
+class Joint:
+    """Independent recurrences of one kind over the same time and lead axes, with
+    their channels side by side in one element, so one kernel call scans them all.
 
-    The elements share a kind and a layout.  The kernel acts on each channel
-    on its own, so each element's states, returned in its b's shape as a view
-    of the joint states, are its own scan's bits.  The list is emptied, so
-    each forcing is freed once copied; a lone element is scanned as it is.
+    `lead` is b's shape before its channel axis and `widths` each part's
+    channel count.  `factors` holds each part's shared factor, or is None
+    for per-step factors, which the parts write as they write their
+    forcings.  `elem` starts with empty forcings (and per-step factors);
+    `parts[i]` is part i as an element of views into it, and
+    `columns(elem.b)[i]` its forcing as a [rows, columns] view, the layout a
+    product can write.  The kernel acts on each channel on its own, so each
+    part's states, `split` from the joint ones, are its own scan's bits, and
+    nothing is copied to join the parts.
     """
-    if len(elems) == 1:
-        return [scan_linear(elems.pop())]
-    kind = elems[0].kind
-    shared = _check_elements(kind, elems[0].a, elems[0].b)[3]
-    axis = elems[0].b.ndim - _B_TRAIL[kind]  # b's channel axis
-    widths = [e.b.shape[axis] for e in elems]
-    a = np.concatenate([e.a for e in elems], axis=0 if shared else axis)
-    b = np.concatenate([e.b for e in elems], axis=axis)
-    elems.clear()
-    return np.split(scan_linear(ScanElement(a, b, kind)), np.cumsum(widths[:-1]), axis=axis)
+
+    def __init__(self, kind: str, lead: tuple, widths: list[int], factors: list | None = None):
+        pair = 1 if kind == "diag" else 2
+        width = sum(widths)
+        b = np.empty(lead + (width, 2) if pair == 2 else lead + (width,))
+        if factors is None:
+            a = np.empty(b.shape + (2,) * (kind == "mat2"))
+        else:
+            a = factors[0] if len(factors) == 1 else np.concatenate(factors)
+        self.elem = ScanElement(a, b, kind)
+        self._axis, self._pair = len(lead), pair
+        self._flat = (math.prod(lead), width * pair)
+        if len(widths) == 1:  # one part: the element itself
+            self._cuts, self.parts = (), [self.elem]
+            return
+        self._cuts = list(itertools.accumulate(widths[:-1]))
+        self.parts = [
+            ScanElement(pa, pb, kind)
+            for pa, pb in zip(factors if factors is not None else self.split(a), self.split(b))
+        ]
+
+    def split(self, z: np.ndarray, axis: int | None = None) -> list[np.ndarray]:
+        """Each part's view of a joint array, cut along its channel axis (`axis`: 0
+        for a shared factor or its da)."""
+        if not self._cuts:
+            return [z]
+        return np.split(z, self._cuts, axis=self._axis if axis is None else axis)
+
+    def columns(self, z: np.ndarray) -> list[np.ndarray]:
+        """Each part's view of a joint array of b's shape (or a per-step a's, for
+        "diag"), as the [rows, columns] slice of its rows and channels."""
+        flat = z.reshape(self._flat)  # contiguous, so a view
+        if not self._cuts:
+            return [flat]
+        return np.split(flat, [c * self._pair for c in self._cuts], axis=1)
 
 
 def scan_backward(
@@ -235,6 +271,11 @@ def scan_backward(
     factor, shifted one step.  Then db_t = lam_t and da_t = lam_t (x) x_{t-1}
     (with the kind-appropriate product); a shared factor's da is that
     product summed over the time and batch axes, a chunk of rows at a time.
+
+    For a chunk of a longer sequence, g's last row holds the state adjoint
+    the chunk after it handed back (`carry_back`), added in, and
+    `add_prev_product` adds da's first product, which needs the state before
+    the chunk.
     """
     kind = elem.kind
     a, b, full, shared = _check_elements(kind, elem.a, elem.b)
@@ -242,11 +283,7 @@ def scan_backward(
     if g.shape != b.shape:
         raise ShapeError(f"cotangent shape {g.shape} does not match b shape {b.shape}")
 
-    f = _complex(kind, a)
-    if kind == "cdiag":
-        f = np.conj(f)
-    elif kind == "mat2":
-        f = np.swapaxes(f, -1, -2)
+    f = _adjoint_factor(kind, a)
     db = np.empty(b.shape)
     lam = _complex(kind, db)
     # reversed time: step s multiplies by the adjoint of a_{T-s}
@@ -262,6 +299,48 @@ def scan_backward(
     if shared:
         da = da.sum(axis=tuple(range(b.ndim - _B_TRAIL[kind])))
     return da, db
+
+
+def carry_back(elem: ScanElement, db: np.ndarray) -> np.ndarray:
+    """a_0^T lam_0: the state adjoint a chunk hands the chunk before it, from its
+    own `scan_backward` db, by one step of the reverse kernel.
+
+    The chunk before adds it into its cotangent's last row, where one scan
+    over the whole sequence adds g to the same product, so the state
+    adjoints keep that scan's bits.  The kernel's step adds -0.0, which
+    moves no bit.
+    """
+    kind = elem.kind
+    a, _, _, shared = _check_elements(kind, elem.a, elem.b)
+    f = _adjoint_factor(kind, a)
+    rows = np.stack([db[0], np.full(db.shape[1:], -0.0)])
+    step = _complex(kind, rows)
+    _recur(kind, f if shared else f[:1], shared, step, step)
+    return rows[1]
+
+
+def add_prev_product(elem: ScanElement, prev: np.ndarray, db: np.ndarray, da: np.ndarray) -> None:
+    """Add da's product at t = 0, lam_0 (x) prev, into the `scan_backward` da of a
+    chunk whose state before it is `prev`; `scan_backward` starts from zero, so
+    it leaves that product out.  A shared factor's da takes it summed over the
+    lead axes, after its other rows."""
+    kind = elem.kind
+    _, _, full, shared = _check_elements(kind, elem.a, elem.b)
+    first = np.empty(full[1:]) if shared else da[0]
+    _outer(kind, _complex(kind, db[0]), _complex(kind, prev), _complex(kind, first))
+    if shared:
+        da += np.add.reduce(first.reshape((-1,) + da.shape), axis=0)
+
+
+def _adjoint_factor(kind: str, a: np.ndarray) -> np.ndarray:
+    """The factor of the reverse recurrence: a, conjugated for "cdiag" and
+    transposed for "mat2"."""
+    f = _complex(kind, a)
+    if kind == "cdiag":
+        return np.conj(f)
+    if kind == "mat2":
+        return np.swapaxes(f, -1, -2)
+    return f
 
 
 def _outer(kind: str, lam: np.ndarray, x_prev: np.ndarray, out: np.ndarray) -> None:

@@ -19,12 +19,18 @@ r = L / m taps h^(1)..h^(r)).  The encoder and head are never shared
 across patterns being compared; only block parameters participate in
 tying.
 
-Evaluation streams over time (`predict_logits`, `eval_loss`): untaped,
-it runs chunks of K time steps, block application j on chunk c at
-stage c + j, so the L applications advance through time together and
-one scan loop serves all of them.  Its memory follows K, not T, and its
-logits and loss are the whole sequence's, bit for bit.  Training and
-the finite-difference checks run the whole sequence (`stack_loss`).
+A long series streams over time in chunks of K time steps (`_chunk_rows`
+decides K, and K = T below two chunks per application): block
+application j runs chunk c at stage c + j, so the L applications advance
+through time together and one joint scan serves all of them.
+Evaluation (`predict_logits`, `eval_loss`) runs that schedule untaped;
+its memory follows K, not T, and its logits and loss are the whole
+sequence's, bit for bit.  Training (`stack_loss`) runs it as one tape
+node over the encoder and the block stack, which keeps each
+application's normalised input and chunk-end states and runs the chunks
+in reverse for the backward; its loss is the whole sequence's bit for
+bit, its gradients agree to rounding.  A series of one chunk, such as
+every finite-difference check's, runs one node per block application.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .blocks import (
     init_encoder,
     init_head,
     named_tensors,
+    scan_width,
 )
 from .errors import ConfigError, EmptySequenceError
 
@@ -198,7 +205,21 @@ def _mean_loss(logits, labels: np.ndarray) -> Tensor:
 
 
 def stack_loss(model: StackModel, x, labels: np.ndarray) -> Tensor:
-    return tap_loss(model, stack_forward(model, x, model.config.tap_period), labels)
+    """`tap_loss` over `stack_forward`'s taps at the stack's own tap period.
+
+    A batch long enough to stream (`_chunk_rows`) runs its encoder and whole
+    block stack as one node over chunks of time rows (`_chunked_taps`), with
+    the same loss bit for bit; any other runs one node per block application.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    check_batch(model.encoder, x)
+    N, T, _ = x.shape
+    depth, period = model.config.depth, model.config.tap_period
+    K = _chunk_rows(T, N, model.encoder.weight.shape[1], scan_width(model.blocks[0]), depth)
+    if K >= T:
+        return tap_loss(model, stack_forward(model, x, period), labels)
+    taps = _chunked_taps(model, x, period, _chunks(T, N, K))
+    return _mean_loss((head_from_sum(model.head, t, T) for t in taps), labels)
 
 
 def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], Tensor]:
@@ -244,16 +265,16 @@ def _tensor_bytes(tensors: list[Tensor]) -> list[bytes]:
     return [t.data.tobytes() for t in tensors]
 
 
-# --- streamed evaluation ------------------------------------------------------------
+# --- streamed passes -----------------------------------------------------------------
 
-# a streamed evaluation runs chunks of K time rows, K set so that one [K, N, H]
-# array holds this many bytes: the fastest of 64 KiB-1 MiB at Worms length
+# a streamed pass runs chunks of K time rows, K set so that one [K, N, H] array
+# holds this many bytes: the fastest of 64 KiB-1 MiB at Worms length
 _CHUNK_BYTES = 1 << 18
 
 
 def _chunk_rows(T: int, N: int, H: int, n: int, depth: int) -> int:
-    """K for an evaluation of N series of T steps through `depth` applications
-    of blocks with hidden size H and n scan channels.
+    """K for a pass of N series of T steps through `depth` applications of blocks
+    with hidden size H and n scan channels; the pass streams when K < T.
 
     All depth applications are in flight at once, each holding about six
     [K, N, H] arrays, so streaming starts at two chunks per application, where
@@ -269,36 +290,62 @@ def _chunk_rows(T: int, N: int, H: int, n: int, depth: int) -> int:
     return T if T < 2 * depth * rows else rows
 
 
-def _stream_logits(model: StackModel, x, period: int) -> list[Tensor]:
-    """The head's logits at every `period`-th block application, without a tape,
-    streamed over chunks of K time rows; the bits of `stack_forward`'s taps
-    through `head_forward`.
-
-    Application j runs chunk c at stage c + j, and the active applications'
-    scans run as one (`scan.scan_joint`), started from the last state each
-    application's previous chunk left (`scan.fold_carry`).  Every other step
-    acts on each time row on its own, and a product's rows do not depend on
-    how many rows it has (a test pins this) unless it has one.  Each tap's
-    time sum is built a chunk at a time by `np.add.reduce` starting from the
-    running total, NumPy's own order for a sum over axis 0 (K = T when that
-    sum's tail holds one element).  K comes from `_chunk_rows`.
-    """
-    depth, m = model.config.depth, model.config.n_unique
-    _check_period(depth, period)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    check_batch(model.encoder, x)
-    N, T, _ = x.shape
-    if not T:
-        raise EmptySequenceError("evaluation over zero time steps")
-    H = model.encoder.weight.shape[1]
-    rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
-    K = _chunk_rows(T, N, H, rows[0].n, depth)
-    # a product of one row is a matrix-vector product, in other bits, so at
-    # N = 1 a last chunk of one row joins the chunk before it
+def _chunks(T: int, N: int, K: int) -> list[slice]:
+    """The time chunks of K rows a streamed pass runs.  A product of one row is a
+    matrix-vector product, in other bits, so at N = 1 a last chunk of one row
+    joins the chunk before it."""
     starts = list(range(0, T, K))
     if len(starts) > 1 and N * (T - starts[-1]) == 1:
         starts.pop()
-    chunks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [T])]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [T])]
+
+
+def _by_length(at: dict[int, slice]) -> list[list[int]]:
+    """The applications of `at` (application -> its chunk) grouped by chunk length, in
+    `at`'s order; only the application on the last chunk can have another length."""
+    groups: dict[int, list[int]] = {}
+    for j, sl in at.items():
+        groups.setdefault(sl.stop - sl.start, []).append(j)
+    return list(groups.values())
+
+
+@dataclass
+class _Kept:
+    """What a taped streamed forward keeps for its backward, per application: the
+    normalised input [T, N, H] and 1/std [T, N, 1] its layer norm made, as
+    `ssm_block` keeps them, and its scan state at the end of each chunk but the last."""
+
+    xhat: list
+    rstd: list
+    carries: list
+
+    @classmethod
+    def empty(cls, depth: int, T: int, N: int, H: int) -> _Kept:
+        return cls(
+            [np.empty((T, N, H)) for _ in range(depth)],
+            [np.empty((T, N, 1)) for _ in range(depth)],
+            [[] for _ in range(depth)],
+        )
+
+
+def _stream(model: StackModel, rows: list, x: np.ndarray, period: int, chunks: list, kept=None) -> list:
+    """The time sums of the hidden state after every `period`-th block application,
+    untaped and streamed over the `chunks` of the [N, T, w] batch x; the bits of
+    `stack_forward`'s taps summed over time.  With `kept` (a `_Kept`) it also
+    keeps what `_stream_backward` reads.
+
+    Application j runs chunk c at stage c + j, so the L applications advance
+    through time together, and the active applications' scans run as one
+    joint scan per chunk length, each started from the last state its
+    previous chunk left (`scan.fold_carry`).  Every other step acts on each
+    time row on its own, and a product's rows do not depend on how many rows
+    it has (a test pins this) unless it has one.  Each tap's time sum is
+    built a chunk at a time by `np.add.reduce` starting from the running
+    total, NumPy's own order for a sum over axis 0 (K = T when that sum's
+    tail holds one element).  `rows` holds each unique block's `BlockRows`.
+    """
+    depth, m = model.config.depth, model.config.n_unique
+    N, H = x.shape[0], model.encoder.weight.shape[1]
     last = len(chunks) - 1
     if last:
         # glibc serves a block above its mmap threshold (128 KiB at start) by
@@ -308,31 +355,36 @@ def _stream_logits(model: StackModel, x, period: int) -> list[Tensor]:
         # block of 4 chunk arrays per application, under the stages' peak of
         # about 6, freed at once, keeps the stages on the heap: a Worms-length
         # full_loss at N = 2 took 165k page faults per call without it.
-        np.empty(min(4 * depth * K * N * H, 1 << 21))
+        np.empty(min(4 * depth * chunks[0].stop * N * H, 1 << 21))
+    # detached, so the encoder records nothing on an active tape
+    enc = EncoderParams(model.encoder.weight.detach(), model.encoder.bias.detach())
     h: list = [None] * depth  # each application's input chunk for this stage
     carry: list = [None] * depth  # each application's last state so far
     sums: list = [None] * (depth // period)
     for stage in range(last + depth):
         if stage <= last:
-            h[0] = encoder_forward(model.encoder, Tensor(x.data[:, chunks[stage]])).data
-        active = range(max(0, stage - last), min(depth, stage + 1))
-        elems, held, groups = {}, {}, {}
-        for j in active:
-            blk = rows[j % m]
-            u = blk.layer_norm(h[j])[0]
-            elems[j] = blk.build(u)[0]
-            if stage > j:
-                scan.fold_carry(elems[j], carry[j])
-            held[j] = [None, u]
-            # only the application on the last chunk can have another length
-            groups.setdefault(len(h[j]), []).append(j)
-        for group in groups.values():
-            for j, states in zip(group, scan.scan_joint([elems.pop(j) for j in group])):
-                held[j][0] = states
-        del u, states  # `tail` frees each application's u and states
-        for j in reversed(active):  # the deepest first: h[j + 1] is read before it is replaced
+            h[0] = encoder_forward(enc, Tensor(x[:, chunks[stage]])).data
+        at = {j: chunks[stage - j] for j in range(max(0, stage - last), min(depth, stage + 1))}
+        us = {}
+        for j, sl in at.items():
+            if kept is None:
+                us[j] = rows[j % m].layer_norm(h[j])[0]
+            else:
+                us[j], _, rstd = rows[j % m].layer_norm(h[j], kept.xhat[j][sl])
+                kept.rstd[j][sl] = rstd
+        held = {}
+        for group in _by_length(at):
+            carries = [carry[j] if stage > j else None for j in group]
+            joint = ad.build_joint([rows[j % m] for j in group], [us[j] for j in group], carries)[0]
+            states = scan.scan_linear(joint.elem)
+            for j, part in zip(group, joint.split(states)):
+                held[j] = [part, us.pop(j)]
+        del joint, states, part  # `tail` frees each application's u and states
+        for j in reversed(at):  # the deepest first: h[j + 1] is read before it is replaced
             if stage - j < last:
                 carry[j] = held[j][0][-1].copy()
+                if kept is not None:
+                    kept.carries[j].append(carry[j])
             out = rows[j % m].tail(held.pop(j), h[j])
             if (j + 1) % period == 0:
                 tap = (j + 1) // period - 1
@@ -341,6 +393,162 @@ def _stream_logits(model: StackModel, x, period: int) -> list[Tensor]:
             h[j] = None
             if j + 1 < depth:
                 h[j + 1] = out
+    return sums
+
+
+def _stage_adjoint(blocks: list, xhats: list, rstds: list, before: list, g_outs: list, handed: list) -> tuple:
+    """The adjoint of block applications over time chunks of one length, side by side.
+
+    Each application brings its block's `BlockRows`, its kept normalised input
+    and 1/std over the chunk, its state before the chunk (None for the first),
+    its output's cotangent, and the state adjoint its next chunk handed back
+    (None for the last).  u and the states are rebuilt as one joint scan; then
+    the tails' adjoints run, one joint adjoint scan, and the forcings' and
+    layer norms' adjoints.  Returns each application's (layer-norm cotangent
+    of its input, operand gradients) and the state adjoint it hands its chunk
+    before (None for the first).
+    """
+    us = [blk.rebuild_u(xhat) for blk, xhat in zip(blocks, xhats)]
+    joint, extras = ad.build_joint(blocks, us, before)
+    states = scan.scan_linear(joint.elem)
+    g_x = np.empty_like(states)
+    g_us, tails = [], []
+    for blk, x, u, g_out, col, last_row, lam in zip(
+        blocks, joint.split(states), us, g_outs, joint.columns(g_x), joint.split(g_x), handed
+    ):
+        _, g_u, tail = blk.tail_adjoint(g_out, [x, u], col)
+        if lam is not None:
+            last_row[-1] += lam
+        g_us.append(g_u)
+        tails.append(tail)
+    da, db = scan.scan_backward(joint.elem, states, g_x)
+    del states, g_x, x, col, last_row  # the views too, so both are freed
+    hands = [None] * len(blocks)
+    if any(b is not None for b in before):  # the state before each chunk: zero before the first
+        prev = np.zeros_like(db[:1])
+        for part, b in zip(joint.split(prev), before):
+            if b is not None:
+                part[0] = b
+        scan.add_prev_product(joint.elem, prev[0], db, da)
+        lams = joint.split(scan.carry_back(joint.elem, db)[None])
+        hands = [lam[0].copy() if b is not None else None for b, lam in zip(before, lams)]
+    das = joint.split(da, 0 if blocks[0].factor is not None else None)
+    out = []
+    for blk, part, extra, da_j, db_j, u, g_u, tail, xhat, rstd in zip(
+        blocks, joint.parts, extras, das, joint.split(db), us, g_us, tails, xhats, rstds
+    ):
+        u_pieces, g_scan = blk.adjoint(u, [part.a, extra, da_j, db_j])
+        for piece in u_pieces:
+            g_u += piece
+        gh, g_gain, g_bias = blk.norm_adjoint(g_u, xhat, rstd)
+        out.append((gh, (*tail, *g_scan, g_gain, g_bias)))
+    return out, hands
+
+
+def _stream_backward(
+    config: StackConfig, rows: list, x: np.ndarray, period: int, chunks: list, kept: _Kept, g: np.ndarray
+) -> tuple:
+    """The cotangents of `_chunked_taps`' parents from its output's cotangent g
+    [taps, N, H]: the chunks in reverse, application j running chunk c at stage
+    (C - 1 - c) + (L - 1 - j), each stage's applications of one chunk length
+    as one `_stage_adjoint`.
+
+    The cotangent of each hidden state adds up in `backward`'s order over
+    `stack_forward`'s nodes: its tap's, the residual's, then the layer
+    norm's.  Each application's operand gradients are added into
+    parameter-sized sums in reverse application order.
+    """
+    depth, m = config.depth, config.n_unique
+    last = len(chunks) - 1
+    x = np.moveaxis(x, -2, 0)  # time-major, as the encoder reads it
+    grads: list = [[None] * len(blk.operands) for blk in rows]
+    enc: list = [None, None]
+    down: list = [None] * depth  # the cotangent of each application's output chunk, from the one above
+    back: list = [None] * depth  # the state adjoint each application's chunk after handed back
+
+    def add(sums, terms):
+        for i, t in enumerate(terms):
+            sums[i] = t if sums[i] is None else sums[i] + t
+
+    for stage in range(last + depth):
+        # application -> the index of the chunk it runs, the deepest first
+        at = {j: last - stage + depth - 1 - j for j in reversed(range(depth)) if 0 <= stage + j + 1 - depth <= last}
+        # each output's cotangent, read before any application of the stage hands one down
+        g_outs = {j: down[j] for j in at}
+        if depth - 1 in at:
+            sl = chunks[at[depth - 1]]
+            g_outs[depth - 1] = np.broadcast_to(g[-1], (sl.stop - sl.start,) + g.shape[1:])
+        done = {}
+        for group in _by_length({j: chunks[c] for j, c in at.items()}):
+            sls = [chunks[at[j]] for j in group]
+            out, hands = _stage_adjoint(
+                [rows[j % m] for j in group],
+                [kept.xhat[j][sl] for j, sl in zip(group, sls)],
+                [kept.rstd[j][sl] for j, sl in zip(group, sls)],
+                [kept.carries[j][at[j] - 1] if at[j] else None for j in group],
+                [g_outs[j] for j in group],
+                [back[j] for j in group],
+            )
+            for j, hand, (gh, terms) in zip(group, hands, out):
+                back[j] = hand
+                if j and j % period == 0:  # the input is a tap
+                    cot = np.broadcast_to(g[j // period - 1], gh.shape) + g_outs[j]
+                    cot += gh
+                else:
+                    cot = gh
+                    cot += g_outs[j]
+                if j:
+                    down[j - 1] = cot
+                else:
+                    rows_x = x[chunks[at[j]]].reshape(-1, x.shape[-1])
+                    add(enc, (rows_x.T @ cot.reshape(-1, cot.shape[-1]), cot.sum(axis=(0, 1))))
+                done[j] = terms
+        for j in sorted(done, reverse=True):
+            add(grads[j % m], done[j])
+    return (*enc, *(t for sums in grads for t in sums))
+
+
+def _chunked_taps(model: StackModel, x: Tensor, period: int, chunks: list) -> list[Tensor]:
+    """The time sums of the hidden state after every `period`-th block application,
+    streamed over `chunks` as one tape node over the encoder and the whole block
+    stack; the bits of `stack_forward`'s taps summed over time.
+
+    Its forward is `_stream`, which keeps each application's normalised input,
+    1/std and chunk-end states; its adjoint is `_stream_backward`, which rebuilds
+    the rest a chunk at a time.  Everything else it holds is chunk-sized.
+    The parameter-side nodes of each unique block's operands are recorded
+    once, before it, and the head after it.
+    """
+    depth = model.config.depth
+    N, T, _ = x.shape
+    H = model.encoder.weight.shape[1]
+    rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
+    kept = _Kept.empty(depth, T, N, H)
+    sums = _stream(model, rows, x.data, period, chunks, kept)
+    config, xd = model.config, x.data
+
+    def vjp(g):
+        return _stream_backward(config, rows, xd, period, chunks, kept, g)
+
+    parents = (model.encoder.weight, model.encoder.bias, *(t for blk in rows for t in blk.operands))
+    return ad.unstack(ad._record(np.stack(sums), parents, vjp))
+
+
+def _stream_logits(model: StackModel, x, period: int) -> list[Tensor]:
+    """The head's logits at every `period`-th block application, without a tape,
+    streamed over chunks of K time rows (`_stream`); the bits of
+    `stack_forward`'s taps through `head_forward`.  K comes from `_chunk_rows`."""
+    depth = model.config.depth
+    _check_period(depth, period)
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    check_batch(model.encoder, x)
+    N, T, _ = x.shape
+    if not T:
+        raise EmptySequenceError("evaluation over zero time steps")
+    H = model.encoder.weight.shape[1]
+    rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
+    K = _chunk_rows(T, N, H, rows[0].n, depth)
+    sums = _stream(model, rows, x.data, period, _chunks(T, N, K))
     return [head_from_sum(model.head, total, T) for total in sums]
 
 

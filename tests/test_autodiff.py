@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -375,6 +376,27 @@ def test_intermediate_no_adjoint_reads_is_freed_during_forward(adjoint_reads_it)
     expected = 2.0 * (p.data + q.data) if adjoint_reads_it else np.ones((4, 3))
     np.testing.assert_array_equal(grads[p].data, expected)
     np.testing.assert_array_equal(grads[q].data, expected)
+
+
+def test_backward_holds_no_cotangent_through_the_next_adjoint():
+    """`backward` lets go of a node's cotangents once it has added them up: h's two
+    cotangents from h * h and their sum are not held while exp's adjoint runs.
+
+    The sweep's new arrays are h * h's two cotangents and their sum, then exp's
+    cotangent in place of all three: 3 arrays of h's size at most; holding the
+    last cotangent and the partial sum through exp's adjoint read 4."""
+    n = 1 << 17
+    a = param(np.full(n, 0.5))
+    with Tape():
+        loss = (lambda h: (h * h).sum())(ad.exp(a))
+        tracemalloc.start()
+        try:
+            grads = backward(loss, [a])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_allclose(grads[a].data, 2.0 * np.exp(1.0), rtol=1e-15)
+    assert peak / (8 * n) < 3.5, f"backward peak {peak / (8 * n):.2f} arrays of h's size"
 
 
 def test_second_backward_on_released_tape_rejected():

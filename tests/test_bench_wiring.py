@@ -63,6 +63,33 @@ def test_traced_tiny_train_counts():
     assert metrics["scan.calls.cdiag"] == metrics["scan.calls.mat2"] == 54
 
 
+def test_traced_chunked_train_counts(monkeypatch):
+    """A training run whose steps stream over time chunks, under the tracer, so the
+    chunked step's calls to patched functions keep the shapes the tracer wraps."""
+    from time import perf_counter
+
+    from loopseq import stack, train
+    from loopseq.data import synth_sine_task
+
+    monkeypatch.setattr(stack, "_chunk_rows", lambda *shape: 3)
+    ds = synth_sine_task(n=8, steps=10)
+    patches = tracer.Tracer()
+    patches.install()
+    try:
+        t0 = perf_counter()
+        with patches.root("train"):
+            train.train_one(train.TrainConfig(batch_size=4, max_epochs=1, hidden=4, state=4), ds)
+        metrics = patches.metrics(perf_counter() - t0)
+    finally:
+        patches.restore()
+    # two steps of 4 and 2 series over chunks of 3, 3, 3 and 1 steps: each of the 9
+    # stages of the wavefront runs one joint scan per chunk length, 14 in all, forward,
+    # and in reverse both the rebuild and the adjoint scan
+    assert metrics["train.steps"] == 2 and metrics["stack.loss_calls"] == 2
+    assert metrics["blocks.calls.LRU"] == 0  # the chunked step calls no `block_forward`
+    assert metrics["scan.calls.cdiag"] >= 2 * 3 * 14
+
+
 def test_benchmark_output_check_passes_on_one_input(tmp_path):
     """One synth-grid unit in its own worker (one BLAS thread), as the benchmark
     runs it: all 24 train runs end within the references' rtol."""

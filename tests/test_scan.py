@@ -303,6 +303,70 @@ def test_kernel_bits_and_inputs_are_pinned(kind, layout, lead, T):
 # --- oracle arithmetic --------------------------------------------------------
 
 
+@pytest.mark.parametrize("layout", ["shared", "per-step"])
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+def test_joint_chunks_keep_the_whole_scan_bits(kind, layout):
+    """Two recurrences side by side in a `Joint`, scanned in chunks (each started
+    from the last state before it, `fold_carry`) and back in reverse (each chunk's
+    last cotangent row plus the state adjoint the chunk after it handed back,
+    `carry_back`, and its first da product from the state before it,
+    `add_prev_product`), give the states and db of one
+    scan of each over the whole sequence bit for bit, and a per-step da too; a
+    shared da, summed a chunk at a time, differs by rounding only."""
+    rng = np.random.default_rng(43)
+    T, lead, widths = 23, (3,), [2, 3]
+    elems = [_random_elem(kind, T, w, rng, lead=lead) for w in widths]
+    if layout == "shared":
+        elems = [ScanElement(e.a[0, 0], e.b, kind) for e in elems]
+    gs = [rng.standard_normal(e.b.shape) for e in elems]
+    whole = []
+    for e, g in zip(elems, gs):
+        x = scan_linear(e)
+        whole.append((x, *scan_backward(e, x, g)))
+    chunks = [slice(0, 7), slice(7, 14), slice(14, 21), slice(21, 23)]
+
+    def joint_at(sl):
+        factors = [e.a for e in elems] if layout == "shared" else None
+        joint = scan.Joint(kind, (sl.stop - sl.start, *lead), widths, factors)
+        for part, e in zip(joint.parts, elems):
+            part.b[...] = e.b[sl]
+            if layout == "per-step":
+                part.a[...] = e.a[sl]
+        return joint
+
+    states, ends = [], [None]
+    for sl in chunks:
+        joint = joint_at(sl)
+        if ends[-1] is not None:
+            for part, end in zip(joint.parts, joint.split(ends[-1][None])):
+                scan.fold_carry(part, end[0])
+        states.append(scan_linear(joint.elem))
+        ends.append(states[-1][-1])
+        for got, (x, _, _) in zip(joint.split(states[-1]), whole):
+            np.testing.assert_array_equal(got, x[sl])
+    da_sums, handed = [0.0, 0.0], None
+    for c in reversed(range(len(chunks))):
+        sl, joint = chunks[c], joint_at(chunks[c])
+        g = np.concatenate([g[sl] for g in gs], axis=len(lead) + 1)
+        if handed is not None:
+            g[-1] += handed
+        da, db = scan_backward(joint.elem, states[c], g)
+        if ends[c] is not None:
+            scan.add_prev_product(joint.elem, ends[c], db, da)
+        handed = scan.carry_back(joint.elem, db)
+        for i, (part_da, part_db, (_, da_whole, db_whole)) in enumerate(
+            zip(joint.split(da, 0 if layout == "shared" else None), joint.split(db), whole)
+        ):
+            np.testing.assert_array_equal(part_db, db_whole[sl])
+            if layout == "per-step":
+                np.testing.assert_array_equal(part_da, da_whole[sl])
+            else:
+                da_sums[i] = da_sums[i] + part_da
+    if layout == "shared":
+        for got, (_, da_whole, _) in zip(da_sums, whole):
+            np.testing.assert_allclose(got, da_whole, rtol=1e-13, atol=1e-13)
+
+
 def test_pair_mul_matches_complex():
     rng = np.random.default_rng(13)
     z = rng.standard_normal((10, 2))

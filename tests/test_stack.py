@@ -641,6 +641,66 @@ def test_streamed_evaluation_chunks_under_its_own_rule(monkeypatch):
     assert np.array_equal(predict_logits(model, x), head_forward(model.head, h).data)
 
 
+# --- the chunked training step ------------------------------------------------------------
+
+
+def _chunked_step(model, x, y, K, monkeypatch):
+    """stack_loss + backward with chunks of K rows: the loss, every gradient in
+    parameter order, and the tape's node count."""
+    monkeypatch.setattr(stack, "_chunk_rows", lambda *shape: K)
+    params = model.param_tensors()
+    with Tape() as tape:
+        loss = stack_loss(model, x, y)
+        nodes = len(tape.nodes)
+        grads = backward(loss, params)
+    return loss.item().hex(), [grads[p].data for p in params], nodes
+
+
+# per unique block, the nodes that make its operands from its parameters
+_OPERAND_NODES = {"LRU": 17, "S5": 33, "LinOSS": 18, "LrcSSM": 0}
+
+
+@pytest.mark.parametrize("pattern", ["AAAAAA", "ABABAB", "ABCDEF"])
+@pytest.mark.parametrize("supervision", ["final", "block"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_chunked_step_keeps_the_loss_and_the_gradients(arch, supervision, pattern, monkeypatch):
+    """With chunks of K < T rows the step is one node for the encoder and the block
+    stack, after each unique block's operand nodes and before the head. Its loss is
+    the whole sequence's bit for bit, every gradient is within 1e-12 of it relative
+    to the tensor's largest, and two runs give the same bytes. K = 1, 7 (which does
+    not divide T) and T - 1 (a last chunk of one step), at B = 3, H = 8 and at the
+    audit shape."""
+    config = parse_pattern(pattern, supervision)
+    taps = config.depth // config.tap_period
+    head = 6 * taps + (taps if taps > 1 else 0)  # each tap's head and loss, then their mean
+    for B, T, H in ((3, 23, 8), (4, 16, 4)):
+        model, x, y = _jittered(arch, config, B, T, H)
+        loss, whole, _ = _chunked_step(model, x, y, T, monkeypatch)
+        for K in (1, 7, T - 1):
+            got, grads, nodes = _chunked_step(model, x, y, K, monkeypatch)
+            assert got == loss, f"B, T, H, K = {B}, {T}, {H}, {K}"
+            for g, w in zip(grads, whole):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), f"B, T, H, K = {B}, {T}, {H}, {K}"
+            assert nodes == 1 + config.n_unique * _OPERAND_NODES[arch] + head
+        again = _chunked_step(model, x, y, 7, monkeypatch)[1]
+        assert [g.tobytes() for g in again] == [g.tobytes() for g in _chunked_step(model, x, y, 7, monkeypatch)[1]]
+
+
+@pytest.mark.parametrize("K", [1, 7])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_chunked_step_matches_finite_differences(arch, K, monkeypatch):
+    """Each gradient tensor of a chunked ABABAB `block` step against central
+    differences along one random direction, under the audit's tolerance."""
+    from loopseq.verify import _TOL_FD
+
+    model, x, y = _jittered(arch, parse_pattern("ABABAB", "block"), B=4, T=16, H=4)
+    monkeypatch.setattr(stack, "_chunk_rows", lambda *shape: K)
+    err = ad.finite_difference_check(
+        lambda: stack_loss(model, x, y), model.param_tensors(), rng=np.random.default_rng(K)
+    )
+    assert err < _TOL_FD
+
+
 # --- memory ---------------------------------------------------------------------------
 
 
@@ -758,6 +818,40 @@ def test_streamed_evaluation_memory_does_not_grow_with_t(arch):
         peaks.append(peak / (K * H * 8))
     assert max(peaks) <= _STREAM_PEAK, f"{arch} streamed peaks {peaks} x K*B*H floats"
     assert peaks[1] - peaks[0] < 0.05, f"{arch} streamed peak grew with T: {peaks}"
+
+
+# tracemalloc peak of a chunked AAAAAA `final` step (stack_loss + backward) at B = 1,
+# w = 6, H = P = 64, depth 6 (K = 512), less what it keeps for the whole sequence (each
+# application's normalised input and 1/std, and its state at each chunk end), in
+# [K, B, H] float arrays: measured 79.33-79.39/79.87-79.92/73.01-73.05 (LRU and S5,
+# LinOSS, LrcSSM) at T = 6144 and T = 12288 alike, and pinned 0.46 above the highest;
+# `block` read 5.0 more. The whole peak read 12.7 B*T*H floats at T = 6144 and 9.4 at
+# T = 12288, against 15.2 for the whole-sequence step. Holding the rebuilt states and
+# their cotangent through the forcing's adjoint read 85.0.
+_CHUNKED_STEP_PEAK = {"LRU": 79.85, "S5": 79.85, "LinOSS": 80.38, "LrcSSM": 73.51}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_chunked_step_memory_does_not_grow_with_t(arch):
+    H, K, n = 64, 512, 2 * 64 if arch != "LrcSSM" else 64
+    model = build_stack(arch, StackConfig(6, 1, "final"), width=6, n_classes=5, hidden=H, state=H, rng=0)
+    params = model.param_tensors()
+    peaks = []
+    for T in (6144, 12288):
+        assert stack._chunk_rows(T, 1, H, n, 6) == K
+        x = np.random.default_rng(16).standard_normal((1, T, 6))
+        tracemalloc.start()
+        try:
+            with Tape():
+                backward(stack_loss(model, x, np.array([1])), params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (T * H * 8) < 15.0, f"{arch} chunked step peak {peak / (T * H * 8):.2f} x B*T*H floats"
+        kept = 6 * (T * (H + 1) + (T // K - 1) * n) * 8
+        peaks.append((peak - kept) / (K * H * 8))
+    assert max(peaks) <= _CHUNKED_STEP_PEAK[arch], f"{arch} chunked step peaks {peaks} x K*B*H floats"
+    assert abs(peaks[1] - peaks[0]) < 0.1, f"{arch} chunked step peak grew with T: {peaks}"
 
 
 # One LRU step as above, in a fresh interpreter: how far the peak resident set
