@@ -9,26 +9,23 @@ Everything is real float64.  Complex quantities are (re, im) pairs in a
 trailing axis of length 2, so complex arithmetic decomposes into real
 primitives and every adjoint is derived exactly once, for the real case.
 
-A few fused primitives carry hand-derived adjoints so a block records a
-handful of nodes instead of dozens: `affine` (x @ w + b), `reshape`, and
-`ssm_block`, one whole block application (layer norm, forcing, scan,
-readout, GLU and residual add; the scan's reverse recurrence is the
-forward kernel run backwards in time, see scan.scan_backward).  Its
-forward and adjoint are `BlockRows`' steps, the block's arithmetic split
-at the scan, which the stack's streamed passes also run over chunks of
-time rows, evaluation forward only and training both ways.  Every
-adjoint here is checked against central finite differences in the test
+A few fused primitives carry hand-derived adjoints so the model records
+a handful of nodes instead of dozens: `affine` (x @ w + b) and `reshape`.
+A block application's arithmetic is `BlockRows`, untaped: its forward
+(layer norm, forcing, scan, readout, GLU and residual add) and its
+adjoint split at the scan, whose reverse recurrence is the forward
+kernel run backwards in time (see scan.scan_backward).  The stack runs
+those steps over chunks of time rows, evaluation forward only and
+training both ways, inside one tape node for the whole block stack.
+Every adjoint is checked against central finite differences in the test
 suite.
 
 The tape keeps only the arrays some adjoint reads.  A node holds no
 output and refers to a parent recorded on the same tape by its index,
-and each vjp closure binds the shapes, operands or outputs it reads
-(`ssm_block`'s, its `BlockRows`), never a whole Tensor.  An intermediate
-no adjoint reads (an `add` fed only to a `sum_`, say) is freed during
-the forward, as soon as the code that built it drops it.  `ssm_block` keeps no time-sized array it can
-rebuild bit for bit: its adjoint remakes them from the normalised input,
-with array operations only, so a rebuild records nothing on the tape
-that is active while `backward` runs.  Across nodes one more rule holds:
+and each vjp closure binds the shapes, operands or outputs it reads,
+never a whole Tensor.  An intermediate no adjoint reads (an `add` fed
+only to a `sum_`, say) is freed during the forward, as soon as the code
+that built it drops it.  Across nodes one more rule holds:
 a cotangent may be a read-only view (`sum_` returns its incoming
 cotangent broadcast, not copied), may be shared between parents (`add`
 hands its cotangent to both), and no vjp writes into its incoming `g`.
@@ -434,10 +431,10 @@ def reshape(x, shape) -> Tensor:
 
 
 def _project_scan(kind: str, hidden: int, w: Tensor, a: Tensor):
-    """The forcing u @ w [H, P, 2] scanned under the shared factor a, as `ssm_block`'s
+    """The forcing u @ w [H, P, 2] scanned under the shared factor a, as `BlockRows`'
     (n, factor, build, adjoint): one product over interleaved columns, [..., H] @ [H, 2P]."""
     if w.ndim != 3 or w.shape[0] != hidden or w.shape[-1] != 2:
-        raise ShapeError(f"ssm_block needs a forcing weight [{hidden}, P, 2], got {w.shape}")
+        raise ShapeError(f"BlockRows needs a forcing weight [{hidden}, P, 2], got {w.shape}")
     ws = w.shape
     wd = w.data.reshape(ws[0], -1)
 
@@ -454,7 +451,7 @@ def _project_scan(kind: str, hidden: int, w: Tensor, a: Tensor):
 
 def _gate_scan(kind: str, hidden: int, wb: Tensor, bb: Tensor, wa: Tensor, ba: Tensor):
     """LrcSSM's x_t = a_t * x_{t-1} + (1 - a_t) * tanh(u_t @ wb + bb) with the gate
-    a_t = sigmoid(u_t @ wa + ba), a per-step "diag" scan, as `ssm_block`'s
+    a_t = sigmoid(u_t @ wa + ba), a per-step "diag" scan, as `BlockRows`'
     (n, factor, build, adjoint).
 
     Forward and adjoint run the elementwise ops and products of the same
@@ -464,7 +461,7 @@ def _gate_scan(kind: str, hidden: int, wb: Tensor, bb: Tensor, wa: Tensor, ba: T
     first, which add up in the composition's order.
     """
     if wa.ndim != 2 or wa.shape[0] != hidden or wb.shape != wa.shape:
-        raise ShapeError(f"ssm_block needs gate and drive weights [{hidden}, P], got {wa.shape}, {wb.shape}")
+        raise ShapeError(f"BlockRows needs gate and drive weights [{hidden}, P], got {wa.shape}, {wb.shape}")
     wad, bad, wbd, bbd = wa.data, ba.data, wb.data, bb.data
 
     def build(ud, b, a):
@@ -514,20 +511,27 @@ def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.nda
 
 class BlockRows:
     """One block application's arithmetic with its operands bound, split at the scan,
-    forward and adjoint.
+    forward and adjoint: h + (r @ wv + bv) * sigmoid(r @ wg + bg) with
+    r = x @ c + d * u, u = layer_norm(h) and x the states of the arch's scan of u.
 
-    The arguments are `ssm_block`'s after h, with `hidden` = H; the norm gain
-    and bias are two [H] operands, as d, bv and bg are.  Every step but the
-    scan acts on each time row on its own.  Forward: `layer_norm` makes u,
-    `build` writes the scan's forcing (LrcSSM: its gate and drive) from u
-    into a `scan.Joint`'s slice (`build_joint`), and `tail` makes the
-    readout, feedthrough, GLU and residual add from the states.  Adjoint,
-    after u and the states are rebuilt: `tail_adjoint`, then the scan's
-    (`scan.scan_backward`), then `adjoint`, the forcing's, and
-    `norm_adjoint`; together they return the gradients of `operands`, in
-    that order.  `ssm_block` runs them over all T rows at once, and the
-    stack's streamed passes over chunks of rows, each chunk's scan started
-    from the state the chunk before left.  Nothing here is taped.
+    u is (h - mean) / sqrt(var + eps) * gain + bias over the last axis, with
+    `hidden` = H and gain, bias, d, bv and bg [H].  `scan` is (kind, *tensors):
+    ("cdiag" or "mat2", w, a), the forcing u @ w [H, P, 2] under the shared
+    factor a (LRU, S5, LinOSS), whose states [..., P, 2] are read out as
+    [..., 2P]; or ("diag", wb, bb, wa, ba), LrcSSM's gated scan.  c [n, H]
+    reads the states out.  Every step but the scan acts on each time row on
+    its own.  Forward: `layer_norm` makes u, `build` writes the scan's forcing
+    (LrcSSM: its gate and drive) from u into a `scan.Joint`'s slice
+    (`build_joint`), and `tail` makes the readout, feedthrough, GLU and
+    residual add from the states.  Adjoint, after u and the states are
+    rebuilt: `tail_adjoint`, then the scan's (`scan.scan_backward`), then
+    `adjoint`, the forcing's, and `norm_adjoint`; together they return the
+    gradients of `operands`, in that order.  Every elementwise op and product
+    is that of the block composed from single-op nodes, in that composition's
+    order, so every bit agrees with it.  `blocks.block_forward` runs the
+    forward over all rows, and the stack's passes over chunks of rows, each
+    chunk's scan started from the state the chunk before left.  Nothing here
+    is taped.
     """
 
     def __init__(self, hidden: int, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg):
@@ -539,7 +543,7 @@ class BlockRows:
         want = ((hidden,),) * 2 + ((self.n, hidden), (hidden,)) + ((hidden, hidden), (hidden,)) * 2
         shapes = tuple(t.shape for t in self.tensors)
         if shapes != want:
-            raise ShapeError(f"ssm_block needs gain, bias, c, d, wv, bv, wg, bg of shapes {want}, got {shapes}")
+            raise ShapeError(f"BlockRows needs gain, bias, c, d, wv, bv, wg, bg of shapes {want}, got {shapes}")
         self.operands = (*self.tensors[2:], *self.scan_tensors, *self.tensors[:2])
         self.eps = eps
 
@@ -641,66 +645,6 @@ def build_joint(blocks: list[BlockRows], us: list[np.ndarray], carries: list | N
         if carry is not None:
             _scan.fold_carry(part, carry)
     return joint, extras
-
-
-def ssm_block(h, gain, bias, eps: float, scan: tuple, c, d, wv, bv, wg, bg) -> Tensor:
-    """One block application as one node: h + (r @ wv + bv) * sigmoid(r @ wg + bg)
-    with r = x @ c + d * u, u = layer_norm(h) and x the states of the arch's scan of u.
-
-    u is (h - mean) / sqrt(var + eps) * gain + bias over the last axis, with
-    gain, bias, d, bv and bg [H].  `scan` is (kind, *tensors):
-    ("cdiag" or "mat2", w, a), the forcing u @ w [H, P, 2] under the shared
-    factor a (LRU, S5, LinOSS), whose states [..., P, 2] are read out as
-    [..., 2P]; or ("diag", wb, bb, wa, ba), LrcSSM's gated scan.  c [n, H]
-    reads the states out.  Forward and adjoint are `BlockRows`' steps over
-    all rows.
-
-    The node keeps only the normalised input, 1/std and the `BlockRows`,
-    whose arrays are parameter-sized.  Its adjoint rebuilds u and the states
-    with the forward's own operations (selective recomputation, Chen et al.,
-    arXiv:1604.06174), then runs the tail's, the scan's, the forcing's and
-    the layer norm's adjoints in turn, freeing each array once it is read,
-    and rebuilds u once more for the forcing's adjoint rather than hold it
-    across the scan's.  Every elementwise op and product is that of the
-    block composed from single-op nodes, in that composition's order, so
-    every bit agrees with it: u's cotangent is the tail's plus the forcing's
-    pieces, one at a time, and h is listed twice among the parents, the
-    tail's use first, so `backward` adds its cotangents as it added the
-    composition's.
-    """
-    h = _lift(h)
-    shape = h.shape
-    if len(shape) < 2:
-        raise ShapeError(f"ssm_block needs h [..., H] of at least 2 dims, got h {shape}")
-    rows = BlockRows(shape[-1], gain, bias, eps, scan, c, d, wv, bv, wg, bg)
-    u, xhat, rstd = rows.layer_norm(h.data)
-    if not _ACTIVE:  # nothing reads them again
-        xhat = rstd = None
-    held = [_scan.scan_linear(build_joint([rows], [u])[0].elem), u]  # the forward drops what only the adjoint reads
-    del u
-    out = rows.tail(held, h.data)
-
-    def vjp(g):
-        u = rows.rebuild_u(xhat)
-        joint, (extra,) = build_joint([rows], [u])
-        x = _scan.scan_linear(joint.elem)
-        # the scan's adjoint reads only b's shape, so a zero-stride stand-in replaces b
-        elem = _scan.ScanElement(joint.elem.a, np.broadcast_to(0.0, x.shape), rows.kind)
-        held = [x, u]
-        del joint, u
-        g_x, g_u, g_tail = rows.tail_adjoint(g, held)
-        # the scan, then the forcing, on u rebuilt once more
-        da, db = _scan.scan_backward(elem, x, g_x.reshape(x.shape))
-        held = [elem.a, extra, da, db]  # the adjoint takes these over, to free each once read
-        del elem, extra, x, g_x, da, db
-        u_pieces, g_scan = rows.adjoint(rows.rebuild_u(xhat), held)
-        for piece in u_pieces:
-            g_u += piece
-        del u_pieces, piece
-        return (g, *g_tail, *g_scan, *rows.norm_adjoint(g_u, xhat, rstd))
-
-    ops = rows.operands
-    return _record(out, (h, *ops[:-2], h, *ops[-2:]), vjp)
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:

@@ -9,19 +9,18 @@ Hidden states are time-major: the encoder turns a [..., T, w] batch into
     h_out = h_in + glu(scan(a, b, kind) @ c + d * u)
 
 The four archs differ only in their factor (the scan kind, the transition
-factor a and the forcing b) and in their readout weights c.  Each block
-application is one tape node, `autodiff.ssm_block`: the layer norm, the
+factor a and the forcing b) and in their readout weights c.  A block
+application is `autodiff.BlockRows`' arithmetic: the layer norm, the
 forcing u @ w under a shared factor (LRU, S5, LinOSS) or LrcSSM's gate and
 drive, the scan, the readout, the feedthrough d * u, the GLU mixer (linear
 value gated by a sigmoid-linear gate) and the residual add.  `_STATES`
 gives each arch's part of it, the scan kind and the tensors the forcing
-and factor are made from; the parameter-side nodes that make those
-tensors and the readout are recorded before the block's node, and the
-norm gain and bias [H], the feedthrough and the GLU weights are its own
-parents.  The node
-keeps no time-sized array for the backward: its adjoint rebuilds u and
-the states and recomputes the readout, the value and the gate.  No
-dropout anywhere.  The factors:
+and factor are made from (`block_operands`); under a tape, the
+parameter-side nodes that make those tensors and the readout are
+recorded once per unique block, before the stack's node, which runs every
+application of the stack forward and in reverse (`stack.stack_loss`).
+`block_forward` is one application without a tape.  No dropout anywhere.
+The factors:
 
     lru     complex diagonal x_t = lambda * x_{t-1} + gamma * (B u_t),
             |lambda| = exp(-exp(nu_log)) initialized in the ring
@@ -53,6 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
+from . import scan
 from .autodiff import Tensor, param
 from .errors import ConfigError, ShapeError
 
@@ -153,6 +153,12 @@ def clone_params(obj):
     """Deep copy with bit-identical values; copies stay independent leaves."""
     kw = {f.name: param(getattr(obj, f.name).data.copy()) for f in dataclasses.fields(obj)}
     return type(obj)(**kw)
+
+
+def detach_params(obj):
+    """The same container over detached tensors, which share obj's arrays and record
+    nothing on a tape."""
+    return type(obj)(*(t.detach() for _, t in named_tensors(obj)))
 
 
 # --- initialization --------------------------------------------------------------
@@ -308,16 +314,28 @@ def scan_width(p: BlockParams) -> int:
 
 
 def block_operands(p: BlockParams) -> tuple:
-    """`ad.ssm_block`'s operands after h for block p (and `ad.BlockRows`' after H)."""
+    """`ad.BlockRows`' operands after H for block p; under a tape, the nodes that make
+    them from p's parameters are recorded."""
     return (
         p.norm_gain, p.norm_bias, _NORM_EPS, _STATES[type(p)](p), _readout(p), p.feedthrough,
         p.glu_value_w, p.glu_value_b, p.glu_gate_w, p.glu_gate_b,
     )
 
 
-def block_forward(p: BlockParams, h: Tensor) -> Tensor:
-    """Pre-norm, the arch's factor and scan, then the tail, as one node; preserves [T, ..., H]."""
-    return ad.ssm_block(h, *block_operands(p))
+def block_forward(p: BlockParams, h) -> Tensor:
+    """One application of block p to hidden states h [T, ..., H], without a tape:
+    `ad.BlockRows`' forward steps over all rows (layer norm, the scan of one
+    part, tail); preserves [T, ..., H].  Training runs the same steps inside the
+    stack's node, a chunk of rows at a time."""
+    hd = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=np.float64)
+    if hd.ndim < 2:
+        raise ShapeError(f"block_forward needs h [T, ..., H] of at least 2 dims, got shape {hd.shape}")
+    # detached, so the operands record nothing on an active tape
+    rows = ad.BlockRows(hd.shape[-1], *block_operands(detach_params(p)))
+    u = rows.layer_norm(hd)[0]
+    held = [scan.scan_linear(ad.build_joint([rows], [u])[0].elem), u]
+    del u  # `tail` frees u and the states
+    return Tensor(rows.tail(held, hd))
 
 
 def check_batch(p: EncoderParams, x: Tensor) -> None:
@@ -335,11 +353,6 @@ def encoder_forward(p: EncoderParams, x: Tensor) -> Tensor:
     """
     check_batch(p, x)
     return ad.affine(Tensor(np.moveaxis(x.data, -2, 0)), p.weight, p.bias)
-
-
-def head_forward(p: HeadParams, h: Tensor) -> Tensor:
-    """Logits [..., C] from hidden states [T, ..., H] mean-pooled over time."""
-    return head_from_sum(p, ad.sum_(h, axis=0), h.shape[0])
 
 
 def head_from_sum(p: HeadParams, total, steps: int) -> Tensor:

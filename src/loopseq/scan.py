@@ -260,6 +260,14 @@ class Joint:
             return [flat]
         return np.split(flat, [c * self._pair for c in self._cuts], axis=1)
 
+    def drop_forcing(self) -> None:
+        """Free the forcings once the states are made: b, in the element and in each
+        part, becomes a zero-stride stand-in of its shape, all that `scan_backward`,
+        `carry_back` and `add_prev_product` read of it."""
+        stand_in = lambda e: ScanElement(e.a, np.broadcast_to(0.0, e.b.shape), e.kind)
+        self.elem = stand_in(self.elem)
+        self.parts = [stand_in(part) for part in self.parts] if self._cuts else [self.elem]
+
 
 def scan_backward(
     elem: ScanElement, states: np.ndarray, g: np.ndarray

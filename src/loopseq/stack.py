@@ -19,18 +19,17 @@ r = L / m taps h^(1)..h^(r)).  The encoder and head are never shared
 across patterns being compared; only block parameters participate in
 tying.
 
-A long series streams over time in chunks of K time steps (`_chunk_rows`
-decides K, and K = T below two chunks per application): block
-application j runs chunk c at stage c + j, so the L applications advance
-through time together and one joint scan serves all of them.
-Evaluation (`predict_logits`, `eval_loss`) runs that schedule untaped;
-its memory follows K, not T, and its logits and loss are the whole
-sequence's, bit for bit.  Training (`stack_loss`) runs it as one tape
-node over the encoder and the block stack, which keeps each
+Every pass runs one block schedule over chunks of K time steps
+(`_chunk_rows` decides K; K = T, one chunk, below two chunks per
+application): block application j runs chunk c at stage c + j, so the L
+applications advance through time together and one joint scan serves
+all of them.  Evaluation (`predict_logits`, `eval_loss`) runs it
+untaped; its memory follows K, not T, and its logits and loss are the
+whole sequence's, bit for bit.  Training (`stack_loss`) runs it as one
+tape node over the encoder and the block stack, which keeps each
 application's normalised input and chunk-end states and runs the chunks
-in reverse for the backward; its loss is the whole sequence's bit for
-bit, its gradients agree to rounding.  A series of one chunk, such as
-every finite-difference check's, runs one node per block application.
+in reverse for the backward; its loss is one chunk's bit for bit at any
+K, its gradients agree to rounding.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from .blocks import (
     check_batch,
     clone_params,
     count_params,
+    detach_params,
     encoder_forward,
-    head_forward,
     head_from_sum,
     init_block,
     init_encoder,
@@ -163,33 +162,6 @@ def _check_period(depth: int, period: int) -> None:
         raise ConfigError(f"tap period {period} must divide depth {depth}")
 
 
-def stack_forward(model: StackModel, x, period: int) -> list[Tensor]:
-    """Encoder then L periodic block applications; the hidden state after every `period`.
-
-    x is an [N, T, w] batch and each tap a time-major [T, N, H] state.
-    Verification passes a source model's period to an embedded (untied)
-    model, so both are supervised at the source's repetition boundaries.
-    """
-    depth = model.config.depth
-    _check_period(depth, period)
-    h = encoder_forward(model.encoder, x if isinstance(x, Tensor) else Tensor(x))
-    taps = []
-    for j in range(depth):
-        h = block_forward(model.blocks[j % model.config.n_unique], h)
-        if (j + 1) % period == 0:
-            taps.append(h)
-    return taps
-
-
-def tap_loss(model: StackModel, taps: list[Tensor], labels: np.ndarray) -> Tensor:
-    """Uniform average of the shared head's cross entropy over the taps.
-
-    No stop-gradients: every tap backpropagates into every earlier
-    block application.
-    """
-    return _mean_loss((head_forward(model.head, h) for h in taps), labels)
-
-
 def _mean_loss(logits, labels: np.ndarray) -> Tensor:
     """Uniform average of the cross entropy of each of the `logits`, made in turn.
 
@@ -205,40 +177,44 @@ def _mean_loss(logits, labels: np.ndarray) -> Tensor:
 
 
 def stack_loss(model: StackModel, x, labels: np.ndarray) -> Tensor:
-    """`tap_loss` over `stack_forward`'s taps at the stack's own tap period.
+    """The loss at the stack's own tap period (`_taped_loss`)."""
+    return _taped_loss(model, x, labels, model.config.tap_period)
 
-    A batch long enough to stream (`_chunk_rows`) runs its encoder and whole
-    block stack as one node over chunks of time rows (`_chunked_taps`), with
-    the same loss bit for bit; any other runs one node per block application.
+
+def _taped_loss(model: StackModel, x, labels: np.ndarray, period: int) -> Tensor:
+    """Uniform average of the shared head's cross entropy over the hidden state
+    after every `period`-th block application, from the [N, T, w] batch x.
+
+    No stop-gradients: every tap backpropagates into every earlier block
+    application.  The encoder and the whole block stack run as one node over
+    chunks of time rows (`_chunked_taps`); a series too short to stream is
+    one chunk.  Verification passes a source model's period to an embedded
+    (untied) model, so both are supervised at the source's repetition
+    boundaries.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    check_batch(model.encoder, x)
-    N, T, _ = x.shape
-    depth, period = model.config.depth, model.config.tap_period
-    K = _chunk_rows(T, N, model.encoder.weight.shape[1], scan_width(model.blocks[0]), depth)
-    if K >= T:
-        return tap_loss(model, stack_forward(model, x, period), labels)
-    taps = _chunked_taps(model, x, period, _chunks(T, N, K))
-    return _mean_loss((head_from_sum(model.head, t, T) for t in taps), labels)
+    x, chunks = _chunked(model, x)
+    _check_period(model.config.depth, period)
+    T = x.shape[1]
+    return _mean_loss((head_from_sum(model.head, t, T) for t in _chunked_taps(model, x, period, chunks)), labels)
 
 
 def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], Tensor]:
     """`stack_loss(model, x, labels)` as a zero-argument callable, bit for bit,
     that re-runs only the block applications whose inputs have moved.
 
-    The first call runs everything and keeps the encoder output, each
-    position's output and the bytes of the encoder's and each unique
-    block's tensors (the tensor objects the model holds when this is
-    called, like the parameter list of `finite_difference_check`).  A
-    later call restarts at the first position whose inputs differ from
-    those bytes: position 0 with the encoder if the encoder moved, else
-    position k, the first application of the first unique block k that
-    moved, from its kept input; if only the head moved, only the head
-    runs, on the kept taps.  Reuse rests on byte equality alone, so any
-    sequence of changes gives `stack_loss`'s bits.  Kept positions enter
-    a later call as constants, so only the first call's tape reaches
-    every parameter: finite differences call it first at the unperturbed
-    point, under a tape, and then only perturbed.
+    The first call returns `stack_loss`'s taped loss, and keeps the encoder
+    output, each position's output (`block_forward`, without a tape) and the
+    bytes of the encoder's and each unique block's tensors (the tensor
+    objects the model holds when this is called, like the parameter list of
+    `finite_difference_check`).  A later call restarts at the first position
+    whose inputs differ from those bytes: position 0 with the encoder if the
+    encoder moved, else position k, the first application of the first
+    unique block k that moved, from its kept input; if only the head moved,
+    only the head runs, on the kept taps.  Reuse rests on byte equality
+    alone, so any sequence of changes gives `stack_loss`'s bits.  A later
+    call records nothing, so only the first call's tape reaches any
+    parameter: finite differences call it first at the unperturbed point,
+    under a tape, and then only perturbed.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     depth, period = model.config.depth, model.config.tap_period
@@ -249,14 +225,17 @@ def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], 
     seen: list[list[bytes]] = []  # each stage's tensor bytes at the first call
 
     def loss() -> Tensor:
-        s = next((i for i, ts in enumerate(stages) if _tensor_bytes(ts) != seen[i]), depth + 1) if kept else 0
-        outs = [Tensor(a) for a in kept[:s]] if s else [encoder_forward(model.encoder, x)]
+        first = not kept
+        s = 0 if first else next((i for i, ts in enumerate(stages) if _tensor_bytes(ts) != seen[i]), depth + 1)
+        outs = kept[:s] or [encoder_forward(detach_params(model.encoder), x).data]
         for j in range(len(outs) - 1, depth):
-            outs.append(block_forward(model.blocks[j % model.config.n_unique], outs[-1]))
-        if not kept:
-            kept.extend(h.data for h in outs)
+            outs.append(block_forward(model.blocks[j % model.config.n_unique], outs[-1]).data)
+        if first:
+            kept.extend(outs)
             seen.extend(_tensor_bytes(ts) for ts in stages)
-        return tap_loss(model, outs[period::period], labels)
+            return stack_loss(model, x, labels)
+        T = outs[0].shape[0]
+        return _mean_loss((head_from_sum(model.head, np.add.reduce(h, axis=0), T) for h in outs[period::period]), labels)
 
     return loss
 
@@ -300,6 +279,19 @@ def _chunks(T: int, N: int, K: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [T])]
 
 
+def _chunked(model: StackModel, x) -> tuple[Tensor, list[slice]]:
+    """x as an [N, T, w] batch for the model's encoder, and the time chunks a pass
+    over it runs, K rows each (`_chunk_rows`); a series too short to stream is one
+    chunk."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    check_batch(model.encoder, x)
+    N, T, _ = x.shape
+    if not T:
+        raise EmptySequenceError("a stack pass over zero time steps")
+    K = _chunk_rows(T, N, model.encoder.weight.shape[1], scan_width(model.blocks[0]), model.config.depth)
+    return x, _chunks(T, N, K)
+
+
 def _by_length(at: dict[int, slice]) -> list[list[int]]:
     """The applications of `at` (application -> its chunk) grouped by chunk length, in
     `at`'s order; only the application on the last chunk can have another length."""
@@ -312,8 +304,10 @@ def _by_length(at: dict[int, slice]) -> list[list[int]]:
 @dataclass
 class _Kept:
     """What a taped streamed forward keeps for its backward, per application: the
-    normalised input [T, N, H] and 1/std [T, N, 1] its layer norm made, as
-    `ssm_block` keeps them, and its scan state at the end of each chunk but the last."""
+    normalised input [T, N, H] and 1/std [T, N, 1] its layer norm made, from
+    which the backward rebuilds u and the states, and its scan state at the end
+    of each chunk but the last.  The backward drops an application's entries
+    once its first chunk has run."""
 
     xhat: list
     rstd: list
@@ -331,8 +325,8 @@ class _Kept:
 def _stream(model: StackModel, rows: list, x: np.ndarray, period: int, chunks: list, kept=None) -> list:
     """The time sums of the hidden state after every `period`-th block application,
     untaped and streamed over the `chunks` of the [N, T, w] batch x; the bits of
-    `stack_forward`'s taps summed over time.  With `kept` (a `_Kept`) it also
-    keeps what `_stream_backward` reads.
+    the whole series' applications (`block_forward`) summed over time.  With
+    `kept` (a `_Kept`) it also keeps what `_stream_backward` reads.
 
     Application j runs chunk c at stage c + j, so the L applications advance
     through time together, and the active applications' scans run as one
@@ -356,8 +350,7 @@ def _stream(model: StackModel, rows: list, x: np.ndarray, period: int, chunks: l
         # about 6, freed at once, keeps the stages on the heap: a Worms-length
         # full_loss at N = 2 took 165k page faults per call without it.
         np.empty(min(4 * depth * chunks[0].stop * N * H, 1 << 21))
-    # detached, so the encoder records nothing on an active tape
-    enc = EncoderParams(model.encoder.weight.detach(), model.encoder.bias.detach())
+    enc = detach_params(model.encoder)  # the encoder records nothing on an active tape
     h: list = [None] * depth  # each application's input chunk for this stage
     carry: list = [None] * depth  # each application's last state so far
     sums: list = [None] * (depth // period)
@@ -407,22 +400,35 @@ def _stage_adjoint(blocks: list, xhats: list, rstds: list, before: list, g_outs:
     layer norms' adjoints.  Returns each application's (layer-norm cotangent
     of its input, operand gradients) and the state adjoint it hands its chunk
     before (None for the first).
+
+    Each time-sized array is freed once read, so a chunk of the whole series
+    peaks no higher than one block application's adjoint on its own: the
+    forcing once the states are rebuilt, u in the tail's adjoint (the
+    forcing's adjoint rebuilds it once more rather than hold it across the
+    scan's), and the scan's arrays in the forcing's adjoint.  One part's state
+    cotangent is made by its tail's adjoint; several parts' are written into
+    one joint array, which their joint adjoint scan reads.
     """
     us = [blk.rebuild_u(xhat) for blk, xhat in zip(blocks, xhats)]
     joint, extras = ad.build_joint(blocks, us, before)
     states = scan.scan_linear(joint.elem)
-    g_x = np.empty_like(states)
+    joint.drop_forcing()
+    one = len(blocks) == 1
+    g_x = None if one else np.empty_like(states)
     g_us, tails = [], []
-    for blk, x, u, g_out, col, last_row, lam in zip(
-        blocks, joint.split(states), us, g_outs, joint.columns(g_x), joint.split(g_x), handed
-    ):
-        _, g_u, tail = blk.tail_adjoint(g_out, [x, u], col)
-        if lam is not None:
-            last_row[-1] += lam
+    for i, (blk, x, col) in enumerate(zip(blocks, joint.split(states), [None] if one else joint.columns(g_x))):
+        held = [x, us[i]]
+        us[i] = None  # the tail's adjoint frees u once read
+        g_xi, g_u, tail = blk.tail_adjoint(g_outs[i], held, col)
         g_us.append(g_u)
         tails.append(tail)
+    if one:
+        g_x = g_xi.reshape(states.shape)
+    for row, lam in zip(joint.split(g_x), handed):
+        if lam is not None:
+            row[-1] += lam
     da, db = scan.scan_backward(joint.elem, states, g_x)
-    del states, g_x, x, col, last_row  # the views too, so both are freed
+    del states, g_x, g_xi, x, col, row  # the views too, so both are freed
     hands = [None] * len(blocks)
     if any(b is not None for b in before):  # the state before each chunk: zero before the first
         prev = np.zeros_like(db[:1])
@@ -433,13 +439,14 @@ def _stage_adjoint(blocks: list, xhats: list, rstds: list, before: list, g_outs:
         lams = joint.split(scan.carry_back(joint.elem, db)[None])
         hands = [lam[0].copy() if b is not None else None for b, lam in zip(before, lams)]
     das = joint.split(da, 0 if blocks[0].factor is not None else None)
+    helds = [[part.a, extra, da_j, db_j] for part, extra, da_j, db_j in zip(joint.parts, extras, das, joint.split(db))]
+    del joint, extras, das, da, db  # each forcing's adjoint takes its arrays over, to free each once read
     out = []
-    for blk, part, extra, da_j, db_j, u, g_u, tail, xhat, rstd in zip(
-        blocks, joint.parts, extras, das, joint.split(db), us, g_us, tails, xhats, rstds
-    ):
-        u_pieces, g_scan = blk.adjoint(u, [part.a, extra, da_j, db_j])
+    for blk, held, g_u, tail, xhat, rstd in zip(blocks, helds, g_us, tails, xhats, rstds):
+        u_pieces, g_scan = blk.adjoint(blk.rebuild_u(xhat), held)
         for piece in u_pieces:
             g_u += piece
+        del u_pieces, piece
         gh, g_gain, g_bias = blk.norm_adjoint(g_u, xhat, rstd)
         out.append((gh, (*tail, *g_scan, g_gain, g_bias)))
     return out, hands
@@ -453,10 +460,11 @@ def _stream_backward(
     (C - 1 - c) + (L - 1 - j), each stage's applications of one chunk length
     as one `_stage_adjoint`.
 
-    The cotangent of each hidden state adds up in `backward`'s order over
-    `stack_forward`'s nodes: its tap's, the residual's, then the layer
-    norm's.  Each application's operand gradients are added into
-    parameter-sized sums in reverse application order.
+    The cotangent of each hidden state adds up its tap's, the next
+    application's residual's, then its layer norm's.  Each application's
+    operand gradients are added into parameter-sized sums in reverse
+    application order.  A cotangent is dropped once read, and what an
+    application kept once its first chunk has run.
     """
     depth, m = config.depth, config.n_unique
     last = len(chunks) - 1
@@ -473,8 +481,10 @@ def _stream_backward(
     for stage in range(last + depth):
         # application -> the index of the chunk it runs, the deepest first
         at = {j: last - stage + depth - 1 - j for j in reversed(range(depth)) if 0 <= stage + j + 1 - depth <= last}
-        # each output's cotangent, read before any application of the stage hands one down
+        # each output's cotangent, taken before any application of the stage hands one down
         g_outs = {j: down[j] for j in at}
+        for j in at:
+            down[j] = None
         if depth - 1 in at:
             sl = chunks[at[depth - 1]]
             g_outs[depth - 1] = np.broadcast_to(g[-1], (sl.stop - sl.start,) + g.shape[1:])
@@ -491,18 +501,22 @@ def _stream_backward(
             )
             for j, hand, (gh, terms) in zip(group, hands, out):
                 back[j] = hand
+                g_out = g_outs.pop(j)
                 if j and j % period == 0:  # the input is a tap
-                    cot = np.broadcast_to(g[j // period - 1], gh.shape) + g_outs[j]
+                    cot = np.broadcast_to(g[j // period - 1], gh.shape) + g_out
                     cot += gh
                 else:
                     cot = gh
-                    cot += g_outs[j]
+                    cot += g_out
                 if j:
                     down[j - 1] = cot
                 else:
                     rows_x = x[chunks[at[j]]].reshape(-1, x.shape[-1])
                     add(enc, (rows_x.T @ cot.reshape(-1, cot.shape[-1]), cot.sum(axis=(0, 1))))
                 done[j] = terms
+                if not at[j]:  # its first chunk: nothing reads what it kept again
+                    kept.xhat[j] = kept.rstd[j] = None
+            del out, gh, g_out, cot
         for j in sorted(done, reverse=True):
             add(grads[j % m], done[j])
     return (*enc, *(t for sums in grads for t in sums))
@@ -511,13 +525,16 @@ def _stream_backward(
 def _chunked_taps(model: StackModel, x: Tensor, period: int, chunks: list) -> list[Tensor]:
     """The time sums of the hidden state after every `period`-th block application,
     streamed over `chunks` as one tape node over the encoder and the whole block
-    stack; the bits of `stack_forward`'s taps summed over time.
+    stack; `_stream`'s bits.
 
     Its forward is `_stream`, which keeps each application's normalised input,
     1/std and chunk-end states; its adjoint is `_stream_backward`, which rebuilds
-    the rest a chunk at a time.  Everything else it holds is chunk-sized.
-    The parameter-side nodes of each unique block's operands are recorded
-    once, before it, and the head after it.
+    u and the states a chunk at a time with the forward's own operations
+    (selective recomputation, Chen et al., arXiv:1604.06174), with array
+    operations only, so a rebuild records nothing on the tape that is active
+    while `backward` runs.  Everything else it holds is chunk-sized.  The
+    parameter-side nodes of each unique block's operands are recorded once,
+    before it, and the head after it.
     """
     depth = model.config.depth
     N, T, _ = x.shape
@@ -536,20 +553,12 @@ def _chunked_taps(model: StackModel, x: Tensor, period: int, chunks: list) -> li
 
 def _stream_logits(model: StackModel, x, period: int) -> list[Tensor]:
     """The head's logits at every `period`-th block application, without a tape,
-    streamed over chunks of K time rows (`_stream`); the bits of
-    `stack_forward`'s taps through `head_forward`.  K comes from `_chunk_rows`."""
-    depth = model.config.depth
-    _check_period(depth, period)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    check_batch(model.encoder, x)
-    N, T, _ = x.shape
-    if not T:
-        raise EmptySequenceError("evaluation over zero time steps")
-    H = model.encoder.weight.shape[1]
-    rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
-    K = _chunk_rows(T, N, H, rows[0].n, depth)
-    sums = _stream(model, rows, x.data, period, _chunks(T, N, K))
-    return [head_from_sum(model.head, total, T) for total in sums]
+    streamed over the chunks `_chunked` gives (`_stream`)."""
+    _check_period(model.config.depth, period)
+    x, chunks = _chunked(model, x)
+    rows = [ad.BlockRows(model.encoder.weight.shape[1], *block_operands(p)) for p in model.blocks]
+    sums = _stream(model, rows, x.data, period, chunks)
+    return [head_from_sum(model.head, total, x.shape[1]) for total in sums]
 
 
 def predict_logits(model: StackModel, x) -> np.ndarray:
@@ -613,13 +622,13 @@ def verify_gradient_aggregation(model: StackModel, x: np.ndarray, labels: np.nda
 
     tied_params = model.param_tensors()
     with Tape():
-        loss_t = tap_loss(model, stack_forward(model, x, period), labels)
+        loss_t = _taped_loss(model, x, labels, period)
         grads_t = backward(loss_t, tied_params)
 
     untied = embed_periodic(model, L)
     untied_params = untied.param_tensors()
     with Tape():
-        loss_u = tap_loss(untied, stack_forward(untied, x, period), labels)
+        loss_u = _taped_loss(untied, x, labels, period)
         grads_u = backward(loss_u, untied_params)
 
     worst = 0.0

@@ -1,7 +1,8 @@
 """A block application as the unfused composition of autodiff primitives: a
 layer-norm node, `scan_oracle`'s forcing and kept scan, and `tail_oracle`'s tail.
-The bitwise oracle of `autodiff.ssm_block`, which records the whole application
-as one node and keeps neither u nor the states."""
+The bitwise oracle of one application of `autodiff.BlockRows`, which the stack's
+training node runs without keeping u or the states (`stack_oracle` composes it
+into a whole stack)."""
 
 import numpy as np
 from scan_oracle import kept_gate_scan, kept_project_scan
@@ -35,8 +36,9 @@ def _layer_norm(x, gain, bias, eps):
 
 
 def kept_block(h, gain, bias, eps, scan, c, d, wv, bv, wg, bg):
-    """`ssm_block`'s arguments, one tape node per operation, in the order a block
-    recorded them before the fusion; the tape keeps u, the forcing and the states."""
+    """h and `blocks.block_operands`' operands, one tape node per operation, in the
+    order a block recorded them before the fusion; the tape keeps u, the forcing and
+    the states."""
     kind, *tensors = scan
     u = _layer_norm(h, gain, bias, eps)
     if kind == "diag":

@@ -1,6 +1,6 @@
 """A block's forcing and scan as the unfused composition of autodiff primitives
 around a scan node that keeps its states: the bitwise oracle of the forcing and
-scan inside `autodiff.ssm_block`, which rebuilds them instead."""
+scan of `autodiff.BlockRows`, which the stack's training node rebuilds instead."""
 
 import numpy as np
 

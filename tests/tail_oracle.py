@@ -1,5 +1,5 @@
 """The block tail as the unfused composition of autodiff primitives: the bitwise
-oracle of the tail inside `autodiff.ssm_block`, which fuses it into the block's node."""
+oracle of `autodiff.BlockRows`' tail, which the stack's training node runs fused."""
 
 from scan_oracle import _matmul
 

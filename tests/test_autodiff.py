@@ -7,12 +7,14 @@ import weakref
 
 import numpy as np
 import pytest
-from block_oracle import _layer_norm, kept_block
+from block_oracle import _layer_norm
 from scan_oracle import _matmul
+from stack_oracle import kept_stack_loss
 
 import loopseq.autodiff as ad
 from loopseq.autodiff import Tape, Tensor, backward, finite_difference_check, param
 from loopseq.errors import ContractError, DtypeError, NumericError, ShapeError
+from loopseq.stack import StackConfig, build_stack, stack_loss
 
 
 def _fd(f, params, **kw):
@@ -154,7 +156,7 @@ def test_affine_rejects_mismatched_shapes(x_shape, w_shape, b_shape):
 
 
 def test_layer_norm_matches_fd():
-    # the oracles' layer-norm node, whose bits `ssm_block` reproduces
+    # the oracles' layer-norm node, whose bits `BlockRows.layer_norm` reproduces
     rng = np.random.default_rng(15)
     x = param(rng.standard_normal((2, 4, 6)))
     gain = param(rng.uniform(0.5, 1.5, 6))
@@ -171,9 +173,9 @@ def test_layer_norm_normalises_last_axis():
     np.testing.assert_allclose(out.std(axis=-1), 1.0, rtol=1e-12)
 
 
-# --- one block application as one node ----------------------------------------------
+# --- one block application ----------------------------------------------------------
 
-# the scan tensors of `ssm_block` for each kind, at hidden size H and state size P
+# the scan tensors of `BlockRows` for each kind, at hidden size H and state size P
 _SCAN_SHAPES = {
     "cdiag": lambda H, P: [(H, P, 2), (P, 2)],
     "mat2": lambda H, P: [(H, P, 2), (P, 2, 2)],
@@ -182,7 +184,7 @@ _SCAN_SHAPES = {
 
 
 def _block_operands(rng, kind="cdiag", lead=(5, 2), hidden=4, state=3):
-    """h, gain, bias, the scan tensors, c, d, wv, bv, wg, bg of `ssm_block` as parameters."""
+    """h, gain, bias, the scan tensors, c, d, wv, bv, wg, bg of a block application as parameters."""
     n = state if kind == "diag" else 2 * state
     shapes = [lead + (hidden,), (hidden,), (hidden,), *_SCAN_SHAPES[kind](hidden, state)]
     shapes += [(n, hidden), (hidden,)] + [(hidden, hidden), (hidden,)] * 2
@@ -192,51 +194,62 @@ def _block_operands(rng, kind="cdiag", lead=(5, 2), hidden=4, state=3):
     return ps
 
 
-def _block(kind, ps, block=ad.ssm_block):
-    """`block` (`ssm_block` or an oracle with its signature) on `_block_operands`' tensors."""
+def _rows(kind, ps):
+    """`ad.BlockRows` on `_block_operands`' tensors, at h's hidden size."""
     h, gain, bias, *rest = ps
     scan, tail = rest[:-6], rest[-6:]
-    return block(h, gain, bias, 1e-6, (kind, *scan), *tail)
+    return ad.BlockRows(h.shape[-1], gain, bias, 1e-6, (kind, *scan), *tail)
+
+
+# an arch of each scan kind
+_KIND_ARCH = {"cdiag": "LRU", "mat2": "LinOSS", "diag": "LrcSSM"}
+
+
+def _one_block(kind, B=2, T=5, hidden=4, state=3):
+    """A stack of one block application whose arch scans `kind`, every parameter
+    moved off its init, with an input batch and labels: its loss runs the
+    application's forward and adjoint inside the stack's node."""
+    model = build_stack(_KIND_ARCH[kind], StackConfig(1, 1), width=3, n_classes=3, hidden=hidden, state=state, rng=8)
+    rng = np.random.default_rng(9)
+    for p in model.param_tensors():  # norm gains and biases start at exactly 1 and 0
+        p.data += 0.1 * rng.standard_normal(p.shape)
+    return model, rng.standard_normal((B, T, 3)), rng.integers(0, 3, B)
 
 
 @pytest.mark.parametrize("kind", ["cdiag", "mat2"])
 def test_project_scan_matches_fd(kind):
-    rng = np.random.default_rng(8)
-    ps = _block_operands(rng, kind)
-    v = rng.standard_normal(ps[0].shape)
-    assert _fd(lambda: (_block(kind, ps) * Tensor(v)).sum(), ps) < 1e-5
+    model, x, y = _one_block(kind)
+    assert _fd(lambda: stack_loss(model, x, y), model.param_tensors()) < 1e-5
 
 
 def test_gate_scan_matches_fd():
-    rng = np.random.default_rng(7)
-    ps = _block_operands(rng, "diag")
-    v = rng.standard_normal(ps[0].shape)
-    assert _fd(lambda: (_block("diag", ps) * Tensor(v)).sum(), ps) < 1e-5
+    model, x, y = _one_block("diag")
+    assert _fd(lambda: stack_loss(model, x, y), model.param_tensors()) < 1e-5
 
 
 def test_gated_residual_matches_fd():
-    # the tail's operands: h, the readout, the feedthrough and the GLU
-    rng = np.random.default_rng(26)
-    ps = _block_operands(rng)
-    v = rng.standard_normal(ps[0].shape)
-    tail = [ps[0], *ps[-6:]]
-    assert _fd(lambda: (_block("cdiag", ps) * Tensor(v)).sum(), tail) < 1e-6
+    # the tail's operands: h (through the encoder), the readout, the feedthrough and the GLU
+    model, x, y = _one_block("cdiag")
+    blk = model.blocks[0]
+    tail = [model.encoder.weight, model.encoder.bias, blk.c_re, blk.c_im, blk.feedthrough]
+    tail += [blk.glu_value_w, blk.glu_value_b, blk.glu_gate_w, blk.glu_gate_b]
+    assert _fd(lambda: stack_loss(model, x, y), tail) < 1e-6
 
 
 @pytest.mark.parametrize("taped", [False, True])
-def test_ssm_block_equals_unfused_composition_bitwise(taped):
+def test_block_node_equals_unfused_composition_bitwise(taped):
+    # one application through the stack's node against `stack_oracle`'s unfused nodes
     for kind in ("cdiag", "mat2", "diag"):
-        rng = np.random.default_rng(27)
-        ps = _block_operands(rng, kind, lead=(7, 3), hidden=5, state=4)
-        w = Tensor(rng.standard_normal(ps[0].shape))
+        model, x, y = _one_block(kind, B=3, T=7, hidden=5, state=4)
+        params = model.param_tensors()
         got, want = [], []
-        for block, into in ((ad.ssm_block, got), (kept_block, want)):
+        for loss_of, into in ((stack_loss, got), (lambda *a: kept_stack_loss(*a)[0], want)):
             with Tape() if taped else contextlib.nullcontext():
-                out = _block(kind, ps, block)
-                into.append(out.data.tobytes())
+                loss = loss_of(model, x, y)
+                into.append(loss.data.tobytes())
                 if taped:
-                    grads = backward((out * w).sum(), ps)
-                    into.extend(grads[p].data.tobytes() for p in ps)
+                    grads = backward(loss, params)
+                    into.extend(grads[p].data.tobytes() for p in params)
         assert got == want, kind
 
 
@@ -249,7 +262,7 @@ def test_gated_residual_rejects_mismatched_shapes(which, shape):
     ps = _block_operands(np.random.default_rng(28))
     ps[which] = Tensor(np.zeros(shape))
     with pytest.raises(ShapeError):
-        _block("cdiag", ps)
+        _rows("cdiag", ps)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +274,7 @@ def test_project_scan_rejects_a_forcing_weight_of_another_shape(kind, which, sha
     ps = _block_operands(np.random.default_rng(29), kind)
     ps[which] = Tensor(np.zeros(shape))
     with pytest.raises(ShapeError):
-        _block(kind, ps)
+        _rows(kind, ps)
 
 
 def test_reshape_matches_fd():
@@ -498,7 +511,7 @@ def test_non_float64_input_converts(data):
     assert ad.add(data, 1).data.dtype == np.float64
 
 
-def _every_primitive(x, y, m, w, v, a, b):
+def _every_primitive(x, y, m, w, v):
     """One output of each public primitive, 0-d results included."""
     return [
         ad.add(x, y), ad.sub(x, y), ad.mul(x, 2), ad.div(x, y), ad.neg(x), ad.exp(x),
@@ -507,8 +520,6 @@ def _every_primitive(x, y, m, w, v, a, b):
         ad.sum_(x), ad.sum_(x, axis=0), ad.mean_(x), ad.mean_(m, axis=-1, keepdims=True),
         ad.stack([x, y], axis=0), ad.stack([x, y], axis=-1), ad.reshape(m, (-1,)),
         ad.softmax_cross_entropy(m, np.array([0, 2])),
-        ad.ssm_block(m, v, v, 1e-5, ("cdiag", b, a), ad.reshape(b, (6, 3)), v, w, v, w, v),
-        ad.ssm_block(m, v, v, 1e-5, ("diag", w, v, w, v), w, v, w, v, w, v),
         ad.sum_(x) * ad.sum_(y),
     ]
 
@@ -518,12 +529,11 @@ def test_every_primitive_stores_a_float64_ndarray(taped):
     rng = np.random.default_rng(5)
     x, y = param(rng.standard_normal(4)), param(rng.uniform(1, 2, 4))
     m, w, v = (param(rng.standard_normal(s)) for s in ((2, 3), (3, 3), (3,)))
-    a, b = param(rng.uniform(-0.5, 0.5, (3, 2))), param(rng.standard_normal((3, 3, 2)))
     if taped:
         with Tape():
-            outs = _every_primitive(x, y, m, w, v, a, b)
+            outs = _every_primitive(x, y, m, w, v)
     else:
-        outs = _every_primitive(x, y, m, w, v, a, b)
+        outs = _every_primitive(x, y, m, w, v)
     for out in outs:
         assert type(out.data) is np.ndarray and out.data.dtype == np.float64, out
     assert outs[12].data.shape == () and outs[-1].data.shape == ()

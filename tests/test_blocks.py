@@ -14,13 +14,14 @@ from loopseq.blocks import (
     clone_params,
     count_params,
     encoder_forward,
-    head_forward,
+    head_from_sum,
     init_block,
     init_encoder,
     init_head,
     named_tensors,
 )
 from loopseq.errors import ConfigError, ShapeError
+from loopseq.stack import StackConfig, build_stack, stack_loss
 
 
 def _oracle_recurrence(p, u):
@@ -128,56 +129,60 @@ def test_batched_matches_unbatched(arch):
         np.testing.assert_allclose(full[:, i], single, rtol=1e-12, atol=1e-14)
 
 
+def _one_block(arch, B, T, w, hidden, state, seed):
+    """A stack of one application of a fresh `arch` block, with an input batch and
+    labels: its loss runs the block's forward and adjoint inside the stack's node."""
+    model = build_stack(arch, StackConfig(1, 1), width=w, n_classes=3, hidden=hidden, state=state, rng=seed)
+    rng = np.random.default_rng(seed)
+    return model, rng.standard_normal((B, T, w)), rng.integers(0, 3, B)
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_every_parameter_receives_gradient(arch):
-    rng = np.random.default_rng(21)
-    p = init_block(arch, hidden=6, state=4, rng=rng)
-    h = rng.standard_normal((12, 6))
-    params = [t for _, t in named_tensors(p)]
+    model, x, y = _one_block(arch, B=2, T=12, w=3, hidden=6, state=4, seed=21)
+    p = model.blocks[0]
     with Tape():
-        out = block_forward(p, Tensor(h))
-        grads = backward((out * out).sum(), params)
+        grads = backward(stack_loss(model, x, y), [t for _, t in named_tensors(p)])
     for name, t in named_tensors(p):
         assert np.abs(grads[t].data).max() > 0, f"{arch}.{name} got a zero gradient"
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_block_gradients_match_finite_differences(arch):
+    # at a generic point: at S5's init one GLU gate weight's derivative is 3.5e-9,
+    # below what central differences resolve against the relative-error floor
+    model, x, y = _one_block(arch, B=2, T=8, w=3, hidden=3, state=3, seed=22)
     rng = np.random.default_rng(22)
-    p = init_block(arch, hidden=3, state=3, rng=rng)
-    h = Tensor(rng.standard_normal((8, 3)))
-    w = rng.standard_normal((8, 3))
-    params = [t for _, t in named_tensors(p)]
-    err = finite_difference_check(lambda: (block_forward(p, h) * Tensor(w)).sum(), params)
+    for p in model.param_tensors():
+        p.data += 0.1 * rng.standard_normal(p.shape)
+    params = [t for _, t in named_tensors(model.blocks[0])]
+    err = finite_difference_check(lambda: stack_loss(model, x, y), params)
     assert err < 1e-4
 
 
-# one block's fwd+bwd peak in B*T*H floats: measured 9.32/9.33/9.45/9.15 and
-# pinned 0.37-0.46 above. LrcSSM read 10.09 with its gate, tanh and 1 - gate taped,
-# and 10.15 while its scan's adjoint held them until it returned.
-_BLOCK_PEAK = {"LRU": 9.71, "S5": 9.72, "LinOSS": 9.82, "LrcSSM": 9.61}
+# one block's fwd+bwd peak in B*T*H floats, as a stack of one application (its
+# encoder, node and head) at w = 6: measured 4.01/4.02/4.65/3.55 and pinned 0.18
+# above. Holding the forcing through the adjoint read 4.52/4.53/5.16/3.74, holding u
+# across the scan's adjoint 4.26/4.27/4.91/3.80, and making the states' cotangent
+# before the tail's adjoint 3.74 for LrcSSM.
+_BLOCK_PEAK = {"LRU": 4.19, "S5": 4.20, "LinOSS": 4.83, "LrcSSM": 3.73}
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_block_tape_memory_bounded(arch):
     """One block's forward+backward at B=1, T=2000, H=P=64 stays at its pinned peak.
 
-    The tape holds a few fused nodes per block, keeps only the arrays their
-    adjoints read and none it can rebuild, and backward frees each node as
-    it passes, so the peak is about 9-10 such arrays.  Keeping the layer-norm
-    output, a copy of the `sum_` cotangent and a materialised shared da read
-    11-13, keeping every node's output 16-19, and recording every
-    elementwise step as well, with the tape kept until the sweep ends, 28-44.
+    The tape holds one node for the block application, which keeps only the
+    normalised input and 1/std, rebuilds u and the states in its adjoint and
+    frees each array once read, so the peak is about 4-5 such arrays.
     """
     B, T, H = 1, 2000, 64
-    rng = np.random.default_rng(24)
-    p = init_block(arch, hidden=H, state=H, rng=rng)
-    h = Tensor(rng.standard_normal((T, B, H)))
-    params = [t for _, t in named_tensors(p)]
+    model, x, y = _one_block(arch, B=B, T=T, w=6, hidden=H, state=H, seed=24)
+    params = model.param_tensors()
     tracemalloc.start()
     try:
         with Tape():
-            backward(block_forward(p, h).sum(), params)
+            backward(stack_loss(model, x, y), params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -185,23 +190,34 @@ def test_block_tape_memory_bounded(arch):
     assert peak <= _BLOCK_PEAK[arch] * unit, f"{arch} fwd+bwd peak {peak / unit:.2f} x B*T*H floats"
 
 
-# per block application: the tape nodes recorded and the one scan kind sent
-_TAPE_NODES = {"LRU": 18, "S5": 34, "LinOSS": 19, "LrcSSM": 1}
+# a stack of one block application: the tape nodes recorded (the block's operands,
+# the node, the head and loss) and the one scan kind its forward sends
+_TAPE_NODES = {"LRU": 24, "S5": 40, "LinOSS": 25, "LrcSSM": 7}
 _SCAN_KIND = {"LRU": "cdiag", "S5": "cdiag", "LinOSS": "mat2", "LrcSSM": "diag"}
 
 
-@pytest.mark.parametrize("shape", [(7, 5), (2, 7, 5)])
+@pytest.mark.parametrize("shape", [(1, 7, 5), (2, 7, 5)])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_block_application_tape_nodes_and_scan_kind(arch, shape, monkeypatch):
     kinds = []
     scan_linear = scan.scan_linear
     monkeypatch.setattr(scan, "scan_linear", lambda elem: kinds.append(elem.kind) or scan_linear(elem))
-    rng = np.random.default_rng(32)
-    p = init_block(arch, hidden=5, state=4, rng=rng)
+    model, x, y = _one_block(arch, B=shape[0], T=shape[1], w=shape[2], hidden=5, state=4, seed=32)
     with Tape() as tape:
-        block_forward(p, Tensor(rng.standard_normal(shape), requires_grad=True))
+        stack_loss(model, x, y)
     assert len(tape.nodes) == _TAPE_NODES[arch]
     assert kinds == [_SCAN_KIND[arch]]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_block_forward_records_nothing_and_refuses_a_single_row(arch):
+    rng = np.random.default_rng(33)
+    p = init_block(arch, hidden=5, state=4, rng=rng)
+    with Tape() as tape:
+        out = block_forward(p, Tensor(rng.standard_normal((7, 5)), requires_grad=True))
+    assert len(tape.nodes) == 0 and not out.requires_grad
+    with pytest.raises(ShapeError, match=r"got shape \(5,\)"):
+        block_forward(p, np.zeros(5))
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -246,7 +262,7 @@ def test_head_mean_pools_then_projects():
     rng = np.random.default_rng(26)
     head = init_head(6, 4, rng)
     h = rng.standard_normal((9, 2, 6))  # [T, B, H]
-    got = head_forward(head, Tensor(h)).data
+    got = head_from_sum(head, h.sum(axis=0), 9).data
     want = h.mean(axis=0) @ head.weight.data + head.bias.data
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -256,7 +272,7 @@ def test_zero_head_weight_gives_bias():
     head = init_head(5, 3, rng)
     head.weight.data[:] = 0.0
     h = rng.standard_normal((7, 4, 5))  # [T, B, H]
-    got = head_forward(head, Tensor(h)).data
+    got = head_from_sum(head, h.sum(axis=0), 7).data
     np.testing.assert_array_equal(got, np.broadcast_to(head.bias.data, (4, 3)))
 
 

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from block_oracle import kept_block
+from stack_oracle import kept_stack_loss
 
 from loopseq import autodiff as ad
 from loopseq import scan, stack
 from loopseq.autodiff import Tape, backward, Tensor
-from loopseq.blocks import ARCHS, block_forward, encoder_forward, head_forward, named_tensors
+from loopseq.blocks import ARCHS, block_forward, encoder_forward, head_from_sum
 from loopseq.errors import ConfigError, EmptySequenceError, ShapeError
 from loopseq.stack import (
     AggregationReport,
@@ -28,9 +28,7 @@ from loopseq.stack import (
     pattern_string,
     predict_logits,
     prefix_reuse_loss,
-    stack_forward,
     stack_loss,
-    tap_loss,
     verify_gradient_aggregation,
 )
 
@@ -44,6 +42,40 @@ def _with_supervision(model, supervision):
     """The same parameters under another supervision mode."""
     cfg = StackConfig(model.config.depth, model.config.n_unique, supervision)
     return StackModel(cfg, model.encoder, model.blocks, model.head)
+
+
+def _whole_taps(model, x, period):
+    """The hidden state [T, N, H] after every `period`-th block application, each
+    application run over the whole series by `block_forward`, without a tape."""
+    h = encoder_forward(model.encoder, Tensor(x)).data
+    taps = []
+    for j in range(model.config.depth):
+        h = block_forward(model.blocks[j % model.config.n_unique], h).data
+        if (j + 1) % period == 0:
+            taps.append(h)
+    return taps
+
+
+def _head(model, h):
+    """The head's logits from hidden states h [T, N, H], mean-pooled over time."""
+    return head_from_sum(model.head, h.sum(axis=0), h.shape[0])
+
+
+def _taps_loss(model, taps, y):
+    """The mean over the taps of the head's cross entropy, written out: one term
+    unscaled, else the 1/r-scaled sum in tap order."""
+    terms = [ad.softmax_cross_entropy(_head(model, h), y).mean() for h in taps]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total if len(terms) == 1 else total * (1.0 / len(terms))
+
+
+def _node_taps(model, x, period):
+    """The time sums [N, H] of the hidden state after every `period`-th application,
+    as the training step's node makes them."""
+    x, chunks = stack._chunked(model, x)
+    return [t.data for t in stack._chunked_taps(model, x, period, chunks)]
 
 
 # --- patterns ---------------------------------------------------------------------
@@ -109,30 +141,37 @@ def test_config_derived_fields():
 
 
 def test_forward_matches_manual_unrolled_composition():
+    # the training node's time sum and the streamed logits, against the encoder
+    # and six block applications composed by hand
     rng = np.random.default_rng(1)
     model = _tiny("S5", m=2)
     x = rng.standard_normal((2, 7, 3))
-    (final,) = stack_forward(model, x, 6)
     h = encoder_forward(model.encoder, Tensor(x))
     for j in range(6):
         h = block_forward(model.blocks[j % 2], h)
-    np.testing.assert_array_equal(final.data, h.data)
+    (total,) = _node_taps(model, x, 6)
+    np.testing.assert_array_equal(total, h.data.sum(axis=0))
+    np.testing.assert_array_equal(predict_logits(model, x), _head(model, h.data).data)
 
 
 def test_trace_has_one_rep_per_pass():
     x = np.random.default_rng(2).standard_normal((1, 5, 3))
     for m, r in [(1, 6), (2, 3), (3, 2), (6, 1)]:
         model = _tiny(m=m, supervision="block")
-        assert len(stack_forward(model, x, model.config.tap_period)) == r
-        assert len(stack_forward(model, x, 6)) == 1
+        for period, taps in ((model.config.tap_period, r), (6, 1)):
+            assert len(_node_taps(model, x, period)) == taps
+            assert len(stack._stream_logits(model, x, period)) == taps
 
 
 def test_tap_period_controls_taps():
     model = _tiny(m=1)
     x = np.random.default_rng(3).standard_normal((1, 4, 3))
-    assert len(stack_forward(model, x, 2)) == 3
+    assert len(_node_taps(model, x, 2)) == 3
+    assert len(stack._stream_logits(model, x, 2)) == 3
     with pytest.raises(ConfigError):
-        stack_forward(model, x, 4)
+        stack._taped_loss(model, x, np.array([0]), 4)
+    with pytest.raises(ConfigError):
+        stack._stream_logits(model, x, 4)
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 4), (1, 2, 5, 3)], ids=["unbatched", "wrong-width", "4-d"])
@@ -161,9 +200,10 @@ def test_residual_chain_with_zero_mixers_is_identity_plus_encoder():
         blk.glu_value_w.data[:] = 0.0
         blk.glu_value_b.data[:] = 0.0
     x = np.random.default_rng(4).standard_normal((2, 5, 3))
-    (final,) = stack_forward(model, x, 6)
+    (final,) = _whole_taps(model, x, 6)
     enc = encoder_forward(model.encoder, Tensor(x)).data
-    np.testing.assert_array_equal(final.data, enc)
+    np.testing.assert_array_equal(final, enc)
+    np.testing.assert_array_equal(predict_logits(model, x), _head(model, enc).data)
 
 
 # --- losses -------------------------------------------------------------------------
@@ -175,19 +215,18 @@ def test_zero_head_gives_uniform_loss():
     model.head.bias.data[:] = 0.0
     x = np.random.default_rng(5).standard_normal((4, 6, 3))
     y = np.array([0, 1, 2, 3])
-    for period in (6, 2):
-        taps = stack_forward(model, x, period)
-        assert abs(tap_loss(model, taps, y).item() - np.log(5.0)) < 1e-12
+    for supervision in ("final", "block"):  # tap periods 6 and 2
+        assert abs(stack_loss(_with_supervision(model, supervision), x, y).item() - np.log(5.0)) < 1e-12
 
 
 def test_block_loss_is_mean_of_per_tap_losses():
     model = _tiny(m=2, supervision="block")
     x = np.random.default_rng(6).standard_normal((3, 5, 3))
     y = np.array([0, 1, 2])
-    taps = stack_forward(model, x, model.config.tap_period)
-    assert len(taps) == 3
-    per_tap = [tap_loss(model, [h], y).item() for h in taps]
-    got = tap_loss(model, taps, y).item()
+    logits = stack._stream_logits(model, x, model.config.tap_period)
+    assert len(logits) == 3
+    per_tap = [ad.softmax_cross_entropy(z, y).mean().item() for z in logits]
+    got = stack_loss(model, x, y).item()
     assert abs(got - np.mean(per_tap)) < 1e-12
 
 
@@ -209,22 +248,22 @@ def test_identical_taps_give_identical_head_gradients():
     y = np.array([0, 1, 2])
     head_params = [model.head.weight, model.head.bias]
     with Tape():
-        g_block = backward(tap_loss(model, stack_forward(model, x, 2), y), head_params)
+        g_block = backward(stack_loss(model, x, y), head_params)
         g_block = {k: v.data.copy() for k, v in g_block.items()}
     with Tape():
-        g_final = backward(tap_loss(model, stack_forward(model, x, 6), y), head_params)
+        g_final = backward(stack_loss(_with_supervision(model, "final"), x, y), head_params)
     for p in head_params:
         a, b = g_block[p], g_final[p].data
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-30)
 
 
-def test_shared_lru_stack_records_115_tape_nodes():
-    # encoder 1 + six block applications of 18 + head and loss 6
+def test_shared_lru_stack_records_24_tape_nodes():
+    # the shared block's operands 17 + the encoder and block stack 1 + head and loss 6
     model = _tiny(m=1)
     x = np.random.default_rng(9).standard_normal((2, 5, 3))
     with Tape() as tape:
         stack_loss(model, x, np.array([0, 1]))
-    assert len(tape.nodes) == 115
+    assert len(tape.nodes) == 24
 
 
 # --- containment (periodic embedding) ------------------------------------------------
@@ -361,32 +400,64 @@ def test_prefix_reuse_loss_is_stack_loss_through_a_sweep(arch, supervision, m, m
             params[i].data[...] = orig
 
 
-# --- each block application as one node ------------------------------------------------------
+# --- the node against the whole-stack oracle -------------------------------------------------
+
+# per unique block, the nodes that make its operands from its parameters
+_OPERAND_NODES = {"LRU": 17, "S5": 33, "LinOSS": 18, "LrcSSM": 0}
+# per application, the nodes `block_oracle.kept_block` records
+_KEPT_NODES = {"LRU": 14, "S5": 14, "LinOSS": 14, "LrcSSM": 16}
+
+
+def _head_nodes(config):
+    """Each tap's head and loss, then their mean."""
+    taps = config.depth // config.tap_period
+    return 6 * taps + (taps if taps > 1 else 0)
+
+
+def _bits(loss, logits, grads, params):
+    return [loss.data.tobytes(), logits.tobytes()] + [grads[p].data.tobytes() for p in params]
+
+
+def _node_bits(model, x, y):
+    """`stack_loss`'s loss, `predict_logits` and every gradient, as bytes; its tape
+    holds the operand nodes, the one node of the encoder and block stack, and the heads."""
+    params, config = model.param_tensors(), model.config
+    with Tape() as tape:
+        loss = stack_loss(model, x, y)
+        nodes = len(tape)
+        grads = backward(loss, params)
+    assert nodes == config.n_unique * _OPERAND_NODES[model.blocks[0].arch] + 1 + _head_nodes(config)
+    return _bits(loss, predict_logits(model, x), grads, params)
+
+
+def _oracle_bits(model, x, y):
+    """The same from `stack_oracle.kept_stack_loss`, its logits the last tap's; its
+    tape holds the encoder, the operand nodes, every application's unfused nodes
+    and the heads, so the oracle route ran."""
+    params, config = model.param_tensors(), model.config
+    arch = model.blocks[0].arch
+    with Tape() as tape:
+        loss, logits = kept_stack_loss(model, x, y)
+        nodes = len(tape)
+        grads = backward(loss, params)
+    want = 1 + config.n_unique * _OPERAND_NODES[arch] + config.depth * _KEPT_NODES[arch] + _head_nodes(config)
+    assert nodes == want
+    return _bits(loss, logits.data, grads, params)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("supervision", ["final", "block"])
 @pytest.mark.parametrize("arch", ARCHS)
-def test_fused_tail_gives_the_unfused_bits(arch, supervision, m, monkeypatch):
-    """The loss, every gradient and the untaped logits equal, byte for byte, those of
-    the same stack with each block application recorded as `block_oracle`'s unfused
-    nodes, its tail as `tail_oracle`'s eight."""
-    fused = ad.ssm_block
+def test_fused_tail_gives_the_unfused_bits(arch, supervision, m):
+    """The loss, every gradient and the logits equal, byte for byte, those of the
+    whole-stack oracle, which records each block application as `block_oracle`'s
+    unfused nodes, its tail as `tail_oracle`'s eight."""
     for B, T, H in ((4, 50, 8), (1, 300, 16), (3, 16, 4)):
         model = build_stack(arch, StackConfig(6, m, supervision), width=3, n_classes=4, hidden=H, state=H, rng=7)
         rng = np.random.default_rng(B * T)
         x = rng.standard_normal((B, T, 3))
         y = rng.integers(0, 4, B)
-        params = model.param_tensors()
-        runs = []
-        for block in (fused, kept_block):
-            monkeypatch.setattr(ad, "ssm_block", block)
-            with Tape():
-                loss = stack_loss(model, x, y)
-                grads = backward(loss, params)
-            runs.append([loss.data.tobytes(), predict_logits(model, x).tobytes()])
-            runs[-1] += [grads[p].data.tobytes() for p in params]
-        assert runs[0] == runs[1], f"B, T, H = {B}, {T}, {H}"
+        assert _node_bits(model, x, y) == _oracle_bits(model, x, y), f"B, T, H = {B}, {T}, {H}"
 
 
 # the order in which backward's sweep first reaches each parameter of a one-block stack
@@ -403,15 +474,16 @@ _GRAD_ORDER = {
 @pytest.mark.parametrize("arch", ARCHS)
 def test_gradient_map_keeps_the_sweep_order(arch):
     """`backward` lists the gradients in the order its sweep first reaches each
-    parameter: the head, the block node's own parameters in its parent order, the
-    readout and factor weights behind its parameter-side nodes, then the encoder."""
+    parameter: the head, the node's parents in their order (the encoder, then the
+    block's own parameters), then the readout and factor weights behind the
+    block's parameter-side nodes."""
     model = build_stack(arch, StackConfig(2, 1, "final"), width=3, n_classes=3, hidden=4, state=4, rng=0)
     x = np.random.default_rng(0).standard_normal((2, 5, 3))
     with Tape():
         grads = backward(stack_loss(model, x, np.array([0, 1])), model.param_tensors())
     names = {id(p): name for name, p in model.parameters()}
     block = ["blocks.0." + name for name in _GRAD_ORDER[arch]]
-    assert [names[id(p)] for p in grads] == ["head.weight", "head.bias", *block, "encoder.weight", "encoder.bias"]
+    assert [names[id(p)] for p in grads] == ["head.weight", "head.bias", "encoder.weight", "encoder.bias", *block]
 
 
 # --- arrays the tape rebuilds or aliases instead of keeping ---------------------------------
@@ -433,29 +505,23 @@ def _copying_sum(x, axis=None, keepdims=False):
 @pytest.mark.parametrize("supervision", ["final", "block"])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_rebuilt_and_aliased_arrays_give_the_kept_bits(arch, supervision, pattern, monkeypatch):
-    """The loss, every gradient and the untaped logits equal, byte for byte, those of
-    a tape that keeps each layer-norm output (`block_oracle`), copies each `sum_`
-    cotangent and sums a shared factor's da in one chunk; here that da takes 256-byte
-    chunks of one or two rows."""
+    """The loss, every gradient and the logits equal, byte for byte, those of the
+    whole-stack oracle on a tape that keeps each layer-norm output
+    (`block_oracle`), copies each `sum_` cotangent and sums a shared factor's da
+    in one chunk; here that da takes 256-byte chunks of one or two rows."""
     runs = []
     for kept in (False, True):
         if kept:
-            monkeypatch.setattr(ad, "ssm_block", kept_block)
             monkeypatch.setattr(ad, "sum_", _copying_sum)
         monkeypatch.setattr(scan, "_DA_CHUNK_BYTES", 1 << 62 if kept else 256)
         for B in (1, 3):
             model = build_stack(arch, parse_pattern(pattern, supervision), width=3, n_classes=4, hidden=8, state=8, rng=5)
             rng = np.random.default_rng(B)
-            params = model.param_tensors()
-            for p in params:  # norm gains and biases start at exactly 1 and 0
+            for p in model.param_tensors():  # norm gains and biases start at exactly 1 and 0
                 p.data += 0.1 * rng.standard_normal(p.shape)
             x = rng.standard_normal((B, 60, 3))
             y = rng.integers(0, 4, B)
-            with Tape():
-                loss = stack_loss(model, x, y)
-                grads = backward(loss, params)
-            runs.append([loss.data.tobytes(), predict_logits(model, x).tobytes()])
-            runs[-1] += [grads[p].data.tobytes() for p in params]
+            runs.append((_oracle_bits if kept else _node_bits)(model, x, y))
     assert runs[:2] == runs[2:]
 
 
@@ -472,38 +538,27 @@ def _jittered(arch, config, B, T, H):
     return model, rng.standard_normal((B, T, 3)), rng.integers(0, 4, B)
 
 
-def _jittered_bits(arch, config, B, T, H):
-    """The loss, every gradient and the untaped logits of a jittered stack, as bytes."""
-    model, x, y = _jittered(arch, config, B, T, H)
-    params = model.param_tensors()
-    with Tape():
-        loss = stack_loss(model, x, y)
-        grads = backward(loss, params)
-    return [loss.data.tobytes(), predict_logits(model, x).tobytes()] + [grads[p].data.tobytes() for p in params]
-
-
 @pytest.mark.parametrize("pattern", ["AAAAAA", "ABABAB", "ABCDEF"])
 @pytest.mark.parametrize("supervision", ["final", "block"])
 @pytest.mark.parametrize("arch", ARCHS)
-def test_rebuilt_states_give_the_kept_bits(arch, supervision, pattern, monkeypatch):
-    """The loss, every gradient and the untaped logits equal, byte for byte, those of
-    the same stack built from `block_oracle`'s unfused nodes, whose tape keeps each
-    application's forcing, states and (LrcSSM) gate, tanh and 1 - gate."""
+def test_rebuilt_states_give_the_kept_bits(arch, supervision, pattern):
+    """The loss, every gradient and the logits equal, byte for byte, those of the
+    whole-stack oracle, whose tape keeps each application's forcing, states and
+    (LrcSSM) gate, tanh and 1 - gate."""
     config = parse_pattern(pattern, supervision)
-    rebuilt = [_jittered_bits(arch, config, B, 60, 8) for B in (1, 3)]
-    monkeypatch.setattr(ad, "ssm_block", kept_block)
-    assert rebuilt == [_jittered_bits(arch, config, B, 60, 8) for B in (1, 3)]
+    for B in (1, 3):
+        model, x, y = _jittered(arch, config, B, 60, 8)
+        assert _node_bits(model, x, y) == _oracle_bits(model, x, y), f"B = {B}"
 
 
 @pytest.mark.parametrize("arch", ["LRU", "LinOSS"])
-def test_rebuilt_states_give_the_kept_bits_when_da_spans_chunks(arch, monkeypatch):
+def test_rebuilt_states_give_the_kept_bits_when_da_spans_chunks(arch):
     """As above at a length where each shared factor's da is summed over several
     chunks: 8997 rows of products, 4096 to a chunk for "cdiag" and 2048 for "mat2"."""
     B, T, H = 3, 3000, 16
     assert (T - 1) * B * 8 * 2 * H > 2 * scan._DA_CHUNK_BYTES
-    rebuilt = _jittered_bits(arch, parse_pattern("ABABAB", "block"), B, T, H)
-    monkeypatch.setattr(ad, "ssm_block", kept_block)
-    assert rebuilt == _jittered_bits(arch, parse_pattern("ABABAB", "block"), B, T, H)
+    model, x, y = _jittered(arch, parse_pattern("ABABAB", "block"), B, T, H)
+    assert _node_bits(model, x, y) == _oracle_bits(model, x, y)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -575,9 +630,9 @@ def test_dot_rows_do_not_depend_on_the_row_count(threads):
 def _streamed_matches_whole(model, x, y, monkeypatch, chunks):
     """predict_logits and eval_loss with each K in `chunks` against the whole
     sequence's composition: logits equal, the loss equal under float.hex."""
-    taps = stack_forward(model, x, model.config.tap_period)
-    logits = head_forward(model.head, taps[-1]).data
-    loss = tap_loss(model, taps, y).item().hex()
+    taps = _whole_taps(model, x, model.config.tap_period)
+    logits = _head(model, taps[-1]).data
+    loss = _taps_loss(model, taps, y).item().hex()
     for K in chunks:
         monkeypatch.setattr(stack, "_chunk_rows", lambda *shape: K)
         assert np.array_equal(predict_logits(model, x), logits), f"K = {K}"
@@ -624,6 +679,8 @@ def test_streamed_evaluation_takes_an_empty_batch_and_refuses_zero_steps():
     assert predict_logits(model, np.zeros((0, 5, 3))).shape == (0, 3)
     with pytest.raises(EmptySequenceError):
         predict_logits(model, np.zeros((2, 0, 3)))
+    with pytest.raises(EmptySequenceError):
+        stack_loss(model, np.zeros((2, 0, 3)), np.array([0, 1]))
 
 
 def test_streamed_evaluation_chunks_under_its_own_rule(monkeypatch):
@@ -632,13 +689,13 @@ def test_streamed_evaluation_chunks_under_its_own_rule(monkeypatch):
     monkeypatch.setattr(stack, "_CHUNK_BYTES", 8 * 3 * 8 * 4)
     model, x, y = _jittered("LRU", parse_pattern("ABABAB", "block"), B=3, T=60, H=8)
     assert stack._chunk_rows(60, 3, 8, 16, 6) == 4
-    taps = stack_forward(model, x, 2)
-    assert np.array_equal(predict_logits(model, x), head_forward(model.head, taps[-1]).data)
-    assert eval_loss(model, x, y).hex() == tap_loss(model, taps, y).item().hex()
+    taps = _whole_taps(model, x, 2)
+    assert np.array_equal(predict_logits(model, x), _head(model, taps[-1]).data)
+    assert eval_loss(model, x, y).hex() == _taps_loss(model, taps, y).item().hex()
     model, x, y = _jittered("LRU", parse_pattern("AAAAAA", "final"), B=1, T=60, H=1)
-    (h,) = stack_forward(model, x, 6)
+    (h,) = _whole_taps(model, x, 6)
     assert stack._chunk_rows(60, 1, 1, 2, 6) == 60
-    assert np.array_equal(predict_logits(model, x), head_forward(model.head, h).data)
+    assert np.array_equal(predict_logits(model, x), _head(model, h).data)
 
 
 # --- the chunked training step ------------------------------------------------------------
@@ -656,23 +713,18 @@ def _chunked_step(model, x, y, K, monkeypatch):
     return loss.item().hex(), [grads[p].data for p in params], nodes
 
 
-# per unique block, the nodes that make its operands from its parameters
-_OPERAND_NODES = {"LRU": 17, "S5": 33, "LinOSS": 18, "LrcSSM": 0}
-
-
 @pytest.mark.parametrize("pattern", ["AAAAAA", "ABABAB", "ABCDEF"])
 @pytest.mark.parametrize("supervision", ["final", "block"])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_chunked_step_keeps_the_loss_and_the_gradients(arch, supervision, pattern, monkeypatch):
     """With chunks of K < T rows the step is one node for the encoder and the block
-    stack, after each unique block's operand nodes and before the head. Its loss is
-    the whole sequence's bit for bit, every gradient is within 1e-12 of it relative
-    to the tensor's largest, and two runs give the same bytes. K = 1, 7 (which does
-    not divide T) and T - 1 (a last chunk of one step), at B = 3, H = 8 and at the
-    audit shape."""
+    stack, after each unique block's operand nodes and before the head, as with one
+    chunk of T rows. Its loss is one chunk's bit for bit, every gradient is within
+    1e-12 of it relative to the tensor's largest, and two runs give the same bytes.
+    K = 1, 7 (which does not divide T) and T - 1 (a last chunk of one step), at
+    B = 3, H = 8 and at the audit shape."""
     config = parse_pattern(pattern, supervision)
-    taps = config.depth // config.tap_period
-    head = 6 * taps + (taps if taps > 1 else 0)  # each tap's head and loss, then their mean
+    head = _head_nodes(config)
     for B, T, H in ((3, 23, 8), (4, 16, 4)):
         model, x, y = _jittered(arch, config, B, T, H)
         loss, whole, _ = _chunked_step(model, x, y, T, monkeypatch)
@@ -923,7 +975,7 @@ def test_stack_loss_dispatches_on_supervision():
     for j in range(6):
         h = block_forward(final.blocks[j % 2], h)
         if j % 2 == 1:
-            terms.append(ad.softmax_cross_entropy(head_forward(final.head, h), y).mean())
+            terms.append(ad.softmax_cross_entropy(_head(final, h.data), y).mean())
     assert stack_loss(final, x, y).item() == terms[-1].item()
     assert stack_loss(block, x, y).item() == ((terms[0] + terms[1] + terms[2]) * (1.0 / 3)).item()
 

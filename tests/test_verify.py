@@ -139,9 +139,10 @@ def test_fast_gradient_audit_has_teeth(monkeypatch):
     # one taped loss plus two per parameter tensor in each check: the
     # directional estimator, not a coordinate sweep, ran
     assert len(calls) == 1544
-    # each perturbed loss restarts at the first block whose tensors moved:
-    # 9360 block applications without reuse, 96 of either in the aggregation checks
-    assert len(blocks) == 5976
+    # each perturbed loss restarts at the first block whose tensors moved: 5880
+    # block applications, 9264 without reuse; the aggregation checks run none,
+    # their losses being the training step's node
+    assert len(blocks) == 5880
     assert any(not r.passed for r in fd)
     assert all(r.detail["coords"] == "1 direction/tensor" for r in fd)
     detector = [r for r in results if r.name == "gradients/detector"][0]
