@@ -583,10 +583,11 @@ class BlockRows:
         return out
 
     def tail_adjoint(self, g: np.ndarray, held: list, out: np.ndarray | None = None):
-        """The tail's adjoint from its output's cotangent g (only read) and held =
-        [the states x, u], which it empties, to free u once read: x's cotangent in
-        the readout's [..., n] layout (written into `out`, a [rows, n] view, when
-        given), u's first piece, and the gradients of c, d, wv, bv, wg and bg.
+        """The tail's adjoint from its output's cotangent g (only read; one row of it
+        may stand for every row) and held = [the states x, u], which it empties,
+        to free u once read: x's cotangent in the readout's [..., n] layout
+        (written into `out`, a [rows, n] view, when given), u's first piece, and
+        the gradients of c, d, wv, bv, wg and bg.
 
         It recomputes the readout, the GLU value and the gate."""
         x, u = held

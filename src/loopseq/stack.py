@@ -292,13 +292,16 @@ def _chunked(model: StackModel, x) -> tuple[Tensor, list[slice]]:
     return x, _chunks(T, N, K)
 
 
-def _by_length(at: dict[int, slice]) -> list[list[int]]:
-    """The applications of `at` (application -> its chunk) grouped by chunk length, in
-    `at`'s order; only the application on the last chunk can have another length."""
-    groups: dict[int, list[int]] = {}
-    for j, sl in at.items():
-        groups.setdefault(sl.stop - sl.start, []).append(j)
-    return list(groups.values())
+def _stage(chunks: list, depth: int, stage: int) -> list[range]:
+    """The applications j that run chunk stage - j at `stage` of a streamed pass,
+    as ranges of j, one per chunk length, j ascending.  Every chunk but the last
+    has one length, so the application on the last chunk, the shallowest of its
+    stage, runs apart when its chunk's length differs."""
+    last = len(chunks) - 1
+    lo, hi = max(0, stage - last), min(depth, stage + 1)
+    if stage >= last and hi - lo > 1 and chunks[-1].stop - chunks[-1].start != chunks[0].stop:
+        return [range(lo, lo + 1), range(lo + 1, hi)]
+    return [range(lo, hi)]
 
 
 @dataclass
@@ -357,16 +360,18 @@ def _stream(model: StackModel, rows: list, x: np.ndarray, period: int, chunks: l
     for stage in range(last + depth):
         if stage <= last:
             h[0] = encoder_forward(enc, Tensor(x[:, chunks[stage]])).data
-        at = {j: chunks[stage - j] for j in range(max(0, stage - last), min(depth, stage + 1))}
+        groups = _stage(chunks, depth, stage)
+        at = range(groups[0].start, groups[-1].stop)
         us = {}
-        for j, sl in at.items():
+        for j in at:
             if kept is None:
                 us[j] = rows[j % m].layer_norm(h[j])[0]
             else:
+                sl = chunks[stage - j]
                 us[j], _, rstd = rows[j % m].layer_norm(h[j], kept.xhat[j][sl])
                 kept.rstd[j][sl] = rstd
         held = {}
-        for group in _by_length(at):
+        for group in groups:
             carries = [carry[j] if stage > j else None for j in group]
             joint = ad.build_joint([rows[j % m] for j in group], [us[j] for j in group], carries)[0]
             states = scan.scan_linear(joint.elem)
@@ -452,13 +457,17 @@ def _stage_adjoint(blocks: list, xhats: list, rstds: list, before: list, g_outs:
     return out, hands
 
 
+def _added(sums, terms):
+    """`terms` added to the running `sums` term by term; `terms` when there are none yet."""
+    return terms if sums is None else [a + b for a, b in zip(sums, terms)]
+
+
 def _stream_backward(
     config: StackConfig, rows: list, x: np.ndarray, period: int, chunks: list, kept: _Kept, g: np.ndarray
 ) -> tuple:
     """The cotangents of `_chunked_taps`' parents from its output's cotangent g
-    [taps, N, H]: the chunks in reverse, application j running chunk c at stage
-    (C - 1 - c) + (L - 1 - j), each stage's applications of one chunk length
-    as one `_stage_adjoint`.
+    [taps, N, H]: `_stream`'s stages in reverse, each stage's applications of
+    one chunk length as one `_stage_adjoint`, the deepest first.
 
     The cotangent of each hidden state adds up its tap's, the next
     application's residual's, then its layer norm's.  Each application's
@@ -467,58 +476,46 @@ def _stream_backward(
     application kept once its first chunk has run.
     """
     depth, m = config.depth, config.n_unique
-    last = len(chunks) - 1
-    x = np.moveaxis(x, -2, 0)  # time-major, as the encoder reads it
-    grads: list = [[None] * len(blk.operands) for blk in rows]
-    enc: list = [None, None]
+    x = x.transpose(1, 0, 2)  # time-major, as the encoder reads it
+    grads: list = [None] * m  # each unique block's operand gradient sums
+    enc = None
     down: list = [None] * depth  # the cotangent of each application's output chunk, from the one above
     back: list = [None] * depth  # the state adjoint each application's chunk after handed back
 
-    def add(sums, terms):
-        for i, t in enumerate(terms):
-            sums[i] = t if sums[i] is None else sums[i] + t
-
-    for stage in range(last + depth):
-        # application -> the index of the chunk it runs, the deepest first
-        at = {j: last - stage + depth - 1 - j for j in reversed(range(depth)) if 0 <= stage + j + 1 - depth <= last}
+    for stage in reversed(range(len(chunks) + depth - 1)):
+        groups = _stage(chunks, depth, stage)
+        lo, hi = groups[0].start, groups[-1].stop
         # each output's cotangent, taken before any application of the stage hands one down
-        g_outs = {j: down[j] for j in at}
-        for j in at:
-            down[j] = None
-        if depth - 1 in at:
-            sl = chunks[at[depth - 1]]
-            g_outs[depth - 1] = np.broadcast_to(g[-1], (sl.stop - sl.start,) + g.shape[1:])
-        done = {}
-        for group in _by_length({j: chunks[c] for j, c in at.items()}):
-            sls = [chunks[at[j]] for j in group]
+        g_outs = down[lo:hi]
+        down[lo:hi] = [None] * (hi - lo)
+        if hi == depth:  # the last application's output is the last tap, every row of it
+            g_outs[-1] = g[-1:]
+        for group in reversed(groups):
+            group = group[::-1]
+            sls = [chunks[stage - j] for j in group]
             out, hands = _stage_adjoint(
                 [rows[j % m] for j in group],
                 [kept.xhat[j][sl] for j, sl in zip(group, sls)],
                 [kept.rstd[j][sl] for j, sl in zip(group, sls)],
-                [kept.carries[j][at[j] - 1] if at[j] else None for j in group],
-                [g_outs[j] for j in group],
+                [kept.carries[j][stage - j - 1] if stage > j else None for j in group],
+                [g_outs[j - lo] for j in group],
                 [back[j] for j in group],
             )
-            for j, hand, (gh, terms) in zip(group, hands, out):
+            for j, hand, (cot, terms) in zip(group, hands, out):
                 back[j] = hand
-                g_out = g_outs.pop(j)
+                g_out, g_outs[j - lo] = g_outs[j - lo], None
                 if j and j % period == 0:  # the input is a tap
-                    cot = np.broadcast_to(g[j // period - 1], gh.shape) + g_out
-                    cot += gh
-                else:
-                    cot = gh
-                    cot += g_out
+                    g_out = g_out + g[j // period - 1]
+                cot += g_out
                 if j:
                     down[j - 1] = cot
                 else:
-                    rows_x = x[chunks[at[j]]].reshape(-1, x.shape[-1])
-                    add(enc, (rows_x.T @ cot.reshape(-1, cot.shape[-1]), cot.sum(axis=(0, 1))))
-                done[j] = terms
-                if not at[j]:  # its first chunk: nothing reads what it kept again
+                    rows_x = x[sls[-1]].reshape(-1, x.shape[-1])
+                    enc = _added(enc, (rows_x.T @ cot.reshape(-1, cot.shape[-1]), cot.sum(axis=(0, 1))))
+                grads[j % m] = _added(grads[j % m], terms)
+                if stage == j:  # its first chunk: nothing reads what it kept again
                     kept.xhat[j] = kept.rstd[j] = None
-            del out, gh, g_out, cot
-        for j in sorted(done, reverse=True):
-            add(grads[j % m], done[j])
+            del out, cot, g_out
     return (*enc, *(t for sums in grads for t in sums))
 
 

@@ -11,6 +11,10 @@ accuracy per epoch, and the test accuracy at the best-validation epoch.
 The evaluations (`full_loss`, `accuracy`) run the stack's untaped
 streamed forward, whose memory follows a chunk of time steps rather
 than the series length; the training steps run the whole series.
+Where an evaluation is large enough to be worth a fork, the initial
+loss runs beside epoch 0's steps and each epoch's test accuracy beside
+its validation accuracy, in a forked child (`pool.beside`), on the
+parameters as they were when it started.
 Non-finite losses, gradients, parameters or evaluation logits mark the
 run diverged and end it; the epoch in which that happens is not scored.
 
@@ -35,10 +39,17 @@ from . import autodiff as ad
 from .blocks import ARCHS
 from .data import Dataset, apply_reshape, normalize, split_dataset
 from .errors import AggregationError, ConfigError
-from .pool import run_pooled
+from .pool import beside, run_pooled
 from .stack import StackConfig, StackModel, build_stack, eval_loss, parse_pattern, predict_logits, stack_loss
 
 _EVAL_BATCH = 256
+# an evaluation runs in a forked child (`_beside`) from this much work on: examples
+# x time steps x block applications x hidden size.  A fork and join take 3-6 ms
+# at 80-230 MiB of RSS (one BLAS thread), and an evaluation takes 40-90 ns per
+# unit of work, so one of this size takes 0.17-0.38 s, over 30 forks and joins.
+# The largest synth, audit or test-suite evaluation (criterion 7's 358-example
+# train split) is 0.82 of it; a Worms-length example at H = 64 is 1.6 of it
+_FORK_WORK = 1 << 22
 
 log = logging.getLogger(__name__)
 
@@ -193,6 +204,12 @@ def accuracy(model: StackModel, ds: Dataset) -> float:
     return hits / n
 
 
+def _beside(fn, model: StackModel, ds: Dataset):
+    """`pool.beside(fn, (model, ds))`, forking only when the evaluation's work reaches `_FORK_WORK`."""
+    work = ds.n * ds.steps * model.config.depth * model.encoder.weight.shape[1]
+    return beside(fn, (model, ds), fork=work >= _FORK_WORK)
+
+
 def train_one(
     config: TrainConfig,
     dataset: Dataset,
@@ -231,58 +248,67 @@ def train_one(
 
     log_line({"config": dataclasses.asdict(config)}, "w")
 
-    initial_loss = full_loss(model, train_set)
     train_losses: list[float] = []
     val_accs: list[float] = []
     test_accs: list[float] = []
     best_val, best_epoch, best_test = -1.0, -1, float("nan")
-    diverged = not np.isfinite(initial_loss)
+    diverged = False
     bad = 0
+    at_start = [p.data.copy() for _, p in params]
 
-    for epoch in range(config.max_epochs):
-        if diverged:
-            break
-        perm = shuffle_rng.permutation(train_set.n)
-        epoch_loss, seen = 0.0, 0
-        for lo in range(0, train_set.n, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
-            # divergence is detected by the finite checks below, so the
-            # intermediate overflow warnings on the way there are noise
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"), ad.Tape():
-                loss = stack_loss(model, train_set.series[idx], train_set.labels[idx])
-                grads = ad.backward(loss, [p for _, p in params])
-            value = float(loss.data)
-            if not np.isfinite(value) or any(
-                not np.isfinite(g.data).all() for g in grads.values()
-            ):
+    with _beside(full_loss, model, train_set) as initial:
+        for epoch in range(config.max_epochs):
+            perm = shuffle_rng.permutation(train_set.n)
+            epoch_loss, seen = 0.0, 0
+            for lo in range(0, train_set.n, config.batch_size):
+                idx = perm[lo : lo + config.batch_size]
+                # divergence is detected by the finite checks below, so the
+                # intermediate overflow warnings on the way there are noise
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"), ad.Tape():
+                    loss = stack_loss(model, train_set.series[idx], train_set.labels[idx])
+                    grads = ad.backward(loss, [p for _, p in params])
+                value = float(loss.data)
+                if not np.isfinite(value) or any(
+                    not np.isfinite(g.data).all() for g in grads.values()
+                ):
+                    diverged = True
+                    break
+                if config.clip_norm is not None:
+                    clip_global_norm([grads[p] for _, p in params], config.clip_norm)
+                adam_step(opt, params, grads)
+                if any(not np.isfinite(p.data).all() for _, p in params):
+                    diverged = True
+                    break
+                epoch_loss += value * len(idx)
+                seen += len(idx)
+            if epoch == 0 and not np.isfinite(initial()):
+                # the model had diverged before its first step, which ran beside the
+                # initial loss: the run is unscored, and its steps are undone
+                for (_, p), data in zip(params, at_start):
+                    p.data[...] = data
+                diverged = True
+            if diverged:
+                break
+            # finite parameters can still overflow to non-finite logits
+            with _beside(accuracy, model, test_set) as test:
+                val_acc = accuracy(model, val_set)
+                test_acc = test()
+            if not np.isfinite(val_acc + test_acc):
                 diverged = True
                 break
-            if config.clip_norm is not None:
-                clip_global_norm([grads[p] for _, p in params], config.clip_norm)
-            adam_step(opt, params, grads)
-            if any(not np.isfinite(p.data).all() for _, p in params):
-                diverged = True
-                break
-            epoch_loss += value * len(idx)
-            seen += len(idx)
-        if diverged:
-            break
-        # finite parameters can still overflow to non-finite logits
-        val_acc, test_acc = accuracy(model, val_set), accuracy(model, test_set)
-        if not np.isfinite(val_acc + test_acc):
-            diverged = True
-            break
-        train_losses.append(epoch_loss / seen)
-        val_accs.append(val_acc)
-        test_accs.append(test_acc)
-        log_line({"epoch": epoch, "train_loss": train_losses[-1], "val_acc": val_acc, "test_acc": test_acc})
-        if val_accs[-1] > best_val:
-            best_val, best_epoch, best_test = val_accs[-1], epoch, test_accs[-1]
-            bad = 0
-        else:
-            bad += 1
-            if bad > config.patience:
-                break
+            train_losses.append(epoch_loss / seen)
+            val_accs.append(val_acc)
+            test_accs.append(test_acc)
+            log_line({"epoch": epoch, "train_loss": train_losses[-1], "val_acc": val_acc, "test_acc": test_acc})
+            if val_accs[-1] > best_val:
+                best_val, best_epoch, best_test = val_accs[-1], epoch, test_accs[-1]
+                bad = 0
+            else:
+                bad += 1
+                if bad > config.patience:
+                    break
+        initial_loss = initial()
+    diverged = diverged or not np.isfinite(initial_loss)
 
     elapsed = time.perf_counter() - t0
     result = RunResult(
