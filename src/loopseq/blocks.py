@@ -306,13 +306,6 @@ def _readout(p: BlockParams) -> Tensor:
     return ad.reshape(pairs, (2 * state, hidden))
 
 
-def scan_width(p: BlockParams) -> int:
-    """n, the scan channels the readout reads: P real states for LrcSSM, else
-    P pairs read as 2P."""
-    c = p.c_re if isinstance(p, (LRUParams, S5Params)) else p.c_w
-    return c.shape[0] * (1 if isinstance(p, LrcSSMParams) else 2)
-
-
 def block_operands(p: BlockParams) -> tuple:
     """`ad.BlockRows`' operands after H for block p; under a tape, the nodes that make
     them from p's parameters are recorded."""

@@ -7,12 +7,15 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
-import pickle
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
+
+# every child this module starts is a fork, whatever the default start method:
+# it reuses this process's imports and state, which spawn or forkserver re-import
+_FORK = multiprocessing.get_context("fork")
 
 
 def usable_cpus() -> int:
@@ -68,8 +71,7 @@ def run_pooled(jobs: list[tuple], workers: int, lost) -> list:
     if workers <= 1:
         return [fn(*args) for fn, args in jobs]
     results = []
-    # the default start method (fork on Linux) reuses this process's imports; spawn re-imports each
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_FORK, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(fn, *args) for fn, args in jobs]
         for (_, args), future in zip(jobs, futures):
             try:
@@ -79,30 +81,13 @@ def run_pooled(jobs: list[tuple], workers: int, lost) -> list:
     return results
 
 
-def _child(out, fn, args: tuple):
-    """The forked child's whole life: fn(*args), its result or exception pickled
-    to the file `out`, then `os._exit`, so nothing of the parent's (its
-    `finally` blocks, exit handlers, buffered output) runs twice."""
-    code = 1
+def _child(send, fn, args: tuple) -> None:
+    """A `beside` child's whole life: fn(*args), then its result or exception sent."""
     try:
-        try:
-            outcome = (True, fn(*args))
-        except BaseException as exc:
-            outcome = (False, exc)
-        out.write(pickle.dumps(outcome))
-        out.close()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _ended(fn, status: int) -> RuntimeError:
-    """The error for a child that ended with wait status `status` before sending fn's result."""
-    if os.WIFSIGNALED(status):
-        why = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
-    else:
-        why = f"exited with status {os.waitstatus_to_exitcode(status)}"
-    return RuntimeError(f"the forked child running {getattr(fn, '__name__', fn)} {why} before its result")
+        outcome = True, fn(*args)
+    except BaseException as exc:
+        outcome = False, exc
+    send.send(outcome)
 
 
 @contextmanager
@@ -110,13 +95,14 @@ def beside(fn, args: tuple, fork: bool = True):
     """Run `fn(*args)` beside the with-block, which gets a join: a call that returns
     fn's result, or raises the exception fn raised.
 
-    With `fork`, two or more usable CPUs, NumPy's own OpenBLAS, and outside a
-    pool worker (a pool fills the CPUs already), fn runs in a forked child.
-    The fork is a snapshot of this process, so fn sees its arguments as they
-    were at the `with`, whatever the block then changes.  BLAS runs one
-    thread in both processes until the join, which restores this process's
-    count.  The child's result comes back pickled over a pipe; a child that
-    ends without one makes the join raise, naming its signal or exit status.
+    With `fork`, two or more usable CPUs, NumPy's own OpenBLAS, and outside
+    any child this module starts (a pool fills the CPUs already, and a child
+    forks no further), fn runs in a forked child (`_FORK`).  The fork is a
+    snapshot of this process, so fn sees its arguments as they were at the
+    `with`, whatever the block then changes.  BLAS runs one thread in both
+    processes until the join, which restores this process's count.  The
+    child's result comes back over a one-way pipe; a child that ends without
+    all of it makes the join raise, naming its signal or exit status.
     Leaving the block kills and reaps a child not yet joined.  Otherwise fn
     runs at the `with`, in-process.
     """
@@ -126,33 +112,35 @@ def beside(fn, args: tuple, fork: bool = True):
         yield lambda: value
         return
     restore = _openblas()[1]
-    read, write = os.pipe()
-    reader, writer = open(read, "rb"), open(write, "wb")
-    outcome, pid = [], 0
+    recv, send = _FORK.Pipe(duplex=False)
+    child = _FORK.Process(target=_child, args=(send, fn, args))
+    outcome = []
 
     def join():
-        nonlocal pid
         if not outcome:
-            data = reader.read()  # end of file once the child has ended, however it ended
-            status = os.waitpid(pid, 0)[1]
-            pid = 0
+            with suppress(EOFError, OSError):  # the pipe ended before the whole result
+                outcome.append(recv.recv())
+            child.join()
             restore(threads)
-            outcome.append(pickle.loads(data) if data else (False, _ended(fn, status)))
+            if not outcome:
+                code = child.exitcode
+                why = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+                error = f"the forked child running {getattr(fn, '__name__', fn)} {why} before its result"
+                outcome.append((False, RuntimeError(error)))
         ok, value = outcome[0]
         if not ok:
             raise value
         return value
 
     try:
-        pid = os.fork()
-        if not pid:
-            _child(writer, fn, args)
-        writer.close()  # the child's copy is now the only writer
+        child.start()
+        send.close()  # the child's copy is now the only writer
         yield join
     finally:
-        writer.close()
-        reader.close()
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        send.close()
+        recv.close()
+        if child.pid:
+            child.kill()
+            child.join()
+        child.close()
         restore(threads)

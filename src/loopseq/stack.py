@@ -23,19 +23,19 @@ Every pass runs one block schedule over chunks of K time steps
 (`_chunk_rows` decides K; K = T, one chunk, below two chunks per
 application): block application j runs chunk c at stage c + j, so the L
 applications advance through time together and one joint scan serves
-all of them.  Evaluation (`predict_logits`, `eval_loss`) runs it
-untaped; its memory follows K, not T, and its logits and loss are the
-whole sequence's, bit for bit.  Training (`stack_loss`) runs it as one
-tape node over the encoder and the block stack, which keeps each
-application's normalised input and chunk-end states and runs the chunks
-in reverse for the backward; its loss is one chunk's bit for bit at any
-K, its gradients agree to rounding.
+all of them.  Training (`stack_loss`) runs it as one tape node over the
+encoder and the block stack, which keeps each application's normalised
+input and chunk-end states and runs the chunks in reverse for the
+backward; its loss is one chunk's bit for bit at any K, its gradients
+agree to rounding.  Evaluation (`predict_logits`, `eval_loss`) runs the
+same node without a tape, which keeps nothing: its memory follows K, not
+T, and its logits and loss are the whole sequence's, bit for bit.
 """
 
 from __future__ import annotations
 
 import string
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +59,6 @@ from .blocks import (
     init_encoder,
     init_head,
     named_tensors,
-    scan_width,
 )
 from .errors import ConfigError, EmptySequenceError
 
@@ -186,16 +185,12 @@ def _taped_loss(model: StackModel, x, labels: np.ndarray, period: int) -> Tensor
     after every `period`-th block application, from the [N, T, w] batch x.
 
     No stop-gradients: every tap backpropagates into every earlier block
-    application.  The encoder and the whole block stack run as one node over
-    chunks of time rows (`_chunked_taps`); a series too short to stream is
-    one chunk.  Verification passes a source model's period to an embedded
-    (untied) model, so both are supervised at the source's repetition
-    boundaries.
+    application.  The encoder and the whole block stack run as one node
+    (`_tap_logits`).  Verification passes a source model's period to an
+    embedded (untied) model, so both are supervised at the source's
+    repetition boundaries.
     """
-    x, chunks = _chunked(model, x)
-    _check_period(model.config.depth, period)
-    T = x.shape[1]
-    return _mean_loss((head_from_sum(model.head, t, T) for t in _chunked_taps(model, x, period, chunks)), labels)
+    return _mean_loss(_tap_logits(model, x, period), labels)
 
 
 def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], Tensor]:
@@ -279,17 +274,19 @@ def _chunks(T: int, N: int, K: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [T])]
 
 
-def _chunked(model: StackModel, x) -> tuple[Tensor, list[slice]]:
-    """x as an [N, T, w] batch for the model's encoder, and the time chunks a pass
-    over it runs, K rows each (`_chunk_rows`); a series too short to stream is one
-    chunk."""
+def _chunked(model: StackModel, x) -> tuple[Tensor, list, list[slice]]:
+    """x as an [N, T, w] batch for the model's encoder, each unique block's
+    `BlockRows` (under a tape, the nodes that make their operands are recorded),
+    and the time chunks a pass over x runs, K rows each (`_chunk_rows`); a
+    series too short to stream is one chunk."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     check_batch(model.encoder, x)
     N, T, _ = x.shape
     if not T:
         raise EmptySequenceError("a stack pass over zero time steps")
-    K = _chunk_rows(T, N, model.encoder.weight.shape[1], scan_width(model.blocks[0]), model.config.depth)
-    return x, _chunks(T, N, K)
+    H = model.encoder.weight.shape[1]
+    rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
+    return x, rows, _chunks(T, N, _chunk_rows(T, N, H, rows[0].n, model.config.depth))
 
 
 def _stage(chunks: list, depth: int, stage: int) -> list[range]:
@@ -519,25 +516,25 @@ def _stream_backward(
     return (*enc, *(t for sums in grads for t in sums))
 
 
-def _chunked_taps(model: StackModel, x: Tensor, period: int, chunks: list) -> list[Tensor]:
+def _chunked_taps(model: StackModel, rows: list, x: Tensor, period: int, chunks: list) -> list[Tensor]:
     """The time sums of the hidden state after every `period`-th block application,
     streamed over `chunks` as one tape node over the encoder and the whole block
-    stack; `_stream`'s bits.
+    stack, whose unique blocks' `BlockRows` are `rows`; `_stream`'s bits.
 
     Its forward is `_stream`, which keeps each application's normalised input,
-    1/std and chunk-end states; its adjoint is `_stream_backward`, which rebuilds
-    u and the states a chunk at a time with the forward's own operations
-    (selective recomputation, Chen et al., arXiv:1604.06174), with array
-    operations only, so a rebuild records nothing on the tape that is active
-    while `backward` runs.  Everything else it holds is chunk-sized.  The
+    1/std and chunk-end states while a tape is active; its adjoint is
+    `_stream_backward`, which rebuilds u and the states a chunk at a time with
+    the forward's own operations (selective recomputation, Chen et al.,
+    arXiv:1604.06174), with array operations only, so a rebuild records
+    nothing on the tape that is active while `backward` runs.  Everything else
+    it holds is chunk-sized; without a tape it keeps and records nothing.  The
     parameter-side nodes of each unique block's operands are recorded once,
     before it, and the head after it.
     """
     depth = model.config.depth
     N, T, _ = x.shape
     H = model.encoder.weight.shape[1]
-    rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
-    kept = _Kept.empty(depth, T, N, H)
+    kept = _Kept.empty(depth, T, N, H) if ad._ACTIVE else None
     sums = _stream(model, rows, x.data, period, chunks, kept)
     config, xd = model.config, x.data
 
@@ -548,24 +545,24 @@ def _chunked_taps(model: StackModel, x: Tensor, period: int, chunks: list) -> li
     return ad.unstack(ad._record(np.stack(sums), parents, vjp))
 
 
-def _stream_logits(model: StackModel, x, period: int) -> list[Tensor]:
-    """The head's logits at every `period`-th block application, without a tape,
-    streamed over the chunks `_chunked` gives (`_stream`)."""
+def _tap_logits(model: StackModel, x, period: int) -> Iterator[Tensor]:
+    """The head's logits at every `period`-th block application of the [N, T, w]
+    batch x, each made as it is read: the heads over the time sums of
+    `_chunked_taps`, over the chunks `_chunked` gives."""
     _check_period(model.config.depth, period)
-    x, chunks = _chunked(model, x)
-    rows = [ad.BlockRows(model.encoder.weight.shape[1], *block_operands(p)) for p in model.blocks]
-    sums = _stream(model, rows, x.data, period, chunks)
-    return [head_from_sum(model.head, total, x.shape[1]) for total in sums]
+    x, rows, chunks = _chunked(model, x)
+    T = x.shape[1]
+    return (head_from_sum(model.head, t, T) for t in _chunked_taps(model, rows, x, period, chunks))
 
 
 def predict_logits(model: StackModel, x) -> np.ndarray:
-    """Final logits, streamed without a tape (`_stream_logits`)."""
-    return _stream_logits(model, x, model.config.depth)[0].data
+    """Final logits, streamed without a tape (`_tap_logits`)."""
+    return next(_tap_logits(model, x, model.config.depth)).data
 
 
 def eval_loss(model: StackModel, x, labels: np.ndarray) -> float:
-    """`stack_loss`'s value, streamed without a tape (`_stream_logits`)."""
-    return _mean_loss(_stream_logits(model, x, model.config.tap_period), labels).item()
+    """`stack_loss`'s value, streamed without a tape (`_tap_logits`)."""
+    return _mean_loss(_tap_logits(model, x, model.config.tap_period), labels).item()
 
 
 # --- periodic embedding ------------------------------------------------------------

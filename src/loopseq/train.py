@@ -8,9 +8,10 @@ bit-identical curves.
 Per run we record the pre-update loss over the full train portion
 (`initial_loss`), per-epoch mean minibatch loss, validation/test
 accuracy per epoch, and the test accuracy at the best-validation epoch.
-The evaluations (`full_loss`, `accuracy`) run the stack's untaped
-streamed forward, whose memory follows a chunk of time steps rather
-than the series length; the training steps run the whole series.
+The training steps and the evaluations (`full_loss`, `accuracy`) run the
+stack's one streamed pass over chunks of time steps, the steps under a
+tape and the evaluations without one; an evaluation keeps nothing for a
+backward, so its memory follows a chunk rather than the series length.
 Where an evaluation is large enough to be worth a fork, the initial
 loss runs beside epoch 0's steps and each epoch's test accuracy beside
 its validation accuracy, in a forked child (`pool.beside`), on the

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from loopseq.data import CANONICAL, load_named, synth_sine_task
+from loopseq.pool import usable_cpus
 from loopseq.reshape import reshape_forward, reshape_law
 from loopseq.scan import ScanElement, scan_linear, scan_sequential
 from loopseq.stack import (
@@ -182,9 +183,9 @@ def test_criterion_6_parameter_accounting():
 
 def test_criterion_7_synth_training_sanity():
     def run():
-        notes = []
-        for arch in ("LRU", "S5", "LinOSS", "LrcSSM"):
-            cfg = TrainConfig(
+        archs = ("LRU", "S5", "LinOSS", "LrcSSM")
+        configs = [
+            TrainConfig(
                 arch=arch,
                 pattern="AAAAAA",
                 supervision="final",
@@ -195,16 +196,21 @@ def test_criterion_7_synth_training_sanity():
                 hidden=16,
                 state=16,
             )
-            t0 = time.perf_counter()
-            res = train_one(cfg, SYNTH)
-            arch_elapsed = time.perf_counter() - t0
+            for arch in archs
+        ]
+        # each arch's 50-epoch run, then its 2-epoch rerun, all eight on one pool
+        jobs = [(c, SYNTH) for cfg in configs for c in (cfg, cfg.replace(max_epochs=2))]
+        outcomes = run_jobs(jobs, workers=usable_cpus())
+        notes = []
+        for arch, res, rerun in zip(archs, outcomes[::2], outcomes[1::2]):
+            assert not isinstance(res, str) and not isinstance(rerun, str), f"{arch}: {res} / {rerun}"
             assert not res.diverged, f"{arch} diverged"
             best = max(res.test_accs)
             reached = next(i for i, a in enumerate(res.test_accs) if a >= 0.95)
             assert best >= 0.95, f"{arch}: best test acc {best:.4f} < 0.95 within 50 epochs"
+            arch_elapsed = res.elapsed_seconds
             assert arch_elapsed < 300, f"{arch}: {arch_elapsed:.0f}s exceeds 5 min budget"
             # determinism per seed: a re-run reproduces the curves bitwise
-            rerun = train_one(cfg.replace(max_epochs=2), SYNTH)
             assert rerun.initial_loss == res.initial_loss
             assert rerun.train_losses == res.train_losses[:2]
             notes.append(f"{arch} 95% at epoch {reached} ({arch_elapsed:.0f}s)")

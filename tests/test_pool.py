@@ -7,9 +7,12 @@ tests force that on (threshold 0) and off (no threshold reached) and hold
 the forked runs to the in-process ones bit for bit.
 """
 
+import atexit
 import math
+import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -143,6 +146,88 @@ def test_a_killed_child_raises_naming_its_signal(forks, monkeypatch):
     with pytest.raises(RuntimeError, match="running killed was killed by SIGKILL"):
         train_one(_config(), _data())
     assert len(forks) == 2
+
+
+def _big_result(mark):
+    mark.touch()
+    return bytes(8 << 20)  # far more than a pipe holds: the child blocks in its write
+
+
+@needs_openblas
+def test_a_child_killed_with_its_result_in_the_pipe_raises_naming_its_signal(forks, tmp_path):
+    mark = tmp_path / "returning"
+    with pool.beside(_big_result, (mark,)) as join:
+        deadline = time.monotonic() + 60
+        while not mark.exists():
+            assert time.monotonic() < deadline, "the child never reached its return"
+            time.sleep(0.01)
+        time.sleep(0.2)  # part of the result is in the pipe
+        os.kill(forks[-1], signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="running _big_result was killed by SIGKILL before its result"):
+            join()
+    assert len(forks) == 1
+
+
+@needs_openblas
+def test_a_child_runs_none_of_the_parents_exit_handlers(forks, tmp_path):
+    mark = tmp_path / "exit handler ran"
+    handler = mark.touch
+    atexit.register(handler)
+    try:
+        with pool.beside(os.getpid, ()) as join:
+            assert join() != os.getpid()
+    finally:
+        atexit.unregister(handler)
+    assert len(forks) == 1
+    assert not mark.exists()
+
+
+@needs_openblas
+def test_output_the_parent_had_not_flushed_appears_once(forks, capfd, monkeypatch):
+    out = open(os.dup(1), "w", buffering=1 << 16)
+    monkeypatch.setattr(sys, "stdout", out)
+    print("written before the fork")
+    with pool.beside(os.getpid, ()) as join:
+        join()
+    out.close()
+    assert len(forks) == 1
+    assert capfd.readouterr().out.count("written before the fork") == 1
+
+
+def _beside_in_a_child() -> bool:
+    """Whether a `beside` call in a `beside` child ran its fn in that child."""
+    with pool.beside(os.getpid, ()) as join:
+        return join() == os.getpid()
+
+
+@needs_openblas
+def test_beside_in_a_beside_child_runs_in_process(forks):
+    with pool.beside(_beside_in_a_child, ()) as join:
+        assert join() is True
+    assert len(forks) == 1
+
+
+_SET_AFTER_IMPORT = None
+
+
+def _read_set_after_import():
+    return _SET_AFTER_IMPORT
+
+
+@needs_openblas
+def test_children_fork_whatever_the_default_start_method(forks, monkeypatch):
+    """Both kinds of child are forks of this process, so they read what it set
+    after import, even where the default start method re-imports."""
+    monkeypatch.setitem(globals(), "_SET_AFTER_IMPORT", "set by the parent")
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        got = pool.run_pooled([(_read_set_after_import, ())] * 2, 2, lambda args, exc: f"lost: {exc}")
+        with pool.beside(_read_set_after_import, ()) as join:
+            got.append(join())
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    assert got == ["set by the parent"] * 3
 
 
 @needs_openblas

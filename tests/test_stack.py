@@ -74,8 +74,8 @@ def _taps_loss(model, taps, y):
 def _node_taps(model, x, period):
     """The time sums [N, H] of the hidden state after every `period`-th application,
     as the training step's node makes them."""
-    x, chunks = stack._chunked(model, x)
-    return [t.data for t in stack._chunked_taps(model, x, period, chunks)]
+    x, rows, chunks = stack._chunked(model, x)
+    return [t.data for t in stack._chunked_taps(model, rows, x, period, chunks)]
 
 
 # --- patterns ---------------------------------------------------------------------
@@ -160,18 +160,18 @@ def test_trace_has_one_rep_per_pass():
         model = _tiny(m=m, supervision="block")
         for period, taps in ((model.config.tap_period, r), (6, 1)):
             assert len(_node_taps(model, x, period)) == taps
-            assert len(stack._stream_logits(model, x, period)) == taps
+            assert len(list(stack._tap_logits(model, x, period))) == taps
 
 
 def test_tap_period_controls_taps():
     model = _tiny(m=1)
     x = np.random.default_rng(3).standard_normal((1, 4, 3))
     assert len(_node_taps(model, x, 2)) == 3
-    assert len(stack._stream_logits(model, x, 2)) == 3
+    assert len(list(stack._tap_logits(model, x, 2))) == 3
     with pytest.raises(ConfigError):
         stack._taped_loss(model, x, np.array([0]), 4)
     with pytest.raises(ConfigError):
-        stack._stream_logits(model, x, 4)
+        stack._tap_logits(model, x, 4)
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 4), (1, 2, 5, 3)], ids=["unbatched", "wrong-width", "4-d"])
@@ -223,7 +223,7 @@ def test_block_loss_is_mean_of_per_tap_losses():
     model = _tiny(m=2, supervision="block")
     x = np.random.default_rng(6).standard_normal((3, 5, 3))
     y = np.array([0, 1, 2])
-    logits = stack._stream_logits(model, x, model.config.tap_period)
+    logits = list(stack._tap_logits(model, x, model.config.tap_period))
     assert len(logits) == 3
     per_tap = [ad.softmax_cross_entropy(z, y).mean().item() for z in logits]
     got = stack_loss(model, x, y).item()
