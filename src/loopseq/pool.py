@@ -56,6 +56,18 @@ def _one_blas_thread() -> int | None:
     return threads
 
 
+@contextmanager
+def one_blas_thread():
+    """One BLAS thread in the with-block (`_one_blas_thread`), and the count this
+    process had restored after it."""
+    threads = _one_blas_thread()
+    try:
+        yield
+    finally:
+        if threads is not None:
+            _openblas()[1](threads)
+
+
 def run_pooled(jobs: list[tuple], workers: int, lost) -> list:
     """`[fn(*args) for fn, args in jobs]`, on `min(workers, len(jobs))` processes.
 

@@ -20,16 +20,16 @@ across patterns being compared; only block parameters participate in
 tying.
 
 Every pass runs one block schedule over chunks of K time steps
-(`_chunk_rows` decides K; K = T, one chunk, below two chunks per
-application): block application j runs chunk c at stage c + j, so the L
-applications advance through time together and one joint scan serves
+(`_chunk_rows` decides K from the shape; K = T, one chunk, below two chunks
+per application): block application j runs chunk c at stage c + j, so the
+L applications advance through time together and one joint scan serves
 all of them.  Training (`stack_loss`) runs it as one tape node over the
 encoder and the block stack, which keeps each application's normalised
 input and chunk-end states and runs the chunks in reverse for the
-backward; its loss is one chunk's bit for bit at any K, its gradients
-agree to rounding.  Evaluation (`predict_logits`, `eval_loss`) runs the
-same node without a tape, which keeps nothing: its memory follows K, not
-T, and its logits and loss are the whole sequence's, bit for bit.
+backward.  Evaluation (`predict_logits`, `eval_loss`) runs the same node
+without a tape, which keeps nothing: its memory follows K, not T.  At any K
+the loss and logits are one chunk's, exact where H and the scan width are
+multiples of 8, to rounding otherwise; the gradients agree to rounding.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def _taped_loss(model: StackModel, x, labels: np.ndarray, period: int) -> Tensor
 
 
 def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], Tensor]:
-    """`stack_loss(model, x, labels)` as a zero-argument callable, bit for bit,
-    that re-runs only the block applications whose inputs have moved.
+    """`stack_loss(model, x, labels)` as a zero-argument callable that re-runs
+    only the block applications whose inputs have moved.
 
     The first call returns `stack_loss`'s taped loss, and keeps the encoder
     output, each position's output (`block_forward`, without a tape) and the
@@ -206,10 +206,10 @@ def prefix_reuse_loss(model: StackModel, x, labels: np.ndarray) -> Callable[[], 
     encoder moved, else position k, the first application of the first
     unique block k that moved, from its kept input; if only the head moved,
     only the head runs, on the kept taps.  Reuse rests on byte equality
-    alone, so any sequence of changes gives `stack_loss`'s bits.  A later
-    call records nothing, so only the first call's tape reaches any
-    parameter: finite differences call it first at the unperturbed point,
-    under a tape, and then only perturbed.
+    alone, so any change gives one chunk's bits, `stack_loss`'s where H and
+    the scan width are multiples of 8.  A later call records nothing, so
+    only the first call's tape reaches any parameter: finite differences
+    call it first at the unperturbed point, under a tape, and then only perturbed.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     depth, period = model.config.depth, model.config.tap_period
@@ -246,19 +246,19 @@ def _tensor_bytes(tensors: list[Tensor]) -> list[bytes]:
 _CHUNK_BYTES = 1 << 18
 
 
-def _chunk_rows(T: int, N: int, H: int, n: int, depth: int) -> int:
+def _chunk_rows(T: int, N: int, H: int, depth: int) -> int:
     """K for a pass of N series of T steps through `depth` applications of blocks
-    with hidden size H and n scan channels; the pass streams when K < T.
+    with hidden size H; the pass streams when K < T.
 
     All depth applications are in flight at once, each holding about six
     [K, N, H] arrays, so streaming starts at two chunks per application, where
-    its peak is half the whole sequence's; below that K = T.  K = T as well
-    unless H and n are multiples of 8: OpenBLAS computes a product 1-4 columns
-    past a multiple of 8 wide with another kernel below some size, in other
-    bits, and a product one column wide (B * H = 1 too) as a matrix-vector
-    product.
+    its peak is half the whole sequence's; below that K = T, as at N * H <= 1,
+    where a time sum's tail holds one element.  A streamed pass gives one
+    chunk's bits where H and the scan width are multiples of 8, and agrees to
+    rounding otherwise: OpenBLAS may compute a product 1-4 columns past a
+    multiple of 8 wide with another kernel at small row counts.
     """
-    if not N or H % 8 or n % 8:
+    if N * H <= 1:
         return T
     rows = max(2, _CHUNK_BYTES // (8 * N * H))
     return T if T < 2 * depth * rows else rows
@@ -286,7 +286,7 @@ def _chunked(model: StackModel, x) -> tuple[Tensor, list, list[slice]]:
         raise EmptySequenceError("a stack pass over zero time steps")
     H = model.encoder.weight.shape[1]
     rows = [ad.BlockRows(H, *block_operands(p)) for p in model.blocks]
-    return x, rows, _chunks(T, N, _chunk_rows(T, N, H, rows[0].n, model.config.depth))
+    return x, rows, _chunks(T, N, _chunk_rows(T, N, H, model.config.depth))
 
 
 def _stage(chunks: list, depth: int, stage: int) -> list[range]:
@@ -324,19 +324,19 @@ class _Kept:
 
 def _stream(model: StackModel, rows: list, x: np.ndarray, period: int, chunks: list, kept=None) -> list:
     """The time sums of the hidden state after every `period`-th block application,
-    untaped and streamed over the `chunks` of the [N, T, w] batch x; the bits of
-    the whole series' applications (`block_forward`) summed over time.  With
-    `kept` (a `_Kept`) it also keeps what `_stream_backward` reads.
+    untaped and streamed over the `chunks` of the [N, T, w] batch x: the whole
+    series' (`block_forward`), to the bit at the widths `_chunk_rows` names.
+    With `kept` (a `_Kept`) it also keeps what `_stream_backward` reads.
 
     Application j runs chunk c at stage c + j, so the L applications advance
     through time together, and the active applications' scans run as one
     joint scan per chunk length, each started from the last state its
     previous chunk left (`scan.fold_carry`).  Every other step acts on each
     time row on its own, and a product's rows do not depend on how many rows
-    it has (a test pins this) unless it has one.  Each tap's time sum is
-    built a chunk at a time by `np.add.reduce` starting from the running
-    total, NumPy's own order for a sum over axis 0 (K = T when that sum's
-    tail holds one element).  `rows` holds each unique block's `BlockRows`.
+    it has (a test pins this) unless it has one or is off a multiple of 8
+    wide.  Each tap's time sum is built a chunk at a time by `np.add.reduce`
+    from the running total, NumPy's own order for a sum over axis 0.  `rows`
+    holds each unique block's `BlockRows`.
     """
     depth, m = model.config.depth, model.config.n_unique
     N, H = x.shape[0], model.encoder.weight.shape[1]

@@ -2,8 +2,9 @@
 
 Everything is deterministic given the config: the split, the parameter
 init, and the per-epoch shuffles each draw from independent child
-streams of the config seed, so two runs of the same config produce
-bit-identical curves.
+streams of the config seed, and a run computes on one BLAS thread, so two
+runs of the same config produce bit-identical curves, forked evaluations
+or not.
 
 Per run we record the pre-update loss over the full train portion
 (`initial_loss`), per-epoch mean minibatch loss, validation/test
@@ -40,7 +41,7 @@ from . import autodiff as ad
 from .blocks import ARCHS
 from .data import Dataset, apply_reshape, normalize, split_dataset
 from .errors import AggregationError, ConfigError
-from .pool import beside, run_pooled
+from .pool import beside, one_blas_thread, run_pooled
 from .stack import StackConfig, StackModel, build_stack, eval_loss, parse_pattern, predict_logits, stack_loss
 
 _EVAL_BATCH = 256
@@ -257,7 +258,9 @@ def train_one(
     bad = 0
     at_start = [p.data.copy() for _, p in params]
 
-    with _beside(full_loss, model, train_set) as initial:
+    # one BLAS thread for the whole run: a product's bits can depend on the thread
+    # count, so the steps must not take a forked evaluation's count or the caller's
+    with one_blas_thread(), _beside(full_loss, model, train_set) as initial:
         for epoch in range(config.max_epochs):
             perm = shuffle_rng.permutation(train_set.n)
             epoch_loss, seen = 0.0, 0

@@ -80,13 +80,29 @@ def forks(monkeypatch):
 
 
 @needs_openblas
-@pytest.mark.parametrize("arch,epochs", [(arch, 1) for arch in ARCHS] + [("LRU", 2)])
-def test_forked_evaluations_keep_the_run_bits(arch, epochs, forks, monkeypatch, tmp_path):
+@pytest.mark.parametrize(
+    "arch,epochs,hidden",
+    [pytest.param(arch, 1, 8, id=f"{arch}-1") for arch in ARCHS]
+    + [pytest.param("LRU", 2, 8, id="LRU-2"), pytest.param("LRU", 2, 60, id="LRU-2-H60")],
+)
+def test_forked_evaluations_keep_the_run_bits(arch, epochs, hidden, forks, monkeypatch, tmp_path):
+    """The caller runs two BLAS threads, and at H = 60 a step's products take
+    other bits at one thread and at two: the run computes on one thread, forked
+    or not, and hands the caller back its two."""
     config, data = _config(arch=arch, max_epochs=epochs), _data()
-    forked = train_one(config, data, log_path=tmp_path / "forked.jsonl")
-    assert len(forks) == 1 + epochs  # the initial loss, then each epoch's test accuracy
-    monkeypatch.setattr(train, "_FORK_WORK", NEVER)
-    serial = train_one(config, data, log_path=tmp_path / "serial.jsonl")
+    if hidden != 8:
+        config, data = config.replace(hidden=hidden, state=hidden // 2), synth_sine_task(n=24, steps=100, width=2)
+    threads = _blas_threads()
+    pool._openblas()[1](2)
+    try:
+        forked = train_one(config, data, log_path=tmp_path / "forked.jsonl")
+        assert _blas_threads() == 2
+        assert len(forks) == 1 + epochs  # the initial loss, then each epoch's test accuracy
+        monkeypatch.setattr(train, "_FORK_WORK", NEVER)
+        serial = train_one(config, data, log_path=tmp_path / "serial.jsonl")
+        assert _blas_threads() == 2
+    finally:
+        pool._openblas()[1](threads)
     assert len(forks) == 1 + epochs
     assert _key(forked) == _key(serial)
     assert forked.epochs_run == epochs and not forked.diverged

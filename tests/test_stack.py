@@ -528,10 +528,11 @@ def test_rebuilt_and_aliased_arrays_give_the_kept_bits(arch, supervision, patter
 # --- scan states the backward rebuilds instead of keeping ----------------------------------
 
 
-def _jittered(arch, config, B, T, H):
-    """A stack whose every parameter is moved off its init (norm gains start at
-    exactly 1 and biases at 0), with an input batch and labels."""
-    model = build_stack(arch, config, width=3, n_classes=4, hidden=H, state=H, rng=5)
+def _jittered(arch, config, B, T, H, P=None):
+    """A stack of hidden size H and state size P (H by default) whose every
+    parameter is moved off its init (norm gains start at exactly 1 and biases
+    at 0), with an input batch and labels."""
+    model = build_stack(arch, config, width=3, n_classes=4, hidden=H, state=P or H, rng=5)
     rng = np.random.default_rng(B * T)
     for p in model.param_tensors():
         p.data += 0.1 * rng.standard_normal(p.shape)
@@ -590,9 +591,9 @@ def test_backward_records_nothing_and_frees_the_rebuilt_states(arch, monkeypatch
 # --- streamed evaluation -----------------------------------------------------------------
 
 # `_dot` on row chunks of one matrix, against the rows of the whole product, for
-# products as wide as a multiple of 8, the only ones a streamed evaluation chunks:
-# the Worms-shaped encoder, forcing, readout and GLU products and smaller ones; every
-# chunk has two rows or more, the last one too
+# products as wide as a multiple of 8: the Worms-shaped encoder, forcing, readout
+# and GLU products and smaller ones; every chunk has two rows or more, the last
+# one too
 _DOT_ROWS = """
 import numpy as np
 from loopseq.autodiff import _dot
@@ -614,9 +615,10 @@ print(moved)
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_dot_rows_do_not_depend_on_the_row_count(threads):
     """Each row of a product as wide as a multiple of 8 is the same bits however
-    many rows it is computed with, at one and at two BLAS threads; streamed
-    evaluation rests on this. A product of one row, or 1-4 columns past a
-    multiple of 8 wide, can take other bits, and streamed evaluation makes none."""
+    many rows it is computed with, at one and at two BLAS threads; a streamed
+    pass at such widths gives one chunk's bits because of this. A product of one
+    row, which a streamed pass never makes, or 1-4 columns past a multiple of 8
+    wide, which it makes at other widths, can take other bits."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
@@ -658,20 +660,21 @@ def test_streamed_evaluation_of_one_series_keeps_the_bits(arch, monkeypatch):
     _streamed_matches_whole(model, x, y, monkeypatch, (2, 7, 11, 21, 22, 23))
 
 
-def test_chunk_rows_streams_only_long_evaluations():
-    """K from the byte budget, and T where streaming would cost memory or bits."""
+def test_chunk_rows_streams_every_long_pass():
+    """K from the byte budget at any width, and T where streaming would cost
+    memory or bits."""
     H = 64
-    assert stack._chunk_rows(17984, 1, H, 128, 6) == 512  # Worms, one series: 256 KiB rows
-    assert stack._chunk_rows(17984, 2, H, 128, 6) == 256
-    assert stack._chunk_rows(17984, 181, H, 128, 6) == 2  # never a product of one row
-    assert stack._chunk_rows(6144, 1, H, 128, 6) == 512  # two chunks per application
-    assert stack._chunk_rows(6143, 1, H, 128, 6) == 6143
-    assert stack._chunk_rows(2000, 1, H, 128, 6) == 2000
-    assert stack._chunk_rows(100, 32, 16, 32, 6) == 100  # synth
-    assert stack._chunk_rows(16, 4, 4, 8, 6) == 16  # audit
-    assert stack._chunk_rows(10**6, 1, 1, 8, 6) == 10**6  # B*H = 1: a one-element sum
-    assert stack._chunk_rows(10**6, 4, 12, 24, 6) == 10**6  # widths off a multiple of 8
-    assert stack._chunk_rows(10**6, 4, 8, 4, 6) == 10**6
+    assert stack._chunk_rows(17984, 1, H, 6) == 512  # Worms, one series: 256 KiB rows
+    assert stack._chunk_rows(17984, 2, H, 6) == 256
+    assert stack._chunk_rows(17984, 181, H, 6) == 2  # never a product of one row
+    assert stack._chunk_rows(6144, 1, H, 6) == 512  # two chunks per application
+    assert stack._chunk_rows(6143, 1, H, 6) == 6143
+    assert stack._chunk_rows(2000, 1, H, 6) == 2000
+    assert stack._chunk_rows(100, 32, 16, 6) == 100  # synth
+    assert stack._chunk_rows(16, 4, 4, 6) == 16  # audit
+    assert stack._chunk_rows(10**6, 1, 1, 6) == 10**6  # B*H = 1: a one-element sum
+    assert stack._chunk_rows(10**6, 4, 12, 6) == 682  # widths off a multiple of 8 stream too
+    assert stack._chunk_rows(10**6, 4, 8, 6) == 1024
 
 
 def test_streamed_evaluation_takes_an_empty_batch_and_refuses_zero_steps():
@@ -685,26 +688,43 @@ def test_streamed_evaluation_takes_an_empty_batch_and_refuses_zero_steps():
 
 def test_streamed_evaluation_chunks_under_its_own_rule(monkeypatch):
     """With a small byte budget the default K streams, and keeps the bits; at
-    B * H = 1 it does not stream."""
+    B * H = 1 it does not stream. At H = 12, P = 6, off a multiple of 8, it
+    streams too: two runs give the same bytes, and the logits, the loss and a
+    step's gradients agree with one chunk's to rounding."""
     monkeypatch.setattr(stack, "_CHUNK_BYTES", 8 * 3 * 8 * 4)
     model, x, y = _jittered("LRU", parse_pattern("ABABAB", "block"), B=3, T=60, H=8)
-    assert stack._chunk_rows(60, 3, 8, 16, 6) == 4
+    assert stack._chunk_rows(60, 3, 8, 6) == 4
     taps = _whole_taps(model, x, 2)
     assert np.array_equal(predict_logits(model, x), _head(model, taps[-1]).data)
     assert eval_loss(model, x, y).hex() == _taps_loss(model, taps, y).item().hex()
     model, x, y = _jittered("LRU", parse_pattern("AAAAAA", "final"), B=1, T=60, H=1)
     (h,) = _whole_taps(model, x, 6)
-    assert stack._chunk_rows(60, 1, 1, 2, 6) == 60
+    assert stack._chunk_rows(60, 1, 1, 6) == 60
     assert np.array_equal(predict_logits(model, x), _head(model, h).data)
+
+    model, x, y = _jittered("LRU", parse_pattern("ABABAB", "block"), B=3, T=60, H=12, P=6)
+    assert stack._chunk_rows(60, 3, 12, 6) < 60
+    runs = [(predict_logits(model, x), eval_loss(model, x, y), _chunked_step(model, x, y, None, monkeypatch)[1])
+            for _ in range(2)]
+    (logits, loss, grads), again = runs
+    assert logits.tobytes() == again[0].tobytes() and loss.hex() == again[1].hex()
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in again[2]]
+    whole = _chunked_step(model, x, y, 60, monkeypatch)[1]  # one chunk from here on
+    one = predict_logits(model, x)
+    assert np.abs(logits - one).max() <= 1e-14 * np.abs(one).max()
+    assert abs(loss - eval_loss(model, x, y)) <= 1e-14 * abs(loss)
+    for g, w in zip(grads, whole):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # --- the chunked training step ------------------------------------------------------------
 
 
 def _chunked_step(model, x, y, K, monkeypatch):
-    """stack_loss + backward with chunks of K rows: the loss, every gradient in
-    parameter order, and the tape's node count."""
-    monkeypatch.setattr(stack, "_chunk_rows", lambda *shape: K)
+    """stack_loss + backward with chunks of K rows (the default K if None): the
+    loss, every gradient in parameter order, and the tape's node count."""
+    if K is not None:
+        monkeypatch.setattr(stack, "_chunk_rows", lambda *shape: K)
     params = model.param_tensors()
     with Tape() as tape:
         loss = stack_loss(model, x, y)
@@ -849,27 +869,29 @@ def test_predict_logits_memory_bounded(arch):
 # (K = 512), in [K, B, H] float arrays: measured 36.67/36.66/36.77/36.08 at T = 6144
 # and at T = 12288 alike, and pinned 0.46 above the highest. In flight at once are
 # each application's input chunk, u, its share of the joint forcing and of the joint
-# states; the whole-sequence evaluation held 6.14 x T/K such arrays.
+# states; the whole-sequence evaluation held 6.14 x T/K such arrays. At H = P = 60
+# (K = 546, T = 6552 and 13104) it read 36.60/36.60/36.70/30.59, under the same pin;
+# LrcSSM read 30.59 at H = 64 in the same session.
 _STREAM_PEAK = 37.23
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_streamed_evaluation_memory_does_not_grow_with_t(arch):
-    H, K = 64, 512
-    model = build_stack(arch, StackConfig(6, 1, "final"), width=6, n_classes=5, hidden=H, state=H, rng=0)
-    peaks = []
-    for T in (6144, 12288):
-        assert stack._chunk_rows(T, 1, H, 2 * H if arch != "LrcSSM" else H, 6) == K
-        x = np.random.default_rng(16).standard_normal((1, T, 6))
-        tracemalloc.start()
-        try:
-            eval_loss(model, x, np.array([1]))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak / (K * H * 8))
-    assert max(peaks) <= _STREAM_PEAK, f"{arch} streamed peaks {peaks} x K*B*H floats"
-    assert peaks[1] - peaks[0] < 0.05, f"{arch} streamed peak grew with T: {peaks}"
+    for H, K in ((64, 512), (60, 546)):  # a width off a multiple of 8 streams as well
+        model = build_stack(arch, StackConfig(6, 1, "final"), width=6, n_classes=5, hidden=H, state=H, rng=0)
+        peaks = []
+        for T in (12 * K, 24 * K):
+            assert stack._chunk_rows(T, 1, H, 6) == K
+            x = np.random.default_rng(16).standard_normal((1, T, 6))
+            tracemalloc.start()
+            try:
+                eval_loss(model, x, np.array([1]))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak / (K * H * 8))
+        assert max(peaks) <= _STREAM_PEAK, f"{arch} H = {H} streamed peaks {peaks} x K*B*H floats"
+        assert peaks[1] - peaks[0] < 0.05, f"{arch} H = {H} streamed peak grew with T: {peaks}"
 
 
 # tracemalloc peak of a chunked AAAAAA `final` step (stack_loss + backward) at B = 1,
@@ -890,7 +912,7 @@ def test_chunked_step_memory_does_not_grow_with_t(arch):
     params = model.param_tensors()
     peaks = []
     for T in (6144, 12288):
-        assert stack._chunk_rows(T, 1, H, n, 6) == K
+        assert stack._chunk_rows(T, 1, H, 6) == K
         x = np.random.default_rng(16).standard_normal((1, T, 6))
         tracemalloc.start()
         try:
