@@ -634,17 +634,15 @@ class BlockRows:
 def build_joint(blocks: list[BlockRows], us: list[np.ndarray], carries: list | None = None) -> tuple:
     """The scans of blocks of one kind, each of its u over the same rows, as one
     `scan.Joint` whose parts each block's `build` wrote, each part started from
-    its carry (`scan.fold_carry`; None, or no `carries`, starts from zero), and
-    what each build returned for its adjoint."""
+    its carry (`Joint.start_from`; None, or no `carries`, starts from zero),
+    and what each build returned for its adjoint."""
     kind, lead = blocks[0].kind, us[0].shape[:-1]
     factors = None if blocks[0].factor is None else [blk.factor for blk in blocks]
     joint = _scan.Joint(kind, lead, [blk.n // (1 if kind == "diag" else 2) for blk in blocks], factors)
     b_cols = joint.columns(joint.elem.b)
     a_cols = b_cols if factors is not None else joint.columns(joint.elem.a)
     extras = [blk.build(u, b, a) for blk, u, b, a in zip(blocks, us, b_cols, a_cols)]
-    for part, carry in zip(joint.parts, carries or ()):
-        if carry is not None:
-            _scan.fold_carry(part, carry)
+    joint.start_from(carries or [])
     return joint, extras
 
 

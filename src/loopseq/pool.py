@@ -111,19 +111,17 @@ def beside(fn, args: tuple, fork: bool = True):
     any child this module starts (a pool fills the CPUs already, and a child
     forks no further), fn runs in a forked child (`_FORK`).  The fork is a
     snapshot of this process, so fn sees its arguments as they were at the
-    `with`, whatever the block then changes.  BLAS runs one thread in both
-    processes until the join, which restores this process's count.  The
-    child's result comes back over a one-way pipe; a child that ends without
-    all of it makes the join raise, naming its signal or exit status.
-    Leaving the block kills and reaps a child not yet joined.  Otherwise fn
-    runs at the `with`, in-process.
+    `with`, whatever the block then changes, and runs this process's BLAS
+    thread count (`train_one` holds one for its whole run).  The child's
+    result comes back over a one-way pipe; a child that ends without all of
+    it makes the join raise, naming its signal or exit status.  Leaving the
+    block kills and reaps a child not yet joined.  Otherwise fn runs at the
+    `with`, in-process.
     """
-    threads = _one_blas_thread() if fork and usable_cpus() > 1 and multiprocessing.parent_process() is None else None
-    if threads is None:
+    if not (fork and usable_cpus() > 1 and _openblas() is not None and multiprocessing.parent_process() is None):
         value = fn(*args)
         yield lambda: value
         return
-    restore = _openblas()[1]
     recv, send = _FORK.Pipe(duplex=False)
     child = _FORK.Process(target=_child, args=(send, fn, args))
     outcome = []
@@ -133,7 +131,6 @@ def beside(fn, args: tuple, fork: bool = True):
             with suppress(EOFError, OSError):  # the pipe ended before the whole result
                 outcome.append(recv.recv())
             child.join()
-            restore(threads)
             if not outcome:
                 code = child.exitcode
                 why = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
@@ -155,4 +152,3 @@ def beside(fn, args: tuple, fork: bool = True):
             child.kill()
             child.join()
         child.close()
-        restore(threads)

@@ -34,16 +34,15 @@ trailing axis of length 2 over a float64 substrate; inside the kernel a
     per-step  b's own shape, plus the 2x2 for "mat2" (LrcSSM's gate).
 
 A sequence can also be scanned in chunks, and independent recurrences
-side by side.  `fold_carry` starts a chunk's recurrence from the last
-state of the chunk before, by one step of the kernel; in reverse,
-`carry_back` gives the state adjoint a chunk hands the chunk before it,
-which that chunk adds into its cotangent's last row, and
-`add_prev_product` adds the chunk's first da product, which needs the
-state before it.  `Joint` lays independent recurrences over the same rows
-side by side on the channel axis of one element, which their owners write
-into, so that one `scan_linear` call scans them all.  Either way the
-states and state adjoints keep the bits of one scan over the whole
-sequence.
+side by side.  An element's `prev` is the state before its first step: a
+chunk's scan starts from the last state of the chunk before, by one step of
+the kernel, and its adjoint adds da's first product, which needs that state.
+In reverse, `carry_back` gives the state adjoint a chunk hands the chunk
+before it, which that chunk adds into its cotangent's last row.  `Joint`
+lays independent recurrences over the same rows side by side on the channel
+axis of one element, which their owners write into, so that one
+`scan_linear` call scans them all.  Either way the states and state
+adjoints keep the bits of one scan over the whole sequence.
 
 `scan_backward` returns each adjoint in its input's shape: a shared
 factor's `da` is summed over the time and batch axes.  That sum is built a
@@ -56,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,26 +93,29 @@ class ScanElement:
     """A batch of recurrence elements (a_t, b_t), time along axis 0.
 
     a is the multiplicative factor (diagonal vector, complex pair vector,
-    or per-channel 2x2 matrix), b the additive term.
+    or per-channel 2x2 matrix), b the additive term, and prev the state
+    before the first step, in b[0]'s shape (None: zero).
     """
 
     a: np.ndarray
     b: np.ndarray
     kind: str = "diag"
+    prev: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ShapeError(f"unknown scan element kind {self.kind!r}; expected one of {KINDS}")
 
 
-def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
-    """Validate b's trailing dims and a's layout against b.
+def _check_elements(elem: ScanElement):
+    """Validate b's trailing dims, a's layout and prev's shape against b.
 
-    Returns (a, b, full, shared): `full` is a per-step factor's shape;
+    Returns (a, b, full, shared, prev): `full` is a per-step factor's shape;
     nothing is copied.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    kind = elem.kind
+    a = np.asarray(elem.a, dtype=np.float64)
+    b = np.asarray(elem.b, dtype=np.float64)
     bt = _B_TRAIL[kind]
     if b.ndim < bt + 1:
         raise ShapeError(f"b must have at least {bt + 1} dims for kind {kind!r}, got shape {b.shape}")
@@ -128,7 +130,12 @@ def _check_elements(kind: str, a: np.ndarray, b: np.ndarray):
             f"a shape {a.shape} is neither shared {tail} nor per-step {full} "
             f"(kind {kind!r}, b shape {b.shape})"
         )
-    return a, b, full, a.shape == tail
+    prev = elem.prev
+    if prev is not None:
+        prev = np.asarray(prev, dtype=np.float64)
+        if prev.shape != b.shape[1:]:
+            raise ShapeError(f"prev shape {prev.shape} is not one step of b, {b.shape[1:]}")
+    return a, b, full, a.shape == tail, prev
 
 
 def _complex(kind: str, z: np.ndarray) -> np.ndarray:
@@ -140,12 +147,14 @@ def _complex(kind: str, z: np.ndarray) -> np.ndarray:
     return z.view(np.complex128)[..., 0]
 
 
-def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndarray) -> None:
-    """The production kernel: out_0 = src_0, out_s = f_s . out_{s-1} + src_s.
+def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndarray, prev=None) -> None:
+    """The production kernel: out_s = f_s . out_{s-1} + src_s from out_{-1} = prev,
+    or out_0 = src_0 when prev is None.
 
     `src` and `out` run along axis 0, time possibly reversed.  `f` holds
-    the factor of each step s = 1..T-1, or with `shared` one channel-tail
-    factor, copied to one contiguous row.
+    the factor of each step with a state before it (s = 0..T-1 from `prev`,
+    else s = 1..T-1), or with `shared` one channel-tail factor, copied to
+    one contiguous row.
     """
     row = out.shape[1:]
 
@@ -154,17 +163,18 @@ def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndar
 
     tmp = np.empty(row, out.dtype)
     mul, add = np.multiply, np.add  # positional `out`: the cheapest ufunc call
-    out[0] = src[0]
-    prev = out[0]
+    if prev is None:
+        out[0] = src[0]
+        prev, src, out = out[0], src[1:], out[1:]
     if kind != "mat2":
-        for fs, b, cur in zip(per_step(f), src[1:], out[1:]):
+        for fs, b, cur in zip(per_step(f), src, out):
             mul(fs, prev, tmp)
             add(tmp, b, cur)
             prev = cur
         return
     # x'_i = a_i0 x_0 + a_i1 x_1, one matrix column at a time
     tmp1 = np.empty_like(tmp)
-    for f0, f1, b, cur in zip(per_step(f[..., 0]), per_step(f[..., 1]), src[1:], out[1:]):
+    for f0, f1, b, cur in zip(per_step(f[..., 0]), per_step(f[..., 1]), src, out):
         mul(f0, prev[..., :1], tmp)
         mul(f1, prev[..., 1:], tmp1)
         add(tmp, tmp1, tmp)
@@ -174,10 +184,10 @@ def _recur(kind: str, f: np.ndarray, shared: bool, src: np.ndarray, out: np.ndar
 
 def scan_sequential(elem: ScanElement) -> np.ndarray:
     """Step-by-step evaluation of the recurrence on pairs; the reference route."""
-    a, b, full, _ = _check_elements(elem.kind, elem.a, elem.b)
+    a, b, full, _, prev = _check_elements(elem)
     a = np.broadcast_to(a, full)
     out = np.empty_like(b)
-    x = np.zeros_like(b[0])
+    x = np.zeros_like(b[0]) if prev is None else prev
     for t in range(b.shape[0]):
         x = _apply(elem.kind, a[t], x) + b[t]
         out[t] = x
@@ -187,27 +197,14 @@ def scan_sequential(elem: ScanElement) -> np.ndarray:
 def scan_linear(elem: ScanElement) -> np.ndarray:
     """Inclusive states x_1..x_T, in b's shape."""
     kind = elem.kind
-    a, b, _, shared = _check_elements(kind, elem.a, elem.b)
+    a, b, _, shared, prev = _check_elements(elem)
     f = _complex(kind, a)
     out = np.empty(b.shape)
-    _recur(kind, f if shared else f[1:], shared, _complex(kind, b), _complex(kind, out))
+    if prev is None:
+        _recur(kind, f if shared else f[1:], shared, _complex(kind, b), _complex(kind, out))
+    else:
+        _recur(kind, f, shared, _complex(kind, b), _complex(kind, out), _complex(kind, prev))
     return out
-
-
-def fold_carry(elem: ScanElement, carry: np.ndarray) -> None:
-    """Start elem's recurrence from the state `carry` instead of zero, in place.
-
-    b_0 becomes a_0 . carry + b_0 by one step of the kernel itself, so a
-    sequence scanned in chunks, each from the last state of the chunk
-    before, keeps the bits of one scan over all its steps.
-    """
-    kind = elem.kind
-    a, b, _, shared = _check_elements(kind, elem.a, elem.b)
-    rows = np.stack([carry, b[0]])
-    f = _complex(kind, a)
-    step = _complex(kind, rows)
-    _recur(kind, f if shared else f[:1], shared, step, step)
-    b[0] = rows[1]
 
 
 class Joint:
@@ -218,11 +215,10 @@ class Joint:
     channel count.  `factors` holds each part's shared factor, or is None
     for per-step factors, which the parts write as they write their
     forcings.  `elem` starts with empty forcings (and per-step factors);
-    `parts[i]` is part i as an element of views into it, and
-    `columns(elem.b)[i]` its forcing as a [rows, columns] view, the layout a
-    product can write.  The kernel acts on each channel on its own, so each
-    part's states, `split` from the joint ones, are its own scan's bits, and
-    nothing is copied to join the parts.
+    `columns(elem.b)[i]` is part i's forcing as a [rows, columns] view, the
+    layout a product can write.  The kernel acts on each channel on its own,
+    so each part's states, `split` from the joint ones, are its own scan's
+    bits, and nothing is copied to join the parts.
     """
 
     def __init__(self, kind: str, lead: tuple, widths: list[int], factors: list | None = None):
@@ -236,37 +232,41 @@ class Joint:
         self.elem = ScanElement(a, b, kind)
         self._axis, self._pair = len(lead), pair
         self._flat = (math.prod(lead), width * pair)
-        if len(widths) == 1:  # one part: the element itself
-            self._cuts, self.parts = (), [self.elem]
-            return
         self._cuts = list(itertools.accumulate(widths[:-1]))
-        self.parts = [
-            ScanElement(pa, pb, kind)
-            for pa, pb in zip(factors if factors is not None else self.split(a), self.split(b))
-        ]
 
     def split(self, z: np.ndarray, axis: int | None = None) -> list[np.ndarray]:
         """Each part's view of a joint array, cut along its channel axis (`axis`: 0
         for a shared factor or its da)."""
-        if not self._cuts:
-            return [z]
         return np.split(z, self._cuts, axis=self._axis if axis is None else axis)
 
     def columns(self, z: np.ndarray) -> list[np.ndarray]:
         """Each part's view of a joint array of b's shape (or a per-step a's, for
         "diag"), as the [rows, columns] slice of its rows and channels."""
         flat = z.reshape(self._flat)  # contiguous, so a view
-        if not self._cuts:
-            return [flat]
         return np.split(flat, [c * self._pair for c in self._cuts], axis=1)
 
+    def start_from(self, carries: list) -> None:
+        """Start each part's scan from its carry, the last state its chunk before
+        left (None: no chunk before), written into the element's one `prev`.
+
+        A part with no carry beside one with a carry starts from zero rows, so
+        its first state is a_0 . (+0) + b_0: b_0 itself wherever a_0 is finite
+        and b_0 is not -0.0, which comes out +0.0 where a_0 . (+0) is +0.0.
+        With no carry at all, `prev` stays None and the first state is b_0.
+        """
+        if all(carry is None for carry in carries):
+            return
+        prev = np.zeros(self.elem.b.shape[1:])
+        for part, carry in zip(self.split(prev[None]), carries):
+            if carry is not None:
+                part[0] = carry
+        self.elem.prev = prev
+
     def drop_forcing(self) -> None:
-        """Free the forcings once the states are made: b, in the element and in each
-        part, becomes a zero-stride stand-in of its shape, all that `scan_backward`,
-        `carry_back` and `add_prev_product` read of it."""
-        stand_in = lambda e: ScanElement(e.a, np.broadcast_to(0.0, e.b.shape), e.kind)
-        self.elem = stand_in(self.elem)
-        self.parts = [stand_in(part) for part in self.parts] if self._cuts else [self.elem]
+        """Free the forcing once the states are made: b becomes a zero-stride
+        stand-in of its shape, all that `scan_backward` and `carry_back` read of
+        it."""
+        self.elem = replace(self.elem, b=np.broadcast_to(0.0, self.elem.b.shape))
 
 
 def scan_backward(
@@ -281,12 +281,12 @@ def scan_backward(
     product summed over the time and batch axes, a chunk of rows at a time.
 
     For a chunk of a longer sequence, g's last row holds the state adjoint
-    the chunk after it handed back (`carry_back`), added in, and
-    `add_prev_product` adds da's first product, which needs the state before
-    the chunk.
+    the chunk after it handed back (`carry_back`), added in, and da's first
+    product, lam_0 (x) prev, takes the state before the chunk: a shared
+    factor's da adds it summed over the lead axes, after its other rows.
     """
     kind = elem.kind
-    a, b, full, shared = _check_elements(kind, elem.a, elem.b)
+    a, b, full, shared, prev = _check_elements(elem)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != b.shape:
         raise ShapeError(f"cotangent shape {g.shape} does not match b shape {b.shape}")
@@ -299,19 +299,25 @@ def scan_backward(
 
     x = _complex(kind, np.asarray(states, dtype=np.float64))
     if shared and a.size > 1:  # NumPy sums a one-element tail pairwise, so that one stays whole
-        return _reduce_shared_da(kind, a.shape, b.ndim - _B_TRAIL[kind], lam, x), db
-    da = np.empty(full)
-    wda = _complex(kind, da)
-    wda[0] = 0.0
-    _outer(kind, lam[1:], x[:-1], wda[1:])
-    if shared:
-        da = da.sum(axis=tuple(range(b.ndim - _B_TRAIL[kind])))
+        da = _reduce_shared_da(kind, a.shape, b.ndim - _B_TRAIL[kind], lam, x)
+    else:
+        da = np.empty(full)
+        wda = _complex(kind, da)
+        wda[0] = 0.0
+        _outer(kind, lam[1:], x[:-1], wda[1:])
+        if shared:
+            da = da.sum(axis=tuple(range(b.ndim - _B_TRAIL[kind])))
+    if prev is not None:
+        first = np.empty(full[1:]) if shared else da[0]
+        _outer(kind, lam[0], _complex(kind, prev), _complex(kind, first))
+        if shared:
+            da += np.add.reduce(first.reshape((-1,) + da.shape), axis=0)
     return da, db
 
 
 def carry_back(elem: ScanElement, db: np.ndarray) -> np.ndarray:
     """a_0^T lam_0: the state adjoint a chunk hands the chunk before it, from its
-    own `scan_backward` db, by one step of the reverse kernel.
+    own `scan_backward` db, by one step of the reverse kernel from lam_0.
 
     The chunk before adds it into its cotangent's last row, where one scan
     over the whole sequence adds g to the same product, so the state
@@ -319,25 +325,12 @@ def carry_back(elem: ScanElement, db: np.ndarray) -> np.ndarray:
     moves no bit.
     """
     kind = elem.kind
-    a, _, _, shared = _check_elements(kind, elem.a, elem.b)
+    a, _, _, shared, _ = _check_elements(elem)
     f = _adjoint_factor(kind, a)
-    rows = np.stack([db[0], np.full(db.shape[1:], -0.0)])
-    step = _complex(kind, rows)
-    _recur(kind, f if shared else f[:1], shared, step, step)
-    return rows[1]
-
-
-def add_prev_product(elem: ScanElement, prev: np.ndarray, db: np.ndarray, da: np.ndarray) -> None:
-    """Add da's product at t = 0, lam_0 (x) prev, into the `scan_backward` da of a
-    chunk whose state before it is `prev`; `scan_backward` starts from zero, so
-    it leaves that product out.  A shared factor's da takes it summed over the
-    lead axes, after its other rows."""
-    kind = elem.kind
-    _, _, full, shared = _check_elements(kind, elem.a, elem.b)
-    first = np.empty(full[1:]) if shared else da[0]
-    _outer(kind, _complex(kind, db[0]), _complex(kind, prev), _complex(kind, first))
-    if shared:
-        da += np.add.reduce(first.reshape((-1,) + da.shape), axis=0)
+    out = np.full(db[:1].shape, -0.0)
+    step = _complex(kind, out)
+    _recur(kind, f if shared else f[:1], shared, step, step, _complex(kind, db[0]))
+    return out[0]
 
 
 def _adjoint_factor(kind: str, a: np.ndarray) -> np.ndarray:

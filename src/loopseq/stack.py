@@ -331,10 +331,10 @@ def _stream(model: StackModel, rows: list, x: np.ndarray, period: int, chunks: l
     Application j runs chunk c at stage c + j, so the L applications advance
     through time together, and the active applications' scans run as one
     joint scan per chunk length, each started from the last state its
-    previous chunk left (`scan.fold_carry`).  Every other step acts on each
-    time row on its own, and a product's rows do not depend on how many rows
-    it has (a test pins this) unless it has one or is off a multiple of 8
-    wide.  Each tap's time sum is built a chunk at a time by `np.add.reduce`
+    previous chunk left (`scan.Joint.start_from`).  Every other step acts on
+    each time row on its own, and a product's rows do not depend on how many
+    rows it has (a test pins this) unless it has one or is off a multiple of
+    8 wide.  Each tap's time sum is built a chunk at a time by `np.add.reduce`
     from the running total, NumPy's own order for a sum over axis 0.  `rows`
     holds each unique block's `BlockRows`.
     """
@@ -432,17 +432,12 @@ def _stage_adjoint(blocks: list, xhats: list, rstds: list, before: list, g_outs:
     da, db = scan.scan_backward(joint.elem, states, g_x)
     del states, g_x, g_xi, x, col, row  # the views too, so both are freed
     hands = [None] * len(blocks)
-    if any(b is not None for b in before):  # the state before each chunk: zero before the first
-        prev = np.zeros_like(db[:1])
-        for part, b in zip(joint.split(prev), before):
-            if b is not None:
-                part[0] = b
-        scan.add_prev_product(joint.elem, prev[0], db, da)
+    if joint.elem.prev is not None:
         lams = joint.split(scan.carry_back(joint.elem, db)[None])
         hands = [lam[0].copy() if b is not None else None for b, lam in zip(before, lams)]
-    das = joint.split(da, 0 if blocks[0].factor is not None else None)
-    helds = [[part.a, extra, da_j, db_j] for part, extra, da_j, db_j in zip(joint.parts, extras, das, joint.split(db))]
-    del joint, extras, das, da, db  # each forcing's adjoint takes its arrays over, to free each once read
+    axis = 0 if blocks[0].factor is not None else None
+    helds = [list(p) for p in zip(joint.split(joint.elem.a, axis), extras, joint.split(da, axis), joint.split(db))]
+    del joint, extras, da, db  # each forcing's adjoint takes its arrays over, to free each once read
     out = []
     for blk, held, g_u, tail, xhat, rstd in zip(blocks, helds, g_us, tails, xhats, rstds):
         u_pieces, g_scan = blk.adjoint(blk.rebuild_u(xhat), held)

@@ -258,8 +258,8 @@ def train_one(
     bad = 0
     at_start = [p.data.copy() for _, p in params]
 
-    # one BLAS thread for the whole run: a product's bits can depend on the thread
-    # count, so the steps must not take a forked evaluation's count or the caller's
+    # one BLAS thread for the whole run, which a forked evaluation inherits: a
+    # product's bits can depend on the thread count, so no step takes the caller's
     with one_blas_thread(), _beside(full_loss, model, train_set) as initial:
         for epoch in range(config.max_epochs):
             perm = shuffle_rng.permutation(train_set.n)

@@ -269,14 +269,16 @@ def test_an_error_in_the_step_loop_kills_and_reaps_the_child(forks, monkeypatch)
 
 
 @needs_openblas
-def test_beside_runs_one_blas_thread_until_the_join(monkeypatch):
+def test_beside_child_runs_the_callers_blas_threads(monkeypatch):
+    """The child inherits the caller's BLAS thread count, and `beside` leaves the
+    caller's count as it was, joined or not."""
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     threads = _blas_threads()
     pool._openblas()[1](2)
     try:
         with pool.beside(_blas_threads, ()) as join:
-            assert _blas_threads() == 1
-            assert join() == 1
+            assert _blas_threads() == 2
+            assert join() == 2
             assert _blas_threads() == 2
         with pytest.raises(ZeroDivisionError):
             with pool.beside(_blas_threads, ()):

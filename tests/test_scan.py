@@ -303,14 +303,28 @@ def test_kernel_bits_and_inputs_are_pinned(kind, layout, lead, T):
 # --- oracle arithmetic --------------------------------------------------------
 
 
+def _joint_of(elems, layout, sl, carries=None):
+    """A `Joint` of `elems`' rows `sl` side by side, started from `carries`."""
+    kind, lead = elems[0].kind, elems[0].b.shape[1:-1 - (elems[0].kind != "diag")]
+    factors = [e.a for e in elems] if layout == "shared" else None
+    joint = scan.Joint(kind, (sl.stop - sl.start, *lead), [e.b.shape[len(lead) + 1] for e in elems], factors)
+    for part, e in zip(joint.split(joint.elem.b), elems):
+        part[...] = e.b[sl]
+    if layout == "per-step":
+        for part, e in zip(joint.split(joint.elem.a), elems):
+            part[...] = e.a[sl]
+    joint.start_from(carries or [])
+    return joint
+
+
 @pytest.mark.parametrize("layout", ["shared", "per-step"])
 @pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
 def test_joint_chunks_keep_the_whole_scan_bits(kind, layout):
     """Two recurrences side by side in a `Joint`, scanned in chunks (each started
-    from the last state before it, `fold_carry`) and back in reverse (each chunk's
+    from the last state before it, `start_from`) and back in reverse (each chunk's
     last cotangent row plus the state adjoint the chunk after it handed back,
-    `carry_back`, and its first da product from the state before it,
-    `add_prev_product`), give the states and db of one
+    `carry_back`, and its first da product from the state before it, the
+    element's `prev`), give the states and db of one
     scan of each over the whole sequence bit for bit, and a per-step da too; a
     shared da, summed a chunk at a time, differs by rounding only."""
     rng = np.random.default_rng(43)
@@ -325,34 +339,26 @@ def test_joint_chunks_keep_the_whole_scan_bits(kind, layout):
         whole.append((x, *scan_backward(e, x, g)))
     chunks = [slice(0, 7), slice(7, 14), slice(14, 21), slice(21, 23)]
 
-    def joint_at(sl):
-        factors = [e.a for e in elems] if layout == "shared" else None
-        joint = scan.Joint(kind, (sl.stop - sl.start, *lead), widths, factors)
-        for part, e in zip(joint.parts, elems):
-            part.b[...] = e.b[sl]
-            if layout == "per-step":
-                part.a[...] = e.a[sl]
+    def joint_at(c):
+        joint = _joint_of(elems, layout, chunks[c])
+        if c:
+            joint.start_from([end[-1] for end in joint.split(states[c - 1])])
         return joint
 
-    states, ends = [], [None]
-    for sl in chunks:
-        joint = joint_at(sl)
-        if ends[-1] is not None:
-            for part, end in zip(joint.parts, joint.split(ends[-1][None])):
-                scan.fold_carry(part, end[0])
+    states = []
+    for c, sl in enumerate(chunks):
+        joint = joint_at(c)
         states.append(scan_linear(joint.elem))
-        ends.append(states[-1][-1])
         for got, (x, _, _) in zip(joint.split(states[-1]), whole):
             np.testing.assert_array_equal(got, x[sl])
     da_sums, handed = [0.0, 0.0], None
     for c in reversed(range(len(chunks))):
-        sl, joint = chunks[c], joint_at(chunks[c])
+        sl, joint = chunks[c], joint_at(c)
+        assert (joint.elem.prev is None) == (c == 0)
         g = np.concatenate([g[sl] for g in gs], axis=len(lead) + 1)
         if handed is not None:
             g[-1] += handed
         da, db = scan_backward(joint.elem, states[c], g)
-        if ends[c] is not None:
-            scan.add_prev_product(joint.elem, ends[c], db, da)
         handed = scan.carry_back(joint.elem, db)
         for i, (part_da, part_db, (_, da_whole, db_whole)) in enumerate(
             zip(joint.split(da, 0 if layout == "shared" else None), joint.split(db), whole)
@@ -365,6 +371,67 @@ def test_joint_chunks_keep_the_whole_scan_bits(kind, layout):
     if layout == "shared":
         for got, (_, da_whole, _) in zip(da_sums, whole):
             np.testing.assert_allclose(got, da_whole, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("layout", ["shared", "per-step"])
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+def test_joint_parts_with_and_without_a_carry_keep_their_own_bits(kind, layout):
+    """A joint whose parts mix a carry and none: each part's states and db are
+    its own scan's (from its carry, or from nothing) bit for bit, its per-step da
+    too, its shared da to rounding, and the state adjoint `carry_back` hands
+    back for it is its own element's."""
+    rng = np.random.default_rng(47)
+    T, lead, widths, has = 9, (2,), [2, 3, 1], [True, False, True]
+    elems = [_random_elem(kind, T, w, rng, lead=lead) for w in widths]
+    if layout == "shared":
+        elems = [ScanElement(e.a[0, 0], e.b, kind) for e in elems]
+    carries = [rng.standard_normal(e.b.shape[1:]) if h else None for e, h in zip(elems, has)]
+    joint = _joint_of(elems, layout, slice(0, T), carries)
+    states = scan_linear(joint.elem)
+    g = rng.standard_normal(states.shape)
+    da, db = scan_backward(joint.elem, states, g)
+    axis, hands = 0 if layout == "shared" else None, []
+    parts = zip(elems, carries, joint.split(states), joint.split(g), joint.split(da, axis), joint.split(db))
+    for e, carry, x, g_i, da_i, db_i in parts:
+        own = ScanElement(e.a, e.b, kind, carry)
+        want = scan_linear(own)
+        assert x.tobytes() == want.tobytes()
+        da_own, db_own = scan_backward(own, want, g_i)
+        assert db_i.tobytes() == db_own.tobytes()
+        if layout == "per-step":
+            np.testing.assert_array_equal(da_i, da_own)
+        else:
+            np.testing.assert_allclose(da_i, da_own, rtol=1e-13, atol=1e-13)
+        hands.append(scan.carry_back(own, db_own))
+    for lam, want in zip(joint.split(scan.carry_back(joint.elem, db)[None]), hands):
+        assert lam[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["shared", "per-step"])
+@pytest.mark.parametrize("kind", ["diag", "cdiag", "mat2"])
+def test_scan_from_prev_matches_sequential(kind, layout):
+    """The kernel from a state before the first step against the oracle from the
+    same state, and against the whole scan it is the tail of; its adjoint
+    against the whole scan's over the tail, with da's first product from prev
+    (a shared da: the per-step one summed, to rounding)."""
+    rng = np.random.default_rng(53)
+    elem = _random_elem(kind, 12, 4, rng, lead=(3,))
+    if layout == "shared":
+        a = elem.a[0, 0]
+        elem = ScanElement(np.ascontiguousarray(np.broadcast_to(a, elem.a.shape)), elem.b, kind)
+    whole = scan_linear(elem)
+    tail = ScanElement(a if layout == "shared" else elem.a[5:], elem.b[5:], kind, whole[4])
+    got, seq = scan_linear(tail), scan_sequential(tail)
+    assert np.abs(got - seq).max() / np.abs(seq).max() < 1e-12
+    np.testing.assert_array_equal(got, whole[5:])
+    g = rng.standard_normal(elem.b.shape)
+    da_whole, db_whole = scan_backward(elem, whole, g)
+    da, db = scan_backward(tail, got, g[5:])
+    np.testing.assert_array_equal(db, db_whole[5:])
+    if layout == "per-step":
+        np.testing.assert_array_equal(da, da_whole[5:])
+    else:
+        np.testing.assert_allclose(da, da_whole[5:].sum(axis=(0, 1)), rtol=1e-13, atol=1e-13)
 
 
 def test_pair_mul_matches_complex():
@@ -463,6 +530,11 @@ def test_unbroadcastable_a_rejected(a_shape):
     """`a` is shared (n,) or per-step b.shape; every other layout is refused."""
     with pytest.raises(ShapeError):
         scan_linear(ScanElement(np.ones(a_shape), np.ones((5, 2, 3)), "diag"))
+
+
+def test_mismatched_prev_rejected():
+    with pytest.raises(ShapeError):
+        scan_linear(ScanElement(np.ones(3), np.ones((5, 2, 3)), "diag", np.zeros(3)))
 
 
 def test_mismatched_cotangent_rejected():

@@ -866,13 +866,13 @@ def test_predict_logits_memory_bounded(arch):
 
 
 # tracemalloc peak of a streamed `eval_loss` at B = 1, w = 6, H = P = 64, depth 6
-# (K = 512), in [K, B, H] float arrays: measured 36.67/36.66/36.77/36.08 at T = 6144
-# and at T = 12288 alike, and pinned 0.46 above the highest. In flight at once are
-# each application's input chunk, u, its share of the joint forcing and of the joint
+# (K = 512), in [K, B, H] float arrays: measured 36.69/36.69/36.79/30.58 at T = 6144
+# and at T = 12288 alike, and pinned 0.46 above each; LinOSS keeps 37.23, the one
+# pin all four shared before (0.44 above). In flight at once are each
+# application's input chunk, u, its share of the joint forcing and of the joint
 # states; the whole-sequence evaluation held 6.14 x T/K such arrays. At H = P = 60
-# (K = 546, T = 6552 and 13104) it read 36.60/36.60/36.70/30.59, under the same pin;
-# LrcSSM read 30.59 at H = 64 in the same session.
-_STREAM_PEAK = 37.23
+# (K = 546, T = 6552 and 13104) it read 36.62/36.62/36.71/30.58.
+_STREAM_PEAK = {"LRU": 37.15, "S5": 37.15, "LinOSS": 37.23, "LrcSSM": 31.05}
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -890,7 +890,7 @@ def test_streamed_evaluation_memory_does_not_grow_with_t(arch):
             finally:
                 tracemalloc.stop()
             peaks.append(peak / (K * H * 8))
-        assert max(peaks) <= _STREAM_PEAK, f"{arch} H = {H} streamed peaks {peaks} x K*B*H floats"
+        assert max(peaks) <= _STREAM_PEAK[arch], f"{arch} H = {H} streamed peaks {peaks} x K*B*H floats"
         assert peaks[1] - peaks[0] < 0.05, f"{arch} H = {H} streamed peak grew with T: {peaks}"
 
 
